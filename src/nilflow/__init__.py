@@ -101,10 +101,7 @@ from .corpus import (  # noqa: F401
     restrict_frequencies,
     toral_function,
     torus_corpus,
-    torus_field,
-    vf_cocycle_corpus,
     vf_cocycle_member,
-    vf_corpus,
 )
 from .cli import (  # noqa: F401
     ExperimentConfig,

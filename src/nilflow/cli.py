@@ -12,6 +12,7 @@ byte-identical output, independent of the worker count.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -43,6 +44,7 @@ from .diophantine import fit_witness, simultaneous_witness
 from .errors import (
     ConfigError,
     ConfigTypeError,
+    EmptyCorpus,
     MissingKey,
     NilflowError,
     NoConvergence,
@@ -170,11 +172,18 @@ SCHEMAS = {
 }
 
 
+def _to_float(s):
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError("not finite")
+    return x
+
+
 def _to_floats(s):
     parts = s.split()
     if not parts:
         raise ValueError("empty list")
-    return tuple(float(x) for x in parts)
+    return tuple(_to_float(x) for x in parts)
 
 
 def _to_ints(s):
@@ -186,7 +195,7 @@ def _to_ints(s):
 
 _CONVERTERS = {
     "int": lambda s: int(s, 10),
-    "float": float,
+    "float": _to_float,
     "floats": _to_floats,
     "ints": _to_ints,
     "str": lambda s: s,
@@ -341,6 +350,12 @@ def _run_witness(p, outdir):
 
 def _run_solve_coboundary(p, outdir):
     alpha = tuple(p["alpha"])
+    if not alpha:
+        raise ConfigTypeError("alpha needs at least one component")
+    if p["count"] < 1:
+        raise EmptyCorpus("count must be >= 1, got %d" % p["count"])
+    if p["degree"] < 1:
+        raise ConfigTypeError("degree must be >= 1, got %d" % p["degree"])
     if p["input"]:
         fns = [load_nil_function(p["input"]).toral]
     else:

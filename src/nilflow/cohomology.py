@@ -22,7 +22,13 @@ from .nilrep import (
     apply_X2,
     nil_sobolev_norm,
 )
-from .torus import TorusFunction, solve_small_divisor, _divisor_floor
+from .torus import (
+    TorusFunction,
+    _divisor_floor,
+    _freqs,
+    _quotient,
+    solve_small_divisor,
+)
 
 __all__ = [
     "Cochain1",
@@ -148,7 +154,7 @@ def delta0_star(params, omega, witnesses=None, tol=1e-9):
         - TorusFunction.constant(2, g_triv)
         - params.mu * (omega.f.toral - TorusFunction.constant(2, f_triv))
     )
-    if max((abs(c) for c in g0.coeffs.values()), default=0.0) > tol * scale:
+    if float(np.max(np.abs(g0.block))) > tol * scale:
         raise NotACocycle(
             "toral part of the second component must vanish for a zero-average cocycle"
         )
@@ -375,17 +381,24 @@ def laplacian_solve(params, source, witnesses=None, tol=1e-9):
     avg = complex(source.toral.average)
     if abs(avg) > tol * scale:
         raise NonzeroAverage("constant obstruction present", obstruction=(avg,))
-    coeffs = {}
-    for k, c in source.toral.coeffs.items():
-        if k == (0, 0):
-            continue
-        d1 = 2 * math.pi * (k[0] * params.x1_y[0] + k[1] * params.x1_y[1])
-        d2 = 2 * math.pi * (k[0] * params.x2_y[0] + k[1] * params.x2_y[1])
-        div = d1 * d1 + d2 * d2
-        if abs(d1) <= 2 * math.pi * _divisor_floor(k, params.x1_y) and abs(d2) <= tol:
-            raise Resonance("toral mode resonates with both generators", mode=k)
-        coeffs[k] = -c / div
-    toral = TorusFunction(2, coeffs, real=source.toral.real)
+    block = source.toral.block
+    D = source.toral.size
+    k0, k1 = ks = _freqs(2, D)
+    x1, x2 = [tuple(float(a) for a in x) for x in (params.x1_y, params.x2_y)]
+    d1 = 2 * math.pi * (k0 * x1[0] + k1 * x1[1])
+    d2 = 2 * math.pi * (k0 * x2[0] + k1 * x2[1])
+    support = block != 0
+    support[D, D] = False
+    floor = 2 * math.pi * _divisor_floor(ks, x1)
+    resonant = support & (np.abs(d1) <= floor) & (np.abs(d2) <= tol)
+    if resonant.any():
+        raise Resonance(
+            "toral mode resonates with both generators",
+            mode=tuple(int(i) - D for i in np.argwhere(resonant)[-1]),
+        )
+    toral = TorusFunction(
+        2, _quotient(-block, d1 * d1 + d2 * d2, support), real=source.toral.real
+    )
     reps = {
         (n, m): _rep_laplacian_solve(params, n, v, tol)
         for (n, m), v in source.reps.items()

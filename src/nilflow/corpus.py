@@ -5,12 +5,14 @@ member i never depends on how many members are requested, on evaluation
 order, or on worker count.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .cohomology import Cochain1, VfCochain, VfField, vf_delta0
 from .nilrep import NilFunction
 from .rigidity import FamilyCoordinates, section_s
-from .torus import TorusFunction, TorusVectorField
+from .torus import TorusFunction, _freqs, _readonly, _zeros
 
 
 def member_rng(seed, index):
@@ -18,39 +20,41 @@ def member_rng(seed, index):
     return np.random.default_rng((int(seed), int(index)))
 
 
-def _toral_coeffs(rng, dim, degree, decay, real, zero_average):
-    # modes are visited in a fixed lexicographic order so a draw consumes the
-    # stream identically for every caller
-    coeffs = {}
-    for flat in range((2 * degree + 1) ** dim):
-        k = []
-        rem = flat
-        for _ in range(dim):
-            k.append(rem % (2 * degree + 1) - degree)
-            rem //= 2 * degree + 1
-        k = tuple(k)
-        if real:
-            # draw only the half with positive leading nonzero entry and
-            # mirror it; the conjugate pair keeps the function real-valued
-            lead = next((x for x in k if x != 0), 0)
-            if lead <= 0:
-                continue
-            c = rng.standard_normal() + 1j * rng.standard_normal()
-            w = (1.0 + sum(x * x for x in k)) ** (-decay / 2.0)
-            coeffs[k] = w * c
-            coeffs[tuple(-x for x in k)] = w * c.conjugate()
-        else:
-            if zero_average and all(x == 0 for x in k):
-                continue
-            c = rng.standard_normal() + 1j * rng.standard_normal()
-            coeffs[k] = (1.0 + sum(x * x for x in k)) ** (-decay / 2.0) * c
-    return coeffs
+@lru_cache(maxsize=16)
+def _draw_plan(dim, degree, decay, real, zero_average):
+    """Flat block positions of the drawn modes in draw order, the first
+    frequency component varying fastest, and their weights (1+|k|^2)^(-decay/2).
+    A real draw takes the modes with positive leading nonzero component (the
+    upper half of the block in C order) and mirrors them.  The weights use
+    scalar pow, which the seeded corpora are pinned to; numpy's vectorized
+    power differs from it in the last bit."""
+    side = 2 * degree + 1
+    half = side**dim // 2
+    idx = np.arange(side**dim).reshape((side,) * dim).ravel(order="F")
+    if real:
+        idx = idx[idx > half]
+    elif zero_average:
+        idx = idx[idx != half]
+    norm2 = sum(k * k for k in _freqs(dim, degree)).ravel()
+    values, inverse = np.unique(norm2[idx], return_inverse=True)
+    pows = np.array([(1.0 + int(s)) ** (-decay / 2.0) for s in values])
+    return _readonly(idx), _readonly(pows[inverse])
+
+
+def _toral_block(rng, dim, degree, decay, real, zero_average):
+    block = _zeros(dim, degree)
+    idx, weight = _draw_plan(dim, degree, float(decay), real, zero_average)
+    v = rng.standard_normal(2 * len(idx))
+    block.reshape(-1)[idx] = weight * (v[0::2] + 1j * v[1::2])
+    if real:
+        block += np.conj(np.flip(block))
+    return block
 
 
 def toral_function(rng, dim=2, degree=8, decay=3.0, real=True, zero_average=True):
     """One band-limited function on the torus with Sobolev-decayed modes."""
     return TorusFunction(
-        dim, _toral_coeffs(rng, dim, degree, decay, real, zero_average), real=real
+        dim, _toral_block(rng, dim, degree, decay, real, zero_average), real=real
     )
 
 
@@ -62,21 +66,12 @@ def torus_corpus(seed, count, dim=2, degree=8, decay=3.0, real=True,
     ]
 
 
-def torus_field(rng, dim=2, degree=8, decay=3.0, scale=1.0):
-    """One real band-limited vector field on the torus."""
-    comps = [
-        toral_function(rng, dim, degree, decay, real=True) * scale
-        for _ in range(dim)
-    ]
-    return TorusVectorField(comps)
-
-
 def nil_function(rng, degree=8, n_max=4, length=8, decay=3.0,
                  zero_average=True):
     """One band-limited function on the nilmanifold: toral modes up to the
     given degree plus representation components for 0 < |n| <= n_max."""
-    coeffs = _toral_coeffs(rng, 2, degree, decay, real=False,
-                           zero_average=zero_average)
+    toral = _toral_block(rng, 2, degree, decay, real=False,
+                         zero_average=zero_average)
     reps = {}
     j = np.arange(length)
     for n in range(1, n_max + 1):
@@ -85,7 +80,7 @@ def nil_function(rng, degree=8, n_max=4, length=8, decay=3.0,
             reps[(sign * n, 0)] = w * (
                 rng.standard_normal(length) + 1j * rng.standard_normal(length)
             )
-    return NilFunction(toral=TorusFunction(2, coeffs), reps=reps)
+    return NilFunction(toral=TorusFunction(2, toral), reps=reps)
 
 
 def nil_corpus(seed, count, degree=8, n_max=4, length=8, decay=3.0,
@@ -106,29 +101,6 @@ def cochain_corpus(seed, count, degree=6, n_max=3, length=8, decay=7.0):
         g = nil_function(rng, degree, n_max, length, decay, zero_average=False)
         out.append(Cochain1(f, g))
     return out
-
-
-def vf_member(rng, q=2, p=1, degree=3, decay=3.0, scale=1.0):
-    """One cochain with vector-field coefficients; every slot carries a real
-    band-limited toral coefficient so products of slots stay representable."""
-
-    def slot():
-        f = toral_function(rng, 2, degree, decay, real=True, zero_average=False)
-        return NilFunction(toral=f * scale)
-
-    def field():
-        return VfField(
-            tuple(slot() for _ in range(q)), tuple(slot() for _ in range(p))
-        )
-
-    return VfCochain(field(), field())
-
-
-def vf_corpus(seed, count, q=2, p=1, degree=3, decay=3.0, scale=1.0):
-    return [
-        vf_member(member_rng(seed, i), q, p, degree, decay, scale)
-        for i in range(count)
-    ]
 
 
 def vf_cocycle_member(rng, algebra, params, mu=0.0, degree=3, decay=3.0,
@@ -158,15 +130,6 @@ def vf_cocycle_member(rng, algebra, params, mu=0.0, degree=3, decay=3.0,
         )
 
     return VfCochain(add(cob.x1, sec.x1), add(cob.x2, sec.x2))
-
-
-def vf_cocycle_corpus(seed, count, algebra, params, mu=0.0, degree=3,
-                      decay=3.0, scale=1.0):
-    return [
-        vf_cocycle_member(member_rng(seed, i), algebra, params, mu, degree,
-                          decay, scale)
-        for i in range(count)
-    ]
 
 
 def restrict_frequencies(F, n_max):

@@ -157,7 +157,7 @@ class NilFunction:
         return cls(toral=TorusFunction.constant(2, value), reps={})
 
     def is_zero(self):
-        return not self.toral.coeffs and not self.reps
+        return self.toral.is_zero() and not self.reps
 
     @property
     def support_n(self):

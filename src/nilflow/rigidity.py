@@ -29,7 +29,7 @@ from .nilrep import (
     parse_nil_function,
     serialize_nil_function,
 )
-from .torus import TorusFunction, directional_derivative
+from .torus import TorusFunction, _zeros, directional_derivative
 
 
 @dataclass
@@ -124,24 +124,20 @@ def smoothing_truncate(F, cutoff):
     Averages along the family directions live at k = 0 and are untouched."""
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    keep = {
-        k: c
-        for k, c in F.toral.coeffs.items()
-        if max(abs(k[0]), abs(k[1])) <= cutoff
-    }
     length = int(math.floor(cutoff)) + 1
     reps = {
         (n, m): v[:length] for (n, m), v in F.reps.items() if abs(n) <= cutoff
     }
-    return NilFunction(
-        toral=TorusFunction(2, keep, real=F.toral.real), reps=reps
-    )
+    return NilFunction(toral=F.toral.truncated(cutoff), reps=reps)
 
 
 def nil_multiply(F, G):
     """Pointwise product where it stays inside the coefficient frame: toral
     times toral is a convolution, constants scale anything.  Products involving
-    a representation part and a nonconstant factor leave the frame."""
+    a representation part and a nonconstant factor leave the frame.
+
+    The convolution shifts the larger block by each nonzero mode of the
+    smaller one and adds: the products of the double sum, no FFT roundoff."""
     for A, B in ((F, G), (G, F)):
         if not A.reps and A.toral.degree == 0:
             return B.scaled(complex(A.toral.average))
@@ -150,13 +146,15 @@ def nil_multiply(F, G):
             "product of representation data with a nonconstant factor is not "
             "representable in the coefficient frame"
         )
-    coeffs = {}
-    for k, a in F.toral.coeffs.items():
-        for l, b in G.toral.coeffs.items():
-            key = (k[0] + l[0], k[1] + l[1])
-            coeffs[key] = coeffs.get(key, 0) + a * b
+    a, b = F.toral.block, G.toral.block
+    if np.count_nonzero(a) > np.count_nonzero(b):
+        a, b = b, a
+    m = b.shape[0]
+    out = _zeros(2, F.toral.size + G.toral.size)
+    for i, j in np.argwhere(a):
+        out[i : i + m, j : j + m] += a[i, j] * b
     return NilFunction(
-        toral=TorusFunction(2, coeffs, real=F.toral.real and G.toral.real)
+        toral=TorusFunction(2, out, real=F.toral.real and G.toral.real)
     )
 
 

@@ -1,7 +1,8 @@
 """Truncated Fourier analysis on the n-torus.
 
-Functions are finite sums f(x) = sum_k c_k exp(2 pi i k.x) stored as sparse
-coefficient maps.  The module provides the directional-derivative solver that
+Functions are finite sums f(x) = sum_k c_k exp(2 pi i k.x) stored as one
+centred coefficient block per function, on which every operation is an array
+expression.  The module provides the directional-derivative solver that
 divides by the small divisors 2 pi i k.alpha, Sobolev norms, time averages
 along linear flows, pseudo-spectral pullback of vector fields under
 near-identity diffeomorphisms id + u, and the Newton conjugacy iteration that
@@ -14,6 +15,8 @@ the FFT, keeping modes up to twice the input degree before smoothing.
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -32,17 +35,72 @@ _EPS = np.finfo(float).eps
 # coefficients below this relative size are discarded when re-expanding
 _DROP = 1e-16
 
+# largest coefficient block or composition grid, in entries
+_SIZE_CAP = 4e7
+
+
+def _require_size(side, n, what):
+    # called before anything of that size is allocated
+    if side**n > _SIZE_CAP:
+        raise DimensionMismatch("%s too large (%d^%d entries)" % (what, side, n))
+
+
+def _zeros(n, D):
+    """Zero coefficient block of degree D on T^n."""
+    _require_size(2 * D + 1, n, "coefficient block")
+    return np.zeros((2 * D + 1,) * n, dtype=complex)
+
+
+def _readonly(a):
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=64)
+def _freqs(n, D):
+    """Components k_0 .. k_{n-1} of the degree-D block's frequencies, each an
+    integer array shaped to broadcast against the block."""
+    r = np.arange(-D, D + 1)
+    return tuple(_readonly(r.reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))) for i in range(n))
+
 
 def _divisor_floor(k, alpha):
     # |k.alpha| at or below roundoff of the dot product counts as resonant
     return 8 * _EPS * sum(abs(ki * ai) for ki, ai in zip(k, alpha))
 
 
-class TorusFunction:
-    """Band-limited function on T^n held as a sparse frequency-coefficient map.
+@lru_cache(maxsize=64)
+def _divisors(alpha, D):
+    """k.alpha on the degree-D block and its resonance floor."""
+    ks = _freqs(len(alpha), D)
+    ka = sum(k * a for k, a in zip(ks, alpha))
+    return _readonly(ka), _readonly(_divisor_floor(ks, alpha))
 
-    When ``real`` is set the stored coefficients are symmetrized so that
-    coeff(-k) is exactly the conjugate of coeff(k).
+
+@lru_cache(maxsize=64)
+def _sobolev_weight(n, D, r):
+    """(1 + |k|^2)^r on the degree-D block."""
+    return _readonly((1.0 + sum(k * k for k in _freqs(n, D))) ** r)
+
+
+def _quotient(block, d, where):
+    """block / d for real d on the flagged entries, zero elsewhere.  Each
+    component is divided once, as scalar complex division by a real or an
+    imaginary number does; numpy's complex division rounds twice."""
+    out = np.zeros_like(block)
+    np.divide(block.real, d, out=out.real, where=where)
+    np.divide(block.imag, d, out=out.imag, where=where)
+    return out
+
+
+class TorusFunction:
+    """Band-limited function on T^n held as one centred coefficient block.
+
+    ``block`` is a read-only complex array of shape (2D+1,)*n holding c_k at
+    index k + D; D is ``size``, and ``degree`` is the sup norm of the nonzero
+    support.  The constructor takes such a block or a {k: c} map.  When
+    ``real`` is set the block is symmetrized so that c_{-k} is exactly the
+    conjugate of c_k.
     """
 
     def __init__(self, n, coeffs=None, real=False):
@@ -50,51 +108,71 @@ class TorusFunction:
             raise DimensionMismatch("need n >= 1")
         self.n = int(n)
         self.real = bool(real)
-        clean = {}
-        for k, c in (coeffs or {}).items():
-            k = tuple(int(x) for x in k)
-            if len(k) != self.n:
-                raise DimensionMismatch("frequency length must equal n")
-            c = complex(c)
-            if c != 0:
-                clean[k] = clean.get(k, 0) + c
+        if isinstance(coeffs, np.ndarray):
+            block = np.array(coeffs, dtype=complex, order="C")
+            if block.ndim != self.n or block.shape != (len(block) | 1,) * self.n:
+                raise DimensionMismatch("coefficient block must have shape (2D+1,)*n")
+        else:
+            block = self._block_from_map(coeffs or {})
         if self.real:
-            sym = {}
-            for k, c in clean.items():
-                neg = tuple(-x for x in k)
-                sym[k] = (c + clean.get(neg, 0).conjugate()) / 2
-            scale = max((abs(c) for c in clean.values()), default=0.0)
-            for k, c in sym.items():
-                if abs(c - clean[k]) > 1e-8 * max(1.0, scale):
-                    raise ValueError("coefficients violate the reality constraint")
-            clean = {k: c for k, c in sym.items() if c != 0}
-        self.coeffs = clean
+            sym = 0.5 * (block + np.conj(np.flip(block)))
+            scale = float(np.max(np.abs(block)))
+            if float(np.max(np.abs(sym - block))) > 1e-8 * max(1.0, scale):
+                raise ValueError("coefficients violate the reality constraint")
+            block = sym
+        self.block = _readonly(block)
+
+    def _block_from_map(self, coeffs):
+        items = [(tuple(int(x) for x in k), complex(c)) for k, c in coeffs.items()]
+        if any(len(k) != self.n for k, _ in items):
+            raise DimensionMismatch("frequency length must equal n")
+        items = [(k, c) for k, c in items if c != 0]
+        D = max((max(map(abs, k)) for k, _ in items), default=0)
+        block = _zeros(self.n, D)
+        for k, c in items:
+            block[tuple(x + D for x in k)] += c
+        return block
 
     @classmethod
     def constant(cls, n, value, real=None):
         if real is None:
             real = abs(complex(value).imag) == 0
-        return cls(n, {(0,) * n: value}, real=real)
+        return cls(n, np.full((1,) * n, complex(value)), real=real)
+
+    @property
+    def size(self):
+        return len(self.block) // 2
 
     @property
     def degree(self):
-        return max((max(abs(x) for x in k) for k in self.coeffs), default=0)
+        return int(np.max(np.abs(np.argwhere(self.block) - self.size), initial=0))
+
+    @cached_property
+    def coeffs(self):
+        """Read-only {k: c} view of the nonzero coefficients."""
+        idx = np.argwhere(self.block)
+        keys = map(tuple, (idx - self.size).tolist())
+        return MappingProxyType(dict(zip(keys, self.block[tuple(idx.T)].tolist())))
 
     def coeff(self, k):
-        return self.coeffs.get(tuple(k), 0j)
+        return self.coeffs.get(tuple(int(x) for x in k), 0j)
 
     @property
     def average(self):
-        c = self.coeffs.get((0,) * self.n, 0j)
+        c = complex(self.block[(self.size,) * self.n])
         return c.real if self.real else c
+
+    def is_zero(self):
+        return not self.block.any()
 
     def __add__(self, other):
         if isinstance(other, TorusFunction):
             if other.n != self.n:
                 raise DimensionMismatch("dimension mismatch")
-            out = dict(self.coeffs)
-            for k, c in other.coeffs.items():
-                out[k] = out.get(k, 0) + c
+            small, big = sorted((self.block, other.block), key=len)
+            out = big.copy()
+            off = (len(big) - len(small)) // 2
+            out[(slice(off, off + len(small)),) * self.n] += small
             return TorusFunction(self.n, out, real=self.real and other.real)
         return self + TorusFunction.constant(self.n, other)
 
@@ -104,31 +182,24 @@ class TorusFunction:
     def __mul__(self, scalar):
         scalar = complex(scalar)
         return TorusFunction(
-            self.n,
-            {k: c * scalar for k, c in self.coeffs.items()},
-            real=self.real and scalar.imag == 0,
+            self.n, self.block * scalar, real=self.real and scalar.imag == 0
         )
 
     __rmul__ = __mul__
 
     def partial(self, axis):
         """d/dx_axis, acting as multiplication by 2 pi i k_axis."""
-        return TorusFunction(
-            self.n,
-            {k: 2j * math.pi * k[axis] * c for k, c in self.coeffs.items()},
-            real=self.real,
-        )
+        k = _freqs(self.n, self.size)[axis]
+        return TorusFunction(self.n, 2j * np.pi * k * self.block, real=self.real)
 
     def truncated(self, degree, drop_below=0.0):
         """Drop modes beyond the sup-norm degree and, optionally, coefficients
         below drop_below relative to the largest one.  The zero mode is kept."""
-        floor = drop_below * max((abs(c) for c in self.coeffs.values()), default=0.0)
-        zero = (0,) * self.n
-        out = {
-            k: c
-            for k, c in self.coeffs.items()
-            if (max(map(abs, k), default=0) <= degree and abs(c) > floor) or k == zero
-        }
+        floor = drop_below * float(np.max(np.abs(self.block)))
+        D = min(self.size, max(math.floor(degree), 0))
+        block = self.block[(slice(self.size - D, self.size + D + 1),) * self.n]
+        out = np.where(np.abs(block) > floor, block, 0)
+        out[(D,) * self.n] = block[(D,) * self.n]
         return TorusFunction(self.n, out, real=self.real)
 
     def evaluate(self, points):
@@ -142,10 +213,11 @@ class TorusFunction:
         return vals.real if self.real else vals
 
     def grid_values(self, G):
-        """Values on the equispaced G^n grid via the inverse FFT."""
+        """Values on the equispaced G^n grid via the inverse FFT; modes beyond
+        the grid's Nyquist band alias onto it."""
         arr = np.zeros((G,) * self.n, dtype=complex)
-        for k, c in self.coeffs.items():
-            arr[tuple(ki % G for ki in k)] += c
+        wrap = np.arange(-self.size, self.size + 1) % G
+        np.add.at(arr, np.ix_(*[wrap] * self.n), self.block)
         vals = np.fft.ifftn(arr) * G**self.n
         return vals.real if self.real else vals
 
@@ -153,36 +225,25 @@ class TorusFunction:
     def from_grid(cls, values, degree, real=None, drop_below=0.0):
         """Re-expand equispaced samples; keeps modes with sup norm <= degree,
         discarding coefficients below drop_below relative to the largest one.
-        Alias-free for band-limited data when every axis has > 2*degree points."""
+        Alias-free for band-limited data when every axis has > 2*degree points.
+        With ``real`` the block is symmetrized, absorbing FFT roundoff."""
         values = np.asarray(values)
         if real is None:
             real = not np.iscomplexobj(values)
-        n = values.ndim
         if min(values.shape) <= 2 * degree:
             raise DimensionMismatch("grid too coarse for the requested degree")
         C = np.fft.fftn(values) / values.size
         window = np.arange(-degree, degree + 1)
         block = C[np.ix_(*[window % s for s in values.shape])]
         floor = drop_below * float(np.max(np.abs(block)))
-        coeffs = {}
-        for idx in np.argwhere(np.abs(block) > floor):
-            k = tuple(int(i) - degree for i in idx)
-            coeffs[k] = complex(block[tuple(idx)])
+        block = np.where(np.abs(block) > floor, block, 0)
         if real:
-            # exact symmetrization absorbs FFT roundoff
-            sym = {}
-            for k, c in coeffs.items():
-                neg = tuple(-x for x in k)
-                sym[k] = (c + coeffs.get(neg, 0).conjugate()) / 2
-            coeffs = sym
-        return cls(n, coeffs, real=real)
+            block = 0.5 * (block + np.conj(np.flip(block)))
+        return cls(values.ndim, block, real=real)
 
     def __repr__(self):
         return "TorusFunction(n=%d, modes=%d, degree=%d%s)" % (
-            self.n,
-            len(self.coeffs),
-            self.degree,
-            ", real" if self.real else "",
+            self.n, np.count_nonzero(self.block), self.degree, ", real" if self.real else ""
         )
 
 
@@ -217,7 +278,7 @@ class TorusVectorField:
         return tuple(c.average for c in self.components)
 
     def is_zero(self):
-        return all(not c.coeffs for c in self.components)
+        return all(c.is_zero() for c in self.components)
 
     def __add__(self, other):
         return TorusVectorField(
@@ -247,8 +308,7 @@ class TorusVectorField:
 
     def evaluate(self, points):
         pts = np.asarray(points, dtype=float)
-        out = np.stack([np.real(c.evaluate(pts)) for c in self.components], axis=-1)
-        return out
+        return np.stack([np.real(c.evaluate(pts)) for c in self.components], axis=-1)
 
     def __repr__(self):
         return "TorusVectorField(n=%d, degree=%d)" % (self.n, self.degree)
@@ -260,39 +320,36 @@ def directional_derivative(alpha, f):
     alpha = tuple(float(a) for a in alpha)
     if len(alpha) != f.n:
         raise DimensionMismatch("alpha must have length n")
-    return TorusFunction(
-        f.n,
-        {
-            k: 2j * math.pi * sum(ki * ai for ki, ai in zip(k, alpha)) * c
-            for k, c in f.coeffs.items()
-        },
-        real=f.real,
-    )
+    ka, _ = _divisors(alpha, f.size)
+    return TorusFunction(f.n, 2j * np.pi * ka * f.block, real=f.real)
 
 
 def solve_small_divisor(alpha, f, tol_avg=1e-12):
     """Solve alpha.grad h = f - mean(f) by dividing by 2 pi i (k.alpha).
 
     The input average must already be below tol_avg; the zero mode of the
-    solution is fixed to 0.
+    solution is fixed to 0.  A mode on the support whose divisor vanishes to
+    roundoff raises Resonance.
     """
     alpha = tuple(float(a) for a in alpha)
     if len(alpha) != f.n:
         raise DimensionMismatch("alpha must have length n")
-    zero = (0,) * f.n
-    avg = f.coeffs.get(zero, 0j)
+    zero = (f.size,) * f.n
+    avg = complex(f.block[zero])
     if abs(avg) > tol_avg:
         raise NonzeroAverage(
             "average %r exceeds tolerance %g" % (avg, tol_avg), obstruction=avg
         )
-    out = {}
-    for k, c in f.coeffs.items():
-        if k == zero:
-            continue
-        ka = sum(ki * ai for ki, ai in zip(k, alpha))
-        if abs(ka) <= _divisor_floor(k, alpha):
-            raise Resonance("resonant frequency %r for alpha %r" % (k, alpha), mode=k)
-        out[k] = c / (2j * math.pi * ka)
+    ka, floor = _divisors(alpha, f.size)
+    support = f.block != 0
+    support[zero] = False
+    resonant = support & (np.abs(ka) <= floor)
+    if resonant.any():
+        # the last one in block order has a positive leading component
+        k = tuple(int(i) - f.size for i in np.argwhere(resonant)[-1])
+        raise Resonance("resonant frequency %r for alpha %r" % (k, alpha), mode=k)
+    # c / (2 pi i k.alpha) = -i c / (2 pi k.alpha)
+    out = _quotient(-1j * f.block, 2 * np.pi * ka, support)
     return TorusFunction(f.n, out, real=f.real)
 
 
@@ -300,11 +357,8 @@ def sobolev_norm(f, r):
     """(sum |c_k|^2 (1 + |k|^2)^r)^(1/2); vector fields aggregate in l2."""
     if isinstance(f, TorusVectorField):
         return math.sqrt(sum(sobolev_norm(c, r) ** 2 for c in f.components))
-    total = 0.0
-    for k, c in f.coeffs.items():
-        w = 1.0 + sum(x * x for x in k)
-        total += abs(c) ** 2 * w**r
-    return math.sqrt(total)
+    w = _sobolev_weight(f.n, f.size, float(r))
+    return math.sqrt(float(np.sum(np.abs(f.block) ** 2 * w)))
 
 
 def tame_ratio_report(alpha, corpus, r, sigma, degrees=None):
@@ -344,7 +398,7 @@ def tame_ratio_report(alpha, corpus, r, sigma, degrees=None):
             worst = 0.0
             for f in corpus:
                 ft = f.truncated(D)
-                if ft.coeffs:
+                if not ft.is_zero():
                     worst = max(worst, ratio(ft))
             by_degree[int(D)] = worst
         report["by_degree"] = by_degree
@@ -357,22 +411,29 @@ def tame_ratio_report(alpha, corpus, r, sigma, degrees=None):
 
 
 def _grid_points(n, G):
+    _require_size(G, n, "composition grid")
     xs = np.arange(G) / G
-    mesh = np.meshgrid(*([xs] * n), indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, n)
+    return np.stack(np.meshgrid(*([xs] * n), indexing="ij"), axis=-1).reshape(-1, n)
+
+
+def _grid_values(u, G):
+    """Real grid values of the components of the field u, shape (G^n, n)."""
+    return np.stack([np.real(c.grid_values(G)).reshape(-1) for c in u.components], axis=-1)
 
 
 def _displacement_arrays(u, G):
     """Grid values of u and of its Jacobian: shapes (G^n, n) and (G^n, n, n)."""
-    n = u.n
-    U = np.stack(
-        [np.real(c.grid_values(G)).reshape(-1) for c in u.components], axis=-1
-    )
-    J = np.empty((G**n, n, n))
-    for i, c in enumerate(u.components):
-        for j in range(n):
-            J[:, i, j] = np.real(c.partial(j).grid_values(G)).reshape(-1)
-    return U, J
+    partials = [TorusVectorField([c.partial(j) for c in u.components]) for j in range(u.n)]
+    return _grid_values(u, G), np.stack([_grid_values(p, G) for p in partials], axis=-1)
+
+
+def _field_from_grid(vals, G, degree, drop_below=0.0):
+    """Real vector field re-expanded from grid samples of shape (G^n, n)."""
+    n = vals.shape[1]
+    return TorusVectorField([
+        TorusFunction.from_grid(vals[:, i].reshape((G,) * n), degree, True, drop_below)
+        for i in range(n)
+    ])
 
 
 def _check_invertible(U, J):
@@ -398,19 +459,11 @@ def pullback_field(u, X, out_degree=None, grid_factor=4):
     if out_degree is None:
         out_degree = 2 * K_in
     G = max(grid_factor * K_in, 2 * out_degree + 2, 8)
-    if G**n > 4e7:
-        raise DimensionMismatch("composition grid too large (G=%d, n=%d)" % (G, n))
     pts = _grid_points(n, G)
     U, J = _displacement_arrays(u, G)
     _check_invertible(U, J)
-    A = np.eye(n)[None, :, :] + J
-    rhs = X.evaluate(pts + U)
-    y = np.linalg.solve(A, rhs[..., None])[..., 0]
-    comps = [
-        TorusFunction.from_grid(y[:, i].reshape((G,) * n), out_degree, real=True)
-        for i in range(n)
-    ]
-    return TorusVectorField(comps)
+    y = np.linalg.solve(np.eye(n)[None, :, :] + J, X.evaluate(pts + U)[..., None])[..., 0]
+    return _field_from_grid(y, G, out_degree)
 
 
 def _compose_displacement(u_new, u_acc, out_degree, grid_factor=4):
@@ -419,17 +472,8 @@ def _compose_displacement(u_new, u_acc, out_degree, grid_factor=4):
     K_in = max(u_new.degree, u_acc.degree, 1)
     G = max(grid_factor * K_in, 2 * out_degree + 2, 8)
     pts = _grid_points(n, G)
-    U_new = np.stack(
-        [np.real(c.grid_values(G)).reshape(-1) for c in u_new.components], axis=-1
-    )
-    W = U_new + u_acc.evaluate(pts + U_new)
-    comps = [
-        TorusFunction.from_grid(
-            W[:, i].reshape((G,) * n), out_degree, real=True, drop_below=_DROP
-        )
-        for i in range(n)
-    ]
-    return TorusVectorField(comps)
+    U_new = _grid_values(u_new, G)
+    return _field_from_grid(U_new + u_acc.evaluate(pts + U_new), G, out_degree, _DROP)
 
 
 @dataclass
@@ -481,12 +525,12 @@ def kam_step(state):
     beta = state.beta_cur
     omega = np.asarray(state.omega)
     n = len(state.omega)
+    exact = dict(
+        residual_history=state.residual_history + [0.0],
+        residual_history_r2=state.residual_history_r2 + [0.0],
+    )
     if beta.is_zero():
-        return replace(
-            state,
-            residual_history=state.residual_history + [0.0],
-            residual_history_r2=state.residual_history_r2 + [0.0],
-        )
+        return replace(state, **exact)
     K = state.trunc_degree
 
     avg = beta.average()
@@ -499,8 +543,7 @@ def kam_step(state):
             lambda_bar=tuple(
                 float(l + a) for l, a in zip(state.lambda_bar, avg)
             ),
-            residual_history=state.residual_history + [0.0],
-            residual_history_r2=state.residual_history_r2 + [0.0],
+            **exact,
         )
     scale = max(sobolev_norm(beta, 0), 1e-300)
     u_new = TorusVectorField(
@@ -535,16 +578,8 @@ def kam_step(state):
     P_avg = np.array([P[:, i].mean() for i in range(n)])
     d_lambda = np.linalg.solve(avg_M, P_avg - omega)
     lam = tuple(float(x) for x in np.asarray(state.lambda_bar) + d_lambda)
-    G_vals = P - Minv @ d_lambda
-    beta_vals = G_vals - omega[None, :]
-    beta_next = TorusVectorField(
-        [
-            TorusFunction.from_grid(
-                beta_vals[:, i].reshape((G,) * n), out_degree, real=True, drop_below=_DROP
-            )
-            for i in range(n)
-        ]
-    ).truncated(K, _DROP)
+    beta_vals = P - Minv @ d_lambda - omega[None, :]
+    beta_next = _field_from_grid(beta_vals, G, out_degree, _DROP).truncated(K, _DROP)
 
     return replace(
         state,

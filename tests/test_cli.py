@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import tracemalloc
 
 import pytest
 
@@ -215,6 +216,69 @@ def test_solve_coboundary_nonzero_average_is_negative(tmp_path):
     )
     assert run(cfg) == 2
     assert read_summary(tmp_path)[0]["reason"] == "NonzeroAverage"
+
+
+@pytest.mark.parametrize(
+    "overrides,reason",
+    [
+        ({"count": 0}, "EmptyCorpus"),
+        ({"count": -3}, "EmptyCorpus"),
+        ({"degree": -2}, "ConfigTypeError"),
+    ],
+    ids=["count0", "count-3", "degree-2"],
+)
+def test_solve_coboundary_rejects_empty_or_negative_sizes(tmp_path, overrides, reason):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "alpha = 1.0 %r\n" % PHI + "".join("%s = %s\n" % kv for kv in overrides.items())
+    )
+    out = tmp_path / "out"
+    assert main(["solve-coboundary", "--config", str(cfg), "--out", str(out)]) == 1
+    rec = read_summary(out)[0]
+    assert (rec["verdict"], rec["reason"]) == ("error", reason)
+    assert not (out / "coboundary.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "sub,text",
+    [
+        ("solve-coboundary", "alpha = nan 1.0\n"),
+        ("solve-coboundary", "alpha = 1.0 %r\ndecay = nan\n" % PHI),
+        ("witness", "alpha = 1.0 inf\n"),
+        ("kernel-dim", "alpha = 1.0 %r\ntol = nan\n" % PHI),
+    ],
+    ids=["alpha-nan", "decay-nan", "witness-inf", "kernel-dim-tol-nan"],
+)
+def test_nonfinite_floats_are_config_type_errors(tmp_path, capsys, sub, text):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main([sub, "--config", str(cfg), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert (err["verdict"], err["reason"]) == ("error", "ConfigTypeError")
+    assert not (out / "summary.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "sub,overrides",
+    [
+        ("kam", {"omega": (1.0, PHI), "K": 100000}),
+        ("solve-coboundary", {"alpha": (1.0, PHI), "degree": 100000}),
+    ],
+    ids=["kam", "solve-coboundary"],
+)
+def test_oversized_grid_or_block_is_refused_before_allocation(tmp_path, sub, overrides):
+    cfg = make_config(sub, tmp_path, **overrides)
+    tracemalloc.start()
+    try:
+        status = run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 1
+    rec = read_summary(tmp_path)[0]
+    assert (rec["verdict"], rec["reason"]) == ("error", "DimensionMismatch")
+    assert peak < 32 * 2**20
 
 
 def test_split_smoke(tmp_path):

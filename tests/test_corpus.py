@@ -1,0 +1,55 @@
+"""Seeded corpus draws: the dense draw reproduces the scalar reference loop
+exactly, so seeded corpora and the acceptance data built on them are pinned."""
+
+import pytest
+
+from nilflow.corpus import member_rng, nil_function, toral_function
+
+
+def scalar_toral_coeffs(rng, dim, degree, decay, real, zero_average):
+    """Reference draw: one mode at a time, the first frequency component
+    varying fastest, weights by scalar pow."""
+    coeffs = {}
+    for flat in range((2 * degree + 1) ** dim):
+        k = []
+        rem = flat
+        for _ in range(dim):
+            k.append(rem % (2 * degree + 1) - degree)
+            rem //= 2 * degree + 1
+        k = tuple(k)
+        if real:
+            lead = next((x for x in k if x != 0), 0)
+            if lead <= 0:
+                continue
+            c = rng.standard_normal() + 1j * rng.standard_normal()
+            w = (1.0 + sum(x * x for x in k)) ** (-decay / 2.0)
+            coeffs[k] = w * c
+            coeffs[tuple(-x for x in k)] = w * c.conjugate()
+        else:
+            if zero_average and all(x == 0 for x in k):
+                continue
+            c = rng.standard_normal() + 1j * rng.standard_normal()
+            coeffs[k] = (1.0 + sum(x * x for x in k)) ** (-decay / 2.0) * c
+    return coeffs
+
+
+@pytest.mark.parametrize("dim,degree", [(1, 24), (2, 24), (3, 5)])
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("zero_average", [True, False])
+def test_dense_draw_matches_scalar_reference_exactly(dim, degree, real, zero_average):
+    for index in range(4):
+        ref_rng = member_rng(7, index)
+        ref = scalar_toral_coeffs(ref_rng, dim, degree, 3.0, real, zero_average)
+        rng = member_rng(7, index)
+        f = toral_function(rng, dim, degree, 3.0, real, zero_average)
+        # exact equality, entry by entry: no tolerance
+        assert dict(f.coeffs) == ref
+        # the draw consumed the stream exactly as far as the reference
+        assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+def test_nil_function_toral_part_matches_scalar_reference():
+    ref_rng = member_rng(3, 1)
+    ref = scalar_toral_coeffs(ref_rng, 2, 6, 7.0, False, False)
+    F = nil_function(member_rng(3, 1), degree=6, decay=7.0, zero_average=False)
+    assert dict(F.toral.coeffs) == ref

@@ -471,3 +471,19 @@ def test_bracket_requires_heisenberg_shape():
     U = VfField(tuple(NilFunction() for _ in range(3)), (NilFunction(),))
     with pytest.raises(DimensionMismatch):
         vf_bracket(A3, U, U)
+
+
+def test_multiply_matches_double_loop_reference():
+    rng = np.random.default_rng(31)
+    F, G = rand_toral(rng, deg=3), rand_toral(rng, deg=2, real=False)
+    ref = {}
+    for k, a in F.toral.coeffs.items():
+        for l, b in G.toral.coeffs.items():
+            key = (k[0] + l[0], k[1] + l[1])
+            ref[key] = ref.get(key, 0) + a * b
+    out = nil_multiply(F, G).toral
+    assert set(out.coeffs) == set(ref)
+    # the shift-and-add sums the same products in another order
+    l1 = [sum(abs(c) for c in H.toral.coeffs.values()) for H in (F, G)]
+    bound = 64 * np.finfo(float).eps * l1[0] * l1[1]
+    assert max(abs(out.coeff(k) - c) for k, c in ref.items()) <= bound

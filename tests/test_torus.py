@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nilflow.errors import (
+    DimensionMismatch,
     EmptyCorpus,
     NoConvergence,
     NonInvertible,
@@ -369,3 +370,77 @@ def test_birkhoff_validates_arguments():
         birkhoff_average(GOLDEN, f, (0, 0), 10.0, steps=0)
     with pytest.raises(ValueError):
         birkhoff_average(GOLDEN, f, (0, 0), -1.0)
+
+
+# ---------------------------------------------------------------------------
+# coefficient block: the dict view, degree, other dimensions, size cap
+
+
+def test_coeffs_view_is_read_only():
+    f = sine_mode(2, (1, 2), 1.0)
+    with pytest.raises(TypeError):
+        f.coeffs[(1, 2)] = 0.0
+    with pytest.raises(ValueError):
+        f.block[0, 0] = 1.0
+    assert dict(f.coeffs) == {(1, 2): 0.5 / 1j, (-1, -2): (0.5 / 1j).conjugate()}
+
+
+def test_coeffs_view_omits_exact_zeros():
+    f = TorusFunction(2, {(3, 0): 0.0, (1, 0): 1.0, (0, 0): 0.0})
+    assert f.coeffs == {(1, 0): 1.0}
+    assert f.degree == 1
+    assert TorusFunction(2).coeffs == {}
+    assert TorusFunction(2).is_zero()
+
+
+def test_degree_is_support_not_block_size():
+    f = TorusFunction(2, {(1, 0): 1.0, (-1, 0): 1.0, (4, 0): 1e-20, (-4, 0): 1e-20}, real=True)
+    assert f.degree == 4
+    t = f.truncated(8, drop_below=1e-16)
+    assert t.size == 4 and t.degree == 1
+    assert set(t.coeffs) == {(1, 0), (-1, 0)}
+    g = TorusFunction.from_grid(f.grid_values(16), 6, drop_below=1e-12)
+    assert g.size == 6 and g.degree == 1
+    assert set(g.coeffs) == {(1, 0), (-1, 0)}
+
+
+@pytest.mark.parametrize(
+    "alpha", [(math.sqrt(2),), (1.0, math.sqrt(2), math.sqrt(3))], ids=["n1", "n3"]
+)
+def test_other_dimensions_solve_norm_add_grid(alpha):
+    n = len(alpha)
+    rng = np.random.default_rng(20 + n)
+    coeffs = {}
+    for _ in range(6):
+        k = tuple(int(x) for x in rng.integers(-3, 4, size=n))
+        if any(k):
+            c = complex(rng.normal(), rng.normal())
+            coeffs[k] = c
+            coeffs[tuple(-x for x in k)] = c.conjugate()
+    f = TorusFunction(n, coeffs, real=True)
+    # solve and roundtrip
+    h = solve_small_divisor(alpha, f)
+    assert sobolev_norm(directional_derivative(alpha, h) - f, 0) <= 1e-12 * sobolev_norm(f, 0)
+    # norm against the closed form
+    for r in (0.0, 1.5):
+        expect = math.sqrt(sum(abs(c) ** 2 * (1 + sum(x * x for x in k)) ** r
+                               for k, c in f.coeffs.items()))
+        assert sobolev_norm(f, r) == pytest.approx(expect, rel=1e-13)
+    # sum of blocks of different sizes
+    g = sine_mode(n, (5,) + (0,) * (n - 1), 0.25)
+    s = f + g
+    assert s.size == 5
+    for k in set(f.coeffs) | set(g.coeffs):
+        assert s.coeff(k) == f.coeff(k) + g.coeff(k)
+    # grid values against direct summation
+    G = 12
+    xs = np.arange(G) / G
+    pts = np.stack(np.meshgrid(*[xs] * n, indexing="ij"), axis=-1)
+    assert np.max(np.abs(s.grid_values(G) - s.evaluate(pts))) < 1e-12
+
+
+def test_oversized_block_is_refused():
+    with pytest.raises(DimensionMismatch, match="too large"):
+        TorusFunction(2, {(100000, 0): 1.0})
+    with pytest.raises(DimensionMismatch, match="too large"):
+        pullback_field(TorusVectorField.zero(2), TorusVectorField.zero(2), out_degree=10**5)
