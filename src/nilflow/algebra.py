@@ -350,7 +350,7 @@ def _reduce_against(row, basis, tol, exact):
 
 
 class _RowSpace:
-    """Incremental row-echelon accumulator used for ranks and complements."""
+    """Incremental row-echelon accumulator used for kernels and complements."""
 
     def __init__(self, tol, exact):
         self.basis = []
@@ -364,17 +364,6 @@ class _RowSpace:
             return False
         self.basis.append(res)
         return True
-
-    @property
-    def rank(self):
-        return len(self.basis)
-
-
-def _matrix_rank(rows, tol, exact):
-    rs = _RowSpace(tol, exact)
-    for r in rows:
-        rs.insert(r)
-    return rs.rank
 
 
 def _nullspace(rows, ncols, tol, exact):

@@ -311,7 +311,16 @@ def _write_summary(outdir, records):
 
 
 def _heis_params(p):
+    if len(p["alpha"]) != 2:
+        raise ConfigTypeError(
+            "alpha needs exactly two components, got %d" % len(p["alpha"])
+        )
     return ActionParams(tuple(p["alpha"]), (p["beta"],), mu=p["mu"])
+
+
+def _require_positive(p, key):
+    if p[key] < 1:
+        raise ConfigTypeError("%s must be >= 1, got %d" % (key, p[key]))
 
 
 def _witnesses(alpha, K):
@@ -354,8 +363,7 @@ def _run_solve_coboundary(p, outdir):
         raise ConfigTypeError("alpha needs at least one component")
     if p["count"] < 1:
         raise EmptyCorpus("count must be >= 1, got %d" % p["count"])
-    if p["degree"] < 1:
-        raise ConfigTypeError("degree must be >= 1, got %d" % p["degree"])
+    _require_positive(p, "degree")
     if p["input"]:
         fns = [load_nil_function(p["input"]).toral]
     else:
@@ -402,6 +410,8 @@ def _run_solve_coboundary(p, outdir):
 
 def _run_split(p, outdir):
     params = _heis_params(p)
+    if p["count"] < 1:
+        raise EmptyCorpus("count must be >= 1, got %d" % p["count"])
     wit = _witnesses(p["alpha"], p["K"])
     corpus = cochain_corpus(
         p["seed"], p["count"], p["degree"], p["n_max"], p["length"], p["decay"]
@@ -446,6 +456,7 @@ def _run_split(p, outdir):
 
 def _run_spectrum(p, outdir):
     params = _heis_params(p)
+    _require_positive(p, "n_max")
     t = trusted_count(p["M"])
 
     def one(n):
@@ -469,6 +480,7 @@ def _run_spectrum(p, outdir):
 
 def _run_gh_report(p, outdir):
     params = _heis_params(p)
+    _require_positive(p, "N")
     wit = _witnesses(p["alpha"], p["K"])
     report = gh_certificate(params, p["N"], p["M"], p["K"], wit)
     _write_csv(
@@ -496,6 +508,7 @@ def _run_gh_report(p, outdir):
 
 def _run_kernel_dim(p, outdir):
     params = _heis_params(p)
+    _require_positive(p, "N")
     dim = joint_kernel_dim(params, p["N"], p["M"], p["K"], tol=p["tol"])
     _write_csv(
         outdir,

@@ -182,29 +182,33 @@ def delta1_star_split(params, omega, witnesses=None, r=1.0, sigma=2.0):
     the second component (minus its average) is the toral error.  Each
     representation block divides the second component by the central scalar to
     produce H and the defect by the same scalar to produce the error on the
-    first component.  Exact reconstruction holds by construction.
+    first component.  Exact reconstruction holds by construction.  A nonzero
+    mu goes through the mu = 0 split of (f, g - mu f), with mu times the first
+    error added back to the second.
     """
-    if params.mu != 0:
-        flat = params.replace(mu=0)
-        base = delta1_star_split(
-            flat,
+    if params.mu == 0:
+        out, phi = _split_flat(params, omega, witnesses)
+    else:
+        base, _ = _split_flat(
+            params.replace(mu=0),
             Cochain1(omega.f, omega.g.sub(omega.f.scaled(params.mu))),
             witnesses,
-            r,
-            sigma,
         )
-        g_err = base.g_err.add(base.f_err.scaled(params.mu))
-        g_triv = base.g_triv + params.mu * base.f_triv
         out = SplittingResult(
             H=base.H,
             f_err=base.f_err,
-            g_err=g_err,
+            g_err=base.g_err.add(base.f_err.scaled(params.mu)),
             f_triv=base.f_triv,
-            g_triv=g_triv,
+            g_triv=base.g_triv + params.mu * base.f_triv,
         )
-        out.constants = _splitting_constants(params, omega, out, r, sigma)
-        return out
+        phi = delta1(params, omega)
+    out.constants = _splitting_constants(omega, out, phi, r, sigma)
+    return out
 
+
+def _split_flat(params, omega, witnesses):
+    """The split at mu = 0, without constants; returns it with the cocycle
+    defect it was built from."""
     beta_eff = params.x2_z[0]
     if beta_eff == 0:
         raise Resonance("central parameter vanishes; no representation inverse")
@@ -215,10 +219,8 @@ def delta1_star_split(params, omega, witnesses=None, r=1.0, sigma=2.0):
         )
 
     phi = delta1(params, omega)
-    f_triv = complex(omega.f.toral.average)
+    f0, f_triv = _strip_average(omega.f)
     g_triv = complex(omega.g.toral.average)
-
-    f0, _ = _strip_average(omega.f)
     h0 = solve_small_divisor(params.x1_y, f0.toral, tol_avg=float("inf"))
     g_err_toral = omega.g.toral - TorusFunction.constant(2, g_triv)
 
@@ -236,12 +238,11 @@ def delta1_star_split(params, omega, witnesses=None, r=1.0, sigma=2.0):
         f_triv=f_triv,
         g_triv=g_triv,
     )
-    out.constants = _splitting_constants(params, omega, out, r, sigma)
-    return out
+    return out, phi
 
 
-def _splitting_constants(params, omega, result, r, sigma):
-    phi = delta1(params, omega)
+def _splitting_constants(omega, result, phi, r, sigma):
+    """Measured tame constants of a split of omega with cocycle defect phi."""
     data = max(
         nil_sobolev_norm(omega.f, r + sigma), nil_sobolev_norm(omega.g, r + sigma)
     )
@@ -422,24 +423,13 @@ def split_via_laplacian(params, omega, witnesses=None, r=1.0, sigma=2.0, tol=1e-
         h = laplacian_solve(params, phi, witnesses, tol=1e-4 * tol)
     f_err = apply_X2(params, h)
     g_err = apply_X1(params, h).scaled(-1.0)
-    corrected = Cochain1(omega.f.sub(f_err), omega.g.sub(g_err))
-    f_triv = complex(corrected.f.toral.average)
-    g_triv = complex(corrected.g.toral.average)
-    stripped = Cochain1(
-        NilFunction(
-            toral=corrected.f.toral - TorusFunction.constant(2, f_triv),
-            reps=corrected.f.reps,
-        ),
-        NilFunction(
-            toral=corrected.g.toral - TorusFunction.constant(2, g_triv),
-            reps=corrected.g.reps,
-        ),
-    )
-    H = delta0_star(params, stripped, witnesses, tol=tol)
+    f0, f_triv = _strip_average(omega.f.sub(f_err))
+    g0, g_triv = _strip_average(omega.g.sub(g_err))
+    H = delta0_star(params, Cochain1(f0, g0), witnesses, tol=tol)
     out = SplittingResult(
         H=H, f_err=f_err, g_err=g_err, f_triv=f_triv, g_triv=g_triv
     )
-    out.constants = _splitting_constants(params, omega, out, r, sigma)
+    out.constants = _splitting_constants(omega, out, phi, r, sigma)
     return out
 
 
@@ -458,17 +448,11 @@ def rep_spectrum(params, n, M):
         raise ValueError("n = 0 labels the toral block")
     if M < 16:
         raise ValueError("need M >= 16 for a meaningful truncation")
-    a = RepOperator(n, M, y=params.x1_y).matrix()
-    b = RepOperator(n, M, y=params.x2_y, z=params.x2_z[0]).matrix()
-    lap = a @ a + b @ b
-    lap = (lap + lap.conj().T) / 2.0
-    ev = np.linalg.eigvalsh(lap)
-    return [float(x) for x in np.sort(ev)[::-1]]
-
-
-def _toral_divisor_sq(params, k):
-    d = 2 * math.pi * (k[0] * params.x1_y[0] + k[1] * params.x1_y[1])
-    return d * d
+    # the negated Laplacian from the bands of the banded solve; eigvalsh reads
+    # only the upper triangle, and its ascending order is the order wanted
+    d0, u1, u2 = _rep_laplacian_bands(params, n, M)
+    neg = np.diag(d0) + np.diag(u1, 1) + np.diag(u2, 2)
+    return [float(-x) for x in np.linalg.eigvalsh(neg, UPLO="U")]
 
 
 def gh_certificate(params, N, M, K, witnesses=None):
@@ -607,20 +591,12 @@ def vf_delta0(algebra, params, H):
     return VfCochain(values[0], values[1])
 
 
-def _constant_nil(value):
-    return NilFunction(toral=TorusFunction.constant(2, value))
-
-
 def _solve_scalar_pair(params, f, g, witnesses, tol):
     """Solve one scalar coboundary equation after removing the constants;
     returns (solution, average of f, average of g)."""
-    a1 = complex(f.toral.average)
-    a2 = complex(g.toral.average)
-    stripped = Cochain1(
-        NilFunction(toral=f.toral - TorusFunction.constant(2, a1), reps=f.reps),
-        NilFunction(toral=g.toral - TorusFunction.constant(2, a2), reps=g.reps),
-    )
-    h = delta0_star(params, stripped, witnesses, tol=tol)
+    f0, a1 = _strip_average(f)
+    g0, a2 = _strip_average(g)
+    h = delta0_star(params, Cochain1(f0, g0), witnesses, tol=tol)
     return h, a1, a2
 
 
@@ -689,13 +665,13 @@ def vf_coboundary_solve(algebra, params, Omega, witnesses=None, tol=1e-9):
             [_clean_scalar(x) for x in rep_part], q, p
         )
         h_y = [
-            h.add(_constant_nil(_clean_scalar(const_shift[i])))
+            h.add(NilFunction.constant(_clean_scalar(const_shift[i])))
             if const_shift[i] != 0
             else h
             for i, h in enumerate(h_y)
         ]
         h_z = [
-            h.add(_constant_nil(_clean_scalar(const_shift[q + t])))
+            h.add(NilFunction.constant(_clean_scalar(const_shift[q + t])))
             if const_shift[q + t] != 0
             else h
             for t, h in enumerate(h_z)

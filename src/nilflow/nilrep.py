@@ -8,6 +8,12 @@ Hermite function basis of the Schrodinger model.
 Convention, fixed once for the whole package: the first lattice generator acts
 as d/dx, the second as multiplication by 2*pi*i*n*x, and the center as the
 scalar 2*pi*i*n.  Every spectrum and certificate downstream inherits it.
+
+The Hermite ladder x.h_j = sqrt((j+1)/2) h_{j+1} + sqrt(j/2) h_{j-1} is
+written once, as the bands of `RepOperator`.  Generator actions on vectors
+(`dpi_apply`, `apply_X1`, `apply_X2`, the brackets of the rigidity step) apply
+an operator one entry larger than the vector, and the leafwise Laplacian of
+`cohomology` squares the same bands.
 """
 
 import numpy as np
@@ -29,27 +35,28 @@ __all__ = [
     "serialize_nil_function",
 ]
 
-_GENERATORS = ("Y1", "Y2", "Z")
+# generator -> (Y coefficients, Z coefficient) of the Lie algebra element
+_GENERATORS = {
+    "Y1": ((1.0, 0.0), 0.0),
+    "Y2": ((0.0, 1.0), 0.0),
+    "Z": ((0.0, 0.0), 1.0),
+}
 
 
-def _ladder_x(v):
-    # x . h_j = sqrt((j+1)/2) h_{j+1} + sqrt(j/2) h_{j-1}
-    m = len(v)
-    out = np.zeros(m + 1, dtype=complex)
-    out[1:] += np.sqrt(np.arange(1, m + 1) / 2.0) * v
-    if m > 1:
-        out[: m - 1] += np.sqrt(np.arange(1, m) / 2.0) * v[1:]
-    return out
+def _unknown_generator(gen):
+    return ValueError(
+        "unknown generator %r; expected one of %s" % (gen, (tuple(_GENERATORS),))
+    )
 
 
-def _ladder_ddx(v):
-    # d/dx . h_j = sqrt(j/2) h_{j-1} - sqrt((j+1)/2) h_{j+1}
-    m = len(v)
-    out = np.zeros(m + 1, dtype=complex)
-    out[1:] -= np.sqrt(np.arange(1, m + 1) / 2.0) * v
-    if m > 1:
-        out[: m - 1] += np.sqrt(np.arange(1, m) / 2.0) * v[1:]
-    return out
+def _act(n, v, y, z):
+    """Action of y1*Y1 + y2*Y2 + z*Z at central frequency n on the Hermite
+    vector v.  A ladder term moves h_j to h_{j+1}, so the result is one entry
+    longer than v; the purely central element (y = 0) keeps the length."""
+    v = np.asarray(v, dtype=complex)
+    if y[0] == 0.0 and y[1] == 0.0:
+        return 2j * np.pi * n * z * v
+    return RepOperator(n, len(v) + 1, y, z).apply(np.append(v, 0.0))
 
 
 def dpi_apply(gen, n, v):
@@ -60,23 +67,19 @@ def dpi_apply(gen, n, v):
     generators return a vector one entry longer than the input.
     """
     if gen not in _GENERATORS:
-        raise ValueError("unknown generator %r; expected one of %s" % (gen, (_GENERATORS,)))
+        raise _unknown_generator(gen)
     if n == 0:
         raise ValueError("central frequency must be nonzero")
-    v = np.asarray(v, dtype=complex)
-    if gen == "Z":
-        return 2j * np.pi * n * v
-    if gen == "Y1":
-        return _ladder_ddx(v)
-    return 2j * np.pi * n * _ladder_x(v)
+    return _act(n, v, *_GENERATORS[gen])
 
 
 class RepOperator:
     """Tridiagonal action of a Lie algebra element y1*Y1 + y2*Y2 + z*Z on a
     length-`size` block of the Hermite basis at central frequency n.
 
-    The stored bands satisfy G* = -G exactly away from the last two rows,
-    where truncation cuts the ladder.
+    The stored bands satisfy G* = -G exactly.  Truncation cuts the ladder
+    after the last index, so a product of two such blocks differs from the
+    block of the product of the full operators in its last row.
     """
 
     def __init__(self, n, size, y=(0.0, 0.0), z=0.0):
@@ -97,13 +100,10 @@ class RepOperator:
 
     @classmethod
     def generator(cls, gen, n, size):
-        if gen == "Y1":
-            return cls(n, size, y=(1.0, 0.0))
-        if gen == "Y2":
-            return cls(n, size, y=(0.0, 1.0))
-        if gen == "Z":
-            return cls(n, size, z=1.0)
-        raise ValueError("unknown generator %r; expected one of %s" % (gen, (_GENERATORS,)))
+        if gen not in _GENERATORS:
+            raise _unknown_generator(gen)
+        y, z = _GENERATORS[gen]
+        return cls(n, size, y=y, z=z)
 
     def apply(self, v):
         v = np.asarray(v, dtype=complex)
@@ -164,19 +164,8 @@ class NilFunction:
         """Largest |n| carrying a representation component (0 if none)."""
         return max((abs(n) for n, _ in self.reps), default=0)
 
-    @property
-    def hermite_degree(self):
-        """Largest coefficient vector length across representation components."""
-        return max((len(v) for v in self.reps.values()), default=0)
-
     def rep(self, n, m=0):
         return self.reps.get((n, m), np.zeros(0, dtype=complex))
-
-    def map_reps(self, fn):
-        """New function with the same toral part and fn applied per component."""
-        return NilFunction(
-            toral=self.toral, reps={k: fn(k[0], v) for k, v in self.reps.items()}
-        )
 
     def add(self, other):
         keys = set(self.reps) | set(other.reps)
@@ -206,22 +195,15 @@ class NilFunction:
         )
 
 
-def _apply_element(params, F, y_vec, z_coef):
-    # toral modes only see the torus direction of the element; the center
-    # acts there trivially
-    if y_vec[0] == 0.0 and y_vec[1] == 0.0:
+def _apply_element(F, y, z):
+    """Action of y1*Y1 + y2*Y2 + z*Z: the directional derivative along y on
+    the toral part, where the center acts trivially, and the grow-by-one
+    ladder in each representation."""
+    if y[0] == 0.0 and y[1] == 0.0:
         toral = TorusFunction(2, real=F.toral.real)
     else:
-        toral = directional_derivative(y_vec, F.toral)
-    reps = {}
-    for (n, m), v in F.reps.items():
-        v = np.asarray(v, dtype=complex)
-        if y_vec[0] == 0.0 and y_vec[1] == 0.0:
-            w = np.zeros(len(v), dtype=complex)
-        else:
-            w = y_vec[0] * _ladder_ddx(v) + y_vec[1] * (2j * np.pi * n) * _ladder_x(v)
-        w[: len(v)] += (2j * np.pi * n * z_coef) * v
-        reps[(n, m)] = w
+        toral = directional_derivative(y, F.toral)
+    reps = {(n, m): _act(n, v, y, z) for (n, m), v in F.reps.items()}
     return NilFunction(toral=toral, reps=reps)
 
 
@@ -236,7 +218,7 @@ def apply_X1(params, F):
     """Action of the first flow generator: directional derivative on the toral
     part, alpha_1*Y1 + alpha_2*Y2 in each representation."""
     _require_heisenberg_shape(params)
-    return _apply_element(params, F, params.x1_y, 0.0)
+    return _apply_element(F, params.x1_y, 0.0)
 
 
 def apply_X2(params, F):
@@ -244,7 +226,7 @@ def apply_X2(params, F):
     the toral part is killed and each representation sees the scalar
     2*pi*i*n*beta; a nonzero mu adds mu times the first generator."""
     _require_heisenberg_shape(params)
-    return _apply_element(params, F, params.x2_y, params.x2_z[0])
+    return _apply_element(F, params.x2_y, params.x2_z[0])
 
 
 def _rep_weights(n, length, r):

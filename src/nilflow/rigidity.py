@@ -23,13 +23,14 @@ from .errors import (
     UnrepresentableProduct,
 )
 from .nilrep import (
+    _GENERATORS,
     NilFunction,
-    dpi_apply,
+    _apply_element,
     nil_sobolev_norm,
     parse_nil_function,
     serialize_nil_function,
 )
-from .torus import TorusFunction, _zeros, directional_derivative
+from .torus import TorusFunction, _zeros
 
 
 @dataclass
@@ -158,22 +159,6 @@ def nil_multiply(F, G):
     )
 
 
-_Y_GEN = ("Y1", "Y2")
-
-
-def _basis_apply(kind, idx, F):
-    """Lie derivative of a coefficient function along a basis element."""
-    if kind == "Y":
-        direction = tuple(1.0 if l == idx else 0.0 for l in range(2))
-        toral = directional_derivative(direction, F.toral)
-        gen = _Y_GEN[idx]
-    else:
-        toral = TorusFunction(2, {}, real=F.toral.real)
-        gen = "Z"
-    reps = {(n, m): dpi_apply(gen, n, v) for (n, m), v in F.reps.items()}
-    return NilFunction(toral=toral, reps=reps)
-
-
 def _require_heisenberg(algebra):
     if algebra.q != 2 or algebra.p != 1:
         raise DimensionMismatch(
@@ -187,18 +172,18 @@ def vf_bracket(algebra, U, V):
     along the basis elements."""
     _require_heisenberg(algebra)
     q, p = algebra.q, algebra.p
-    slots = [("Y", i) for i in range(q)] + [("Z", t) for t in range(p)]
+    basis = [_GENERATORS[gen] for gen in ("Y1", "Y2", "Z")]
     u = list(U.y) + list(U.z)
     v = list(V.y) + list(V.z)
     out = [NilFunction() for _ in range(q + p)]
-    for a, (kind, idx) in enumerate(slots):
+    for a, (y, z) in enumerate(basis):
         if u[a].is_zero() and v[a].is_zero():
             continue
         for b in range(q + p):
             if not (u[a].is_zero() or v[b].is_zero()):
-                out[b] = out[b].add(nil_multiply(u[a], _basis_apply(kind, idx, v[b])))
+                out[b] = out[b].add(nil_multiply(u[a], _apply_element(v[b], y, z)))
             if not (v[a].is_zero() or u[b].is_zero()):
-                out[b] = out[b].sub(nil_multiply(v[a], _basis_apply(kind, idx, u[b])))
+                out[b] = out[b].sub(nil_multiply(v[a], _apply_element(u[b], y, z)))
     for t in range(p):
         for l in range(q):
             for i in range(q):

@@ -219,24 +219,41 @@ def test_solve_coboundary_nonzero_average_is_negative(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "overrides,reason",
+    "sub,overrides,reason",
     [
-        ({"count": 0}, "EmptyCorpus"),
-        ({"count": -3}, "EmptyCorpus"),
-        ({"degree": -2}, "ConfigTypeError"),
+        ("solve-coboundary", {"count": 0}, "EmptyCorpus"),
+        ("solve-coboundary", {"count": -3}, "EmptyCorpus"),
+        ("solve-coboundary", {"degree": -2}, "ConfigTypeError"),
+        ("split", {"count": 0}, "EmptyCorpus"),
+        ("split", {"count": -3}, "EmptyCorpus"),
+        ("gh-report", {"N": 0}, "ConfigTypeError"),
+        ("kernel-dim", {"N": 0}, "ConfigTypeError"),
+        ("spectrum", {"n_max": 0}, "ConfigTypeError"),
+        ("gh-report", {"alpha": "1.0"}, "ConfigTypeError"),
+        ("kernel-dim", {"alpha": "1.0"}, "ConfigTypeError"),
+        ("spectrum", {"alpha": "1.0"}, "ConfigTypeError"),
+        ("gh-report", {"alpha": "1.0 %r 0.5" % PHI}, "ConfigTypeError"),
+        ("kernel-dim", {"alpha": "1.0 %r 0.5" % PHI}, "ConfigTypeError"),
+        ("spectrum", {"alpha": "1.0 %r 0.5" % PHI}, "ConfigTypeError"),
     ],
-    ids=["count0", "count-3", "degree-2"],
+    ids=[
+        "count0", "count-3", "degree-2", "split-count0", "split-count-3",
+        "gh-report-N0", "kernel-dim-N0", "spectrum-n_max0",
+        "gh-report-alpha1", "kernel-dim-alpha1", "spectrum-alpha1",
+        "gh-report-alpha3", "kernel-dim-alpha3", "spectrum-alpha3",
+    ],
 )
-def test_solve_coboundary_rejects_empty_or_negative_sizes(tmp_path, overrides, reason):
+def test_solve_coboundary_rejects_empty_or_negative_sizes(tmp_path, sub, overrides, reason):
+    # also covers the size and alpha-length checks of the other corpus and
+    # representation-block subcommands
     cfg = tmp_path / "c.cfg"
-    cfg.write_text(
-        "alpha = 1.0 %r\n" % PHI + "".join("%s = %s\n" % kv for kv in overrides.items())
-    )
+    entries = {"alpha": "1.0 %r" % PHI, **overrides}
+    cfg.write_text("".join("%s = %s\n" % kv for kv in entries.items()))
     out = tmp_path / "out"
-    assert main(["solve-coboundary", "--config", str(cfg), "--out", str(out)]) == 1
+    assert main([sub, "--config", str(cfg), "--out", str(out)]) == 1
     rec = read_summary(out)[0]
     assert (rec["verdict"], rec["reason"]) == ("error", reason)
-    assert not (out / "coboundary.csv").exists()
+    assert os.listdir(out) == ["summary.jsonl"]
 
 
 @pytest.mark.parametrize(

@@ -377,6 +377,20 @@ def test_rep_spectrum_matches_node_law(M):
     assert np.all(ev <= 1e-9)
 
 
+@pytest.mark.parametrize("M", [16, 64])
+@pytest.mark.parametrize("n", [1, -3, 12])
+@pytest.mark.parametrize("mu", [0.0, -2.0, 0.7])
+def test_rep_spectrum_matches_dense_generator_squares(mu, n, M):
+    # oracle: the dense sum of squared generator matrices, symmetrized
+    p = golden_params(beta=1.0, mu=mu)
+    a = RepOperator(n, M, y=p.x1_y).matrix()
+    b = RepOperator(n, M, y=p.x2_y, z=p.x2_z[0]).matrix()
+    lap = a @ a + b @ b
+    dense = np.sort(np.linalg.eigvalsh((lap + lap.conj().T) / 2.0))[::-1]
+    ev = np.array(rep_spectrum(p, n, M))
+    assert np.max(np.abs(ev - dense) / np.abs(dense)) < 1e-10
+
+
 def test_rep_spectrum_even_in_n():
     p = golden_params(beta=0.7)
     a = np.array(rep_spectrum(p, 3, 32))
