@@ -26,7 +26,6 @@ from .algebra import (
 )
 from .cohomology import (
     VfCochain,
-    VfField,
     delta1_star_split,
     gh_certificate,
     joint_kernel_dim,
@@ -304,10 +303,9 @@ def _write_csv(outdir, name, header, rows):
             w.writerow([_cell(x) for x in row])
 
 
-def _write_summary(outdir, records):
+def _write_summary(outdir, record):
     with open(os.path.join(outdir, "summary.jsonl"), "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _heis_params(p):
@@ -344,8 +342,7 @@ def _run_witness(p, outdir):
         ["kind", "gamma", "K", "C", "value", "argmin", "valid"],
         [(w.kind, w.gamma, w.K, w.C, w.value, argmin, int(w.valid))],
     )
-    record = {
-        "subcommand": "witness",
+    return {
         "verdict": "ok" if w.valid else "negative",
         "kind": w.kind,
         "C": w.C,
@@ -354,7 +351,6 @@ def _run_witness(p, outdir):
         "argmin": [int(x) for x in w.argmin_k],
         "value": w.value,
     }
-    return (0 if w.valid else 2), [record]
 
 
 def _run_solve_coboundary(p, outdir):
@@ -398,14 +394,12 @@ def _run_solve_coboundary(p, outdir):
         h = solved[0][0]
         with open(os.path.join(outdir, "solution.txt"), "w", encoding="utf-8") as fh:
             fh.write(serialize_nil_function(NilFunction(toral=h)))
-    record = {
-        "subcommand": "solve-coboundary",
+    return {
         "verdict": "ok",
         "count": len(rows),
         "ratio_max": max((r[4] for r in rows), default=0.0),
         "defect_max": max((r[5] for r in rows), default=0.0),
     }
-    return 0, [record]
 
 
 def _run_split(p, outdir):
@@ -442,8 +436,7 @@ def _run_split(p, outdir):
     )
     worst = max((r[1] for r in rows), default=0.0)
     ok = worst <= p["recon_tol"]
-    record = {
-        "subcommand": "split",
+    return {
         "verdict": "ok" if ok else "negative",
         "count": len(rows),
         "recon_max": worst,
@@ -451,7 +444,6 @@ def _run_split(p, outdir):
         "h_ratio_max": max((r[2] for r in rows), default=0.0),
         "err_ratio_max": max((r[3] for r in rows), default=0.0),
     }
-    return (0 if ok else 2), [record]
 
 
 def _run_spectrum(p, outdir):
@@ -468,19 +460,19 @@ def _run_spectrum(p, outdir):
     _write_csv(
         outdir, "spectrum.csv", ["n", "index", "eigenvalue", "trusted"], rows
     )
-    record = {
-        "subcommand": "spectrum",
+    return {
         "verdict": "ok",
         "n_max": p["n_max"],
         "M": p["M"],
         "trusted_per_block": t,
     }
-    return 0, [record]
 
 
 def _run_gh_report(p, outdir):
     params = _heis_params(p)
-    _require_positive(p, "N")
+    if p["N"] < 2:
+        # the growth law in |n| is fitted across at least two blocks
+        raise ConfigTypeError("N must be >= 2, got %d" % p["N"])
     wit = _witnesses(p["alpha"], p["K"])
     report = gh_certificate(params, p["N"], p["M"], p["K"], wit)
     _write_csv(
@@ -490,7 +482,6 @@ def _run_gh_report(p, outdir):
         [(row["n"], row["min_abs"]) for row in report["rep"]],
     )
     record = {
-        "subcommand": "gh-report",
         "verdict": "certified" if report["certified"] else "negative",
         "toral_min": report["toral"]["min"],
         "toral_argmin": list(report["toral"]["argmin"]),
@@ -503,7 +494,7 @@ def _run_gh_report(p, outdir):
         record["fit_constant"] = report["fit"]["c"]
     if "resonant_mode" in report:
         record["resonant_mode"] = list(report["resonant_mode"])
-    return (0 if report["certified"] else 2), [record]
+    return record
 
 
 def _run_kernel_dim(p, outdir):
@@ -516,12 +507,10 @@ def _run_kernel_dim(p, outdir):
         ["N", "M", "K", "tol", "dim"],
         [(p["N"], p["M"], p["K"], p["tol"], dim)],
     )
-    record = {
-        "subcommand": "kernel-dim",
+    return {
         "verdict": "unique" if dim == 1 else "negative",
         "dim": dim,
     }
-    return (0 if dim == 1 else 2), [record]
 
 
 def _run_constant_cohomology(p, outdir):
@@ -534,15 +523,13 @@ def _run_constant_cohomology(p, outdir):
             rows.append((i, j, str(x)))
     _write_csv(outdir, "basis.csv", ["representative", "slot", "value"], rows)
     expected = A.q + A.p + 1
-    record = {
-        "subcommand": "constant-cohomology",
+    return {
         "verdict": "ok" if dim == expected else "negative",
         "dim": dim,
         "expected": expected,
         "q": A.q,
         "p": A.p,
     }
-    return (0 if dim == expected else 2), [record]
 
 
 def _sin_field(omega, amplitude, mode, component):
@@ -588,36 +575,22 @@ def _run_kam(p, outdir):
                 outdir, "kam.csv", ["iteration", "residual", "residual_r2"],
                 _kam_rows(exc.state),
             )
-        record = {
-            "subcommand": "kam",
+        return {
             "verdict": "negative",
             "reason": "NoConvergence",
             "detail": str(exc),
         }
-        return 2, [record]
     _write_csv(
         outdir, "kam.csv", ["iteration", "residual", "residual_r2"],
         _kam_rows(state),
     )
-    record = {
-        "subcommand": "kam",
+    return {
         "verdict": "ok",
         "iterations": len(state.residual_history) - 1,
         "residual": state.residual,
         "lambda_bar": list(state.lambda_bar),
         "verified_sup_error": state.verified_sup_error,
     }
-    return 0, [record]
-
-
-def _truncate_slots(om, cutoff):
-    def fld(f):
-        return VfField(
-            tuple(smoothing_truncate(h, cutoff) for h in f.y),
-            tuple(smoothing_truncate(h, cutoff) for h in f.z),
-        )
-
-    return VfCochain(fld(om.x1), fld(om.x2))
 
 
 def _run_rigidity_step(p, outdir):
@@ -633,11 +606,11 @@ def _run_rigidity_step(p, outdir):
             degree=p["degree"], decay=p["decay"], scale=p["scale"],
         )
     if p["cutoff"] >= 0:
-        om = _truncate_slots(om, p["cutoff"])
-    input_norm = max(
-        nil_sobolev_norm(h, 0)
-        for h in om.x1.y + om.x1.z + om.x2.y + om.x2.z
-    )
+        def smooth(h):
+            return smoothing_truncate(h, p["cutoff"])
+
+        om = VfCochain(om.x1.map(smooth), om.x2.map(smooth))
+    input_norm = max(nil_sobolev_norm(h, 0) for h in om.x1.slots + om.x2.slots)
     wit = _witnesses(p["alpha"], p["K"])
     coords, H, residual = newton_step(
         A, params, p["mu"], om, wit, threshold=p["threshold"]
@@ -647,11 +620,8 @@ def _run_rigidity_step(p, outdir):
     rows.append(("residual_norm", residual))
     rows.append(("input_norm", input_norm))
     _write_csv(outdir, "coordinates.csv", ["name", "value"], rows)
-    h_norm = max(
-        (nil_sobolev_norm(h, 0) for h in H.y + H.z), default=0.0
-    )
-    record = {
-        "subcommand": "rigidity-step",
+    h_norm = max((nil_sobolev_norm(h, 0) for h in H.slots), default=0.0)
+    return {
         "verdict": "ok",
         "mu": p["mu"],
         "coordinates": list(coords.vector),
@@ -659,7 +629,6 @@ def _run_rigidity_step(p, outdir):
         "h_norm": h_norm,
         "residual_norm": residual,
     }
-    return 0, [record]
 
 
 def _run_cg_decay(p, outdir):
@@ -678,7 +647,6 @@ def _run_cg_decay(p, outdir):
         rows,
     )
     record = {
-        "subcommand": "cg-decay",
         "verdict": "ok" if report["plateau_ok"] else "negative",
         "s": report["s"],
         "k": report["k"],
@@ -689,7 +657,7 @@ def _run_cg_decay(p, outdir):
     }
     if "tail_sums" in report:
         record["tail_sums"] = [[int(w), s] for w, s in report["tail_sums"]]
-    return (0 if report["plateau_ok"] else 2), [record]
+    return record
 
 
 _RUNNERS = {
@@ -714,25 +682,17 @@ def run(config):
     if runner is None:
         raise UnknownKey("unknown subcommand %r" % config.subcommand)
     try:
-        status, records = runner(config.params, outdir)
-    except (Resonance, NonzeroAverage, NoConvergence, ThresholdExceeded) as exc:
-        status = 2
-        records = [{
-            "subcommand": config.subcommand,
-            "verdict": "negative",
-            "reason": type(exc).__name__,
-            "detail": str(exc),
-        }]
+        record = runner(config.params, outdir)
     except (NilflowError, ValueError, OSError) as exc:
-        status = 1
-        records = [{
-            "subcommand": config.subcommand,
-            "verdict": "error",
+        negative = (Resonance, NonzeroAverage, NoConvergence, ThresholdExceeded)
+        record = {
+            "verdict": "negative" if isinstance(exc, negative) else "error",
             "reason": type(exc).__name__,
             "detail": str(exc),
-        }]
-    _write_summary(outdir, records)
-    return status
+        }
+    record["subcommand"] = config.subcommand
+    _write_summary(outdir, record)
+    return {"negative": 2, "error": 1}.get(record["verdict"], 0)
 
 
 class _Parser(argparse.ArgumentParser):

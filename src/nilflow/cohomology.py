@@ -103,6 +103,14 @@ def _strip_average(f):
     )
 
 
+def _require_nonresonant(witnesses):
+    wit = (witnesses or {}).get("alpha")
+    if wit is not None and not wit.valid:
+        raise Resonance(
+            "frequency vector admits an exact resonance", mode=tuple(wit.argmin_k)
+        )
+
+
 def _solve_x2_rep(params, n, g_vec):
     """Solve the representation block of X2 h = g at central frequency n."""
     scalar = _central_scalar(params, n)
@@ -129,11 +137,7 @@ def delta0_star(params, omega, witnesses=None, tol=1e-9):
     representation block inverts the scalar (or banded) action of the second
     generator on the second component.
     """
-    wit = (witnesses or {}).get("alpha")
-    if wit is not None and not wit.valid:
-        raise Resonance(
-            "frequency vector admits an exact resonance", mode=tuple(wit.argmin_k)
-        )
+    _require_nonresonant(witnesses)
     scale = max(omega.norm(0.0), 1e-300)
     defect = delta1(params, omega)
     if nil_sobolev_norm(defect, 0.0) > tol * scale:
@@ -212,11 +216,7 @@ def _split_flat(params, omega, witnesses):
     beta_eff = params.x2_z[0]
     if beta_eff == 0:
         raise Resonance("central parameter vanishes; no representation inverse")
-    wit = (witnesses or {}).get("alpha")
-    if wit is not None and not wit.valid:
-        raise Resonance(
-            "frequency vector admits an exact resonance", mode=tuple(wit.argmin_k)
-        )
+    _require_nonresonant(witnesses)
 
     phi = delta1(params, omega)
     f0, f_triv = _strip_average(omega.f)
@@ -541,11 +541,29 @@ class VfField:
         self.z = tuple(self.z)
 
     @classmethod
-    def zero(cls, q, p):
+    def constant(cls, y_values, z_values):
         return cls(
-            tuple(NilFunction() for _ in range(q)),
-            tuple(NilFunction() for _ in range(p)),
+            tuple(NilFunction.constant(v) for v in y_values),
+            tuple(NilFunction.constant(v) for v in z_values),
         )
+
+    @property
+    def slots(self):
+        return self.y + self.z
+
+    def map(self, fn, *others):
+        """Apply fn slot by slot, with the same slot of each other field as
+        further arguments."""
+        return VfField(
+            tuple(map(fn, self.y, *(o.y for o in others))),
+            tuple(map(fn, self.z, *(o.z for o in others))),
+        )
+
+    def add(self, other):
+        return self.map(NilFunction.add, other)
+
+    def sub(self, other):
+        return self.map(NilFunction.sub, other)
 
 
 @dataclass

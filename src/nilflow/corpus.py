@@ -122,14 +122,7 @@ def vf_cocycle_member(rng, algebra, params, mu=0.0, degree=3, decay=3.0,
     )
     cob = vf_delta0(algebra, params.replace(mu=mu), H)
     sec = section_s(params, mu, coords)
-
-    def add(a, b):
-        return VfField(
-            tuple(x.add(y) for x, y in zip(a.y, b.y)),
-            tuple(x.add(y) for x, y in zip(a.z, b.z)),
-        )
-
-    return VfCochain(add(cob.x1, sec.x1), add(cob.x2, sec.x2))
+    return VfCochain(cob.x1.add(sec.x1), cob.x2.add(sec.x2))
 
 
 def restrict_frequencies(F, n_max):

@@ -84,18 +84,10 @@ def section_s(params, mu, coords):
     lam = coords.lam
     if len(lam) != q + p:
         raise DimensionMismatch("offset vector must have length q + p")
-    x1 = VfField(
-        tuple(NilFunction.constant(lam[i]) for i in range(q)),
-        tuple(NilFunction() for _ in range(p)),
+    return VfCochain(
+        VfField.constant(lam[:q], (0.0,) * p),
+        VfField.constant([coords.mu1 * float(a) for a in params.alpha], lam[q:]),
     )
-    x2 = VfField(
-        tuple(
-            NilFunction.constant(coords.mu1 * float(params.alpha[i]))
-            for i in range(q)
-        ),
-        tuple(NilFunction.constant(lam[q + t]) for t in range(p)),
-    )
-    return VfCochain(x1, x2)
 
 
 def delta_op(params, omega, witnesses=None):
@@ -105,18 +97,11 @@ def delta_op(params, omega, witnesses=None):
     if isinstance(omega, Cochain1):
         s = delta1_star_split(params, omega, witnesses)
         return Cochain1(omega.f.sub(s.f_err), omega.g.sub(s.g_err))
-    pairs_y = []
-    for f, g in zip(omega.x1.y, omega.x2.y):
-        s = delta1_star_split(params, Cochain1(f, g), witnesses)
-        pairs_y.append((f.sub(s.f_err), g.sub(s.g_err)))
-    pairs_z = []
-    for f, g in zip(omega.x1.z, omega.x2.z):
-        s = delta1_star_split(params, Cochain1(f, g), witnesses)
-        pairs_z.append((f.sub(s.f_err), g.sub(s.g_err)))
-    return VfCochain(
-        VfField(tuple(f for f, _ in pairs_y), tuple(f for f, _ in pairs_z)),
-        VfField(tuple(g for _, g in pairs_y), tuple(g for _, g in pairs_z)),
+    # slot by slot, the two generator values form one scalar cochain
+    pairs = omega.x1.map(
+        lambda f, g: delta_op(params, Cochain1(f, g), witnesses), omega.x2
     )
+    return VfCochain(pairs.map(lambda c: c.f), pairs.map(lambda c: c.g))
 
 
 def smoothing_truncate(F, cutoff):
@@ -173,8 +158,8 @@ def vf_bracket(algebra, U, V):
     _require_heisenberg(algebra)
     q, p = algebra.q, algebra.p
     basis = [_GENERATORS[gen] for gen in ("Y1", "Y2", "Z")]
-    u = list(U.y) + list(U.z)
-    v = list(V.y) + list(V.z)
+    u = U.slots
+    v = V.slots
     out = [NilFunction() for _ in range(q + p)]
     for a, (y, z) in enumerate(basis):
         if u[a].is_zero() and v[a].is_zero():
@@ -195,34 +180,8 @@ def vf_bracket(algebra, U, V):
     return VfField(tuple(out[:q]), tuple(out[q:]))
 
 
-def _field_sub(A, B):
-    return VfField(
-        tuple(a.sub(b) for a, b in zip(A.y, B.y)),
-        tuple(a.sub(b) for a, b in zip(A.z, B.z)),
-    )
-
-
-def _field_scale(A, s):
-    return VfField(
-        tuple(a.scaled(s) for a in A.y), tuple(a.scaled(s) for a in A.z)
-    )
-
-
 def _field_norm(A):
-    return max(nil_sobolev_norm(h, 0.0) for h in A.y + A.z)
-
-
-def _strip_constants(field, y_consts, z_consts):
-    return VfField(
-        tuple(
-            h.sub(NilFunction.constant(float(c)))
-            for h, c in zip(field.y, y_consts)
-        ),
-        tuple(
-            h.sub(NilFunction.constant(float(c)))
-            for h, c in zip(field.z, z_consts)
-        ),
-    )
+    return max(nil_sobolev_norm(h, 0.0) for h in A.slots)
 
 
 def newton_step(algebra, params, mu, omega, witnesses=None, threshold=0.5):
@@ -245,9 +204,7 @@ def newton_step(algebra, params, mu, omega, witnesses=None, threshold=0.5):
     reduced = delta_op(combined, omega, witnesses)
     coords = project_P(algebra, params, mu, reduced)
     sec = section_s(params, mu, coords)
-    lin = VfCochain(
-        _field_sub(reduced.x1, sec.x1), _field_sub(reduced.x2, sec.x2)
-    )
+    lin = VfCochain(reduced.x1.sub(sec.x1), reduced.x2.sub(sec.x2))
     H, resid_const = vf_coboundary_solve(algebra, combined, lin, witnesses)
     D = vf_delta0(algebra, combined, H)
     residual_fields = []
@@ -255,18 +212,9 @@ def newton_step(algebra, params, mu, omega, witnesses=None, threshold=0.5):
         (omega.x1, sec.x1, D.x1, resid_const.a1, resid_const.b1),
         (omega.x2, sec.x2, D.x2, resid_const.a2, resid_const.b2),
     ):
-        lin_err = _strip_constants(
-            _field_sub(_field_sub(om_i, s_i), d_i), yc, zc
-        )
-        brack = vf_bracket(
-            algebra, H, _field_sub(om_i, _field_scale(d_i, 0.5))
-        )
-        residual_fields.append(
-            VfField(
-                tuple(a.add(b) for a, b in zip(lin_err.y, brack.y)),
-                tuple(a.add(b) for a, b in zip(lin_err.z, brack.z)),
-            )
-        )
+        lin_err = om_i.sub(s_i).sub(d_i).sub(VfField.constant(yc, zc))
+        half_d = d_i.map(lambda h: h.scaled(0.5))
+        residual_fields.append(lin_err.add(vf_bracket(algebra, H, om_i.sub(half_d))))
     residual_norm = max(_field_norm(f) for f in residual_fields)
     return coords, H, residual_norm
 

@@ -215,6 +215,7 @@ class TorusFunction:
     def grid_values(self, G):
         """Values on the equispaced G^n grid via the inverse FFT; modes beyond
         the grid's Nyquist band alias onto it."""
+        _require_size(G, self.n, "evaluation grid")
         arr = np.zeros((G,) * self.n, dtype=complex)
         wrap = np.arange(-self.size, self.size + 1) % G
         np.add.at(arr, np.ix_(*[wrap] * self.n), self.block)
@@ -445,6 +446,22 @@ def _check_invertible(U, J):
         raise NonInvertible("Jacobian sup-norm %.3g >= 1/2" % sup_j)
 
 
+def _grid_size(K_in, out_degree, grid_factor=4):
+    """Points per dimension of a composition grid: grid_factor per input mode
+    and alias-free re-expansion up to out_degree."""
+    return max(grid_factor * K_in, 2 * out_degree + 2, 8)
+
+
+def _pulled_back(u, X, G, shift=0.0):
+    """Grid values of (I + Du)^-1 (shift + X(x + u(x))) on the G^n grid, shape
+    (G^n, n), returned with the inverted Jacobians (I + Du)^-1."""
+    pts = _grid_points(X.n, G)
+    U, J = _displacement_arrays(u, G)
+    _check_invertible(U, J)
+    Minv = np.linalg.inv(np.eye(X.n)[None, :, :] + J)
+    return np.einsum("pij,pj->pi", Minv, shift + X.evaluate(pts + U)), Minv
+
+
 def pullback_field(u, X, out_degree=None, grid_factor=4):
     """Pull back the field X under the diffeomorphism id + u.
 
@@ -454,24 +471,17 @@ def pullback_field(u, X, out_degree=None, grid_factor=4):
     """
     if u.n != X.n:
         raise DimensionMismatch("u and X live on different tori")
-    n = X.n
     K_in = max(u.degree, X.degree, 1)
     if out_degree is None:
         out_degree = 2 * K_in
-    G = max(grid_factor * K_in, 2 * out_degree + 2, 8)
-    pts = _grid_points(n, G)
-    U, J = _displacement_arrays(u, G)
-    _check_invertible(U, J)
-    y = np.linalg.solve(np.eye(n)[None, :, :] + J, X.evaluate(pts + U)[..., None])[..., 0]
-    return _field_from_grid(y, G, out_degree)
+    G = _grid_size(K_in, out_degree, grid_factor)
+    return _field_from_grid(_pulled_back(u, X, G)[0], G, out_degree)
 
 
 def _compose_displacement(u_new, u_acc, out_degree, grid_factor=4):
     """Displacement of (id + u_acc) o (id + u_new): u_new + u_acc(x + u_new)."""
-    n = u_new.n
-    K_in = max(u_new.degree, u_acc.degree, 1)
-    G = max(grid_factor * K_in, 2 * out_degree + 2, 8)
-    pts = _grid_points(n, G)
+    G = _grid_size(max(u_new.degree, u_acc.degree, 1), out_degree, grid_factor)
+    pts = _grid_points(u_new.n, G)
     U_new = _grid_values(u_new, G)
     return _field_from_grid(U_new + u_acc.evaluate(pts + U_new), G, out_degree, _DROP)
 
@@ -563,15 +573,8 @@ def kam_step(state):
     # The expansion window is twice the schedule degree so the measured
     # residual is not an artifact of the truncation.
     out_degree = 2 * K
-    G = max(4 * K, 2 * out_degree + 2, 8)
-    pts = _grid_points(n, G)
-    U, J = _displacement_arrays(u_tot, G)
-    _check_invertible(U, J)
-    Minv = np.linalg.inv(np.eye(n)[None, :, :] + J)
-    source = (omega - np.asarray(state.lambda_bar))[None, :] + state.beta0.evaluate(
-        pts + U
-    )
-    P = np.einsum("pij,pj->pi", Minv, source)
+    G = _grid_size(K, out_degree)
+    P, Minv = _pulled_back(u_tot, state.beta0, G, omega - np.asarray(state.lambda_bar))
     # axis-0 reductions accumulate sequentially and drift ~N*eps; per-column
     # pairwise means keep the average kill at rounding level
     avg_M = np.array([[Minv[:, i, j].mean() for j in range(n)] for i in range(n)])
@@ -593,18 +596,14 @@ def kam_step(state):
 
 def verify_conjugacy(state, grid_factor=4):
     """Sup-norm distance, on a dense grid, between the pullback of the member
-    field (omega - lambda_bar) + beta0 under id + u_acc and the target omega."""
-    n = len(state.omega)
+    field (omega - lambda_bar) + beta0 under id + u_acc and the target omega.
+    Raises NonInvertible when id + u_acc is outside the invertibility region."""
     K_in = max(state.u_acc.degree, state.beta0.degree, 1)
     G = max(grid_factor * K_in, 32) + 1  # off the dyadic grid used internally
-    pts = _grid_points(n, G)
-    U, J = _displacement_arrays(state.u_acc, G)
-    A = np.eye(n)[None, :, :] + J
     omega = np.asarray(state.omega)
-    source = (omega - np.asarray(state.lambda_bar))[None, :] + state.beta0.evaluate(
-        pts + U
+    vals, _ = _pulled_back(
+        state.u_acc, state.beta0, G, omega - np.asarray(state.lambda_bar)
     )
-    vals = np.linalg.solve(A, source[..., None])[..., 0]
     return float(np.max(np.abs(vals - omega[None, :])))
 
 
@@ -612,8 +611,8 @@ def kam_iterate(omega, beta, max_iter=10, floor=1e-12, trunc_degree=64):
     """Iterate kam_step until the residual drops below floor.
 
     Raises NoConvergence when the residual stalls (less than a factor-2 drop),
-    grows, the iteration budget runs out, or a step leaves the invertibility
-    region; the partial state rides on the exception.  On success the final
+    grows, the iteration budget runs out, or a step or the final verification
+    leaves the invertibility region; the partial state rides on the exception.  On success the final
     conjugacy is re-verified on a dense grid within 10*floor.
     """
     state = KamState.initial(omega, beta, trunc_degree)
@@ -642,7 +641,10 @@ def kam_iterate(omega, beta, max_iter=10, floor=1e-12, trunc_degree=64):
             % (state.residual, floor, max_iter),
             state=state,
         )
-    err = verify_conjugacy(state)
+    try:
+        err = verify_conjugacy(state)
+    except NonInvertible as exc:
+        raise NoConvergence("verification failed: %s" % exc, state=state) from exc
     if err > 10 * floor:
         raise NoConvergence(
             "conjugacy verification error %.3g exceeds %.3g" % (err, 10 * floor),

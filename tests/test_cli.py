@@ -1,13 +1,18 @@
 """Config parsing, subcommand dispatch, exit codes, and output determinism."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+import nilflow
+from nilflow import torus
 from nilflow.cli import (
     SCHEMAS,
     ExperimentConfig,
@@ -227,6 +232,7 @@ def test_solve_coboundary_nonzero_average_is_negative(tmp_path):
         ("split", {"count": 0}, "EmptyCorpus"),
         ("split", {"count": -3}, "EmptyCorpus"),
         ("gh-report", {"N": 0}, "ConfigTypeError"),
+        ("gh-report", {"N": 1}, "ConfigTypeError"),
         ("kernel-dim", {"N": 0}, "ConfigTypeError"),
         ("spectrum", {"n_max": 0}, "ConfigTypeError"),
         ("gh-report", {"alpha": "1.0"}, "ConfigTypeError"),
@@ -238,7 +244,7 @@ def test_solve_coboundary_nonzero_average_is_negative(tmp_path):
     ],
     ids=[
         "count0", "count-3", "degree-2", "split-count0", "split-count-3",
-        "gh-report-N0", "kernel-dim-N0", "spectrum-n_max0",
+        "gh-report-N0", "gh-report-N1", "kernel-dim-N0", "spectrum-n_max0",
         "gh-report-alpha1", "kernel-dim-alpha1", "spectrum-alpha1",
         "gh-report-alpha3", "kernel-dim-alpha3", "spectrum-alpha3",
     ],
@@ -355,6 +361,22 @@ def test_kam_golden_run(tmp_path):
     assert len(rows) >= 3
 
 
+def test_kam_unverifiable_conjugacy_is_negative(tmp_path, monkeypatch):
+    # a change of coordinates that is not invertible on the verification
+    # grid ends the run like a failed step: NoConvergence, exit 2
+    real = torus.verify_conjugacy
+    monkeypatch.setattr(
+        torus, "verify_conjugacy",
+        lambda state: real(dataclasses.replace(state, u_acc=state.u_acc * 1e6)),
+    )
+    cfg = make_config("kam", tmp_path, omega=(1.0, PHI))
+    assert run(cfg) == 2
+    rec = read_summary(tmp_path)[0]
+    assert (rec["verdict"], rec["reason"]) == ("negative", "NoConvergence")
+    assert "verification failed" in rec["detail"]
+    assert len(read_csv(tmp_path, "kam.csv")) >= 3
+
+
 def test_kam_resonant_omega_negative(tmp_path):
     cfg = make_config("kam", tmp_path, omega=(1.0, 0.5))
     assert run(cfg) == 2
@@ -462,6 +484,22 @@ def test_main_subcommand_mismatch_exits_one(tmp_path, capsys):
     cfg = tmp_path / "w.cfg"
     cfg.write_text("subcommand = kam\nomega = 1.0 %r\n" % PHI)
     assert main(["witness", "--config", str(cfg)]) == 1
+
+
+def test_python_m_nilflow_runs_witness(tmp_path):
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text("alpha = 1.0 %r\n" % PHI)
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nilflow.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nilflow", "witness", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert read_summary(tmp_path / "out")[0]["verdict"] == "ok"
 
 
 def test_main_invalid_subcommand_exits_one(capsys):

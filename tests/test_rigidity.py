@@ -6,15 +6,22 @@ import pytest
 from nilflow.algebra import ActionParams, heisenberg
 from nilflow.cohomology import Cochain1, VfCochain, VfField, delta0, delta1, vf_delta0
 from nilflow.diophantine import fit_witness
-from nilflow.errors import DimensionMismatch, ThresholdExceeded, UnrepresentableProduct
+from nilflow.errors import (
+    DimensionMismatch,
+    FormatError,
+    ThresholdExceeded,
+    UnrepresentableProduct,
+)
 from nilflow.nilrep import NilFunction, nil_sobolev_norm
 from nilflow.rigidity import (
     FamilyCoordinates,
     delta_op,
     newton_step,
     nil_multiply,
+    parse_vf_cochain,
     project_P,
     section_s,
+    serialize_vf_cochain,
     smoothing_truncate,
     vf_bracket,
 )
@@ -487,3 +494,27 @@ def test_multiply_matches_double_loop_reference():
     l1 = [sum(abs(c) for c in H.toral.coeffs.values()) for H in (F, G)]
     bound = 64 * np.finfo(float).eps * l1[0] * l1[1]
     assert max(abs(out.coeff(k) - c) for k, c in ref.items()) <= bound
+
+
+# ---------------------------------------------------------------------------
+# serialization
+
+
+def test_vf_cochain_text_roundtrip():
+    rng = np.random.default_rng(53)
+    x2 = rand_field(rng)
+    with_reps = NilFunction(
+        toral=x2.z[0].toral, reps={(1, 0): [1 + 2j, 0.5], (-2, 1): [0.0, -0.25j]}
+    )
+    omega = VfCochain(rand_field(rng), VfField(x2.y, (with_reps,)))
+    back = parse_vf_cochain(serialize_vf_cochain(omega))
+    for got, want in zip(back.x1.slots + back.x2.slots, omega.x1.slots + omega.x2.slots):
+        assert norm_diff(got, want) == 0.0
+    assert back.x2.z[0].reps.keys() == with_reps.reps.keys()
+
+
+def test_vf_cochain_unknown_slot_reports_its_line():
+    text = "x1.y0 toral 1 0 0.5 0.0\n# comment\nx3.y0 toral 1 0 0.5 0.0\n"
+    with pytest.raises(FormatError, match="unknown slot") as exc:
+        parse_vf_cochain(text)
+    assert exc.value.line == 3

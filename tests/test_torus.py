@@ -1,6 +1,8 @@
 """Toral solver, norms, pullback, averages, and the Newton conjugacy loop."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -312,6 +314,12 @@ def test_kam_step_maintains_conjugacy_identity():
     assert err <= 10 * state.residual + 1e-13
 
 
+def test_verify_conjugacy_refuses_noninvertible_change():
+    state = kam_step(KamState.initial(GOLDEN, golden_perturbation(1e-3), trunc_degree=16))
+    with pytest.raises(NonInvertible):
+        verify_conjugacy(replace(state, u_acc=state.u_acc * 1e6))
+
+
 def test_kam_large_perturbation_fails_gracefully():
     # amplitude 1.0 forces a coordinate change whose Jacobian row sums
     # exceed the invertibility guard on the first step
@@ -444,3 +452,12 @@ def test_oversized_block_is_refused():
         TorusFunction(2, {(100000, 0): 1.0})
     with pytest.raises(DimensionMismatch, match="too large"):
         pullback_field(TorusVectorField.zero(2), TorusVectorField.zero(2), out_degree=10**5)
+    f = sine_mode(2, (1, 1), 1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatch, match="too large"):
+            f.grid_values(10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
