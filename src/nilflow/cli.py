@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from dataclasses import dataclass, field, replace
 
 from ._parallel import ordered_map
@@ -304,8 +305,22 @@ def _write_csv(outdir, name, header, rows):
 
 
 def _write_summary(outdir, record):
+    """Write the one-line summary and return the record written: a record
+    with a non-finite number becomes a NonFiniteResult error, so no bare NaN
+    or Infinity reaches the JSON."""
+    try:
+        line = json.dumps(record, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        record = {
+            "verdict": "error",
+            "reason": "NonFiniteResult",
+            "detail": str(exc),
+            "subcommand": record["subcommand"],
+        }
+        line = json.dumps(record, sort_keys=True)
     with open(os.path.join(outdir, "summary.jsonl"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+        fh.write(line + "\n")
+    return record
 
 
 def _heis_params(p):
@@ -683,7 +698,12 @@ def run(config):
         raise UnknownKey("unknown subcommand %r" % config.subcommand)
     try:
         record = runner(config.params, outdir)
-    except (NilflowError, ValueError, OSError) as exc:
+    except Exception as exc:
+        # every failure ends in a typed record; an unexpected one also leaves
+        # its traceback on stderr.  KeyboardInterrupt is not an Exception and
+        # propagates.
+        if not isinstance(exc, (NilflowError, ValueError, OSError)):
+            traceback.print_exc()
         negative = (Resonance, NonzeroAverage, NoConvergence, ThresholdExceeded)
         record = {
             "verdict": "negative" if isinstance(exc, negative) else "error",
@@ -691,7 +711,7 @@ def run(config):
             "detail": str(exc),
         }
     record["subcommand"] = config.subcommand
-    _write_summary(outdir, record)
+    record = _write_summary(outdir, record)
     return {"negative": 2, "error": 1}.get(record["verdict"], 0)
 
 

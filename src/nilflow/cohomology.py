@@ -93,14 +93,19 @@ def _central_scalar(params, n):
     return 2j * math.pi * n * params.x2_z[0]
 
 
+def _divide_central(params, F, toral=None):
+    """F's representation rows divided by their central scalars
+    2*pi*i*n*beta, on the given toral part."""
+    if not F.keys:
+        return NilFunction(toral=toral)
+    return F._rows_like(toral, F.block / _central_scalar(params, F.ns[:, None]))
+
+
 def _strip_average(f):
     avg = complex(f.toral.average)
     if avg == 0:
         return f, avg
-    return (
-        NilFunction(toral=f.toral - TorusFunction.constant(2, avg), reps=f.reps),
-        avg,
-    )
+    return f._rows_like(f.toral - TorusFunction.constant(2, avg), f.block), avg
 
 
 def _require_nonresonant(witnesses):
@@ -112,12 +117,9 @@ def _require_nonresonant(witnesses):
 
 
 def _solve_x2_rep(params, n, g_vec):
-    """Solve the representation block of X2 h = g at central frequency n."""
+    """Solve the representation block of X2 h = g at central frequency n for
+    mu != 0: a banded system at the vector's own length."""
     scalar = _central_scalar(params, n)
-    if params.mu == 0:
-        if scalar == 0:
-            raise Resonance("central parameter vanishes; X2 has no inverse on reps")
-        return np.asarray(g_vec, dtype=complex) / scalar
     m = len(g_vec)
     op = RepOperator(n, m, y=params.x2_y, z=params.x2_z[0])
     mat = op.matrix()
@@ -164,18 +166,28 @@ def delta0_star(params, omega, witnesses=None, tol=1e-9):
         )
     f0, _ = _strip_average(omega.f)
     toral = solve_small_divisor(params.x1_y, f0.toral, tol_avg=tol * scale)
-    reps = {
-        (n, m): _solve_x2_rep(params, n, v) for (n, m), v in omega.g.reps.items()
-    }
+    if params.mu != 0:
+        h = NilFunction(
+            toral=toral,
+            reps={
+                (n, m): _solve_x2_rep(params, n, v)
+                for (n, m), v in omega.g.reps.items()
+            },
+        )
+    elif omega.g.keys and params.x2_z[0] == 0:
+        raise Resonance("central parameter vanishes; X2 has no inverse on reps")
+    else:
+        h = _divide_central(params, omega.g, toral)
     # representation content of f with no matching g block would be dropped
     # silently; treat it as a cocycle violation beyond tolerance
-    for (n, m), v in omega.f.reps.items():
-        if (n, m) not in reps and float(np.max(np.abs(v))) > tol * scale:
+    g_keys = set(omega.g.keys)
+    for (n, m), row in zip(omega.f.keys, omega.f.block):
+        if (n, m) not in g_keys and float(np.max(np.abs(row))) > tol * scale:
             raise NotACocycle(
                 "first component carries representation (%d, %d) absent from the second"
                 % (n, m)
             )
-    return NilFunction(toral=toral, reps=reps)
+    return h
 
 
 def delta1_star_split(params, omega, witnesses=None, r=1.0, sigma=2.0):
@@ -224,16 +236,9 @@ def _split_flat(params, omega, witnesses):
     h0 = solve_small_divisor(params.x1_y, f0.toral, tol_avg=float("inf"))
     g_err_toral = omega.g.toral - TorusFunction.constant(2, g_triv)
 
-    H_reps = {}
-    f_err_reps = {}
-    for (n, m), v in omega.g.reps.items():
-        H_reps[(n, m)] = np.asarray(v, dtype=complex) / _central_scalar(params, n)
-    for (n, m), v in phi.reps.items():
-        f_err_reps[(n, m)] = np.asarray(v, dtype=complex) / _central_scalar(params, n)
-
     out = SplittingResult(
-        H=NilFunction(toral=h0, reps=H_reps),
-        f_err=NilFunction(reps=f_err_reps),
+        H=_divide_central(params, omega.g, h0),
+        f_err=_divide_central(params, phi),
         g_err=NilFunction(toral=g_err_toral),
         f_triv=f_triv,
         g_triv=g_triv,
@@ -358,7 +363,7 @@ def _rep_laplacian_solve(params, n, v, tol):
         sol = _penta_cholesky_solve(d0, u1, u2, -rhs)
         check = leafwise_laplacian_apply(
             params, NilFunction(reps={(n, 0): sol})
-        ).rep(n)
+        ).rep(n).copy()
         check[: len(v)] -= v
         if float(np.max(np.abs(check))) <= tol * vmax:
             return sol

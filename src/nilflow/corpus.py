@@ -66,21 +66,49 @@ def torus_corpus(seed, count, dim=2, degree=8, decay=3.0, real=True,
     ]
 
 
+@lru_cache(maxsize=16)
+def _rep_draw_plan(n_max, length, decay):
+    """Row labels (n, 0) of a drawn function in block order, the block row of
+    each draw in draw order n = 1, -1, 2, -2, ..., and the weights
+    (1 + n^2 + n(2j+1))^(-decay/2) of the draws.  The weights are computed one
+    frequency at a time, as the seeded corpora were drawn."""
+    freqs = range(1, n_max + 1) if length else ()  # empty vectors carry no row
+    drawn = [(sign * n, 0) for n in freqs for sign in (1, -1)]
+    keys = tuple(sorted(drawn))
+    j = np.arange(length)
+    weights = [(1.0 + n * n + n * (2 * j + 1)) ** (-decay / 2.0)
+               for n in freqs for _sign in (1, -1)]
+    return (
+        keys,
+        _readonly(np.array([n for n, _m in keys], dtype=int)),
+        _readonly(np.full(len(keys), length, dtype=int)),
+        _readonly(np.array([keys.index(key) for key in drawn], dtype=int)),
+        _readonly(np.array(weights)),
+    )
+
+
+def _rep_rows(rng, n_max, length, decay):
+    """Row labels, frequencies, lengths and zero-padded block of one draw: the
+    real then the imaginary part of each row in turn, from one
+    standard_normal call."""
+    keys, ns, lengths, rows, weights = _rep_draw_plan(n_max, length, float(decay))
+    if not keys:
+        return keys, ns, lengths, None
+    v = rng.standard_normal(2 * len(rows) * length).reshape(len(rows), 2, length)
+    block = np.empty((len(rows), length), dtype=complex)
+    block[rows] = weights * (v[:, 0] + 1j * v[:, 1])
+    return keys, ns, lengths, block
+
+
 def nil_function(rng, degree=8, n_max=4, length=8, decay=3.0,
                  zero_average=True):
     """One band-limited function on the nilmanifold: toral modes up to the
     given degree plus representation components for 0 < |n| <= n_max."""
     toral = _toral_block(rng, 2, degree, decay, real=False,
                          zero_average=zero_average)
-    reps = {}
-    j = np.arange(length)
-    for n in range(1, n_max + 1):
-        for sign in (1, -1):
-            w = (1.0 + n * n + n * (2 * j + 1)) ** (-decay / 2.0)
-            reps[(sign * n, 0)] = w * (
-                rng.standard_normal(length) + 1j * rng.standard_normal(length)
-            )
-    return NilFunction(toral=TorusFunction(2, toral), reps=reps)
+    return NilFunction._from_rows(
+        TorusFunction(2, toral), *_rep_rows(rng, n_max, length, decay)
+    )
 
 
 def nil_corpus(seed, count, degree=8, n_max=4, length=8, decay=3.0,
@@ -129,7 +157,4 @@ def restrict_frequencies(F, n_max):
     """Drop representation components with |n| above n_max."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    reps = {
-        key: np.array(v) for key, v in F.reps.items() if abs(key[0]) <= n_max
-    }
-    return NilFunction(toral=F.toral, reps=reps)
+    return F._cut(F.toral, n_max)

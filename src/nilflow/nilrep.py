@@ -3,7 +3,9 @@
 A function is stored as a toral component (Fourier modes on the associated
 2-torus) together with finitely many representation components, one complex
 coefficient vector per central frequency n and copy index, expressed in the
-Hermite function basis of the Schrodinger model.
+Hermite function basis of the Schrodinger model.  The vectors are the rows of
+one zero-padded block, so norms, sums and generator actions are whole-block
+array operations.
 
 Convention, fixed once for the whole package: the first lattice generator acts
 as d/dx, the second as multiplication by 2*pi*i*n*x, and the center as the
@@ -12,14 +14,17 @@ scalar 2*pi*i*n.  Every spectrum and certificate downstream inherits it.
 The Hermite ladder x.h_j = sqrt((j+1)/2) h_{j+1} + sqrt(j/2) h_{j-1} is
 written once, as the bands of `RepOperator`.  Generator actions on vectors
 (`dpi_apply`, `apply_X1`, `apply_X2`, the brackets of the rigidity step) apply
-an operator one entry larger than the vector, and the leafwise Laplacian of
-`cohomology` squares the same bands.
+the same bands, one entry larger than the vector, to every row of a block at
+once, and the leafwise Laplacian of `cohomology` squares them.
 """
+
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyCorpus, FormatError
-from .torus import TorusFunction, directional_derivative, sobolev_norm
+from .torus import TorusFunction, _readonly, directional_derivative, sobolev_norm
 
 __all__ = [
     "NilFunction",
@@ -49,14 +54,37 @@ def _unknown_generator(gen):
     )
 
 
-def _act(n, v, y, z):
-    """Action of y1*Y1 + y2*Y2 + z*Z at central frequency n on the Hermite
-    vector v.  A ladder term moves h_j to h_{j+1}, so the result is one entry
-    longer than v; the purely central element (y = 0) keeps the length."""
-    v = np.asarray(v, dtype=complex)
+def _bands(n, size, y, z):
+    """Super-, sub- and main diagonal of y1*Y1 + y2*Y2 + z*Z on the first
+    `size` Hermite functions at central frequency n.  A column of frequencies
+    gives one row of bands per frequency.  The main diagonal is the constant
+    2*pi*i*n*z, returned unbroadcast."""
+    r = np.sqrt(np.arange(1, size) / 2.0)
+    scale = 2j * np.pi * n
+    # d/dx contributes an antisymmetric pair, x a symmetric one
+    sup = y[0] * r + y[1] * scale * r
+    sub = -y[0] * r + y[1] * scale * r
+    return sup, sub, scale * z
+
+
+def _tridiag_apply(sup, sub, diag, v):
+    """Tridiagonal product along the last axis of v."""
+    out = diag * v
+    out[..., :-1] += sup * v[..., 1:]
+    out[..., 1:] += sub * v[..., :-1]
+    return out
+
+
+def _act(ns, block, y, z):
+    """Action of y1*Y1 + y2*Y2 + z*Z on each row of a zero-padded block, row i
+    at central frequency ns[i].  A ladder term moves h_j to h_{j+1}, so every
+    row grows by one entry; the purely central element (y = 0) keeps them."""
+    ns = np.asarray(ns)[:, None]
     if y[0] == 0.0 and y[1] == 0.0:
-        return 2j * np.pi * n * z * v
-    return RepOperator(n, len(v) + 1, y, z).apply(np.append(v, 0.0))
+        return 2j * np.pi * ns * z * block
+    v = np.zeros((len(block), block.shape[1] + 1), dtype=complex)
+    v[:, :-1] = block
+    return _tridiag_apply(*_bands(ns, v.shape[1], y, z), v)
 
 
 def dpi_apply(gen, n, v):
@@ -70,7 +98,7 @@ def dpi_apply(gen, n, v):
         raise _unknown_generator(gen)
     if n == 0:
         raise ValueError("central frequency must be nonzero")
-    return _act(n, v, *_GENERATORS[gen])
+    return _act([n], np.asarray(v, dtype=complex)[None, :], *_GENERATORS[gen])[0]
 
 
 class RepOperator:
@@ -91,12 +119,8 @@ class RepOperator:
         self.size = int(size)
         self.y = (float(y[0]), float(y[1]))
         self.z = complex(z)
-        r = np.sqrt(np.arange(1, size) / 2.0)
-        scale = 2j * np.pi * n
-        # d/dx contributes an antisymmetric pair, x a symmetric one
-        self.super = y[0] * r + y[1] * scale * r
-        self.sub = -y[0] * r + y[1] * scale * r
-        self.diag = np.full(size, scale * z, dtype=complex)
+        self.super, self.sub, diag = _bands(n, size, y, z)
+        self.diag = np.full(size, diag, dtype=complex)
 
     @classmethod
     def generator(cls, gen, n, size):
@@ -111,10 +135,7 @@ class RepOperator:
             raise DimensionMismatch(
                 "vector length %d does not match operator size %d" % (len(v), self.size)
             )
-        out = self.diag * v
-        out[:-1] += self.super * v[1:]
-        out[1:] += self.sub * v[:-1]
-        return out
+        return _tridiag_apply(self.super, self.sub, self.diag, v)
 
     def matrix(self):
         m = np.diag(self.diag)
@@ -123,11 +144,47 @@ class RepOperator:
         return m
 
 
+_NO_INTS = _readonly(np.zeros(0, dtype=int))
+_NO_ROWS = ((), _NO_INTS, _NO_INTS, _readonly(np.zeros((0, 0), dtype=complex)))
+
+
+def _rows_of(reps):
+    """Validated row labels, frequencies, lengths and zero-padded block of a
+    {(n, m): vector} map."""
+    rows = {}
+    for key, vec in reps.items():
+        n, m = key
+        if n == 0:
+            raise ValueError("central frequency 0 belongs to the toral part")
+        if not 0 <= m < abs(n):
+            raise ValueError(
+                "copy index %d out of range for frequency %d (multiplicity %d)"
+                % (m, n, abs(n))
+            )
+        vec = np.asarray(vec, dtype=complex)
+        if vec.ndim != 1:
+            raise DimensionMismatch("rep coefficients must be one-dimensional")
+        if vec.size:
+            rows[(int(n), int(m))] = vec
+    keys = tuple(sorted(rows))
+    lengths = np.array([len(rows[k]) for k in keys], dtype=int)
+    block = np.zeros((len(keys), lengths.max(initial=0)), dtype=complex)
+    for i, key in enumerate(keys):
+        block[i, : lengths[i]] = rows[key]
+    return keys, np.array([n for n, _m in keys], dtype=int), lengths, block
+
+
 class NilFunction:
     """Toral Fourier modes plus Hermite coefficient vectors per representation.
 
-    `reps` maps (n, m) with n a nonzero central frequency and m a copy index,
-    0 <= m < |n|, to a complex coefficient vector.
+    The representation rows are one dense block.  ``keys`` is the sorted
+    tuple of row labels (n, m), n a nonzero central frequency and m a copy
+    index with 0 <= m < |n|; ``ns`` and ``lengths`` are the frequency and the
+    Hermite length of each row, as int arrays; ``block`` is a read-only
+    complex array of shape (rows, max length), zero past each row's length.
+    ``reps`` is a cached read-only {(n, m): vector} view of the rows at their
+    own lengths, and the constructor takes such a map.  Empty vectors are
+    dropped; zero vectors are kept.
     """
 
     def __init__(self, toral=None, reps=None):
@@ -136,75 +193,120 @@ class NilFunction:
         if toral.n != 2:
             raise DimensionMismatch("toral part must live on the 2-torus")
         self.toral = toral
-        self.reps = {}
-        for key, vec in (reps or {}).items():
-            n, m = key
-            if n == 0:
-                raise ValueError("central frequency 0 belongs to the toral part")
-            if not 0 <= m < abs(n):
-                raise ValueError(
-                    "copy index %d out of range for frequency %d (multiplicity %d)"
-                    % (m, n, abs(n))
-                )
-            vec = np.asarray(vec, dtype=complex)
-            if vec.ndim != 1:
-                raise DimensionMismatch("rep coefficients must be one-dimensional")
-            if vec.size:
-                self.reps[(int(n), int(m))] = vec.copy()
+        self._set_rows(*(_rows_of(reps) if reps else _NO_ROWS))
+
+    def _set_rows(self, keys, ns, lengths, block):
+        if keys:
+            self.keys = keys
+            self.ns = _readonly(ns)
+            self.lengths = _readonly(lengths)
+            self.block = _readonly(block)
+        else:
+            self.keys, self.ns, self.lengths, self.block = _NO_ROWS
+
+    @classmethod
+    def _from_rows(cls, toral, keys, ns, lengths, block):
+        """Trusted constructor: rows sorted, validated and zero-padded."""
+        F = cls.__new__(cls)
+        F.toral = TorusFunction(2, real=True) if toral is None else toral
+        F._set_rows(keys, ns, lengths, block)
+        return F
+
+    def _rows_like(self, toral, block, lengths=None):
+        """A function with this one's row labels, the given rows (and row
+        lengths, if they changed) and the given toral part."""
+        return NilFunction._from_rows(
+            toral, self.keys, self.ns, self.lengths if lengths is None else lengths,
+            block,
+        )
+
+    def _cut(self, toral, n_max, length=None):
+        """The rows with |n| <= n_max, each cut to at most `length` entries,
+        on the given toral part."""
+        if not self.keys:
+            return NilFunction(toral=toral)
+        keep = np.abs(self.ns) <= n_max
+        lengths = self.lengths[keep]
+        if length is not None:
+            lengths = np.minimum(lengths, length)
+        keys = tuple(k for k, kept in zip(self.keys, keep.tolist()) if kept)
+        block = self.block[keep, : lengths.max(initial=0)]
+        return NilFunction._from_rows(toral, keys, self.ns[keep], lengths, block)
 
     @classmethod
     def constant(cls, value):
-        return cls(toral=TorusFunction.constant(2, value), reps={})
+        return cls(toral=TorusFunction.constant(2, value))
+
+    @cached_property
+    def reps(self):
+        """Read-only {(n, m): vector} view of the rows, each at its length."""
+        rows = zip(self.keys, self.block, self.lengths.tolist())
+        return MappingProxyType({key: row[:length] for key, row, length in rows})
 
     def is_zero(self):
-        return self.toral.is_zero() and not self.reps
+        return self.toral.is_zero() and not self.keys
 
     @property
     def support_n(self):
         """Largest |n| carrying a representation component (0 if none)."""
-        return max((abs(n) for n, _ in self.reps), default=0)
+        return int(np.max(np.abs(self.ns), initial=0))
 
     def rep(self, n, m=0):
         return self.reps.get((n, m), np.zeros(0, dtype=complex))
 
     def add(self, other):
-        keys = set(self.reps) | set(other.reps)
-        reps = {}
-        for k in keys:
-            a = self.reps.get(k)
-            b = other.reps.get(k)
-            if a is None:
-                reps[k] = b
-            elif b is None:
-                reps[k] = a
-            else:
-                m = max(len(a), len(b))
-                s = np.zeros(m, dtype=complex)
-                s[: len(a)] += a
-                s[: len(b)] += b
-                reps[k] = s
-        return NilFunction(toral=self.toral + other.toral, reps=reps)
+        toral = self.toral + other.toral
+        if not other.keys:
+            return self._rows_like(toral, self.block)
+        if not self.keys:
+            return other._rows_like(toral, other.block)
+        a, b = self.block, other.block
+        width = max(a.shape[1], b.shape[1])
+        if self.keys == other.keys:
+            if a.shape != b.shape:
+                a, b = _widened(a, width), _widened(b, width)
+            return self._rows_like(
+                toral, a + b, np.maximum(self.lengths, other.lengths)
+            )
+        keys = tuple(sorted(set(self.keys) | set(other.keys)))
+        index = {key: i for i, key in enumerate(keys)}
+        lengths = np.zeros(len(keys), dtype=int)
+        block = np.zeros((len(keys), width), dtype=complex)
+        for F in (self, other):
+            rows = [index[key] for key in F.keys]
+            lengths[rows] = np.maximum(lengths[rows], F.lengths)
+            block[rows, : F.block.shape[1]] += F.block
+        ns = np.array([n for n, _m in keys], dtype=int)
+        return NilFunction._from_rows(toral, keys, ns, lengths, block)
 
     def sub(self, other):
         return self.add(other.scaled(-1.0))
 
     def scaled(self, factor):
-        return NilFunction(
-            toral=self.toral * factor,
-            reps={k: factor * v for k, v in self.reps.items()},
-        )
+        block = self.block * factor if self.keys else None
+        return self._rows_like(self.toral * factor, block)
+
+
+def _widened(block, width):
+    out = np.zeros((len(block), width), dtype=complex)
+    out[:, : block.shape[1]] = block
+    return out
 
 
 def _apply_element(F, y, z):
     """Action of y1*Y1 + y2*Y2 + z*Z: the directional derivative along y on
     the toral part, where the center acts trivially, and the grow-by-one
-    ladder in each representation."""
-    if y[0] == 0.0 and y[1] == 0.0:
+    ladder on the representation rows."""
+    central = y[0] == 0.0 and y[1] == 0.0
+    if central:
         toral = TorusFunction(2, real=F.toral.real)
     else:
         toral = directional_derivative(y, F.toral)
-    reps = {(n, m): _act(n, v, y, z) for (n, m), v in F.reps.items()}
-    return NilFunction(toral=toral, reps=reps)
+    if not F.keys:
+        return NilFunction(toral=toral)
+    return F._rows_like(
+        toral, _act(F.ns, F.block, y, z), F.lengths if central else F.lengths + 1
+    )
 
 
 def _require_heisenberg_shape(params):
@@ -229,17 +331,27 @@ def apply_X2(params, F):
     return _apply_element(F, params.x2_y, params.x2_z[0])
 
 
-def _rep_weights(n, length, r):
-    j = np.arange(length)
-    return (1.0 + n * n + abs(n) * (2 * j + 1)) ** (r / 2.0)
+@lru_cache(maxsize=64)
+def _rep_weight_sq(ns, width, r):
+    """Squared order-r weights (1 + n^2 + |n|(2j+1))^r of a block whose rows
+    have the central frequencies ns, read-only."""
+    j = np.arange(width)
+    weights = [(1.0 + n * n + abs(n) * (2 * j + 1)) ** (r / 2.0) for n in ns]
+    return _readonly(np.array(weights) ** 2)
+
+
+def _weighted_sq(F, r):
+    """|coefficient|^2 times its squared order-r weight, entry by entry."""
+    w2 = _rep_weight_sq(tuple(F.ns.tolist()), F.block.shape[1], r)
+    return np.abs(F.block) ** 2 * w2
 
 
 def nil_sobolev_norm(F, r):
     """Sobolev norm of order r: toral modes weighted by (1+|k|^2)^(r/2), the
     (n, j) Hermite coefficient by (1 + n^2 + |n|(2j+1))^(r/2)."""
     total = sobolev_norm(F.toral, r) ** 2
-    for (n, _m), v in F.reps.items():
-        total += float(np.sum(np.abs(v) ** 2 * _rep_weights(n, len(v), r) ** 2))
+    if F.keys:
+        total += float(np.sum(_weighted_sq(F, r)))
     return float(np.sqrt(total))
 
 
@@ -249,14 +361,6 @@ def pi_norm(n):
     if n == 0:
         raise ValueError("n = 0 labels toral characters, not a representation")
     return float(abs(n))
-
-
-def _rep_norm_at(F, n, r):
-    total = 0.0
-    for (nn, _m), v in F.reps.items():
-        if nn == n:
-            total += float(np.sum(np.abs(v) ** 2 * _rep_weights(n, len(v), r) ** 2))
-    return float(np.sqrt(total))
 
 
 def cg_decay_report(corpus, s, k):
@@ -273,20 +377,20 @@ def cg_decay_report(corpus, s, k):
     ratios = []
     vacuous = 0
     for F in corpus:
-        freqs = sorted({n for n, _m in F.reps})
-        if not freqs:
+        if not F.keys:
             vacuous += 1
             ratios.append(None)
             continue
         denom = nil_sobolev_norm(F, s + k)
-        best = 0.0
-        best_inner = 0.0
-        for n in freqs:
-            ratio = _rep_norm_at(F, n, s) * pi_norm(n) ** k / denom
-            best = max(best, ratio)
-            if abs(n) * 2 <= n_max:
-                best_inner = max(best_inner, ratio)
-        ratios.append({"full": best, "inner": best_inner})
+        # the rows are sorted by (n, m), so each frequency is one run of rows
+        starts = np.flatnonzero(np.diff(F.ns, prepend=0))
+        freqs = F.ns[starts]
+        per_n = np.sqrt(np.add.reduceat(np.sum(_weighted_sq(F, s), axis=1), starts))
+        ratio = per_n * np.array([pi_norm(n) ** k for n in freqs.tolist()]) / denom
+        inner = ratio[2 * np.abs(freqs) <= n_max]
+        ratios.append(
+            {"full": float(ratio.max()), "inner": float(np.max(inner, initial=0.0))}
+        )
     full = [r["full"] for r in ratios if r is not None]
     inner = [r["inner"] for r in ratios if r is not None]
     ratio_max = max(full, default=0.0)

@@ -110,11 +110,7 @@ def smoothing_truncate(F, cutoff):
     Averages along the family directions live at k = 0 and are untouched."""
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    length = int(math.floor(cutoff)) + 1
-    reps = {
-        (n, m): v[:length] for (n, m), v in F.reps.items() if abs(n) <= cutoff
-    }
-    return NilFunction(toral=F.toral.truncated(cutoff), reps=reps)
+    return F._cut(F.toral.truncated(cutoff), cutoff, int(math.floor(cutoff)) + 1)
 
 
 def nil_multiply(F, G):
@@ -125,9 +121,9 @@ def nil_multiply(F, G):
     The convolution shifts the larger block by each nonzero mode of the
     smaller one and adds: the products of the double sum, no FFT roundoff."""
     for A, B in ((F, G), (G, F)):
-        if not A.reps and A.toral.degree == 0:
+        if not A.keys and A.toral.degree == 0:
             return B.scaled(complex(A.toral.average))
-    if F.reps or G.reps:
+    if F.keys or G.keys:
         raise UnrepresentableProduct(
             "product of representation data with a nonconstant factor is not "
             "representable in the coefficient frame"

@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 
 import nilflow
-from nilflow import torus
+from nilflow import cli, torus
 from nilflow.cli import (
     SCHEMAS,
     ExperimentConfig,
@@ -416,6 +416,42 @@ def test_run_maps_validation_errors_to_one(tmp_path):
     assert read_summary(tmp_path)[0]["verdict"] == "error"
 
 
+def test_unexpected_exception_still_writes_an_error_record(
+    tmp_path, monkeypatch, capsys
+):
+    def broken(p, outdir):
+        raise RuntimeError("unexpected failure")
+
+    monkeypatch.setitem(cli._RUNNERS, "witness", broken)
+    assert run(make_config("witness", tmp_path, alpha=(1.0, PHI))) == 1
+    assert "Traceback" in capsys.readouterr().err
+    rec = read_summary(tmp_path)[0]
+    assert (rec["verdict"], rec["reason"]) == ("error", "RuntimeError")
+    assert rec["detail"] == "unexpected failure"
+    assert rec["subcommand"] == "witness"
+
+
+def test_keyboard_interrupt_propagates(tmp_path, monkeypatch):
+    def interrupted(p, outdir):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._RUNNERS, "witness", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run(make_config("witness", tmp_path, alpha=(1.0, PHI)))
+
+
+def test_nonfinite_result_is_an_error_record_without_nan(tmp_path, monkeypatch):
+    monkeypatch.setitem(
+        cli._RUNNERS, "witness", lambda p, outdir: {"verdict": "ok", "C": float("nan")}
+    )
+    assert run(make_config("witness", tmp_path, alpha=(1.0, PHI))) == 1
+    text = (tmp_path / "summary.jsonl").read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    rec = json.loads(text)
+    assert (rec["verdict"], rec["reason"]) == ("error", "NonFiniteResult")
+    assert rec["subcommand"] == "witness"
+
+
 # ---------------------------------------------------------------------------
 # determinism
 
@@ -426,21 +462,22 @@ def _digest(path):
 
 
 def test_byte_identical_output_across_worker_counts(tmp_path, monkeypatch):
-    outputs = []
-    for threads, sub in (("1", "a"), ("3", "b")):
-        monkeypatch.setenv("NILFLOW_THREADS", threads)
-        out = tmp_path / sub
-        cfg = make_config(
-            "solve-coboundary", out, alpha=(1.0, PHI), count=6, degree=6, seed=2
-        )
-        assert run(cfg) == 0
-        outputs.append(
-            (
-                _digest(out / "coboundary.csv"),
-                _digest(out / "summary.jsonl"),
-            )
-        )
-    assert outputs[0] == outputs[1]
+    cases = [
+        ("solve-coboundary", "coboundary.csv",
+         dict(alpha=(1.0, PHI), count=6, degree=6, seed=2)),
+        # representation blocks go through the pool in split
+        ("split", "split.csv",
+         dict(alpha=(1.0, PHI), count=6, degree=4, n_max=4, length=12, seed=3)),
+        ("cg-decay", "decay.csv", dict(count=6, n_max=10, length=6, seed=4)),
+    ]
+    for sub, table, overrides in cases:
+        outputs = []
+        for threads in ("1", "3"):
+            monkeypatch.setenv("NILFLOW_THREADS", threads)
+            out = tmp_path / sub / threads
+            assert run(make_config(sub, out, **overrides)) == 0
+            outputs.append((_digest(out / table), _digest(out / "summary.jsonl")))
+        assert outputs[0] == outputs[1], sub
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

@@ -1,6 +1,7 @@
-"""Seeded corpus draws: the dense draw reproduces the scalar reference loop
+"""Seeded corpus draws: the dense draws reproduce the scalar reference loops
 exactly, so seeded corpora and the acceptance data built on them are pinned."""
 
+import numpy as np
 import pytest
 
 from nilflow.corpus import member_rng, nil_function, toral_function
@@ -53,3 +54,37 @@ def test_nil_function_toral_part_matches_scalar_reference():
     ref = scalar_toral_coeffs(ref_rng, 2, 6, 7.0, False, False)
     F = nil_function(member_rng(3, 1), degree=6, decay=7.0, zero_average=False)
     assert dict(F.toral.coeffs) == ref
+
+
+def scalar_rep_rows(rng, n_max, length, decay):
+    """Reference draw of the representation rows: one row at a time in the
+    order n = 1, -1, 2, -2, ..., real part then imaginary part."""
+    reps = {}
+    j = np.arange(length)
+    for n in range(1, n_max + 1):
+        for sign in (1, -1):
+            w = (1.0 + n * n + n * (2 * j + 1)) ** (-decay / 2.0)
+            reps[(sign * n, 0)] = w * (
+                rng.standard_normal(length) + 1j * rng.standard_normal(length)
+            )
+    return reps
+
+
+@pytest.mark.parametrize(
+    "n_max,length", [(1, 1), (3, 5), (4, 8), (16, 64), (40, 32), (0, 8), (3, 0)]
+)
+def test_rep_rows_draw_matches_per_row_reference_exactly(n_max, length):
+    for index in range(3):
+        ref_rng = member_rng(11, index)
+        scalar_toral_coeffs(ref_rng, 2, 4, 7.0, False, True)  # drawn first
+        ref = scalar_rep_rows(ref_rng, n_max, length, 7.0)
+        rng = member_rng(11, index)
+        F = nil_function(rng, degree=4, n_max=n_max, length=length, decay=7.0)
+        # empty vectors carry no row
+        assert F.keys == tuple(sorted(key for key, v in ref.items() if len(v)))
+        assert F.lengths.tolist() == [length] * len(F.keys)
+        # bit for bit, row by row: no tolerance
+        for key, v in F.reps.items():
+            assert v.tobytes() == ref[key].tobytes()
+        # the draw consumed the stream exactly as far as the reference
+        assert rng.standard_normal() == ref_rng.standard_normal()

@@ -5,6 +5,12 @@ import pytest
 
 from nilflow.errors import DimensionMismatch, EmptyCorpus, FormatError
 from nilflow.algebra import ActionParams
+from nilflow.cohomology import (
+    _rep_laplacian_solve,
+    delta0,
+    delta0_star,
+    laplacian_solve,
+)
 from nilflow.nilrep import (
     NilFunction,
     RepOperator,
@@ -18,7 +24,7 @@ from nilflow.nilrep import (
     pi_norm,
     serialize_nil_function,
 )
-from nilflow.torus import TorusFunction
+from nilflow.torus import TorusFunction, sobolev_norm
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -327,3 +333,179 @@ def test_nil_function_validates_copy_index():
         NilFunction(reps={(0, 0): np.array([1.0])})
     with pytest.raises(DimensionMismatch):
         NilFunction(toral=TorusFunction(3))
+
+
+# ---------------------------------------------------------------------------
+# block storage against a dict-of-rows reference: each operation written one
+# representation row at a time, on ragged rows
+
+RAGGED_A = """\
+toral 1 0 0.5 0.25
+toral 0 -2 -0.125 0.75
+rep 1 0 0 1.0 -0.5
+rep 1 0 4 0.25 0.125
+rep -2 1 2 -0.75 0.5
+rep 3 2 6 0.5 0.5
+rep 3 0 1 1.5 0.0
+rep 2 0 39 0.01 -0.02
+"""
+
+RAGGED_B = """\
+toral 1 0 -0.25 0.5
+rep 1 0 1 0.5 0.5
+rep -2 1 5 0.25 -1.0
+rep -1 0 2 -1.0 0.25
+rep 3 2 1 2.0 0.0
+"""
+
+
+def _ref_rows(F):
+    return {key: np.array(v) for key, v in F.reps.items()}
+
+
+def _ref_add(a, b):
+    out = {}
+    for key in set(a) | set(b):
+        u, v = a.get(key), b.get(key)
+        if u is None or v is None:
+            out[key] = v if u is None else u
+        else:
+            s = np.zeros(max(len(u), len(v)), dtype=complex)
+            s[: len(u)] += u
+            s[: len(v)] += v
+            out[key] = s
+    return out
+
+
+def _ref_act(rows, y, z):
+    if y == (0.0, 0.0):
+        return {(n, m): 2j * np.pi * n * z * v for (n, m), v in rows.items()}
+    return {
+        (n, m): RepOperator(n, len(v) + 1, y=y, z=z).matrix() @ np.append(v, 0.0)
+        for (n, m), v in rows.items()
+    }
+
+
+def _ref_weight_sq(n, length, r):
+    return (1.0 + n * n + abs(n) * (2 * np.arange(length) + 1)) ** r
+
+
+def _ref_norm_sq(rows, r):
+    return sum(
+        float(np.sum(np.abs(v) ** 2 * _ref_weight_sq(n, len(v), r)))
+        for (n, _m), v in rows.items()
+    )
+
+
+def _assert_rows(F, ref):
+    assert F.keys == tuple(sorted(ref))
+    assert F.lengths.tolist() == [len(ref[key]) for key in F.keys]
+    assert F.ns.tolist() == [n for n, _m in F.keys]
+    assert F.block.shape == (len(F.keys), max(map(len, ref.values()), default=0))
+    for key, v in F.reps.items():
+        scale = max(float(np.max(np.abs(ref[key]))), 1e-300)
+        assert np.max(np.abs(v - ref[key]), initial=0.0) <= 1e-14 * scale
+        # past its length a row of the block is zero
+        assert not F.block[F.keys.index(key), len(v):].any()
+
+
+def _ragged_functions():
+    A = parse_nil_function(RAGGED_A)
+    B = parse_nil_function(RAGGED_B)
+    # beta = 2 keeps the adaptive truncation short (256 and 640 entries)
+    lap = laplacian_solve(_params(beta=2.0), A, tol=1e-9)
+    return A, B, lap
+
+
+def test_ragged_inputs_are_ragged():
+    A, B, lap = _ragged_functions()
+    assert A.keys == ((-2, 1), (1, 0), (2, 0), (3, 0), (3, 2))
+    assert A.lengths.tolist() == [3, 5, 40, 2, 7]
+    assert B.lengths.tolist() == [6, 3, 2, 2]
+    # the laplacian solve sizes each row from its own length
+    assert len(set(lap.lengths.tolist())) > 1
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.4])
+def test_block_matches_row_reference(mu):
+    A, B, lap = _ragged_functions()
+    p = _params(mu=mu)
+    for F in (A, B, lap):
+        _assert_rows(F, _ref_rows(F))
+        scaled = {k: (-0.5 + 2j) * v for k, v in _ref_rows(F).items()}
+        _assert_rows(F.scaled(-0.5 + 2j), scaled)
+        _assert_rows(apply_X1(p, F), _ref_act(_ref_rows(F), p.x1_y, 0.0))
+        _assert_rows(apply_X2(p, F), _ref_act(_ref_rows(F), p.x2_y, p.x2_z[0]))
+        for r in (0.0, 1.0, 3.5):
+            ref = math.sqrt(sobolev_norm(F.toral, r) ** 2 + _ref_norm_sq(_ref_rows(F), r))
+            assert nil_sobolev_norm(F, r) == pytest.approx(ref, rel=1e-14)
+        for G in (A, B, lap):
+            _assert_rows(F.add(G), _ref_add(_ref_rows(F), _ref_rows(G)))
+            neg = {k: -1.0 * v for k, v in _ref_rows(G).items()}
+            _assert_rows(F.sub(G), _ref_add(_ref_rows(F), neg))
+
+
+def test_cg_report_matches_row_reference():
+    A, B, lap = _ragged_functions()
+    corpus = [A, B, lap, A.add(B), NilFunction.constant(1.0)]
+    s, k = 0.5, 2.0
+    report = cg_decay_report(corpus, s, k)
+    n_max = max(abs(n) for F in corpus for n, _m in F.reps)
+    assert report["n_max"] == n_max
+    assert report["vacuous"] == 1 and report["ratios"][-1] is None
+    for F, got in zip(corpus[:-1], report["ratios"]):
+        rows = _ref_rows(F)
+        denom = math.sqrt(sobolev_norm(F.toral, s + k) ** 2 + _ref_norm_sq(rows, s + k))
+        ratios = {}
+        for n in sorted({n for n, _m in rows}):
+            at_n = {key: v for key, v in rows.items() if key[0] == n}
+            ratios[n] = math.sqrt(_ref_norm_sq(at_n, s)) * abs(n) ** k / denom
+        full = max(ratios.values())
+        inner = max((x for n, x in ratios.items() if 2 * abs(n) <= n_max), default=0.0)
+        assert got["full"] == pytest.approx(full, rel=1e-14)
+        assert got["inner"] == pytest.approx(inner, rel=1e-14)
+
+
+def test_laplacian_solve_rows_match_per_row_solves():
+    p = _params(beta=2.0, mu=0.3)
+    for F in _ragged_functions()[:2]:
+        out = laplacian_solve(p, F, tol=1e-9)
+        ref = {
+            (n, m): _rep_laplacian_solve(p, n, v, 1e-9)
+            for (n, m), v in _ref_rows(F).items()
+        }
+        _assert_rows(out, ref)
+
+
+def test_delta0_star_at_negative_mu_matches_per_row_solves():
+    p = _params(mu=-2.0)
+    A, _B, lap = _ragged_functions()
+    for h in (A, lap):
+        h = NilFunction(toral=h.toral - TorusFunction.constant(2, h.toral.average),
+                        reps=h.reps)
+        omega = delta0(p, h)
+        out = delta0_star(p, omega)
+        ref = {
+            (n, m): np.linalg.solve(
+                RepOperator(n, len(v), y=p.x2_y, z=p.x2_z[0]).matrix(), v
+            )
+            for (n, m), v in _ref_rows(omega.g).items()
+        }
+        _assert_rows(out, ref)
+        # and the solve inverts the coboundary
+        for key, v in out.reps.items():
+            assert np.allclose(v[: h.lengths[h.keys.index(key)]], h.reps[key], atol=1e-9)
+
+
+def test_reps_view_and_block_are_read_only():
+    A = parse_nil_function(RAGGED_A)
+    key = A.keys[0]
+    with pytest.raises(TypeError):
+        A.reps[key] = np.zeros(3)
+    with pytest.raises(ValueError):
+        A.reps[key][0] = 1.0
+    with pytest.raises(ValueError):
+        A.block[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        A.lengths[0] = 1
+    assert A.reps is A.reps  # cached
