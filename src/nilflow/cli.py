@@ -486,36 +486,38 @@ def _run_spectrum(p, outdir):
 def _run_gh_report(p, outdir):
     params = _heis_params(p)
     if p["N"] < 2:
-        # the growth law in |n| is fitted across at least two blocks
+        # the growth law in |n| is reported across at least two blocks
         raise ConfigTypeError("N must be >= 2, got %d" % p["N"])
     wit = _witnesses(p["alpha"], p["K"])
     report = gh_certificate(params, p["N"], p["M"], p["K"], wit)
     _write_csv(
         outdir,
         "gh_per_n.csv",
-        ["n", "min_abs"],
-        [(row["n"], row["min_abs"]) for row in report["rep"]],
+        ["n", "min_abs", "truncated_min"],
+        [(row["n"], row["min_abs"], row["truncated_min"]) for row in report["rep"]],
     )
     record = {
         "verdict": "certified" if report["certified"] else "negative",
         "toral_min": report["toral"]["min"],
         "toral_argmin": list(report["toral"]["argmin"]),
         "beta_degenerate": report["beta_degenerate"],
+        "fit_exponent": report["fit"]["d"],
+        "fit_constant": report["fit"]["c"],
     }
     if "witness_bound" in report["toral"]:
         record["toral_witness_bound"] = report["toral"]["witness_bound"]
-    if "fit" in report:
-        record["fit_exponent"] = report["fit"]["d"]
-        record["fit_constant"] = report["fit"]["c"]
     if "resonant_mode" in report:
         record["resonant_mode"] = list(report["resonant_mode"])
+    if "reason" in report:
+        record["reason"] = report["reason"]
     return record
 
 
 def _run_kernel_dim(p, outdir):
     params = _heis_params(p)
     _require_positive(p, "N")
-    dim = joint_kernel_dim(params, p["N"], p["M"], p["K"], tol=p["tol"])
+    # N and M stay in the schema and in kernel.csv; the count reads toral modes
+    dim = joint_kernel_dim(params, p["K"], tol=p["tol"])
     _write_csv(
         outdir,
         "kernel.csv",

@@ -381,7 +381,8 @@ def cg_decay_report(corpus, s, k):
             vacuous += 1
             ratios.append(None)
             continue
-        denom = nil_sobolev_norm(F, s + k)
+        # a zero member meets the bound trivially: its ratios come out 0
+        denom = nil_sobolev_norm(F, s + k) or np.inf
         # the rows are sorted by (n, m), so each frequency is one run of rows
         starts = np.flatnonzero(np.diff(F.ns, prepend=0))
         freqs = F.ns[starts]

@@ -215,7 +215,7 @@ def test_criterion_4_gh_certificate(capsys):
     t0 = time.monotonic()
     p = golden_params()
     report = gh_certificate(p, N=20, M=64, K=50, witnesses=golden_witnesses())
-    kdim = joint_kernel_dim(p, N=20, M=64, K=50)
+    kdim = joint_kernel_dim(p, K=50)
 
     resonant = gh_certificate(ActionParams((1.0, 0.5), (1.0,)), N=4, M=48, K=20)
     elapsed = time.monotonic() - t0
@@ -372,7 +372,7 @@ def test_criterion_8_unique_ergodicity(capsys):
         x0 = rng.uniform(0.0, 1.0, size=2)
         avg = birkhoff_average(GOLDEN, f, x0, T=1e4)
         worst = max(worst, abs(avg - f.average))
-    kdim = joint_kernel_dim(golden_params(), N=10, M=64, K=50)
+    kdim = joint_kernel_dim(golden_params(), K=50)
     elapsed = time.monotonic() - t0
     _verdict(
         capsys,

@@ -162,8 +162,32 @@ def test_gh_report_golden_certified(tmp_path):
     assert rec["verdict"] == "certified"
     assert rec["fit_exponent"] >= 0.9
     rows = read_csv(tmp_path, "gh_per_n.csv")
-    assert rows[0] == ["n", "min_abs"]
+    assert rows[0] == ["n", "min_abs", "truncated_min"]
     assert len(rows) == 7
+
+
+@pytest.mark.parametrize("mu", [0.0, -2.0, 0.7])
+def test_gh_report_rows_are_the_closed_form_bottom(tmp_path, mu):
+    cfg = make_config("gh-report", tmp_path, alpha=(1.0, PHI), mu=mu, N=6, M=48, K=20)
+    assert run(cfg) == 0
+    rec = read_summary(tmp_path)[0]
+    assert rec["verdict"] == "certified"
+    assert abs(rec["fit_exponent"] - 2.0) <= 1e-12
+    c = (2 * math.pi) ** 2 / (1 + mu * mu)
+    assert abs(rec["fit_constant"] - c) <= 1e-14 * c
+    for n, min_abs, truncated_min in read_csv(tmp_path, "gh_per_n.csv")[1:]:
+        bottom = (2 * math.pi * int(n)) ** 2 / (1 + mu * mu)
+        assert abs(float(min_abs) - bottom) <= 1e-14 * bottom
+        assert float(truncated_min) >= float(min_abs) * (1 - 1e-9)
+
+
+def test_gh_report_zero_beta_is_refused(tmp_path):
+    cfg = make_config("gh-report", tmp_path, alpha=(1.0, PHI), beta=0.0, N=4, M=64)
+    assert run(cfg) == 2
+    rec = read_summary(tmp_path)[0]
+    assert rec["verdict"] == "negative"
+    assert rec["reason"] == "ZeroSpectralBottom"
+    assert rec["beta_degenerate"] is True
 
 
 def test_gh_report_resonant_negative(tmp_path):
@@ -326,6 +350,16 @@ def test_spectrum_rows_and_trusted_flags(tmp_path):
 def test_kernel_dim_golden(tmp_path):
     cfg = make_config(
         "kernel-dim", tmp_path, alpha=(1.0, PHI), N=3, M=32, K=12
+    )
+    assert run(cfg) == 0
+    assert read_summary(tmp_path)[0]["dim"] == 1
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize("M", [16, 17, 32, 33])
+def test_kernel_dim_ignores_beta_and_truncation_parity(tmp_path, beta, M):
+    cfg = make_config(
+        "kernel-dim", tmp_path, alpha=(1.0, PHI), beta=beta, M=M, K=12
     )
     assert run(cfg) == 0
     assert read_summary(tmp_path)[0]["dim"] == 1

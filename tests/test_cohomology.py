@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nilflow.algebra import ActionParams, ConstantCocycle, const_cohomology_basis, const_delta0, heisenberg
+from nilflow import cohomology
 from nilflow.cohomology import (
     Cochain1,
     VfCochain,
@@ -334,6 +335,31 @@ def test_laplacian_solve_roundtrip():
     assert norm_diff(h, h0) < 1e-10 * nil_sobolev_norm(h0, 0.0)
 
 
+@pytest.mark.parametrize("tol, converges", [(1e-7, True), (1e-9, False)])
+def test_laplacian_solve_never_exceeds_size_cap(monkeypatch, tol, converges):
+    # at beta = 1/3 a 40-entry row needs the largest truncation: sizes double
+    # from 80, and the last attempt is at the cap itself
+    sizes = []
+    bands = cohomology._rep_laplacian_bands
+
+    def recording(params, n, size):
+        sizes.append(size)
+        return bands(params, n, size)
+
+    monkeypatch.setattr(cohomology, "_rep_laplacian_bands", recording)
+    p = golden_params(beta=1.0 / 3.0)
+    v = np.random.default_rng(83).standard_normal(40)
+    source = NilFunction(reps={(1, 0): v})
+    if converges:
+        h = laplacian_solve(p, source, tol=tol)
+        assert len(h.rep(1)) == cohomology._LAP_SIZE_CAP
+    else:
+        with pytest.raises(Resonance):
+            laplacian_solve(p, source, tol=tol)
+    # none exceeds the cap of 8192
+    assert sizes == [80, 160, 320, 640, 1280, 2560, 5120, 8192]
+
+
 def test_dual_route_splittings_agree():
     rng = np.random.default_rng(71)
     p = golden_params(beta=0.8)
@@ -389,6 +415,9 @@ def test_rep_spectrum_matches_dense_generator_squares(mu, n, M):
     dense = np.sort(np.linalg.eigvalsh((lap + lap.conj().T) / 2.0))[::-1]
     ev = np.array(rep_spectrum(p, n, M))
     assert np.max(np.abs(ev - dense) / np.abs(dense)) < 1e-10
+    # never below the closed-form bottom (2 pi n beta)^2 / (1 + mu^2)
+    bottom = (2 * math.pi * n * p.x2_z[0]) ** 2 / (1 + mu * mu)
+    assert np.all(np.abs(ev[: trusted_count(M)]) >= bottom * (1 - 1e-9))
 
 
 def test_rep_spectrum_even_in_n():
@@ -437,25 +466,56 @@ def test_gh_certificate_degenerate_beta():
     p = golden_params(beta=0.0)
     report = gh_certificate(p, N=3, M=32, K=10, witnesses=golden_witnesses())
     assert report["beta_degenerate"]
-    assert report["certified"]
+    assert not report["certified"]
+
+
+def test_gh_certificate_zero_bottom_has_its_reason():
+    p = golden_params(beta=0.0)
+    report = gh_certificate(p, N=4, M=64, K=50, witnesses=golden_witnesses())
+    assert not report["certified"]
+    assert report["reason"] == "ZeroSpectralBottom"
+    assert "resonant_mode" not in report
+    assert all(row["min_abs"] == 0.0 for row in report["rep"])
+    # a resonant toral side is reported as the resonance it is
+    resonant = gh_certificate(golden_params(beta=0.0, alpha=(1.0, 0.5)), N=3, M=32, K=10)
+    assert resonant["resonant_mode"] == (1, -2)
+    assert "reason" not in resonant
+
+
+def test_gh_certificate_refuses_parameters_outside_the_closed_form():
+    p = ActionParams((1.0, PHI), (1.0,), mu=0.5, offset_a=(0.1, 0.0))
+    with pytest.raises(ValueError):
+        gh_certificate(p, N=3, M=32, K=10)
+    # at mu = 0 the second generator has no Y-part, so offsets are fine
+    assert gh_certificate(p.replace(mu=0), N=3, M=32, K=10)["certified"]
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_joint_kernel_counts_toral_modes_only(monkeypatch, beta):
+    def refuse(*args, **kwargs):
+        raise AssertionError("joint_kernel_dim must not touch representation blocks")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(cohomology, "RepOperator", refuse)
+    assert joint_kernel_dim(golden_params(beta=beta), K=12) == 1
 
 
 def test_joint_kernel_golden():
     p = golden_params(beta=1.0)
-    assert joint_kernel_dim(p, N=4, M=32, K=12, tol=1e-8) == 1
+    assert joint_kernel_dim(p, K=12, tol=1e-8) == 1
 
 
 def test_joint_kernel_degenerate_direction():
     p = golden_params(alpha=(1.0, 0.0))
     K = 6
-    count = joint_kernel_dim(p, N=2, M=32, K=K, tol=1e-8)
+    count = joint_kernel_dim(p, K=K, tol=1e-8)
     assert count == 2 * K + 1
     assert count > 1
 
 
 def test_joint_kernel_validation():
     with pytest.raises(ValueError):
-        joint_kernel_dim(golden_params(), 2, 32, 4, tol=0.0)
+        joint_kernel_dim(golden_params(), 4, tol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,16 @@ def test_cg_toral_member_reported_vacuous():
     assert report["vacuous"] == 1
     assert report["ratios"][0] is None
     assert report["ratio_max"] == 0.0
+
+
+def test_cg_zero_member_meets_the_bound_trivially():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = cg_decay_report([NilFunction(reps={(1, 0): np.zeros(3)})], 0.0, 2.0)
+    assert report["ratios"] == [{"full": 0.0, "inner": 0.0}]
+    assert report["ratio_max"] == 0.0
+    assert report["ratio_max_inner"] == 0.0
+    assert report["vacuous"] == 0
 
 
 def test_cg_empty_corpus_rejected():
