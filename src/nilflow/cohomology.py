@@ -7,6 +7,11 @@ divisors of the frequency vector, representation blocks divide by the central
 scalar or solve small banded systems in the Hermite basis.  Certificates read
 closed forms, the toral divisors and the exact spectral bottom
 (2 pi n beta)^2 / (1 + mu^2) of block n; truncated spectra are diagnostics.
+
+In block n the truncation of X1 is i rho times the Jacobi matrix of the
+Hermite nodes, up to a diagonal phase, and X2 = mu X1 + i c (`_block_scales`).
+Truncated spectra are therefore read off the nodes, and the leafwise
+Laplacian factors into two tridiagonal sweeps on X1's bands.
 """
 
 import math
@@ -20,6 +25,8 @@ from .errors import DimensionMismatch, NonzeroAverage, NotACocycle, Resonance
 from .nilrep import (
     NilFunction,
     RepOperator,
+    _hermite_nodes,
+    _tridiag_solve,
     apply_X1,
     apply_X2,
     nil_sobolev_norm,
@@ -95,6 +102,22 @@ def _central_scalar(params, n):
     return 2j * math.pi * n * params.x2_z[0]
 
 
+def _oscillator_scale(y, n):
+    """rho = |(y1, 2 pi n y2)|: the truncation of y1*Y1 + y2*Y2 in block n is
+    i rho times the Jacobi matrix of the Hermite nodes, up to a diagonal
+    phase."""
+    return math.hypot(y[0], 2 * math.pi * n * y[1])
+
+
+def _block_scales(params, n):
+    """(rho, c) of block n: X1 has oscillator scale rho and X2 = mu X1 + i c
+    with c = 2 pi n beta.  Parameters where X2's Y-part is not mu X1's are
+    outside this closed form and refused."""
+    if params.x2_y != tuple(params.mu * a for a in params.x1_y):
+        raise ValueError("the closed form needs x2_y == mu * x1_y")
+    return _oscillator_scale(params.x1_y, n), 2 * math.pi * n * params.x2_z[0]
+
+
 def _divide_central(params, F, toral=None):
     """F's representation rows divided by their central scalars
     2*pi*i*n*beta, on the given toral part."""
@@ -120,17 +143,16 @@ def _require_nonresonant(witnesses):
 
 def _solve_x2_rep(params, n, g_vec):
     """Solve the representation block of X2 h = g at central frequency n for
-    mu != 0: a banded system at the vector's own length."""
-    scalar = _central_scalar(params, n)
+    mu != 0: a banded system at the vector's own length.  The truncated X2 is
+    i (rho2 J + c) up to a diagonal phase, so its least singular value is
+    min_j |rho2 x_j + c| over the nodes x_j; rho2 = |mu| rho when x2_y =
+    mu x1_y."""
     m = len(g_vec)
-    op = RepOperator(n, m, y=params.x2_y, z=params.x2_z[0])
-    mat = op.matrix()
-    try:
-        sing_min = np.linalg.svd(mat, compute_uv=False)[-1]
-    except np.linalg.LinAlgError:
-        raise Resonance("representation solve failed at n=%d" % n)
-    if sing_min <= 1e-10 * max(1.0, abs(scalar)):
+    c = 2 * math.pi * n * params.x2_z[0]
+    rho2 = _oscillator_scale(params.x2_y, n)
+    if np.min(np.abs(rho2 * _hermite_nodes(m) + c)) <= 1e-10 * max(1.0, abs(c)):
         raise Resonance("X2 nearly singular on representation n=%d" % n, mode=(n,))
+    mat = RepOperator(n, m, y=params.x2_y, z=params.x2_z[0]).matrix()
     return np.linalg.solve(mat, np.asarray(g_vec, dtype=complex))
 
 
@@ -272,98 +294,41 @@ def leafwise_laplacian_apply(params, F):
     )
 
 
-def _tri_square_upper_bands(sup, sub, diag):
-    """Upper bands (main, first, second) of T @ T for a tridiagonal T.
-
-    The generator matrices are anti-Hermitian, so the squares are Hermitian and
-    the lower bands are conjugates of the returned ones.
-    """
-    d0 = diag * diag
-    d0[:-1] += sup * sub
-    d0[1:] += sub * sup
-    u1 = sup * (diag[:-1] + diag[1:])
-    u2 = sup[:-1] * sup[1:]
-    return d0, u1, u2
-
-
-def _rep_laplacian_bands(params, n, size):
-    a = RepOperator(n, size, y=params.x1_y)
-    b = RepOperator(n, size, y=params.x2_y, z=params.x2_z[0])
-    d0 = np.zeros(size, dtype=complex)
-    u1 = np.zeros(size - 1, dtype=complex)
-    u2 = np.zeros(size - 2, dtype=complex)
-    for op in (a, b):
-        t0, t1, t2 = _tri_square_upper_bands(op.super, op.sub, op.diag)
-        d0 += t0
-        u1 += t1
-        u2 += t2
-    # sign flip makes the operator positive definite for banded Cholesky
-    return -d0.real, -u1, -u2
-
-
-def _penta_cholesky_solve(d0, u1, u2, rhs):
-    """Solve W x = rhs for Hermitian positive definite pentadiagonal W given by
-    its real diagonal and two upper bands."""
-    size = len(d0)
-    l0 = np.zeros(size)
-    m1 = np.zeros(size, dtype=complex)
-    m2 = np.zeros(size, dtype=complex)
-    for i in range(size):
-        s = d0[i]
-        if i >= 1:
-            s -= abs(m1[i]) ** 2
-        if i >= 2:
-            s -= abs(m2[i]) ** 2
-        if s <= 0.0:
-            raise Resonance("leafwise operator lost definiteness at truncation")
-        l0[i] = math.sqrt(s)
-        if i + 1 < size:
-            t = np.conj(u1[i])
-            if i >= 1:
-                t -= m2[i + 1] * np.conj(m1[i])
-            m1[i + 1] = t / l0[i]
-        if i + 2 < size:
-            m2[i + 2] = np.conj(u2[i]) / l0[i]
-    z = np.zeros(size, dtype=complex)
-    for i in range(size):
-        acc = rhs[i]
-        if i >= 1:
-            acc -= m1[i] * z[i - 1]
-        if i >= 2:
-            acc -= m2[i] * z[i - 2]
-        z[i] = acc / l0[i]
-    x = np.zeros(size, dtype=complex)
-    for i in range(size - 1, -1, -1):
-        acc = z[i]
-        if i + 1 < size:
-            acc -= np.conj(m1[i + 1]) * x[i + 1]
-        if i + 2 < size:
-            acc -= np.conj(m2[i + 2]) * x[i + 2]
-        x[i] = acc / l0[i]
-    return x
-
-
 _LAP_SIZE_CAP = 8192
 
 
 def _rep_laplacian_solve(params, n, v, tol):
     """Solve the representation block of the leafwise Laplacian.
 
-    The true solution's Hermite tail decays like exp(-c sqrt(j)) with c set by
-    the ratio of the central scalar to the oscillator scale, so the truncation
-    doubles, capped, until the exact-operator defect drops below tolerance.
+    With X2 = mu X1 + i c, L = (1 + mu^2) (X1 - s+) (X1 - s-) for
+    s+- = c (+-1 - i mu) / (1 + mu^2), and so is every truncation; each
+    factor has Hermitian part -Re(s) = -+c / (1 + mu^2), definite unless
+    beta = 0, where the block has no bounded inverse.  The true solution's
+    Hermite tail decays like exp(-c sqrt(j)) with c set by the ratio of the
+    central scalar to the oscillator scale, so the truncation doubles, capped,
+    until the exact-operator defect drops below tolerance.
     """
+    _rho, c = _block_scales(params, n)
     v = np.asarray(v, dtype=complex)
     vmax = float(np.max(np.abs(v))) if len(v) else 0.0
     if vmax == 0.0:
         return np.zeros(len(v), dtype=complex)
+    if c == 0:
+        raise Resonance(
+            "central parameter vanishes; the leafwise Laplacian has no bounded "
+            "inverse at n=%d" % n,
+            mode=(n,),
+        )
+    denom = 1 + params.mu * params.mu
+    shifts = [c * (sign - 1j * params.mu) / denom for sign in (1, -1)]
     size = max(64, 2 * len(v))
     while True:
         size = min(size, _LAP_SIZE_CAP)
-        d0, u1, u2 = _rep_laplacian_bands(params, n, size)
-        rhs = np.zeros(size, dtype=complex)
-        rhs[: len(v)] = v
-        sol = _penta_cholesky_solve(d0, u1, u2, -rhs)
+        op = RepOperator(n, size, y=params.x1_y)
+        sol = np.zeros(size, dtype=complex)
+        sol[: len(v)] = v / denom
+        for s in shifts:
+            sol = _tridiag_solve(op.super, op.sub, op.diag - s, sol)
         check = leafwise_laplacian_apply(
             params, NilFunction(reps={(n, 0): sol})
         ).rep(n).copy()
@@ -383,8 +348,8 @@ def laplacian_solve(params, source, witnesses=None, tol=1e-9):
     """Invert the leafwise Laplacian mode by mode.
 
     Toral modes divide by -((2 pi k.x1)^2 + (2 pi k.x2)^2); each representation
-    block solves the banded system, enlarged until edge effects fall below
-    tolerance.
+    block runs the two tridiagonal sweeps, enlarged until edge effects fall
+    below tolerance.
     """
     scale = max(nil_sobolev_norm(source, 0.0), 1e-300)
     avg = complex(source.toral.average)
@@ -451,16 +416,16 @@ def rep_spectrum(params, n, M):
     with central frequency n, ordered from closest to zero downward.
 
     Only the first third is trusted; the tail feels the basis truncation.
+    The truncated X1 and X2 commute, so minus the truncated Laplacian has
+    the eigenvalues t^2 + (mu t + c)^2 at t = rho x_j, x_j the M nodes.
     """
     if n == 0:
         raise ValueError("n = 0 labels the toral block")
     if M < 16:
         raise ValueError("need M >= 16 for a meaningful truncation")
-    # the negated Laplacian from the bands of the banded solve; eigvalsh reads
-    # only the upper triangle, and its ascending order is the order wanted
-    d0, u1, u2 = _rep_laplacian_bands(params, n, M)
-    neg = np.diag(d0) + np.diag(u1, 1) + np.diag(u2, 2)
-    return [float(-x) for x in np.linalg.eigvalsh(neg, UPLO="U")]
+    rho, c = _block_scales(params, n)
+    t = rho * _hermite_nodes(M)
+    return [float(-x) for x in np.sort(t * t + (params.mu * t + c) ** 2)]
 
 
 def gh_certificate(params, N, M, K, witnesses=None):
@@ -474,8 +439,7 @@ def gh_certificate(params, N, M, K, witnesses=None):
     The verdict reads only these closed forms; truncated_min, the least trusted
     |eigenvalue| at truncation M, is a diagnostic.
     """
-    if params.x2_y != tuple(params.mu * a for a in params.x1_y):
-        raise ValueError("the closed-form bottom needs x2_y == mu * x1_y")
+    _block_scales(params, 1)  # refuses parameters outside the closed form
     report = {"convention": CONVENTION, "N": N, "M": M, "K": K}
     k_star, div = min_small_divisor(params.x1_y, K)
     toral_min = (2 * math.pi * div) ** 2

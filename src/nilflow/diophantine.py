@@ -69,21 +69,13 @@ def _canonical(k):
 
 
 def min_small_divisor(a, K, cap=ENUM_CAP):
-    """Exhaustive min of |a . k| over 0 < ||k||_inf <= K; returns (k*, value).
+    """Exhaustive min of |a . k| over 0 < ||k||_inf <= K; returns (k*, value),
+    the argmin and divisor of the gamma = 0 witness.
 
     Values below the dot-product roundoff floor are snapped to exact zero.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise DimensionMismatch("a must be a nonempty vector")
-    grid = _integer_grid(a.size, K, cap)
-    vals = np.abs(grid @ a)
-    vals[vals <= _snap_floor(np.abs(grid) @ np.abs(a))] = 0.0
-    i = int(np.argmin(vals))
-    ties = np.flatnonzero(vals == vals[i])
-    if ties.size > 1:
-        i = int(ties[np.argmin(np.linalg.norm(grid[ties], axis=1))])
-    return _canonical(grid[i]), float(vals[i])
+    wit = fit_witness(a, 0.0, K, cap)
+    return wit.argmin_k, wit.value
 
 
 def _finish_witness(grid, vals, gamma, K, kind):

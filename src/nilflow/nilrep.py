@@ -15,7 +15,10 @@ The Hermite ladder x.h_j = sqrt((j+1)/2) h_{j+1} + sqrt(j/2) h_{j-1} is
 written once, as the bands of `RepOperator`.  Generator actions on vectors
 (`dpi_apply`, `apply_X1`, `apply_X2`, the brackets of the rigidity step) apply
 the same bands, one entry larger than the vector, to every row of a block at
-once, and the leafwise Laplacian of `cohomology` squares them.
+once, and the leafwise Laplacian of `cohomology` inverts them: its block
+factors into two shifted copies of X1's bands, each undone by one
+`_tridiag_solve`.  `_hermite_nodes` diagonalizes the same ladder once per
+truncation, for the closed-form spectra built on it.
 """
 
 from functools import cached_property, lru_cache
@@ -54,12 +57,26 @@ def _unknown_generator(gen):
     )
 
 
+def _ladder(size):
+    """Off-diagonal sqrt(j/2), j = 1 .. size-1, of x on the first `size`
+    Hermite functions."""
+    return np.sqrt(np.arange(1, size) / 2.0)
+
+
+@lru_cache(maxsize=256)
+def _hermite_nodes(size):
+    """The Gauss-Hermite nodes of order `size`, ascending and read-only: the
+    eigenvalues of the real symmetric Jacobi matrix of the ladder."""
+    r = _ladder(size)
+    return _readonly(np.linalg.eigvalsh(np.diag(r, 1) + np.diag(r, -1)))
+
+
 def _bands(n, size, y, z):
     """Super-, sub- and main diagonal of y1*Y1 + y2*Y2 + z*Z on the first
     `size` Hermite functions at central frequency n.  A column of frequencies
     gives one row of bands per frequency.  The main diagonal is the constant
     2*pi*i*n*z, returned unbroadcast."""
-    r = np.sqrt(np.arange(1, size) / 2.0)
+    r = _ladder(size)
     scale = 2j * np.pi * n
     # d/dx contributes an antisymmetric pair, x a symmetric one
     sup = y[0] * r + y[1] * scale * r
@@ -73,6 +90,26 @@ def _tridiag_apply(sup, sub, diag, v):
     out[..., :-1] += sup * v[..., 1:]
     out[..., 1:] += sub * v[..., :-1]
     return out
+
+
+def _tridiag_solve(sup, sub, diag, v):
+    """The inverse of `_tridiag_apply` on a vector: one elimination sweep
+    down and one substitution sweep up, without pivoting.  Safe when the
+    matrix has a definite Hermitian part, as every leading block then does."""
+    size = len(v)
+    sup, sub = sup.tolist(), sub.tolist()
+    diag = np.broadcast_to(diag, (size,)).tolist()
+    x = np.asarray(v, dtype=complex).tolist()
+    up = [0j] * size  # super-diagonal divided by its row's pivot
+    pivot = diag[0]
+    x[0] /= pivot
+    for i in range(1, size):
+        up[i - 1] = sup[i - 1] / pivot
+        pivot = diag[i] - sub[i - 1] * up[i - 1]
+        x[i] = (x[i] - sub[i - 1] * x[i - 1]) / pivot
+    for i in range(size - 2, -1, -1):
+        x[i] -= up[i] * x[i + 1]
+    return np.array(x, dtype=complex)
 
 
 def _act(ns, block, y, z):

@@ -9,10 +9,11 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import nilflow
-from nilflow import cli, torus
+from nilflow import cli, nilrep, torus
 from nilflow.cli import (
     SCHEMAS,
     ExperimentConfig,
@@ -345,6 +346,28 @@ def test_spectrum_rows_and_trusted_flags(tmp_path):
     rows = read_csv(tmp_path, "spectrum.csv")[1:]
     assert len(rows) == 3 * 32
     assert sum(int(r[3]) for r in rows) == 3 * 10
+
+
+def test_spectrum_and_gh_report_diagonalize_once_per_truncation(tmp_path, monkeypatch):
+    # both read the cached Hermite nodes; one worker keeps the cache race-free
+    monkeypatch.setenv("NILFLOW_THREADS", "1")
+    nilrep._hermite_nodes.cache_clear()
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for i, (sub, keys) in enumerate([
+        ("spectrum", dict(n_max=4, M=48)),
+        ("gh-report", dict(N=4, M=48)),
+        ("spectrum", dict(n_max=2, M=64)),
+        ("gh-report", dict(N=6, M=64)),
+    ]):
+        assert run(make_config(sub, tmp_path / str(i), alpha=(1.0, PHI), **keys)) == 0
+    assert sorted(sizes) == [48, 64]
 
 
 def test_kernel_dim_golden(tmp_path):

@@ -183,6 +183,22 @@ def test_delta0_star_witness_gate():
         delta0_star(golden_params(alpha=(1.0, 0.5)), Cochain1(NilFunction(), NilFunction()), wit)
 
 
+@pytest.mark.parametrize("h_length, singular", [(4, True), (3, False)])
+def test_delta0_star_refuses_a_singular_x2_block(h_length, singular):
+    # at beta = 0, X2 = mu X1 truncated to an odd length has the middle
+    # node's zero singular value, and an even length is invertible; delta0
+    # grows each row of h by one
+    p = golden_params(beta=0.0, mu=0.7)
+    h = NilFunction(reps={(2, 0): np.arange(1.0, h_length + 1)})
+    omega = delta0(p, h)
+    if singular:
+        with pytest.raises(Resonance) as err:
+            delta0_star(p, omega)
+        assert err.value.mode == (2,)
+    else:
+        assert norm_diff(delta0_star(p, omega), h) < 1e-10 * nil_sobolev_norm(h, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # splitting
 
@@ -340,13 +356,12 @@ def test_laplacian_solve_never_exceeds_size_cap(monkeypatch, tol, converges):
     # at beta = 1/3 a 40-entry row needs the largest truncation: sizes double
     # from 80, and the last attempt is at the cap itself
     sizes = []
-    bands = cohomology._rep_laplacian_bands
 
-    def recording(params, n, size):
+    def recording(n, size, **kwargs):
         sizes.append(size)
-        return bands(params, n, size)
+        return RepOperator(n, size, **kwargs)
 
-    monkeypatch.setattr(cohomology, "_rep_laplacian_bands", recording)
+    monkeypatch.setattr(cohomology, "RepOperator", recording)
     p = golden_params(beta=1.0 / 3.0)
     v = np.random.default_rng(83).standard_normal(40)
     source = NilFunction(reps={(1, 0): v})
@@ -358,6 +373,19 @@ def test_laplacian_solve_never_exceeds_size_cap(monkeypatch, tol, converges):
             laplacian_solve(p, source, tol=tol)
     # none exceeds the cap of 8192
     assert sizes == [80, 160, 320, 640, 1280, 2560, 5120, 8192]
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.7])
+def test_laplacian_solve_refuses_zero_beta_before_any_size(monkeypatch, mu):
+    # at beta = 0 block n is (1 + mu^2) X1^2, whose inverse is unbounded
+    def refuse(*args, **kwargs):
+        raise AssertionError("no truncation may be tried at beta = 0")
+
+    monkeypatch.setattr(cohomology, "RepOperator", refuse)
+    p = golden_params(beta=0.0, mu=mu)
+    with pytest.raises(Resonance) as err:
+        laplacian_solve(p, NilFunction(reps={(-3, 2): np.ones(5)}))
+    assert err.value.mode == (-3,)
 
 
 def test_dual_route_splittings_agree():
@@ -403,17 +431,27 @@ def test_rep_spectrum_matches_node_law(M):
     assert np.all(ev <= 1e-9)
 
 
-@pytest.mark.parametrize("M", [16, 64])
+@pytest.mark.parametrize(
+    "M, beta",
+    [(16, 1.0), (17, 1.0), (64, 1.0), (16, 0.0), (17, 0.0), (64, 0.0)],
+    ids=["16", "17", "64", "16-beta0", "17-beta0", "64-beta0"],
+)
 @pytest.mark.parametrize("n", [1, -3, 12])
 @pytest.mark.parametrize("mu", [0.0, -2.0, 0.7])
-def test_rep_spectrum_matches_dense_generator_squares(mu, n, M):
+def test_rep_spectrum_matches_dense_generator_squares(mu, n, M, beta):
     # oracle: the dense sum of squared generator matrices, symmetrized
-    p = golden_params(beta=1.0, mu=mu)
+    p = golden_params(beta=beta, mu=mu)
     a = RepOperator(n, M, y=p.x1_y).matrix()
     b = RepOperator(n, M, y=p.x2_y, z=p.x2_z[0]).matrix()
     lap = a @ a + b @ b
     dense = np.sort(np.linalg.eigvalsh((lap + lap.conj().T) / 2.0))[::-1]
     ev = np.array(rep_spectrum(p, n, M))
+    if beta == 0 and M % 2:
+        # the middle node makes 0 an exact eigenvalue; the dense oracle
+        # resolves it only to roundoff of the block's largest eigenvalue
+        scale = np.abs(dense).max()
+        assert abs(ev[0]) <= 1e-14 * scale and abs(dense[0]) <= 1e-14 * scale
+        ev, dense = ev[1:], dense[1:]
     assert np.max(np.abs(ev - dense) / np.abs(dense)) < 1e-10
     # never below the closed-form bottom (2 pi n beta)^2 / (1 + mu^2)
     bottom = (2 * math.pi * n * p.x2_z[0]) ** 2 / (1 + mu * mu)
@@ -484,10 +522,19 @@ def test_gh_certificate_zero_bottom_has_its_reason():
 
 def test_gh_certificate_refuses_parameters_outside_the_closed_form():
     p = ActionParams((1.0, PHI), (1.0,), mu=0.5, offset_a=(0.1, 0.0))
+    source = NilFunction(reps={(2, 0): np.ones(4)})
     with pytest.raises(ValueError):
         gh_certificate(p, N=3, M=32, K=10)
+    with pytest.raises(ValueError):
+        rep_spectrum(p, 2, 32)
+    with pytest.raises(ValueError):
+        laplacian_solve(p, source)
     # at mu = 0 the second generator has no Y-part, so offsets are fine
-    assert gh_certificate(p.replace(mu=0), N=3, M=32, K=10)["certified"]
+    flat = p.replace(mu=0)
+    assert gh_certificate(flat, N=3, M=32, K=10)["certified"]
+    assert len(rep_spectrum(flat, 2, 32)) == 32
+    h = laplacian_solve(flat, source)
+    assert norm_diff(leafwise_laplacian_apply(flat, h), source) < 1e-9
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0])

@@ -15,6 +15,7 @@ from nilflow.cohomology import (
 from nilflow.nilrep import (
     NilFunction,
     RepOperator,
+    _tridiag_solve,
     apply_X1,
     apply_X2,
     cg_decay_report,
@@ -127,6 +128,22 @@ def test_rep_operator_apply_matches_matrix():
     assert np.allclose(op.apply(v), op.matrix() @ v, atol=1e-13)
     with pytest.raises(DimensionMismatch):
         op.apply(np.ones(4))
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 64])
+@pytest.mark.parametrize("shift", [0.3 - 0.5j, -2.0 + 1.0j])
+def test_tridiag_solve_inverts_tridiag_apply(size, shift):
+    # an anti-Hermitian ladder minus a shift with nonzero real part: the
+    # factors of the leafwise Laplacian
+    rng = np.random.default_rng(size)
+    op = RepOperator(-3, size, y=(1.0, PHI), z=0.4)
+    v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    x = _tridiag_solve(op.super, op.sub, op.diag - shift, v)
+    oracle = np.linalg.solve(op.matrix() - shift * np.eye(size), v)
+    assert np.max(np.abs(x - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    # a scalar diagonal broadcasts as in _tridiag_apply
+    y = _tridiag_solve(op.super, op.sub, op.diag[0] - shift, v)
+    assert np.array_equal(x, y)
 
 
 # ---------------------------------------------------------------------------
