@@ -3,9 +3,9 @@ cohomology of constant cochains over a commuting pair of generators.
 
 Basis convention: Y_1..Y_q span a complement of the center, Z_1..Z_p span the
 center, and the only nonzero brackets are [Y_l, Y_i] = sum_j c[l][i][j] Z_j.
-The acting pair is X1 = sum_i alpha_i Y_i (plus optional Y-offsets) and
-X2 = mu * sum_i alpha_i Y_i + sum_j beta_j Z_j (plus optional Z-offsets); mu
-is the coordinate-change parameter, zero for the base action.
+The acting pair is X1 = sum_i alpha_i Y_i and X2 = mu X1 + sum_j beta_j Z_j;
+mu is the coordinate-change parameter, zero for the base action.  X2 - mu X1
+is central, so the pair commutes for every (alpha, beta, mu).
 
 Structure constants are exact rationals.  Rank computations run exactly over
 Fraction whenever every input is rational, and in floating point with a pivot
@@ -148,29 +148,18 @@ def serialize_algebra(A):
 
 
 class ActionParams:
-    """Parameters of the acting pair.
+    """Parameters (alpha, beta, mu) of the acting pair X1 = alpha.Y and
+    X2 = mu X1 + beta.Z.
 
-    alpha, beta are the base coefficients; mu tracks coordinate changes
-    (X2 picks up mu * sum alpha_i Y_i); offset_a, offset_b are the family
-    offsets added to X1's Y-part and X2's Z-part respectively.
+    alpha, beta are the base coefficients; mu tracks coordinate changes.
+    The generator coefficient vectors x1_y = alpha, x2_y = mu alpha and
+    x2_z = beta follow, so the pair commutes by construction.
     """
 
-    def __init__(self, alpha, beta, mu=0, offset_a=None, offset_b=None):
+    def __init__(self, alpha, beta, mu=0):
         self.alpha = tuple(_as_number(x) for x in alpha)
         self.beta = tuple(_as_number(x) for x in beta)
         self.mu = _as_number(mu)
-        self.offset_a = (
-            tuple(_as_number(x) for x in offset_a)
-            if offset_a is not None
-            else (0,) * len(self.alpha)
-        )
-        self.offset_b = (
-            tuple(_as_number(x) for x in offset_b)
-            if offset_b is not None
-            else (0,) * len(self.beta)
-        )
-        if len(self.offset_a) != len(self.alpha) or len(self.offset_b) != len(self.beta):
-            raise DimensionMismatch("offset lengths must match alpha/beta")
 
     @property
     def q(self):
@@ -183,7 +172,7 @@ class ActionParams:
     # generator coefficient vectors in the (Y, Z) basis
     @property
     def x1_y(self):
-        return tuple(a + d for a, d in zip(self.alpha, self.offset_a))
+        return self.alpha
 
     @property
     def x2_y(self):
@@ -191,7 +180,7 @@ class ActionParams:
 
     @property
     def x2_z(self):
-        return tuple(b + d for b, d in zip(self.beta, self.offset_b))
+        return self.beta
 
     def generator(self, which):
         """Full (q+p)-coefficient vector of X1 or X2 (which in {1, 2})."""
@@ -202,13 +191,7 @@ class ActionParams:
         raise ValueError("which must be 1 or 2")
 
     def replace(self, **kw):
-        base = dict(
-            alpha=self.alpha,
-            beta=self.beta,
-            mu=self.mu,
-            offset_a=self.offset_a,
-            offset_b=self.offset_b,
-        )
+        base = dict(alpha=self.alpha, beta=self.beta, mu=self.mu)
         base.update(kw)
         return ActionParams(**base)
 
@@ -311,13 +294,8 @@ def const_cocycle_check(A, params, omega, tol=1e-9):
 def apply_coordinate_change(params, mu1):
     """Precompose the action with X1 -> X1, X2 -> X2 + mu1*X1.
 
-    Composing changes adds the parameters.  Requires zero Y-offset: with a
-    nonzero offset the composed generator leaves this parametrization.
+    Composing changes adds the parameters.
     """
-    if any(x != 0 for x in params.offset_a):
-        raise DimensionMismatch(
-            "coordinate change undefined for nonzero Y-offset in this parametrization"
-        )
     return params.replace(mu=params.mu + mu1)
 
 
@@ -403,10 +381,7 @@ def const_cohomology_basis(A, params, tol=RANK_TOL):
     parameters are rational; otherwise floating point with pivot tolerance tol.
     """
     q, p, d = A.q, A.p, A.dim
-    exact = all(
-        _is_exact(x)
-        for x in (*params.alpha, *params.beta, params.mu, *params.offset_a, *params.offset_b)
-    )
+    exact = all(_is_exact(x) for x in (*params.alpha, *params.beta, params.mu))
     if any(x == 0 for x in params.x1_y):
         warnings.warn(
             "alpha has a zero component; constant-cohomology ranks may be degenerate",

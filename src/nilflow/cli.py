@@ -649,6 +649,8 @@ def _run_rigidity_step(p, outdir):
 
 
 def _run_cg_decay(p, outdir):
+    _require_positive(p, "n_max")
+    _require_positive(p, "length")
     corpus = nil_corpus(
         p["seed"], p["count"], p["degree"], p["n_max"], p["length"], p["decay"]
     )

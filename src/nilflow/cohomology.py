@@ -4,13 +4,14 @@ solver for cochains with vector-field coefficients.
 
 Everything is computed mode by mode: toral Fourier modes divide by the small
 divisors of the frequency vector, representation blocks divide by the central
-scalar or solve small banded systems in the Hermite basis.  Certificates read
-closed forms, the toral divisors and the exact spectral bottom
-(2 pi n beta)^2 / (1 + mu^2) of block n; truncated spectra are diagnostics.
+scalar.  Certificates read closed forms, the toral divisors and the exact
+spectral bottom (2 pi n beta)^2 / (1 + mu^2) of block n; truncated spectra
+are diagnostics.
 
 In block n the truncation of X1 is i rho times the Jacobi matrix of the
 Hermite nodes, up to a diagonal phase, and X2 = mu X1 + i c (`_block_scales`).
-Truncated spectra are therefore read off the nodes, and the leafwise
+So a cochain problem at mu is the mu = 0 problem for (f, g - mu f)
+(`_reduced`), truncated spectra are read off the nodes, and the leafwise
 Laplacian factors into two tridiagonal sweeps on X1's bands.
 """
 
@@ -98,32 +99,39 @@ def delta1(params, omega):
     return apply_X2(params, omega.f).sub(apply_X1(params, omega.g))
 
 
-def _central_scalar(params, n):
-    return 2j * math.pi * n * params.x2_z[0]
-
-
-def _oscillator_scale(y, n):
-    """rho = |(y1, 2 pi n y2)|: the truncation of y1*Y1 + y2*Y2 in block n is
-    i rho times the Jacobi matrix of the Hermite nodes, up to a diagonal
-    phase."""
-    return math.hypot(y[0], 2 * math.pi * n * y[1])
-
-
 def _block_scales(params, n):
-    """(rho, c) of block n: X1 has oscillator scale rho and X2 = mu X1 + i c
-    with c = 2 pi n beta.  Parameters where X2's Y-part is not mu X1's are
-    outside this closed form and refused."""
-    if params.x2_y != tuple(params.mu * a for a in params.x1_y):
-        raise ValueError("the closed form needs x2_y == mu * x1_y")
-    return _oscillator_scale(params.x1_y, n), 2 * math.pi * n * params.x2_z[0]
+    """(rho, c) of block n, elementwise for an array of n: the truncation of
+    X1 is i rho times the Jacobi matrix of the Hermite nodes, up to a
+    diagonal phase, with rho = |(alpha1, 2 pi n alpha2)|, and X2 = mu X1 + i c
+    with c = 2 pi n beta."""
+    rho = np.hypot(params.alpha[0], 2 * math.pi * n * params.alpha[1])
+    return rho, 2 * math.pi * n * params.beta[0]
+
+
+def _reduced(params, omega):
+    """The mu = 0 form of a cochain problem, as (params at mu = 0, cochain).
+    X2 - mu X1 is the central beta Z, so omega = (f, g) at mu and
+    (f, g - mu f) at mu = 0 have the same primitives and cocycle defect."""
+    if params.mu == 0:
+        return params, omega
+    return params.replace(mu=0), Cochain1(
+        omega.f, omega.g.sub(omega.f.scaled(params.mu))
+    )
 
 
 def _divide_central(params, F, toral=None):
-    """F's representation rows divided by their central scalars
-    2*pi*i*n*beta, on the given toral part."""
+    """F's representation rows divided by their central scalars i c, on the
+    given toral part.  At beta = 0 the rows have no inverse."""
     if not F.keys:
         return NilFunction(toral=toral)
-    return F._rows_like(toral, F.block / _central_scalar(params, F.ns[:, None]))
+    if params.beta[0] == 0:
+        n = int(F.ns[0])
+        raise Resonance(
+            "central parameter vanishes; no inverse on representation n=%d" % n,
+            mode=(n,),
+        )
+    _rho, c = _block_scales(params, F.ns[:, None])
+    return F._rows_like(toral, F.block / (1j * c))
 
 
 def _strip_average(f):
@@ -141,27 +149,12 @@ def _require_nonresonant(witnesses):
         )
 
 
-def _solve_x2_rep(params, n, g_vec):
-    """Solve the representation block of X2 h = g at central frequency n for
-    mu != 0: a banded system at the vector's own length.  The truncated X2 is
-    i (rho2 J + c) up to a diagonal phase, so its least singular value is
-    min_j |rho2 x_j + c| over the nodes x_j; rho2 = |mu| rho when x2_y =
-    mu x1_y."""
-    m = len(g_vec)
-    c = 2 * math.pi * n * params.x2_z[0]
-    rho2 = _oscillator_scale(params.x2_y, n)
-    if np.min(np.abs(rho2 * _hermite_nodes(m) + c)) <= 1e-10 * max(1.0, abs(c)):
-        raise Resonance("X2 nearly singular on representation n=%d" % n, mode=(n,))
-    mat = RepOperator(n, m, y=params.x2_y, z=params.x2_z[0]).matrix()
-    return np.linalg.solve(mat, np.asarray(g_vec, dtype=complex))
-
-
 def delta0_star(params, omega, witnesses=None, tol=1e-9):
     """Tame inverse of delta0 on cocycles with vanishing averages.
 
-    The toral part divides the first component by its small divisors; each
-    representation block inverts the scalar (or banded) action of the second
-    generator on the second component.
+    The toral part divides the first component by its small divisors.  The
+    rest goes to mu = 0 through (f, g - mu f) (`_reduced`), where each
+    representation block divides the second component by the central scalar.
     """
     _require_nonresonant(witnesses)
     scale = max(omega.norm(0.0), 1e-300)
@@ -177,33 +170,19 @@ def delta0_star(params, omega, witnesses=None, tol=1e-9):
         raise NonzeroAverage(
             "constant obstruction present", obstruction=(f_triv, g_triv)
         )
-    # the second generator acts on toral data as mu times the first, so the
-    # removable toral content of g is exactly mu * f
-    g0 = (
-        omega.g.toral
-        - TorusFunction.constant(2, g_triv)
-        - params.mu * (omega.f.toral - TorusFunction.constant(2, f_triv))
-    )
-    if float(np.max(np.abs(g0.block))) > tol * scale:
+    # the reduced second generator is central and kills toral data, so the
+    # toral part of the reduced second component is at most its average
+    _flat, reduced = _reduced(params, omega)
+    g0, _ = _strip_average(reduced.g)
+    if float(np.max(np.abs(g0.toral.block))) > tol * scale:
         raise NotACocycle(
             "toral part of the second component must vanish for a zero-average cocycle"
         )
     f0, _ = _strip_average(omega.f)
     toral = solve_small_divisor(params.x1_y, f0.toral, tol_avg=tol * scale)
-    if params.mu != 0:
-        h = NilFunction(
-            toral=toral,
-            reps={
-                (n, m): _solve_x2_rep(params, n, v)
-                for (n, m), v in omega.g.reps.items()
-            },
-        )
-    elif omega.g.keys and params.x2_z[0] == 0:
-        raise Resonance("central parameter vanishes; X2 has no inverse on reps")
-    else:
-        h = _divide_central(params, omega.g, toral)
-    # representation content of f with no matching g block would be dropped
-    # silently; treat it as a cocycle violation beyond tolerance
+    h = _divide_central(params, reduced.g, toral)
+    # a cocycle's f and g share their representation keys; f content beyond
+    # tolerance on a key absent from g is a cocycle violation
     g_keys = set(omega.g.keys)
     for (n, m), row in zip(omega.f.keys, omega.f.block):
         if (n, m) not in g_keys and float(np.max(np.abs(row))) > tol * scale:
@@ -226,20 +205,14 @@ def delta1_star_split(params, omega, witnesses=None, r=1.0, sigma=2.0):
     mu goes through the mu = 0 split of (f, g - mu f), with mu times the first
     error added back to the second.
     """
-    if params.mu == 0:
-        out, phi = _split_flat(params, omega, witnesses)
-    else:
-        base, _ = _split_flat(
-            params.replace(mu=0),
-            Cochain1(omega.f, omega.g.sub(omega.f.scaled(params.mu))),
-            witnesses,
-        )
+    out, phi = _split_flat(*_reduced(params, omega), witnesses)
+    if params.mu != 0:
         out = SplittingResult(
-            H=base.H,
-            f_err=base.f_err,
-            g_err=base.g_err.add(base.f_err.scaled(params.mu)),
-            f_triv=base.f_triv,
-            g_triv=base.g_triv + params.mu * base.f_triv,
+            H=out.H,
+            f_err=out.f_err,
+            g_err=out.g_err.add(out.f_err.scaled(params.mu)),
+            f_triv=out.f_triv,
+            g_triv=out.g_triv + params.mu * out.f_triv,
         )
         phi = delta1(params, omega)
     out.constants = _splitting_constants(omega, out, phi, r, sigma)
@@ -249,8 +222,7 @@ def delta1_star_split(params, omega, witnesses=None, r=1.0, sigma=2.0):
 def _split_flat(params, omega, witnesses):
     """The split at mu = 0, without constants; returns it with the cocycle
     defect it was built from."""
-    beta_eff = params.x2_z[0]
-    if beta_eff == 0:
+    if params.beta[0] == 0:
         raise Resonance("central parameter vanishes; no representation inverse")
     _require_nonresonant(witnesses)
 
@@ -439,7 +411,6 @@ def gh_certificate(params, N, M, K, witnesses=None):
     The verdict reads only these closed forms; truncated_min, the least trusted
     |eigenvalue| at truncation M, is a diagnostic.
     """
-    _block_scales(params, 1)  # refuses parameters outside the closed form
     report = {"convention": CONVENTION, "N": N, "M": M, "K": K}
     k_star, div = min_small_divisor(params.x1_y, K)
     toral_min = (2 * math.pi * div) ** 2
@@ -450,7 +421,7 @@ def gh_certificate(params, N, M, K, witnesses=None):
         toral["witness_bound"] = (2 * math.pi * wit.lower_bound(k_star)) ** 2
     report["toral"] = toral
 
-    beta = params.x2_z[0]
+    beta = params.beta[0]
     c = (2 * math.pi * beta) ** 2 / (1 + params.mu * params.mu)
     t = trusted_count(M)
     report["rep"] = [

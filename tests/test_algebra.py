@@ -202,12 +202,6 @@ def test_coordinate_change_generator_coefficients():
     assert out.generator(1) == params.generator(1)
 
 
-def test_coordinate_change_rejects_y_offset():
-    params = ActionParams(alpha=(1, PHI), beta=(0.5,), offset_a=(0.1, 0))
-    with pytest.raises(DimensionMismatch):
-        apply_coordinate_change(params, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # constant cohomology: dimension against an independent symbolic rank oracle
 

@@ -266,19 +266,26 @@ def test_solve_coboundary_nonzero_average_is_negative(tmp_path):
         ("gh-report", {"alpha": "1.0 %r 0.5" % PHI}, "ConfigTypeError"),
         ("kernel-dim", {"alpha": "1.0 %r 0.5" % PHI}, "ConfigTypeError"),
         ("spectrum", {"alpha": "1.0 %r 0.5" % PHI}, "ConfigTypeError"),
+        ("cg-decay", {"n_max": 0}, "ConfigTypeError"),
+        ("cg-decay", {"n_max": -1}, "ConfigTypeError"),
+        ("cg-decay", {"length": 0}, "ConfigTypeError"),
+        ("cg-decay", {"length": -1}, "ConfigTypeError"),
     ],
     ids=[
         "count0", "count-3", "degree-2", "split-count0", "split-count-3",
         "gh-report-N0", "gh-report-N1", "kernel-dim-N0", "spectrum-n_max0",
         "gh-report-alpha1", "kernel-dim-alpha1", "spectrum-alpha1",
         "gh-report-alpha3", "kernel-dim-alpha3", "spectrum-alpha3",
+        "cg-decay-n_max0", "cg-decay-n_max-1", "cg-decay-length0",
+        "cg-decay-length-1",
     ],
 )
 def test_solve_coboundary_rejects_empty_or_negative_sizes(tmp_path, sub, overrides, reason):
     # also covers the size and alpha-length checks of the other corpus and
     # representation-block subcommands
     cfg = tmp_path / "c.cfg"
-    entries = {"alpha": "1.0 %r" % PHI, **overrides}
+    base = {"alpha": "1.0 %r" % PHI} if "alpha" in SCHEMAS[sub] else {}
+    entries = {**base, **overrides}
     cfg.write_text("".join("%s = %s\n" % kv for kv in entries.items()))
     out = tmp_path / "out"
     assert main([sub, "--config", str(cfg), "--out", str(out)]) == 1

@@ -1,9 +1,10 @@
 """Every name the benchmark harness reaches into by name exists in the package.
 
 perfbench wraps the layer functions listed in its tracer, the thread pool and
-the toral constructor by attribute name, and its child process imports a few
-more for the Laplacian probe.  A rename in the package would otherwise show up
-only as a crashed benchmark run.
+the toral constructor by attribute name, its child process imports a few
+more for the Laplacian probe, and every workload op is a CLI config text.  A
+rename in the package or a schema change would otherwise show up only as a
+crashed benchmark run.
 """
 
 import importlib
@@ -17,16 +18,17 @@ from nilflow import _parallel, cli, torus
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
-def _tracer():
+def _load(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", os.path.join(PERFBENCH, "tracer.py")
+        "perfbench_" + name, os.path.join(PERFBENCH, name + ".py")
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TRACER = _tracer()
+TRACER = _load("tracer")
+WORKLOADS = _load("workloads")
 
 
 @pytest.mark.parametrize("module", sorted(TRACER.LAYERS))
@@ -59,3 +61,18 @@ def test_probe_imports_exist():
         mod = importlib.import_module("nilflow." + module)
         for attr in attrs:
             assert callable(getattr(mod, attr, None)), "nilflow.%s.%s" % (module, attr)
+
+
+@pytest.mark.parametrize("smoke", [False, True], ids=["full", "smoke"])
+@pytest.mark.parametrize("workload", sorted(WORKLOADS.WORKLOADS))
+def test_workload_configs_parse_against_the_schemas(tmp_path, workload, smoke):
+    workdir = str(tmp_path)
+    for op in WORKLOADS.WORKLOADS[workload](1, smoke):
+        config = cli.parse_config(op.config_text(workdir))
+        schema = cli.SCHEMAS[op.subcommand]
+        assert config.subcommand == op.subcommand
+        for key, value in op.params.items():
+            assert key in schema, "%s: %s" % (op.tag, key)
+            if value in op.files:
+                value = os.path.join(workdir, value)
+            assert config.params[key] == value, "%s: %s" % (op.tag, key)
