@@ -32,13 +32,7 @@ from .nilrep import (
     apply_X2,
     nil_sobolev_norm,
 )
-from .torus import (
-    TorusFunction,
-    _divisor_floor,
-    _freqs,
-    _quotient,
-    solve_small_divisor,
-)
+from .torus import TorusFunction, _divisors, solve_small_divisor
 
 __all__ = [
     "Cochain1",
@@ -178,8 +172,7 @@ def delta0_star(params, omega, witnesses=None, tol=1e-9):
         raise NotACocycle(
             "toral part of the second component must vanish for a zero-average cocycle"
         )
-    f0, _ = _strip_average(omega.f)
-    toral = solve_small_divisor(params.x1_y, f0.toral, tol_avg=tol * scale)
+    toral = solve_small_divisor(params.x1_y, omega.f.toral, tol_avg=math.inf)
     h = _divide_central(params, reduced.g, toral)
     # a cocycle's f and g share their representation keys; f content beyond
     # tolerance on a key absent from g is a cocycle violation
@@ -214,7 +207,6 @@ def delta1_star_split(params, omega, witnesses=None, r=1.0, sigma=2.0):
             f_triv=out.f_triv,
             g_triv=out.g_triv + params.mu * out.f_triv,
         )
-        phi = delta1(params, omega)
     out.constants = _splitting_constants(omega, out, phi, r, sigma)
     return out
 
@@ -227,9 +219,9 @@ def _split_flat(params, omega, witnesses):
     _require_nonresonant(witnesses)
 
     phi = delta1(params, omega)
-    f0, f_triv = _strip_average(omega.f)
+    f_triv = complex(omega.f.toral.average)
     g_triv = complex(omega.g.toral.average)
-    h0 = solve_small_divisor(params.x1_y, f0.toral, tol_avg=float("inf"))
+    h0 = solve_small_divisor(params.x1_y, omega.f.toral, tol_avg=math.inf)
     g_err_toral = omega.g.toral - TorusFunction.constant(2, g_triv)
 
     out = SplittingResult(
@@ -319,32 +311,21 @@ def _rep_laplacian_solve(params, n, v, tol):
 def laplacian_solve(params, source, witnesses=None, tol=1e-9):
     """Invert the leafwise Laplacian mode by mode.
 
-    Toral modes divide by -((2 pi k.x1)^2 + (2 pi k.x2)^2); each representation
-    block runs the two tridiagonal sweeps, enlarged until edge effects fall
-    below tolerance.
+    On toral modes the centre acts trivially and X2 = mu X1, so L is
+    (1 + mu^2) X1^2 and its inverse is the small-divisor solve applied twice
+    (Greenfield-Wallach); a mode with a resonant k.alpha raises Resonance.
+    Each representation block runs the two tridiagonal sweeps, enlarged
+    until edge effects fall below tolerance.  ``witnesses`` is unused; it
+    stays the third parameter because the benchmark's probe passes it by
+    position.
     """
     scale = max(nil_sobolev_norm(source, 0.0), 1e-300)
     avg = complex(source.toral.average)
     if abs(avg) > tol * scale:
         raise NonzeroAverage("constant obstruction present", obstruction=(avg,))
-    block = source.toral.block
-    D = source.toral.size
-    k0, k1 = ks = _freqs(2, D)
-    x1, x2 = [tuple(float(a) for a in x) for x in (params.x1_y, params.x2_y)]
-    d1 = 2 * math.pi * (k0 * x1[0] + k1 * x1[1])
-    d2 = 2 * math.pi * (k0 * x2[0] + k1 * x2[1])
-    support = block != 0
-    support[D, D] = False
-    floor = 2 * math.pi * _divisor_floor(ks, x1)
-    resonant = support & (np.abs(d1) <= floor) & (np.abs(d2) <= tol)
-    if resonant.any():
-        raise Resonance(
-            "toral mode resonates with both generators",
-            mode=tuple(int(i) - D for i in np.argwhere(resonant)[-1]),
-        )
-    toral = TorusFunction(
-        2, _quotient(-block, d1 * d1 + d2 * d2, support), real=source.toral.real
-    )
+    x1 = params.x1_y
+    once = solve_small_divisor(x1, source.toral, tol_avg=math.inf)
+    toral = solve_small_divisor(x1, once) * (1 / (1 + params.mu * params.mu))
     reps = {
         (n, m): _rep_laplacian_solve(params, n, v, tol)
         for (n, m), v in source.reps.items()
@@ -448,7 +429,8 @@ def gh_certificate(params, N, M, K, witnesses=None):
 
 def joint_kernel_dim(params, K, tol=1e-8):
     """Count toral modes with ||k||_inf <= K annihilated by both generators
-    within tol.
+    within tol: 2 pi |k.alpha| <= tol for X1 and |mu| 2 pi |k.alpha| <= tol
+    for X2 = mu X1, on the divisors of `torus._divisors`.
 
     The constant mode always qualifies; with valid parameters it is the only
     one, certifying unique ergodicity.  Representation blocks add nothing:
@@ -456,10 +438,9 @@ def joint_kernel_dim(params, K, tol=1e-8):
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    k0, k1 = _freqs(2, K)
-    d1 = 2 * math.pi * np.abs(k0 * params.x1_y[0] + k1 * params.x1_y[1])
-    d2 = 2 * math.pi * np.abs(k0 * params.x2_y[0] + k1 * params.x2_y[1])
-    return int(np.count_nonzero((d1 <= tol) & (d2 <= tol)))
+    ka, _floor = _divisors(tuple(float(a) for a in params.x1_y), K)
+    d1 = 2 * math.pi * np.abs(ka)
+    return int(np.count_nonzero((d1 <= tol) & (abs(params.mu) * d1 <= tol)))
 
 
 # --- cochains with vector-field coefficients --------------------------------

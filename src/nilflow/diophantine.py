@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
+# largest enumeration degree K of every witness
 ENUM_CAP = 512
 
 # dot products of integer vectors with O(1) reals: values at or below this
@@ -41,11 +42,11 @@ class DiophantineWitness:
         return self.C * float(np.linalg.norm(k)) ** (-self.gamma)
 
 
-def _integer_grid(n, K, cap):
+def _integer_grid(n, K):
     if K < 1:
         raise ValueError("K must be >= 1")
-    if K > cap:
-        raise ValueError("K = %d exceeds the enumeration cap %d" % (K, cap))
+    if K > ENUM_CAP:
+        raise ValueError("K = %d exceeds the enumeration cap %d" % (K, ENUM_CAP))
     if (2 * K + 1) ** n > 4e7:
         raise ValueError("enumeration too large for desk scale (n=%d, K=%d)" % (n, K))
     axes = [np.arange(-K, K + 1)] * n
@@ -68,13 +69,13 @@ def _canonical(k):
     return tuple(int(x) for x in k)
 
 
-def min_small_divisor(a, K, cap=ENUM_CAP):
+def min_small_divisor(a, K):
     """Exhaustive min of |a . k| over 0 < ||k||_inf <= K; returns (k*, value),
     the argmin and divisor of the gamma = 0 witness.
 
     Values below the dot-product roundoff floor are snapped to exact zero.
     """
-    wit = fit_witness(a, 0.0, K, cap)
+    wit = fit_witness(a, 0.0, K)
     return wit.argmin_k, wit.value
 
 
@@ -97,20 +98,20 @@ def _finish_witness(grid, vals, gamma, K, kind):
     )
 
 
-def fit_witness(a, gamma, K, cap=ENUM_CAP):
+def fit_witness(a, gamma, K):
     """Witness for the linear form |a . k| with exponent gamma up to frequency K."""
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     a = np.asarray(a, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise DimensionMismatch("a must be a nonempty vector")
-    grid = _integer_grid(a.size, K, cap)
+    grid = _integer_grid(a.size, K)
     vals = np.abs(grid @ a)
     vals[vals <= _snap_floor(np.abs(grid) @ np.abs(a))] = 0.0
     return _finish_witness(grid, vals, gamma, K, "linear-form")
 
 
-def simultaneous_witness(thetas, gamma, K, cap=ENUM_CAP):
+def simultaneous_witness(thetas, gamma, K):
     """Witness for max_i dist(m . theta_i, Z) over integer m, 0 < ||m||_inf <= K."""
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
@@ -119,7 +120,7 @@ def simultaneous_witness(thetas, gamma, K, cap=ENUM_CAP):
         T = T[:, None]
     if T.ndim != 2 or T.size == 0:
         raise DimensionMismatch("thetas must be a nonempty list of equal-length vectors")
-    grid = _integer_grid(T.shape[1], K, cap)
+    grid = _integer_grid(T.shape[1], K)
     dots = grid @ T.T  # (points, vectors)
     dist = np.abs(dots - np.round(dots))
     dist[dist <= _snap_floor(np.abs(grid) @ np.abs(T.T))] = 0.0

@@ -64,17 +64,14 @@ def _freqs(n, D):
     return tuple(_readonly(r.reshape((1,) * i + (-1,) + (1,) * (n - 1 - i))) for i in range(n))
 
 
-def _divisor_floor(k, alpha):
-    # |k.alpha| at or below roundoff of the dot product counts as resonant
-    return 8 * _EPS * sum(abs(ki * ai) for ki, ai in zip(k, alpha))
-
-
 @lru_cache(maxsize=64)
 def _divisors(alpha, D):
-    """k.alpha on the degree-D block and its resonance floor."""
+    """k.alpha on the degree-D block and its resonance floor: |k.alpha| at or
+    below roundoff of the dot product counts as resonant."""
     ks = _freqs(len(alpha), D)
     ka = sum(k * a for k, a in zip(ks, alpha))
-    return _readonly(ka), _readonly(_divisor_floor(ks, alpha))
+    floor = 8 * _EPS * sum(abs(k * a) for k, a in zip(ks, alpha))
+    return _readonly(ka), _readonly(floor)
 
 
 @lru_cache(maxsize=64)
@@ -446,10 +443,15 @@ def _check_invertible(U, J):
         raise NonInvertible("Jacobian sup-norm %.3g >= 1/2" % sup_j)
 
 
-def _grid_size(K_in, out_degree, grid_factor=4):
-    """Points per dimension of a composition grid: grid_factor per input mode
+# composition and verification grids sample at least this many points per
+# input mode and dimension
+_GRID_FACTOR = 4
+
+
+def _grid_size(K_in, out_degree):
+    """Points per dimension of a composition grid: _GRID_FACTOR per input mode
     and alias-free re-expansion up to out_degree."""
-    return max(grid_factor * K_in, 2 * out_degree + 2, 8)
+    return max(_GRID_FACTOR * K_in, 2 * out_degree + 2, 8)
 
 
 def _pulled_back(u, X, G, shift=0.0):
@@ -462,25 +464,26 @@ def _pulled_back(u, X, G, shift=0.0):
     return np.einsum("pij,pj->pi", Minv, shift + X.evaluate(pts + U)), Minv
 
 
-def pullback_field(u, X, out_degree=None, grid_factor=4):
+def pullback_field(u, X, out_degree=None):
     """Pull back the field X under the diffeomorphism id + u.
 
-    Pseudo-spectral: evaluates (I + Du)^-1 X(x + u(x)) on an equispaced grid
-    with at least ``grid_factor`` times the input degree points per dimension
-    and re-expands, keeping twice the input degree unless out_degree is given.
+    Pseudo-spectral: evaluates (I + Du)^-1 X(x + u(x)) on the equispaced grid
+    of `_grid_size`, at least _GRID_FACTOR points per input mode and
+    dimension, and re-expands, keeping twice the input degree unless
+    out_degree is given.
     """
     if u.n != X.n:
         raise DimensionMismatch("u and X live on different tori")
     K_in = max(u.degree, X.degree, 1)
     if out_degree is None:
         out_degree = 2 * K_in
-    G = _grid_size(K_in, out_degree, grid_factor)
+    G = _grid_size(K_in, out_degree)
     return _field_from_grid(_pulled_back(u, X, G)[0], G, out_degree)
 
 
-def _compose_displacement(u_new, u_acc, out_degree, grid_factor=4):
+def _compose_displacement(u_new, u_acc, out_degree):
     """Displacement of (id + u_acc) o (id + u_new): u_new + u_acc(x + u_new)."""
-    G = _grid_size(max(u_new.degree, u_acc.degree, 1), out_degree, grid_factor)
+    G = _grid_size(max(u_new.degree, u_acc.degree, 1), out_degree)
     pts = _grid_points(u_new.n, G)
     U_new = _grid_values(u_new, G)
     return _field_from_grid(U_new + u_acc.evaluate(pts + U_new), G, out_degree, _DROP)
@@ -594,12 +597,12 @@ def kam_step(state):
     )
 
 
-def verify_conjugacy(state, grid_factor=4):
+def verify_conjugacy(state):
     """Sup-norm distance, on a dense grid, between the pullback of the member
     field (omega - lambda_bar) + beta0 under id + u_acc and the target omega.
     Raises NonInvertible when id + u_acc is outside the invertibility region."""
     K_in = max(state.u_acc.degree, state.beta0.degree, 1)
-    G = max(grid_factor * K_in, 32) + 1  # off the dyadic grid used internally
+    G = max(_GRID_FACTOR * K_in, 32) + 1  # off the dyadic grid used internally
     omega = np.asarray(state.omega)
     vals, _ = _pulled_back(
         state.u_acc, state.beta0, G, omega - np.asarray(state.lambda_bar)
@@ -654,30 +657,20 @@ def kam_iterate(omega, beta, max_iter=10, floor=1e-12, trunc_degree=64):
     return state
 
 
-def birkhoff_average(alpha, f, x0, T, steps=1):
-    """Time average (1/T) int_0^T f(x0 + t alpha) dt, mode by mode in closed
-    form.  ``steps`` splits [0, T] into equal windows whose exact window
-    averages are combined; the result is independent of steps up to roundoff.
+def birkhoff_average(alpha, f, x0, T):
+    """Time average (1/T) int_0^T f(x0 + t alpha) dt in closed form: mode k
+    contributes c_k exp(2 pi i k.x0) expm1(z) / z with z = 2 pi i T k.alpha,
+    or c_k exp(2 pi i k.x0) where k.alpha is resonant (`_divisors`).
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     if T <= 0:
         raise ValueError("T must be positive")
     alpha = np.asarray(alpha, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     if alpha.shape != (f.n,) or x0.shape != (f.n,):
         raise DimensionMismatch("alpha and x0 must have length n")
-    dt = T / steps
-    total = 0j
-    for w in range(steps):
-        xw = x0 + (w * dt) * alpha
-        for k, c in f.coeffs.items():
-            ka = float(np.dot(k, alpha))
-            phase = c * np.exp(2j * np.pi * np.dot(k, xw))
-            if abs(ka) <= _divisor_floor(k, alpha):
-                total += phase
-            else:
-                z = 2j * np.pi * ka * dt
-                total += phase * (np.exp(z) - 1.0) / z
-    avg = total / steps
+    ka, floor = _divisors(tuple(alpha.tolist()), f.size)
+    kx = sum(k * x for k, x in zip(_freqs(f.n, f.size), x0))
+    z = 2j * np.pi * T * ka
+    window = np.divide(np.expm1(z), z, out=np.ones_like(z), where=np.abs(ka) > floor)
+    avg = np.sum(f.block * np.exp(2j * np.pi * kx) * window)
     return float(avg.real) if f.real else complex(avg)

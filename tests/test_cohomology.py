@@ -404,6 +404,58 @@ def test_laplacian_solve_refuses_zero_beta_before_any_size(monkeypatch, mu):
     assert err.value.mode == (-3,)
 
 
+def _toral_laplacian_reference(p, block, tol=1e-9):
+    # reference: the two-grid quotient laplacian_solve's toral block replaced,
+    # -c / (d1^2 + d2^2) with d_i = 2 pi k.x_i, and its resonance rule
+    D = len(block) // 2
+    r = np.arange(-D, D + 1)
+    k0, k1 = r[:, None], r[None, :]
+    d1 = 2 * math.pi * (k0 * p.x1_y[0] + k1 * p.x1_y[1])
+    d2 = 2 * math.pi * (k0 * p.x2_y[0] + k1 * p.x2_y[1])
+    support = block != 0
+    support[D, D] = False
+    eps = np.finfo(float).eps
+    floor = 2 * math.pi * 8 * eps * (np.abs(k0 * p.x1_y[0]) + np.abs(k1 * p.x1_y[1]))
+    resonant = support & (np.abs(d1) <= floor) & (np.abs(d2) <= tol)
+    if resonant.any():
+        return None, tuple(int(i) - D for i in np.argwhere(resonant)[-1])
+    out = np.zeros_like(block)
+    out[support] = -block[support] / (d1 * d1 + d2 * d2)[support]
+    return out, None
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("mu", [0.0, 0.7, -2.0])
+def test_laplacian_solve_toral_block_matches_the_two_grid_quotient(mu, real):
+    rng = np.random.default_rng(89)
+    D = 6
+    block = rng.standard_normal((2 * D + 1,) * 2) + 1j * rng.standard_normal((2 * D + 1,) * 2)
+    if real:
+        block = block + np.conj(np.flip(block))
+    block[D, D] = 0
+    source = NilFunction(toral=TorusFunction(2, block, real=real))
+    p = golden_params(beta=0.8, mu=mu)
+    ref, mode = _toral_laplacian_reference(p, source.toral.block)
+    assert mode is None
+    h = laplacian_solve(p, source)
+    assert h.toral.real == real
+    assert float(np.max(np.abs(h.toral.block - ref))) <= 1e-14 * float(np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.7, -2.0])
+def test_laplacian_solve_toral_resonance_matches_the_two_grid_rule(mu):
+    # at alpha = (1, 0.5) the modes +-(1, -2) and +-(2, -4) resonate; both
+    # rules report the last one in block order
+    coeffs = {(1, -2): 1.0, (-2, 4): 0.5, (2, -4): 0.25, (1, 1): 2.0}
+    source = NilFunction(toral=TorusFunction(2, coeffs))
+    p = golden_params(mu=mu, alpha=(1.0, 0.5))
+    _ref, mode = _toral_laplacian_reference(p, source.toral.block)
+    assert mode == (2, -4)
+    with pytest.raises(Resonance) as err:
+        laplacian_solve(p, source)
+    assert err.value.mode == mode
+
+
 def test_dual_route_splittings_agree():
     rng = np.random.default_rng(71)
     p = golden_params(beta=0.8)
@@ -557,6 +609,30 @@ def test_joint_kernel_degenerate_direction():
     count = joint_kernel_dim(p, K=K, tol=1e-8)
     assert count == 2 * K + 1
     assert count > 1
+
+
+def _joint_kernel_two_grids(p, K, tol):
+    # reference: the count joint_kernel_dim replaced, with a separate k.x2 grid
+    r = np.arange(-K, K + 1)
+    k0, k1 = r[:, None], r[None, :]
+    d1 = 2 * math.pi * np.abs(k0 * p.x1_y[0] + k1 * p.x1_y[1])
+    d2 = 2 * math.pi * np.abs(k0 * p.x2_y[0] + k1 * p.x2_y[1])
+    return int(np.count_nonzero((d1 <= tol) & (d2 <= tol)))
+
+
+@pytest.mark.parametrize("alpha", [(1.0, PHI), (1.0, 0.5), (1.0, 0.0), (0.3, 0.7)])
+def test_joint_kernel_matches_the_two_grid_count(alpha):
+    counts = set()
+    for mu in (0.0, 0.7, -2.0, 50.0):
+        for beta in (0.0, 1.0):
+            p = golden_params(beta=beta, mu=mu, alpha=alpha)
+            for K in (3, 12):
+                for tol in (1e-8, 1e-3, 0.5, 10.0):
+                    count = joint_kernel_dim(p, K, tol=tol)
+                    assert count == _joint_kernel_two_grids(p, K, tol), (mu, beta, K, tol)
+                    counts.add(count)
+    # the sweep reaches counts beyond the constant mode
+    assert len(counts) > 2
 
 
 def test_joint_kernel_validation():

@@ -63,6 +63,26 @@ def test_probe_imports_exist():
             assert callable(getattr(mod, attr, None)), "nilflow.%s.%s" % (module, attr)
 
 
+class _StubTracer:
+    """Stands in for the installed tracer: no wrapped layers, no counts."""
+
+    def __init__(self):
+        self.calls = {}
+        self.self_s = {}
+
+    def reset(self):
+        pass
+
+
+def test_laplacian_probe_runs_against_the_package():
+    # the probe runs only in traced passes; a change to laplacian_solve's call
+    # shape would otherwise surface only there
+    child = _load("child")
+    spec = WORKLOADS.laplacian_probe("rep-split", 1, True)
+    probe = child._probe(_StubTracer(), spec)
+    assert probe["cohomology.laplacian_solve.block_size"] > 0
+
+
 @pytest.mark.parametrize("smoke", [False, True], ids=["full", "smoke"])
 @pytest.mark.parametrize("workload", sorted(WORKLOADS.WORKLOADS))
 def test_workload_configs_parse_against_the_schemas(tmp_path, workload, smoke):

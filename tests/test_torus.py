@@ -367,15 +367,58 @@ def test_birkhoff_linear_and_window_invariant():
     left = birkhoff_average(GOLDEN, f + g, x0, T)
     right = birkhoff_average(GOLDEN, f, x0, T) + birkhoff_average(GOLDEN, g, x0, T)
     assert left == pytest.approx(right, abs=1e-13)
-    assert birkhoff_average(GOLDEN, f, x0, T, steps=7) == pytest.approx(
-        birkhoff_average(GOLDEN, f, x0, T, steps=1), abs=1e-12
-    )
+
+
+def _birkhoff_per_mode(alpha, f, x0, T):
+    # reference: the per-mode loop the block expression replaced
+    total = 0j
+    for k, c in f.coeffs.items():
+        ka = float(np.dot(k, alpha))
+        phase = c * np.exp(2j * np.pi * np.dot(k, x0))
+        floor = 8 * np.finfo(float).eps * sum(abs(ki * ai) for ki, ai in zip(k, alpha))
+        if abs(ka) <= floor:
+            total += phase
+        else:
+            z = 2j * np.pi * ka * T
+            total += phase * (np.exp(z) - 1.0) / z
+    return float(total.real) if f.real else complex(total)
+
+
+def _random_block_function(rng, n, D, real):
+    block = rng.standard_normal((2 * D + 1,) * n) + 1j * rng.standard_normal((2 * D + 1,) * n)
+    if real:
+        block = block + np.conj(np.flip(block))
+    return TorusFunction(n, block, real=real)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize(
+    "alpha, x0",
+    [(GOLDEN, (0.3, 0.8)), ((1.0, PHI, math.sqrt(2)), (0.1, 0.45, 0.9)), ((1.0, 0.5), (0.2, 0.6))],
+    ids=["golden-T2", "T3", "resonant-T2"],
+)
+def test_birkhoff_matches_the_per_mode_loop(alpha, x0, real):
+    rng = np.random.default_rng(23)
+    f = _random_block_function(rng, len(alpha), 3, real)
+    bound = 1e-12 * float(np.sum(np.abs(f.block)))
+    for T in (0.7, 50.0, 1e4):
+        avg = birkhoff_average(alpha, f, x0, T)
+        assert isinstance(avg, float) == real
+        assert abs(avg - _birkhoff_per_mode(alpha, f, x0, T)) <= bound
+
+
+def test_birkhoff_keeps_a_resonant_mode_whole():
+    # k.alpha = 0 for k = (1, -2) at alpha = (1, 0.5): the mode is constant
+    # along the flow, so its time average is its value at x0 for every T
+    f = TorusFunction(2, {(1, -2): 0.7 - 0.2j})
+    x0 = (0.2, 0.6)
+    value = (0.7 - 0.2j) * np.exp(2j * np.pi * (0.2 - 1.2))
+    for T in (0.7, 1e4):
+        assert birkhoff_average((1.0, 0.5), f, x0, T) == pytest.approx(value, abs=1e-15)
 
 
 def test_birkhoff_validates_arguments():
     f = TorusFunction.constant(2, 1.0)
-    with pytest.raises(ValueError):
-        birkhoff_average(GOLDEN, f, (0, 0), 10.0, steps=0)
     with pytest.raises(ValueError):
         birkhoff_average(GOLDEN, f, (0, 0), -1.0)
 
