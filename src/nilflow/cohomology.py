@@ -12,7 +12,9 @@ In block n the truncation of X1 is i rho times the Jacobi matrix of the
 Hermite nodes, up to a diagonal phase, and X2 = mu X1 + i c (`_block_scales`).
 So a cochain problem at mu is the mu = 0 problem for (f, g - mu f)
 (`_reduced`), truncated spectra are read off the nodes, and the leafwise
-Laplacian factors into two tridiagonal sweeps on X1's bands.
+Laplacian factors into two tridiagonal sweeps on X1's bands.  Both inverses
+of delta0 are that mu = 0 split (`_split_flat`), and beta enters it only in
+the central division, so beta = 0 is refused on representation rows alone.
 """
 
 import math
@@ -115,7 +117,7 @@ def _reduced(params, omega):
 
 def _divide_central(params, F, toral=None):
     """F's representation rows divided by their central scalars i c, on the
-    given toral part.  At beta = 0 the rows have no inverse."""
+    given toral part; the coboundary inverses' only refusal of beta = 0."""
     if not F.keys:
         return NilFunction(toral=toral)
     if params.beta[0] == 0:
@@ -135,45 +137,32 @@ def _strip_average(f):
     return f._rows_like(f.toral - TorusFunction.constant(2, avg), f.block), avg
 
 
-def _require_nonresonant(witnesses):
-    wit = (witnesses or {}).get("alpha")
-    if wit is not None and not wit.valid:
-        raise Resonance(
-            "frequency vector admits an exact resonance", mode=tuple(wit.argmin_k)
-        )
-
-
 def delta0_star(params, omega, witnesses=None, tol=1e-9):
-    """Tame inverse of delta0 on cocycles with vanishing averages.
-
-    The toral part divides the first component by its small divisors.  The
-    rest goes to mu = 0 through (f, g - mu f) (`_reduced`), where each
-    representation block divides the second component by the central scalar.
+    """Tame inverse of delta0 on cocycles with vanishing averages: the H of
+    the mu = 0 split of (f, g - mu f) (`_reduced`, `_split_flat`), returned
+    once the split's cocycle defect and toral error, and omega's averages,
+    are below tolerance.
     """
-    _require_nonresonant(witnesses)
+    out, phi = _split_flat(*_reduced(params, omega), witnesses)
     scale = max(omega.norm(0.0), 1e-300)
-    defect = delta1(params, omega)
-    if nil_sobolev_norm(defect, 0.0) > tol * scale:
+    defect = nil_sobolev_norm(phi, 0.0)
+    if defect > tol * scale:
         raise NotACocycle(
             "cochain is not a cocycle: |delta1| = %.3e exceeds %.3e"
-            % (nil_sobolev_norm(defect, 0.0), tol * scale)
+            % (defect, tol * scale)
         )
-    f_triv = complex(omega.f.toral.average)
-    g_triv = complex(omega.g.toral.average)
-    if max(abs(f_triv), abs(g_triv)) > tol * scale:
+    f_avg = complex(omega.f.toral.average)
+    g_avg = complex(omega.g.toral.average)
+    if max(abs(f_avg), abs(g_avg)) > tol * scale:
         raise NonzeroAverage(
-            "constant obstruction present", obstruction=(f_triv, g_triv)
+            "constant obstruction present", obstruction=(f_avg, g_avg)
         )
-    # the reduced second generator is central and kills toral data, so the
-    # toral part of the reduced second component is at most its average
-    _flat, reduced = _reduced(params, omega)
-    g0, _ = _strip_average(reduced.g)
-    if float(np.max(np.abs(g0.toral.block))) > tol * scale:
+    # the reduced second generator is central and kills toral data, so on a
+    # cocycle the reduced g is constant on the torus and the toral error is 0
+    if float(np.max(np.abs(out.g_err.toral.block))) > tol * scale:
         raise NotACocycle(
             "toral part of the second component must vanish for a zero-average cocycle"
         )
-    toral = solve_small_divisor(params.x1_y, omega.f.toral, tol_avg=math.inf)
-    h = _divide_central(params, reduced.g, toral)
     # a cocycle's f and g share their representation keys; f content beyond
     # tolerance on a key absent from g is a cocycle violation
     g_keys = set(omega.g.keys)
@@ -183,7 +172,7 @@ def delta0_star(params, omega, witnesses=None, tol=1e-9):
                 "first component carries representation (%d, %d) absent from the second"
                 % (n, m)
             )
-    return h
+    return out.H
 
 
 def delta1_star_split(params, omega, witnesses=None, r=1.0, sigma=2.0):
@@ -214,9 +203,11 @@ def delta1_star_split(params, omega, witnesses=None, r=1.0, sigma=2.0):
 def _split_flat(params, omega, witnesses):
     """The split at mu = 0, without constants; returns it with the cocycle
     defect it was built from."""
-    if params.beta[0] == 0:
-        raise Resonance("central parameter vanishes; no representation inverse")
-    _require_nonresonant(witnesses)
+    wit = (witnesses or {}).get("alpha")
+    if wit is not None and not wit.valid:
+        raise Resonance(
+            "frequency vector admits an exact resonance", mode=tuple(wit.argmin_k)
+        )
 
     phi = delta1(params, omega)
     f_triv = complex(omega.f.toral.average)
@@ -341,12 +332,9 @@ def split_via_laplacian(params, omega, witnesses=None, r=1.0, sigma=2.0, tol=1e-
     the two error pairs differ by a coboundary plus constants.
     """
     phi = delta1(params, omega)
-    if phi.is_zero():
-        h = NilFunction()
-    else:
-        # the corrected pair must pass the cocycle gate below, so the solve
-        # target sits well under tol
-        h = laplacian_solve(params, phi, witnesses, tol=1e-4 * tol)
+    # the corrected pair must pass the cocycle gate below, so the solve
+    # target sits well under tol
+    h = laplacian_solve(params, phi, witnesses, tol=1e-4 * tol)
     f_err = apply_X2(params, h)
     g_err = apply_X1(params, h).scaled(-1.0)
     f0, f_triv = _strip_average(omega.f.sub(f_err))
@@ -436,6 +424,8 @@ def joint_kernel_dim(params, K, tol=1e-8):
     one, certifying unique ergodicity.  Representation blocks add nothing:
     there X1 is a first-order operator with no L^2 kernel, for every beta.
     """
+    if K < 1:
+        raise ValueError("K must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
     ka, _floor = _divisors(tuple(float(a) for a in params.x1_y), K)

@@ -27,7 +27,13 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyCorpus, FormatError
-from .torus import TorusFunction, _readonly, directional_derivative, sobolev_norm
+from .torus import (
+    TorusFunction,
+    _readonly,
+    _require_size,
+    directional_derivative,
+    sobolev_norm,
+)
 
 __all__ = [
     "NilFunction",
@@ -67,6 +73,7 @@ def _ladder(size):
 def _hermite_nodes(size):
     """The Gauss-Hermite nodes of order `size`, ascending and read-only: the
     eigenvalues of the real symmetric Jacobi matrix of the ladder."""
+    _require_size(size, 2, "Hermite truncation")
     r = _ladder(size)
     return _readonly(np.linalg.eigvalsh(np.diag(r, 1) + np.diag(r, -1)))
 

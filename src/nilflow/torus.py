@@ -68,6 +68,7 @@ def _freqs(n, D):
 def _divisors(alpha, D):
     """k.alpha on the degree-D block and its resonance floor: |k.alpha| at or
     below roundoff of the dot product counts as resonant."""
+    _require_size(2 * D + 1, len(alpha), "divisor block")
     ks = _freqs(len(alpha), D)
     ka = sum(k * a for k, a in zip(ks, alpha))
     floor = 8 * _EPS * sum(abs(k * a) for k, a in zip(ks, alpha))

@@ -259,6 +259,8 @@ def test_solve_coboundary_nonzero_average_is_negative(tmp_path):
         ("gh-report", {"N": 0}, "ConfigTypeError"),
         ("gh-report", {"N": 1}, "ConfigTypeError"),
         ("kernel-dim", {"N": 0}, "ConfigTypeError"),
+        ("kernel-dim", {"K": 0}, "ValueError"),
+        ("kernel-dim", {"K": -1}, "ValueError"),
         ("spectrum", {"n_max": 0}, "ConfigTypeError"),
         ("gh-report", {"alpha": "1.0"}, "ConfigTypeError"),
         ("kernel-dim", {"alpha": "1.0"}, "ConfigTypeError"),
@@ -273,7 +275,8 @@ def test_solve_coboundary_nonzero_average_is_negative(tmp_path):
     ],
     ids=[
         "count0", "count-3", "degree-2", "split-count0", "split-count-3",
-        "gh-report-N0", "gh-report-N1", "kernel-dim-N0", "spectrum-n_max0",
+        "gh-report-N0", "gh-report-N1", "kernel-dim-N0", "kernel-dim-K0",
+        "kernel-dim-K-1", "spectrum-n_max0",
         "gh-report-alpha1", "kernel-dim-alpha1", "spectrum-alpha1",
         "gh-report-alpha3", "kernel-dim-alpha3", "spectrum-alpha3",
         "cg-decay-n_max0", "cg-decay-n_max-1", "cg-decay-length0",
@@ -319,10 +322,15 @@ def test_nonfinite_floats_are_config_type_errors(tmp_path, capsys, sub, text):
     [
         ("kam", {"omega": (1.0, PHI), "K": 100000}),
         ("solve-coboundary", {"alpha": (1.0, PHI), "degree": 100000}),
+        # a dense M x M Hermite node matrix at M = 100000 would take 74.5 GiB
+        ("spectrum", {"alpha": (1.0, PHI), "n_max": 2, "M": 100000}),
+        ("gh-report", {"alpha": (1.0, PHI), "N": 2, "M": 100000}),
     ],
-    ids=["kam", "solve-coboundary"],
+    ids=["kam", "solve-coboundary", "spectrum-M", "gh-report-M"],
 )
-def test_oversized_grid_or_block_is_refused_before_allocation(tmp_path, sub, overrides):
+def test_oversized_grid_or_block_is_refused_before_allocation(
+    tmp_path, capsys, sub, overrides
+):
     cfg = make_config(sub, tmp_path, **overrides)
     tracemalloc.start()
     try:
@@ -333,6 +341,7 @@ def test_oversized_grid_or_block_is_refused_before_allocation(tmp_path, sub, ove
     assert status == 1
     rec = read_summary(tmp_path)[0]
     assert (rec["verdict"], rec["reason"]) == ("error", "DimensionMismatch")
+    assert "Traceback" not in capsys.readouterr().err
     assert peak < 32 * 2**20
 
 
@@ -456,6 +465,21 @@ def test_rigidity_step_generated(tmp_path):
     assert rec["residual_norm"] < 1e-2 * rec["input_norm"]
     names = [r[0] for r in read_csv(tmp_path, "coordinates.csv")[1:]]
     assert names == ["mu1", "lam0", "lam1", "lam2", "residual_norm", "input_norm"]
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3])
+def test_rigidity_step_at_zero_beta_matches_nonzero_beta(tmp_path, mu):
+    # a generated perturbation is toral, where beta never enters the inverses
+    digests = []
+    for beta in (0.0, 1.0):
+        out = tmp_path / str(beta)
+        cfg = make_config(
+            "rigidity-step", out, alpha=(1.0, PHI), beta=beta, mu=mu, seed=4,
+            cutoff=3.0,
+        )
+        assert run(cfg) == 0
+        digests.append((_digest(out / "coordinates.csv"), _digest(out / "summary.jsonl")))
+    assert digests[0] == digests[1]
 
 
 def test_rigidity_step_threshold_negative(tmp_path):

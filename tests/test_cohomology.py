@@ -133,10 +133,13 @@ def test_delta0_star_zero():
     assert h.is_zero()
 
 
-def test_delta0_star_constant_obstruction():
+@pytest.mark.parametrize("mu", [0.0, 0.5])
+def test_delta0_star_constant_obstruction(mu):
+    # the obstruction is the input's own averages, not those of the reduced
+    # pair (f, g - mu f)
     w = Cochain1(NilFunction.constant(0.5), NilFunction.constant(-0.25))
     with pytest.raises(NonzeroAverage) as exc:
-        delta0_star(golden_params(), w)
+        delta0_star(golden_params(mu=mu), w)
     assert exc.value.obstruction == (0.5, -0.25)
 
 
@@ -174,6 +177,16 @@ def test_delta0_star_rejects_toral_second_component():
     g = NilFunction(toral=TorusFunction(2, {(1, -2): 1.0}))
     with pytest.raises(NotACocycle):
         delta0_star(p, Cochain1(NilFunction(), g))
+
+
+def test_delta0_star_refuses_a_first_component_key_absent_from_the_second():
+    # the defect 2 pi beta |f| is under tol, so only the key check can refuse
+    p = golden_params(beta=1e-12)
+    f = NilFunction(reps={(1, 0): np.array([1.0, 0.5, 0.25])})
+    w = Cochain1(f, NilFunction())
+    assert nil_sobolev_norm(delta1(p, w), 0.0) < 1e-9 * w.norm(0.0)
+    with pytest.raises(NotACocycle, match="absent from the second"):
+        delta0_star(p, w)
 
 
 def test_delta0_star_witness_gate():
@@ -217,6 +230,49 @@ def test_delta0_star_divides_by_the_central_scalar(monkeypatch, mu, rep_len):
 
 # ---------------------------------------------------------------------------
 # splitting
+
+
+def _toral_cochain(rng):
+    def toral(degree):
+        coeffs = {}
+        for _ in range(6):
+            k = tuple(int(x) for x in rng.integers(-degree, degree + 1, size=2))
+            coeffs[k] = rng.standard_normal() + 1j * rng.standard_normal()
+        return NilFunction(toral=TorusFunction(2, coeffs))
+
+    return Cochain1(toral(4), toral(3))
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.7, -2.0])
+def test_split_of_toral_data_does_not_read_beta(mu):
+    # beta enters only the central division of representation rows, so a
+    # toral cochain splits bit for bit alike at beta = 0 and beta = 1
+    w = _toral_cochain(np.random.default_rng(67))
+    zero = delta1_star_split(golden_params(beta=0.0, mu=mu), w, golden_witnesses())
+    one = delta1_star_split(golden_params(beta=1.0, mu=mu), w, golden_witnesses())
+    for a, b in ((zero.H, one.H), (zero.f_err, one.f_err), (zero.g_err, one.g_err)):
+        assert not a.keys and not b.keys
+        assert np.array_equal(a.toral.block, b.toral.block)
+    assert (zero.f_triv, zero.g_triv) == (one.f_triv, one.g_triv)
+    assert zero.constants == one.constants
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.7])
+@pytest.mark.parametrize("in_g", [True, False])
+def test_zero_beta_is_refused_on_a_representation_row(mu, in_g):
+    # one row, in g or only in f (then in the defect): both inverses refuse
+    # it through the central division and name its block
+    p = golden_params(beta=0.0, mu=mu)
+    row = {(3, 0): np.array([1.0, -0.5, 0.25])}
+    toral = TorusFunction(2, {(1, -2): 0.5, (2, 1): 1j})
+    if in_g:
+        w = Cochain1(NilFunction(toral=toral), NilFunction(reps=row))
+    else:
+        w = Cochain1(NilFunction(toral=toral, reps=row), NilFunction())
+    for inverse in (delta1_star_split, delta0_star):
+        with pytest.raises(Resonance) as err:
+            inverse(p, w)
+        assert err.value.mode == (3,)
 
 
 def test_split_of_cocycle_has_no_error_part():
@@ -548,6 +604,10 @@ def test_rep_spectrum_validation():
         rep_spectrum(golden_params(), 0, 32)
     with pytest.raises(ValueError):
         rep_spectrum(golden_params(), 1, 8)
+    # the dense node matrix is M x M; 6325^2 is past the 4e7-entry cap
+    for M in (6325, 100000):
+        with pytest.raises(DimensionMismatch, match="Hermite truncation too large"):
+            rep_spectrum(golden_params(), 1, M)
 
 
 def test_gh_certificate_golden_certified():
@@ -638,6 +698,9 @@ def test_joint_kernel_matches_the_two_grid_count(alpha):
 def test_joint_kernel_validation():
     with pytest.raises(ValueError):
         joint_kernel_dim(golden_params(), 4, tol=0.0)
+    for K in (0, -1):
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            joint_kernel_dim(golden_params(), K)
 
 
 # ---------------------------------------------------------------------------

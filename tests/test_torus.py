@@ -7,6 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from nilflow.algebra import ActionParams
+from nilflow.cohomology import joint_kernel_dim
 from nilflow.errors import (
     DimensionMismatch,
     EmptyCorpus,
@@ -500,6 +502,9 @@ def test_oversized_block_is_refused():
     try:
         with pytest.raises(DimensionMismatch, match="too large"):
             f.grid_values(10**5)
+        # the kernel count reads a (2K+1)^2 divisor block
+        with pytest.raises(DimensionMismatch, match="divisor block too large"):
+            joint_kernel_dim(ActionParams(GOLDEN, (1.0,)), K=4000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
