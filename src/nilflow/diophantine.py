@@ -1,10 +1,16 @@
 """Finite-frequency witnesses for small-divisor lower bounds.
 
 A witness records C = min |divisor(k)| * ||k||^gamma over nonzero integer
-vectors with sup norm at most K, by exhaustive enumeration.  The norm in the
-product is Euclidean; the enumeration bound is the sup norm; both conventions
-are recorded on the witness.  These are desk-scale certificates up to K, not
-proofs of Diophantineness.
+vectors with sup norm at most K.  The minimum is exact.  The simultaneous
+witness scores the whole (2K+1)^n box.  The linear form |a . k| first scores
+a box one dimension smaller: with j = argmax |a_j|, each k' off axis j keeps
+only the four k_j nearest the root -a'.k'/a_j, and every other k has
+|a . k| >= |a_j|.  A candidate minimum below |a_j|/2 is therefore the
+minimum over the whole box, with the same argmin; otherwise (a_j = 0, n = 1,
+tiny K, or |a_j| under the roundoff floor) the whole box answers.  The norm
+in the product is Euclidean; the enumeration bound is the sup norm; both
+conventions are recorded on the witness.  These are desk-scale certificates
+up to K, not proofs of Diophantineness.
 """
 
 from dataclasses import dataclass
@@ -37,22 +43,51 @@ class DiophantineWitness:
         return self.C > 0
 
     def lower_bound(self, k):
-        """Certified bound |divisor(k)| >= C * ||k||^-gamma for ||k||_inf <= K."""
+        """Certified bound |divisor(k)| >= C * ||k||^-gamma for 0 < ||k||_inf <= K."""
         k = np.asarray(k, dtype=float)
+        if not 0 < np.abs(k).max(initial=0.0) <= self.K:
+            raise ValueError("the witness bounds only 0 < ||k||_inf <= K = %d" % self.K)
         return self.C * float(np.linalg.norm(k)) ** (-self.gamma)
 
 
-def _integer_grid(n, K):
+def _require_finite(x, name):
+    if not np.all(np.isfinite(x)):
+        raise ValueError("%s must be finite" % name)
+
+
+def _check_box(n, K):
     if K < 1:
         raise ValueError("K must be >= 1")
     if K > ENUM_CAP:
         raise ValueError("K = %d exceeds the enumeration cap %d" % (K, ENUM_CAP))
     if (2 * K + 1) ** n > 4e7:
         raise ValueError("enumeration too large for desk scale (n=%d, K=%d)" % (n, K))
+
+
+def _box(n, K):
+    # all of {-K..K}^n, zero included, in lexicographic order
     axes = [np.arange(-K, K + 1)] * n
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+
+
+def _integer_grid(n, K):
+    _check_box(n, K)
+    grid = _box(n, K)
     keep = np.any(grid != 0, axis=1)
     return grid[keep]
+
+
+def _reduced_grid(a, j, K):
+    # k_j in floor(root) + {-1, 0, 1, 2} contains both integers next to the
+    # root -a'.k'/a_j even when roundoff moves the floor by one
+    rest = np.delete(a, j)
+    other = _box(a.size - 1, K)
+    near = np.floor(-(other @ rest) / a[j]).astype(np.int64)
+    kj = (near[:, None] + np.arange(-1, 3)).ravel()
+    grid = np.insert(np.repeat(other, 4, axis=0), j, kj, axis=1)
+    keep = (np.abs(kj) <= K) & np.any(grid != 0, axis=1)
+    grid = grid[keep]
+    return grid[np.lexsort(grid.T[::-1])]
 
 
 def _snap_floor(values_scale):
@@ -70,8 +105,9 @@ def _canonical(k):
 
 
 def min_small_divisor(a, K):
-    """Exhaustive min of |a . k| over 0 < ||k||_inf <= K; returns (k*, value),
-    the argmin and divisor of the gamma = 0 witness.
+    """Exact min of |a . k| over 0 < ||k||_inf <= K; returns (k*, value),
+    the argmin and divisor of the gamma = 0 witness.  It reads the reduced
+    enumeration of fit_witness, and the whole box only where that falls back.
 
     Values below the dot-product roundoff floor are snapped to exact zero.
     """
@@ -98,28 +134,45 @@ def _finish_witness(grid, vals, gamma, K, kind):
     )
 
 
+def _linear_form_witness(grid, a, gamma, K):
+    vals = np.abs(grid @ a)
+    vals[vals <= _snap_floor(np.abs(grid) @ np.abs(a))] = 0.0
+    return _finish_witness(grid, vals, gamma, K, "linear-form")
+
+
 def fit_witness(a, gamma, K):
     """Witness for the linear form |a . k| with exponent gamma up to frequency K."""
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
+    _require_finite(gamma, "gamma")
     a = np.asarray(a, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise DimensionMismatch("a must be a nonempty vector")
-    grid = _integer_grid(a.size, K)
-    vals = np.abs(grid @ a)
-    vals[vals <= _snap_floor(np.abs(grid) @ np.abs(a))] = 0.0
-    return _finish_witness(grid, vals, gamma, K, "linear-form")
+    _require_finite(a, "a")
+    _check_box(a.size, K)
+    j = int(np.argmax(np.abs(a)))
+    bound = abs(float(a[j])) / 2
+    # points off the reduced grid score at least |a_j| > bound, and the bound
+    # clears their snap floor, so none of them is snapped into a tie; a bound
+    # of 0 or a box whose dot products overflow reads the whole box
+    if a.size > 1 and bound > _snap_floor(2 * bound * K * a.size):
+        wit = _linear_form_witness(_reduced_grid(a, j, K), a, gamma, K)
+        if wit.C < bound:
+            return wit
+    return _linear_form_witness(_integer_grid(a.size, K), a, gamma, K)
 
 
 def simultaneous_witness(thetas, gamma, K):
     """Witness for max_i dist(m . theta_i, Z) over integer m, 0 < ||m||_inf <= K."""
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
+    _require_finite(gamma, "gamma")
     T = np.asarray(thetas, dtype=float)
     if T.ndim == 1:
         T = T[:, None]
     if T.ndim != 2 or T.size == 0:
         raise DimensionMismatch("thetas must be a nonempty list of equal-length vectors")
+    _require_finite(T, "thetas")
     grid = _integer_grid(T.shape[1], K)
     dots = grid @ T.T  # (points, vectors)
     dist = np.abs(dots - np.round(dots))

@@ -1,10 +1,13 @@
-"""Small-divisor witnesses: exhaustive minima, scaling, and frozen constants.
+"""Small-divisor witnesses: exact minima, scaling, and frozen constants.
 
 Expected constants come from an independent plain-loop enumeration kept in
-comments next to each assertion.
+comments next to each assertion.  The reduced linear-form enumeration is
+checked against the whole-box enumeration kept here as an oracle.
 """
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +18,8 @@ from nilflow import (
     min_small_divisor,
     simultaneous_witness,
 )
+from nilflow import diophantine
+from nilflow.diophantine import _finish_witness, _snap_floor
 from nilflow.errors import DimensionMismatch
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -181,3 +186,120 @@ def test_witness_dataclass_validity_flag():
     assert DiophantineWitness(
         C=0.5, gamma=1.0, K=5, kind="linear-form", argmin_k=(1, 1), value=0.5
     ).valid
+
+
+def _full_box_witness(a, gamma, K):
+    # the whole (2K+1)^n box in lexicographic order, scored as fit_witness scores
+    a = np.asarray(a, dtype=float)
+    axes = [np.arange(-K, K + 1)] * a.size
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, a.size)
+    grid = grid[np.any(grid != 0, axis=1)]
+    vals = np.abs(grid @ a)
+    vals[vals <= _snap_floor(np.abs(grid) @ np.abs(a))] = 0.0
+    return _finish_witness(grid, vals, gamma, K, "linear-form")
+
+
+_ORACLE_K = {2: (1, 2, 7, 40), 3: (1, 3, 12), 4: (1, 2, 5)}
+
+
+def _oracle_vectors(n, rng):
+    yield rng.normal(size=n)  # generic
+    yield rng.integers(-5, 6, n) * rng.normal()  # rationally dependent
+    yield rng.integers(-8, 9, n) / 4  # quarter grid: exact resonances
+    yield rng.integers(-9, 10, n) / 10  # tenths: resonances only the snap finds
+    yield rng.normal(size=n) * (np.arange(n) % 2)  # zero entries
+    yield -np.abs(rng.normal(size=n))  # all negative
+    yield np.full(n, rng.normal())  # equal entries: argmins tie beyond +-k
+    yield np.zeros(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_reduced_enumeration_matches_full_box(n):
+    rng = np.random.default_rng(100 + n)
+    resonant = 0
+    for a in _oracle_vectors(n, rng):
+        for K in _ORACLE_K[n]:
+            for gamma in (0.0, 0.5, 1.0, 2.0):
+                w = fit_witness(a, gamma, K)
+                assert w == _full_box_witness(a, gamma, K), (a, gamma, K)
+                resonant += not w.valid
+    assert resonant > 0  # the C = 0 cases were reached
+
+
+def test_reduced_enumeration_falls_back_to_full_box(monkeypatch):
+    calls = []
+    full = diophantine._integer_grid
+
+    def counted(n, K):
+        calls.append((n, K))
+        return full(n, K)
+
+    monkeypatch.setattr(diophantine, "_integer_grid", counted)
+    # the candidate minimum 0.5 at (0, 1) is not below |a_j|/2 = 0.5
+    w = fit_witness((1, 0.5), 1.0, 1)
+    assert w == _full_box_witness((1, 0.5), 1.0, 1)
+    assert (w.argmin_k, w.C) == ((0, 1), 0.5)
+    assert calls == [(2, 1)]
+    # the reduced grid answers at K = 2, where the resonance (1, -2) appears
+    assert fit_witness((1, 0.5), 1.0, 2).argmin_k == (1, -2)
+    assert calls == [(2, 1)]
+    # n = 1 and the zero vector always read the whole box
+    fit_witness((2.5,), 1.0, 5)
+    fit_witness((0.0, 0.0, 0.0), 1.0, 3)
+    assert calls == [(2, 1), (1, 5), (3, 3)]
+
+
+def test_reduced_enumeration_stays_small():
+    tracemalloc.start()
+    try:
+        w = fit_witness((1, math.sqrt(2), math.sqrt(3)), 1.0, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole 129^3 box takes about 200 MB
+    assert peak < 16 * 2**20
+    # whole-box oracle: C = 0.002334506186756097 at +-(1, -35, 28)
+    assert w.argmin_k == (1, -35, 28)
+    assert w.C == pytest.approx(0.002334506186756097, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "a, K, match",
+    [((1, PHI, 2.0, 3.0), 64, "too large"), ((1, PHI), 513, "enumeration cap")],
+)
+def test_enumeration_refusals_fire_before_allocation(a, K, match):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=match):
+            fit_witness(a, 1.0, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_is_refused(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            fit_witness((1.0, bad), 1.0, 8)
+        with pytest.raises(ValueError, match="finite"):
+            min_small_divisor((bad, 1.0, 2.0), 8)
+        with pytest.raises(ValueError, match="finite"):
+            simultaneous_witness([(bad,)], 1.0, 8)
+        with pytest.raises(ValueError, match="finite"):
+            simultaneous_witness([(PHI, 0.5), (1.0, bad)], 1.0, 8)
+        with pytest.raises(ValueError, match="finite"):
+            fit_witness((1.0, PHI), abs(bad), 8)
+        with pytest.raises(ValueError, match="finite"):
+            simultaneous_witness([(PHI,)], abs(bad), 8)
+
+
+def test_lower_bound_is_refused_outside_the_certified_range():
+    for gamma in (0.0, 1.0):
+        w = fit_witness((1, PHI), gamma, 8)
+        assert w.lower_bound((8, -3)) == pytest.approx(w.C * math.hypot(8, -3) ** -gamma, rel=1e-15)
+        for k in ((0, 0), (100, 0), (0, -9), (math.nan, 1)):
+            with pytest.raises(ValueError, match="K = 8"):
+                w.lower_bound(k)
