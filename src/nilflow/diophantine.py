@@ -2,12 +2,13 @@
 
 A witness records C = min |divisor(k)| * ||k||^gamma over nonzero integer
 vectors with sup norm at most K.  The minimum is exact.  The simultaneous
-witness scores the whole (2K+1)^n box.  The linear form |a . k| first scores
-a box one dimension smaller: with j = argmax |a_j|, each k' off axis j keeps
-only the four k_j nearest the root -a'.k'/a_j, and every other k has
-|a . k| >= |a_j|.  A candidate minimum below |a_j|/2 is therefore the
-minimum over the whole box, with the same argmin; otherwise (a_j = 0, n = 1,
-tiny K, or |a_j| under the roundoff floor) the whole box answers.  The norm
+witness scores the whole (2K+1)^n box.  The linear form |a . k| scores a box
+one dimension smaller: with j = argmax |a_j|, each k' off axis j keeps only
+the four k_j nearest the root -a'.k'/a_j.  Every other k has
+|a . k| >= (2 - roundoff)|a_j|, while the kept unit vectors e_i (i != j)
+score |a_i| <= |a_j|, so the reduced minimum is the minimum over the whole
+box, with the same argmin.  The whole box answers only where that argument
+fails: n = 1, a_j = 0, or |a_j| under the roundoff floor.  The norm
 in the product is Euclidean; the enumeration bound is the sup norm; both
 conventions are recorded on the witness.  These are desk-scale certificates
 up to K, not proofs of Diophantineness.
@@ -78,8 +79,8 @@ def _integer_grid(n, K):
 
 
 def _reduced_grid(a, j, K):
-    # k_j in floor(root) + {-1, 0, 1, 2} contains both integers next to the
-    # root -a'.k'/a_j even when roundoff moves the floor by one
+    # every integer outside floor(root) + {-1, 0, 1, 2} lies at least 2 from
+    # the computed root -a'.k'/a_j, so at least 2 - roundoff from the true one
     rest = np.delete(a, j)
     other = _box(a.size - 1, K)
     near = np.floor(-(other @ rest) / a[j]).astype(np.int64)
@@ -107,7 +108,8 @@ def _canonical(k):
 def min_small_divisor(a, K):
     """Exact min of |a . k| over 0 < ||k||_inf <= K; returns (k*, value),
     the argmin and divisor of the gamma = 0 witness.  It reads the reduced
-    enumeration of fit_witness, and the whole box only where that falls back.
+    enumeration of fit_witness, and the whole box only for n = 1 or a
+    largest entry under the roundoff floor.
 
     Values below the dot-product roundoff floor are snapped to exact zero.
     """
@@ -134,12 +136,6 @@ def _finish_witness(grid, vals, gamma, K, kind):
     )
 
 
-def _linear_form_witness(grid, a, gamma, K):
-    vals = np.abs(grid @ a)
-    vals[vals <= _snap_floor(np.abs(grid) @ np.abs(a))] = 0.0
-    return _finish_witness(grid, vals, gamma, K, "linear-form")
-
-
 def fit_witness(a, gamma, K):
     """Witness for the linear form |a . k| with exponent gamma up to frequency K."""
     if gamma < 0:
@@ -151,15 +147,19 @@ def fit_witness(a, gamma, K):
     _require_finite(a, "a")
     _check_box(a.size, K)
     j = int(np.argmax(np.abs(a)))
-    bound = abs(float(a[j])) / 2
-    # points off the reduced grid score at least |a_j| > bound, and the bound
-    # clears their snap floor, so none of them is snapped into a tie; a bound
-    # of 0 or a box whose dot products overflow reads the whole box
-    if a.size > 1 and bound > _snap_floor(2 * bound * K * a.size):
-        wit = _linear_form_witness(_reduced_grid(a, j, K), a, gamma, K)
-        if wit.C < bound:
-            return wit
-    return _linear_form_witness(_integer_grid(a.size, K), a, gamma, K)
+    aj = abs(float(a[j]))
+    # every k off the reduced grid lies at least 2 - roundoff from the root,
+    # so it scores |a . k| > |a_j|, above its snap floor while |a_j| clears
+    # the largest floor of the box; the unit vectors e_i (i != j) stay on the
+    # grid and score |a_i| <= |a_j|, so no point off it reaches the minimum
+    # or ties it.  a_j = 0 or dot products that overflow read the whole box.
+    if a.size > 1 and aj > _snap_floor(aj * K * a.size):
+        grid = _reduced_grid(a, j, K)
+    else:
+        grid = _integer_grid(a.size, K)
+    vals = np.abs(grid @ a)
+    vals[vals <= _snap_floor(np.abs(grid) @ np.abs(a))] = 0.0
+    return _finish_witness(grid, vals, gamma, K, "linear-form")
 
 
 def simultaneous_witness(thetas, gamma, K):

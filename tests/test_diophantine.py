@@ -235,18 +235,19 @@ def test_reduced_enumeration_falls_back_to_full_box(monkeypatch):
         return full(n, K)
 
     monkeypatch.setattr(diophantine, "_integer_grid", counted)
-    # the candidate minimum 0.5 at (0, 1) is not below |a_j|/2 = 0.5
+    # the reduced grid answers for every n >= 2 with |a_j| above the roundoff
+    # floor, also where the minimum 0.5 at (0, 1) is |a_j|/2 ...
     w = fit_witness((1, 0.5), 1.0, 1)
     assert w == _full_box_witness((1, 0.5), 1.0, 1)
     assert (w.argmin_k, w.C) == ((0, 1), 0.5)
-    assert calls == [(2, 1)]
-    # the reduced grid answers at K = 2, where the resonance (1, -2) appears
-    assert fit_witness((1, 0.5), 1.0, 2).argmin_k == (1, -2)
-    assert calls == [(2, 1)]
-    # n = 1 and the zero vector always read the whole box
-    fit_witness((2.5,), 1.0, 5)
-    fit_witness((0.0, 0.0, 0.0), 1.0, 3)
-    assert calls == [(2, 1), (1, 5), (3, 3)]
+    # ... and for the golden vector at gamma = 1, where C is about 0.85
+    assert fit_witness((1, PHI), 1.0, 50) == _full_box_witness((1, PHI), 1.0, 50)
+    assert calls == []
+    # n = 1, the zero vector and a largest entry under the roundoff floor
+    # read the whole box
+    for a, K in (((2.5,), 5), ((0.0, 0.0, 0.0), 3), ((3e-16, -1e-16), 4)):
+        assert fit_witness(a, 1.0, K) == _full_box_witness(a, 1.0, K)
+    assert calls == [(1, 5), (3, 3), (2, 4)]
 
 
 def test_reduced_enumeration_stays_small():
