@@ -81,14 +81,14 @@ def _integer_grid(n, K):
 def _reduced_grid(a, j, K):
     # every integer outside floor(root) + {-1, 0, 1, 2} lies at least 2 from
     # the computed root -a'.k'/a_j, so at least 2 - roundoff from the true one
-    rest = np.delete(a, j)
+    off = np.arange(a.size) != j
     other = _box(a.size - 1, K)
-    near = np.floor(-(other @ rest) / a[j]).astype(np.int64)
-    kj = (near[:, None] + np.arange(-1, 3)).ravel()
-    grid = np.insert(np.repeat(other, 4, axis=0), j, kj, axis=1)
-    keep = (np.abs(kj) <= K) & np.any(grid != 0, axis=1)
-    grid = grid[keep]
-    return grid[np.lexsort(grid.T[::-1])]
+    near = np.floor(-(other @ a[off]) / a[j]).astype(np.int64)
+    grid = np.empty((4 * len(other), a.size), dtype=np.int64)
+    grid[:, off] = np.repeat(other, 4, axis=0)
+    grid[:, j] = (near[:, None] + np.arange(-1, 3)).ravel()
+    keep = (np.abs(grid[:, j]) <= K) & np.any(grid != 0, axis=1)
+    return grid[keep]
 
 
 def _snap_floor(values_scale):
@@ -123,7 +123,10 @@ def _finish_witness(grid, vals, gamma, K, kind):
     i = int(np.argmin(product))
     ties = np.flatnonzero(product == product[i])
     if ties.size > 1:
-        i = int(ties[np.argmin(norms[ties])])
+        # the shortest tied k, then the lexicographically first: the first
+        # of them in the whole box, whatever order the grid is in
+        ties = ties[norms[ties] == norms[ties].min()]
+        i = int(min(ties, key=lambda t: tuple(grid[t])))
     value = float(vals[i])
     C = float(product[i]) if value > 0 else 0.0
     return DiophantineWitness(
