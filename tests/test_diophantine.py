@@ -19,7 +19,7 @@ from nilflow import (
     simultaneous_witness,
 )
 from nilflow import diophantine
-from nilflow.diophantine import _finish_witness, _snap_floor
+from nilflow.diophantine import _canonical, _snap_floor
 from nilflow.errors import DimensionMismatch
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -196,7 +196,19 @@ def _full_box_witness(a, gamma, K):
     grid = grid[np.any(grid != 0, axis=1)]
     vals = np.abs(grid @ a)
     vals[vals <= _snap_floor(np.abs(grid) @ np.abs(a))] = 0.0
-    return _finish_witness(grid, vals, gamma, K, "linear-form")
+    norms = np.linalg.norm(grid, axis=1)
+    product = vals * norms**gamma
+    # ties go to the shortest k, then to the first in the box
+    ties = np.flatnonzero(product == product.min())
+    i = ties[np.argmin(norms[ties])]
+    return DiophantineWitness(
+        C=float(product[i]) if vals[i] > 0 else 0.0,
+        gamma=float(gamma),
+        K=int(K),
+        kind="linear-form",
+        argmin_k=_canonical(grid[i]),
+        value=float(vals[i]),
+    )
 
 
 _ORACLE_K = {2: (1, 2, 7, 40), 3: (1, 3, 12), 4: (1, 2, 5)}
