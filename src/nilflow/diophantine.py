@@ -14,6 +14,7 @@ conventions are recorded on the witness.  These are desk-scale certificates
 up to K, not proofs of Diophantineness.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,13 @@ class DiophantineWitness:
 def _require_finite(x, name):
     if not np.all(np.isfinite(x)):
         raise ValueError("%s must be finite" % name)
+
+
+def _require_in_range(x, K, name):
+    # every dot product over the box is at most K * n * max|x| in size; past
+    # the float range they overflow and snap to false resonances
+    if not math.isfinite(float(np.max(np.abs(x))) * K * x.shape[-1]):
+        raise ValueError("%s too large: its dot products up to K = %d overflow" % (name, K))
 
 
 def _check_box(n, K):
@@ -149,13 +157,14 @@ def fit_witness(a, gamma, K):
         raise DimensionMismatch("a must be a nonempty vector")
     _require_finite(a, "a")
     _check_box(a.size, K)
+    _require_in_range(a, K, "a")
     j = int(np.argmax(np.abs(a)))
     aj = abs(float(a[j]))
     # every k off the reduced grid lies at least 2 - roundoff from the root,
     # so it scores |a . k| > |a_j|, above its snap floor while |a_j| clears
     # the largest floor of the box; the unit vectors e_i (i != j) stay on the
     # grid and score |a_i| <= |a_j|, so no point off it reaches the minimum
-    # or ties it.  a_j = 0 or dot products that overflow read the whole box.
+    # or ties it.  a_j = 0 reads the whole box.
     if a.size > 1 and aj > _snap_floor(aj * K * a.size):
         grid = _reduced_grid(a, j, K)
     else:
@@ -176,6 +185,7 @@ def simultaneous_witness(thetas, gamma, K):
     if T.ndim != 2 or T.size == 0:
         raise DimensionMismatch("thetas must be a nonempty list of equal-length vectors")
     _require_finite(T, "thetas")
+    _require_in_range(T, K, "thetas")
     grid = _integer_grid(T.shape[1], K)
     dots = grid @ T.T  # (points, vectors)
     dist = np.abs(dots - np.round(dots))

@@ -10,7 +10,8 @@ flattens a perturbed constant field back to its linear model.
 
 Conventions: enumeration degree is the sup norm of k; composition samples on
 an equispaced grid of at least 4K points per dimension and re-expands through
-the FFT, keeping modes up to twice the input degree before smoothing.
+the FFT.  The Newton step re-expands at its truncation degree K on the dyadic
+4K grid; the final verification samples a 5-smooth grid off it.
 """
 
 import math
@@ -54,6 +55,11 @@ def _zeros(n, D):
 def _readonly(a):
     a.flags.writeable = False
     return a
+
+
+def _symmetrized(block):
+    """(c_k + conj(c_{-k})) / 2 on a centred block."""
+    return 0.5 * (block + np.conj(np.flip(block)))
 
 
 @lru_cache(maxsize=64)
@@ -113,12 +119,26 @@ class TorusFunction:
         else:
             block = self._block_from_map(coeffs or {})
         if self.real:
-            sym = 0.5 * (block + np.conj(np.flip(block)))
+            sym = _symmetrized(block)
             scale = float(np.max(np.abs(block)))
             if float(np.max(np.abs(sym - block))) > 1e-8 * max(1.0, scale):
                 raise ValueError("coefficients violate the reality constraint")
             block = sym
         self.block = _readonly(block)
+
+    @classmethod
+    def _exact(cls, n, block, real):
+        """Trusted constructor for a fresh block of the right shape whose
+        entries c_{-k} already equal conj(c_k) up to the sign of zero: the
+        results of +, -, real scaling, derivatives, truncation and
+        re-expansion of real functions.  The reality check cannot fail on
+        them and is skipped; symmetrizing still fixes the signs of zeros, so
+        the block is bit-identical to what __init__ builds."""
+        f = cls.__new__(cls)
+        f.n = n
+        f.real = real
+        f.block = _readonly(_symmetrized(block) if real else block)
+        return f
 
     def _block_from_map(self, coeffs):
         items = [(tuple(int(x) for x in k), complex(c)) for k, c in coeffs.items()]
@@ -171,7 +191,7 @@ class TorusFunction:
             out = big.copy()
             off = (len(big) - len(small)) // 2
             out[(slice(off, off + len(small)),) * self.n] += small
-            return TorusFunction(self.n, out, real=self.real and other.real)
+            return TorusFunction._exact(self.n, out, self.real and other.real)
         return self + TorusFunction.constant(self.n, other)
 
     def __sub__(self, other):
@@ -179,8 +199,8 @@ class TorusFunction:
 
     def __mul__(self, scalar):
         scalar = complex(scalar)
-        return TorusFunction(
-            self.n, self.block * scalar, real=self.real and scalar.imag == 0
+        return TorusFunction._exact(
+            self.n, self.block * scalar, self.real and scalar.imag == 0
         )
 
     __rmul__ = __mul__
@@ -188,7 +208,7 @@ class TorusFunction:
     def partial(self, axis):
         """d/dx_axis, acting as multiplication by 2 pi i k_axis."""
         k = _freqs(self.n, self.size)[axis]
-        return TorusFunction(self.n, 2j * np.pi * k * self.block, real=self.real)
+        return TorusFunction._exact(self.n, 2j * np.pi * k * self.block, self.real)
 
     def truncated(self, degree, drop_below=0.0):
         """Drop modes beyond the sup-norm degree and, optionally, coefficients
@@ -198,7 +218,7 @@ class TorusFunction:
         block = self.block[(slice(self.size - D, self.size + D + 1),) * self.n]
         out = np.where(np.abs(block) > floor, block, 0)
         out[(D,) * self.n] = block[(D,) * self.n]
-        return TorusFunction(self.n, out, real=self.real)
+        return TorusFunction._exact(self.n, out, self.real)
 
     def evaluate(self, points):
         """Values at an (..., n) array of points, by direct mode summation."""
@@ -236,9 +256,7 @@ class TorusFunction:
         block = C[np.ix_(*[window % s for s in values.shape])]
         floor = drop_below * float(np.max(np.abs(block)))
         block = np.where(np.abs(block) > floor, block, 0)
-        if real:
-            block = 0.5 * (block + np.conj(np.flip(block)))
-        return cls(values.ndim, block, real=real)
+        return cls._exact(values.ndim, block, bool(real))
 
     def __repr__(self):
         return "TorusFunction(n=%d, modes=%d, degree=%d%s)" % (
@@ -320,7 +338,7 @@ def directional_derivative(alpha, f):
     if len(alpha) != f.n:
         raise DimensionMismatch("alpha must have length n")
     ka, _ = _divisors(alpha, f.size)
-    return TorusFunction(f.n, 2j * np.pi * ka * f.block, real=f.real)
+    return TorusFunction._exact(f.n, 2j * np.pi * ka * f.block, f.real)
 
 
 def solve_small_divisor(alpha, f, tol_avg=1e-12):
@@ -349,7 +367,7 @@ def solve_small_divisor(alpha, f, tol_avg=1e-12):
         raise Resonance("resonant frequency %r for alpha %r" % (k, alpha), mode=k)
     # c / (2 pi i k.alpha) = -i c / (2 pi k.alpha)
     out = _quotient(-1j * f.block, 2 * np.pi * ka, support)
-    return TorusFunction(f.n, out, real=f.real)
+    return TorusFunction._exact(f.n, out, f.real)
 
 
 def sobolev_norm(f, r):
@@ -455,13 +473,40 @@ def _grid_size(K_in, out_degree):
     return max(_GRID_FACTOR * K_in, 2 * out_degree + 2, 8)
 
 
+def _verification_size(K_in):
+    """Points per dimension of the verification grid: the smallest 5-smooth
+    size above max(_GRID_FACTOR K_in, 32) that is not a power of two, so it
+    stays off the dyadic grids the steps sample and still suits the FFT."""
+    G = max(_GRID_FACTOR * K_in, 32) + 1
+    while True:
+        m = G
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1 and G & (G - 1):
+            return G
+        G += 1
+
+
+def _inverse(M):
+    """Inverses of a stack of n x n matrices, shape (P, n, n); for n = 2 in
+    closed form, the adjugate over the determinant."""
+    if M.shape[1:] != (2, 2):
+        return np.linalg.inv(M)
+    a, b, c, d = M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1]
+    adj = np.empty_like(M)
+    adj[:, 0, 0], adj[:, 0, 1], adj[:, 1, 0], adj[:, 1, 1] = d, -b, -c, a
+    adj /= (a * d - b * c)[:, None, None]
+    return adj
+
+
 def _pulled_back(u, X, G, shift=0.0):
     """Grid values of (I + Du)^-1 (shift + X(x + u(x))) on the G^n grid, shape
     (G^n, n), returned with the inverted Jacobians (I + Du)^-1."""
     pts = _grid_points(X.n, G)
     U, J = _displacement_arrays(u, G)
     _check_invertible(U, J)
-    Minv = np.linalg.inv(np.eye(X.n)[None, :, :] + J)
+    Minv = _inverse(np.eye(X.n)[None, :, :] + J)
     return np.einsum("pij,pj->pi", Minv, shift + X.evaluate(pts + U)), Minv
 
 
@@ -567,17 +612,16 @@ def kam_step(state):
         ]
     )
 
+    # both re-expansions keep |k| <= K: those coefficients do not depend on
+    # a wider window, and the step carries nothing beyond K
     if state.u_acc.is_zero():
         u_tot = u_new.truncated(K, _DROP)
     else:
-        u_tot = _compose_displacement(u_new, state.u_acc, 2 * K).truncated(K, _DROP)
+        u_tot = _compose_displacement(u_new, state.u_acc, K)
 
     # pull the original member back under the accumulated change; the
-    # parameter increment is solved exactly against the averaged Jacobian.
-    # The expansion window is twice the schedule degree so the measured
-    # residual is not an artifact of the truncation.
-    out_degree = 2 * K
-    G = _grid_size(K, out_degree)
+    # parameter increment is solved exactly against the averaged Jacobian
+    G = _grid_size(K, K)
     P, Minv = _pulled_back(u_tot, state.beta0, G, omega - np.asarray(state.lambda_bar))
     # axis-0 reductions accumulate sequentially and drift ~N*eps; per-column
     # pairwise means keep the average kill at rounding level
@@ -586,7 +630,7 @@ def kam_step(state):
     d_lambda = np.linalg.solve(avg_M, P_avg - omega)
     lam = tuple(float(x) for x in np.asarray(state.lambda_bar) + d_lambda)
     beta_vals = P - Minv @ d_lambda - omega[None, :]
-    beta_next = _field_from_grid(beta_vals, G, out_degree, _DROP).truncated(K, _DROP)
+    beta_next = _field_from_grid(beta_vals, G, K, _DROP)
 
     return replace(
         state,
@@ -602,8 +646,7 @@ def verify_conjugacy(state):
     """Sup-norm distance, on a dense grid, between the pullback of the member
     field (omega - lambda_bar) + beta0 under id + u_acc and the target omega.
     Raises NonInvertible when id + u_acc is outside the invertibility region."""
-    K_in = max(state.u_acc.degree, state.beta0.degree, 1)
-    G = max(_GRID_FACTOR * K_in, 32) + 1  # off the dyadic grid used internally
+    G = _verification_size(max(state.u_acc.degree, state.beta0.degree, 1))
     omega = np.asarray(state.omega)
     vals, _ = _pulled_back(
         state.u_acc, state.beta0, G, omega - np.asarray(state.lambda_bar)

@@ -291,7 +291,7 @@ def test_criterion_6_torus_kam(capsys):
              1.8 <= slope <= 2.2),
             ("residual reaches 1e-12 (final %.2e)" % state.residual,
              state.residual <= 1e-12),
-            ("conjugacy verified on the 256^2 grid within 1e-8 (%.2e)"
+            ("conjugacy verified on the 270^2 grid within 1e-8 (%.2e)"
              % state.verified_sup_error, state.verified_sup_error <= 1e-8),
         ],
         elapsed,

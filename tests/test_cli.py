@@ -208,6 +208,16 @@ def test_witness_golden_and_resonant(tmp_path):
     assert run(cfg) == 2
 
 
+def test_witness_overflow_is_an_error_record(tmp_path, capsys):
+    cfg = make_config("witness", tmp_path, alpha=(1e308, -1.5e308), K=3)
+    assert run(cfg) == 1
+    rec = read_summary(tmp_path)[0]
+    assert (rec["verdict"], rec["reason"]) == ("error", "ValueError")
+    assert "overflow" in rec["detail"]
+    assert not (tmp_path / "witness.csv").exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_witness_simultaneous_kind(tmp_path):
     cfg = make_config("witness", tmp_path, alpha=(PHI,), kind="simultaneous", K=50)
     assert run(cfg) == 0

@@ -316,3 +316,24 @@ def test_lower_bound_is_refused_outside_the_certified_range():
         for k in ((0, 0), (100, 0), (0, -9), (math.nan, 1)):
             with pytest.raises(ValueError, match="K = 8"):
                 w.lower_bound(k)
+
+
+def test_overflowing_dot_products_are_refused():
+    # finite entries whose dot products up to K leave the float range used
+    # to snap to a false resonance: C = 0 at (1, 1) for (1e308, -phi 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in ((1e308, -PHI * 1e308), (1e308, -1.5e308), (1.0, 1e308 / 3), (1e308,)):
+            with pytest.raises(ValueError, match="overflow"):
+                fit_witness(a, 1.0, 3)
+        with pytest.raises(ValueError, match="overflow"):
+            min_small_divisor((1e308, -1.5e308), 3)
+        with pytest.raises(ValueError, match="overflow"):
+            simultaneous_witness([(1e308, -1.5e308)], 1.0, 3)
+        with pytest.raises(ValueError, match="overflow"):
+            simultaneous_witness([(0.5,), (1e308,)], 1.0, 2)
+        # the bound K * n * max|a| decides: just inside it the witness stands
+        w = fit_witness((1e307, -PHI * 1e307), 1.0, 3)
+        assert w.argmin_k == fit_witness((1.0, -PHI), 1.0, 3).argmin_k == (3, 2)
+        assert w.C > 0
+        assert simultaneous_witness([(1e307, -1.5e307)], 1.0, 3).K == 3

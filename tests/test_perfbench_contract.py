@@ -4,7 +4,9 @@ perfbench wraps the layer functions listed in its tracer, the thread pool and
 the toral constructor by attribute name, its child process imports a few
 more for the Laplacian probe, and every workload op is a CLI config text.  A
 rename in the package or a schema change would otherwise show up only as a
-crashed benchmark run.
+crashed benchmark run.  The newton workload's ops also run here under their
+own gates, so a change to the grid path that breaks the benchmark's
+verification or rigidity bound fails the tests as well.
 """
 
 import importlib
@@ -96,3 +98,18 @@ def test_workload_configs_parse_against_the_schemas(tmp_path, workload, smoke):
             if value in op.files:
                 value = os.path.join(workdir, value)
             assert config.params[key] == value, "%s: %s" % (op.tag, key)
+
+
+@pytest.mark.parametrize("smoke", [True, False], ids=["smoke", "full"])
+def test_newton_ops_pass_their_gates(tmp_path, smoke):
+    ops = WORKLOADS.newton(1, smoke)
+    assert [op.subcommand for op in ops[:2]] == ["kam", "rigidity-step"]
+    for op in ops:
+        outdir = tmp_path / op.tag
+        outdir.mkdir()
+        for name, text in op.files.items():
+            (outdir / name).write_text(text)
+        config = cli.parse_config(op.config_text(str(outdir)))
+        config.out = str(outdir)
+        attempted, failed = op.gate(cli.run(config), str(outdir))
+        assert (attempted, failed) == (1, 0), op.tag

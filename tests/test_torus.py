@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from nilflow import torus
 from nilflow.algebra import ActionParams
 from nilflow.cohomology import joint_kernel_dim
 from nilflow.errors import (
@@ -509,3 +510,159 @@ def test_oversized_block_is_refused():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the grid path: closed-form inverse, re-expansion window, verification grid
+
+
+def _jacobians(rng, n, count, edge):
+    # random Jacobians whose sup row sum lies in (0, edge), some at the edge
+    J = rng.uniform(-1.0, 1.0, size=(count, n, n))
+    row = np.max(np.sum(np.abs(J), axis=2), axis=1)
+    target = edge * np.concatenate([rng.uniform(size=count - 8), np.full(8, 1.0)])
+    return J * (target / row)[:, None, None]
+
+
+def test_closed_form_inverse_matches_linalg():
+    rng = np.random.default_rng(31)
+    edge = 0.5 * (1 - 1e-12)  # just inside _check_invertible's bound
+    J = _jacobians(rng, 2, 20000, edge)
+    assert np.max(np.sum(np.abs(J), axis=2)) < 0.5
+    M = np.eye(2) + J
+    got = torus._inverse(M)
+    # |(I + J)^-1| <= 1 / (1 - 1/2) in the sup norm: both inverses are O(1)
+    # and agree to a few rounding units
+    assert np.max(np.abs(got - np.linalg.inv(M))) <= 8 * np.finfo(float).eps
+    assert np.max(np.abs(got @ M - np.eye(2))) <= 8 * np.finfo(float).eps
+    # the closed form is adjugate over determinant, entry by entry
+    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    assert np.array_equal(got[:, 0, 1], -M[:, 0, 1] / det)
+    assert np.array_equal(got[:, 1, 1], M[:, 0, 0] / det)
+
+
+def test_other_dimensions_invert_through_linalg(monkeypatch):
+    calls = []
+    inv = np.linalg.inv
+
+    def counted(M):
+        calls.append(M.shape)
+        return inv(M)
+
+    monkeypatch.setattr(torus.np.linalg, "inv", counted)
+    rng = np.random.default_rng(32)
+    for n in (1, 3):
+        M = np.eye(n) + _jacobians(rng, n, 50, 0.49)
+        assert np.array_equal(torus._inverse(M), inv(M))
+    assert calls == [(50, 1, 1), (50, 3, 3)]
+    torus._inverse(np.eye(2) + _jacobians(rng, 2, 50, 0.49))
+    assert len(calls) == 2
+    # the three-dimensional pullback reaches linalg through the same helper
+    u = TorusVectorField([sine_mode(3, (1, 0, 1), 0.01)] + [TorusFunction.constant(3, 0.0)] * 2)
+    pullback_field(u, TorusVectorField.constant((1.0, PHI, 2.0)))
+    assert len(calls) == 3 and calls[-1][1:] == (3, 3)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_window_K_is_the_slice_of_window_2K(n, real):
+    K = 6
+    G = 4 * K + 2  # the coarsest grid that re-expands up to 2K
+    rng = np.random.default_rng(40 + n)
+    values = rng.normal(size=(G,) * n)
+    if not real:
+        values = values + 1j * rng.normal(size=(G,) * n)
+    inner = (slice(K, 3 * K + 1),) * n
+    narrow = TorusFunction.from_grid(values, K)
+    wide = TorusFunction.from_grid(values, 2 * K)
+    assert narrow.real == wide.real == real
+    assert narrow.block.tobytes() == wide.block[inner].tobytes()
+    # with a drop floor the windows agree while the largest coefficient lies
+    # inside |k| <= K, as it does for the smooth fields of the Newton step
+    values = values * 1e-3 + np.cos(2 * np.pi * np.arange(G) / G).reshape((G,) + (1,) * (n - 1))
+    narrow = TorusFunction.from_grid(values, K, drop_below=1e-3)
+    wide = TorusFunction.from_grid(values, 2 * K, drop_below=1e-3)
+    assert narrow.block.tobytes() == wide.block[inner].tobytes()
+
+
+def test_kam_step_samples_the_dyadic_grid_and_verification_a_smooth_one(monkeypatch):
+    sizes = []
+    pulled_back = torus._pulled_back
+
+    def recorded(u, X, G, shift=0.0):
+        sizes.append(G)
+        return pulled_back(u, X, G, shift)
+
+    monkeypatch.setattr(torus, "_pulled_back", recorded)
+    state = kam_iterate(GOLDEN, golden_perturbation(1e-3), trunc_degree=64)
+    assert sizes == [256] * (len(state.residual_history) - 1) + [270]
+    assert state.verified_sup_error <= 1e-13
+
+
+def test_verification_grid_is_five_smooth_and_off_the_dyadic_grids():
+    def smooth(G):
+        for p in (2, 3, 5):
+            while G % p == 0:
+                G //= p
+        return G == 1
+
+    for K in range(1, 200):
+        G = torus._verification_size(K)
+        low = max(4 * K, 32)
+        assert G > low and smooth(G) and G & (G - 1)
+        assert not any(smooth(g) and g & (g - 1) for g in range(low + 1, G))
+    assert torus._verification_size(64) == 270
+    assert torus._verification_size(8) == 36
+
+
+def _real_block(rng, n, D):
+    b = rng.normal(size=(2 * D + 1,) * n) + 1j * rng.normal(size=(2 * D + 1,) * n)
+    return 0.5 * (b + np.conj(np.flip(b)))
+
+
+def _pad(block, D):
+    off = D - len(block) // 2
+    return np.pad(block, off)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_closed_operations_match_the_checked_constructor(n, real):
+    """+, -, scaling, partial, truncation and the derivative solves build
+    their results without the reality check.  The checked constructor,
+    applied to the same raw arrays, is the oracle, to the bit: it also fixes
+    the signs of zeros, which the raw products do not keep symmetric."""
+    rng = np.random.default_rng(50 + n + 10 * real)
+
+    def make(D):
+        b = _real_block(rng, n, D)
+        if not real:
+            b = b + 0.3 * rng.normal(size=b.shape)
+        return TorusFunction(n, b, real=real)
+
+    def same(got, raw, want_real):
+        want = TorusFunction(n, raw, real=want_real)
+        assert got.real == want.real
+        assert got.block.tobytes() == want.block.tobytes()
+
+    f, g = make(3), make(2)
+    same(f + g, f.block + _pad(g.block, 3), real)
+    same(g + f, f.block + _pad(g.block, 3), real)
+    neg = TorusFunction(n, g.block * complex(-1), real=real)
+    same(f - g, f.block + _pad(neg.block, 3), real)
+    same(g - g, g.block + neg.block, real)
+    for s in (2.5, -1.0, -0.0, 1e-300):
+        same(f * s, f.block * complex(s), real)
+        same(s * f, f.block * complex(s), real)
+    same(f * 0.5j, f.block * 0.5j, False)
+    for axis in range(n):
+        k = np.arange(-3, 4).reshape((1,) * axis + (-1,) + (1,) * (n - 1 - axis))
+        same(f.partial(axis), 2j * np.pi * k * f.block, real)
+    same(f.truncated(2), f.block[(slice(1, 6),) * n], real)
+    alpha = (1.0, PHI, math.sqrt(3))[:n]
+    ka = torus._divisors(alpha, 3)[0]
+    same(directional_derivative(alpha, f), 2j * np.pi * ka * f.block, real)
+    h = f - f.average
+    support = h.block != 0
+    support[(3,) * n] = False
+    same(solve_small_divisor(alpha, h), torus._quotient(-1j * h.block, 2 * np.pi * ka, support), real)
