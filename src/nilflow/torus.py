@@ -10,8 +10,9 @@ flattens a perturbed constant field back to its linear model.
 
 Conventions: enumeration degree is the sup norm of k; composition samples on
 an equispaced grid of at least 4K points per dimension and re-expands through
-the FFT.  The Newton step re-expands at its truncation degree K on the dyadic
-4K grid; the final verification samples a 5-smooth grid off it.
+the FFT.  The Newton step re-expands at its truncation degree K on the 4K
+grid; the final verification samples a 5-smooth grid that is not a power of
+two.
 """
 
 import math
@@ -128,11 +129,11 @@ class TorusFunction:
 
     @classmethod
     def _exact(cls, n, block, real):
-        """Trusted constructor for a fresh block of the right shape whose
-        entries c_{-k} already equal conj(c_k) up to the sign of zero: the
-        results of +, -, real scaling, derivatives, truncation and
-        re-expansion of real functions.  The reality check cannot fail on
-        them and is skipped; symmetrizing still fixes the signs of zeros, so
+        """Trusted constructor for a fresh block of the right shape on which
+        the reality check cannot fail: +, -, real scaling, derivatives and
+        truncation of real functions keep c_{-k} = conj(c_k) up to the sign
+        of zero, and the check after from_grid's symmetrization is vacuous.
+        The check is skipped; symmetrizing still fixes the signs of zeros, so
         the block is bit-identical to what __init__ builds."""
         f = cls.__new__(cls)
         f.n = n
@@ -475,8 +476,9 @@ def _grid_size(K_in, out_degree):
 
 def _verification_size(K_in):
     """Points per dimension of the verification grid: the smallest 5-smooth
-    size above max(_GRID_FACTOR K_in, 32) that is not a power of two, so it
-    stays off the dyadic grids the steps sample and still suits the FFT."""
+    size above max(_GRID_FACTOR K_in, 32) that is not a power of two.  It
+    suits the FFT and stays off the steps' 4K grid whenever that is a power
+    of two, as at the default K = 64."""
     G = max(_GRID_FACTOR * K_in, 32) + 1
     while True:
         m = G
