@@ -10,7 +10,6 @@ from .algebra import (  # noqa: F401
     ActionParams,
     ConstantCocycle,
     TwoStepAlgebra,
-    apply_coordinate_change,
     bracket,
     const_cocycle_check,
     const_cohomology_basis,
@@ -45,7 +44,6 @@ from .torus import (  # noqa: F401
     pullback_field,
     sobolev_norm,
     solve_small_divisor,
-    tame_ratio_report,
     verify_conjugacy,
 )
 from .nilrep import (  # noqa: F401
@@ -75,7 +73,6 @@ from .cohomology import (  # noqa: F401
     laplacian_solve,
     leafwise_laplacian_apply,
     rep_spectrum,
-    split_via_laplacian,
     trusted_count,
     vf_coboundary_solve,
     vf_delta0,

@@ -291,14 +291,6 @@ def const_cocycle_check(A, params, omega, tol=1e-9):
     return max(abs(x) for x in d) <= tol * scale
 
 
-def apply_coordinate_change(params, mu1):
-    """Precompose the action with X1 -> X1, X2 -> X2 + mu1*X1.
-
-    Composing changes adds the parameters.
-    """
-    return params.replace(mu=params.mu + mu1)
-
-
 # ---------------------------------------------------------------------------
 # rank computations, exact over Fraction when possible
 

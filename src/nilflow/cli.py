@@ -336,8 +336,14 @@ def _require_positive(p, key):
         raise ConfigTypeError("%s must be >= 1, got %d" % (key, p[key]))
 
 
-def _witnesses(alpha, K):
-    return {"alpha": fit_witness(tuple(alpha), 1.0, K)}
+def _refuse_resonance(alpha, K):
+    """The solvers' one Diophantine gate: refuse alpha when its gamma = 1
+    witness up to K finds an exact resonance."""
+    w = fit_witness(tuple(alpha), 1.0, K)
+    if not w.valid:
+        raise Resonance(
+            "frequency vector admits an exact resonance", mode=tuple(w.argmin_k)
+        )
 
 
 # --- runners ----------------------------------------------------------------
@@ -421,13 +427,13 @@ def _run_split(p, outdir):
     params = _heis_params(p)
     if p["count"] < 1:
         raise EmptyCorpus("count must be >= 1, got %d" % p["count"])
-    wit = _witnesses(p["alpha"], p["K"])
     corpus = cochain_corpus(
         p["seed"], p["count"], p["degree"], p["n_max"], p["length"], p["decay"]
     )
+    _refuse_resonance(p["alpha"], p["K"])
 
     def one(om):
-        s = delta1_star_split(params, om, wit, r=p["r"], sigma=p["sigma"])
+        s = delta1_star_split(params, om, r=p["r"], sigma=p["sigma"])
         f_back = apply_X1(params, s.H).add(s.f_err).add(
             NilFunction.constant(s.f_triv)
         )
@@ -488,8 +494,7 @@ def _run_gh_report(p, outdir):
     if p["N"] < 2:
         # the growth law in |n| is reported across at least two blocks
         raise ConfigTypeError("N must be >= 2, got %d" % p["N"])
-    wit = _witnesses(p["alpha"], p["K"])
-    report = gh_certificate(params, p["N"], p["M"], p["K"], wit)
+    report = gh_certificate(params, p["N"], p["M"], p["K"])
     _write_csv(
         outdir,
         "gh_per_n.csv",
@@ -556,6 +561,9 @@ def _sin_field(omega, amplitude, mode, component):
     if not 0 <= component < dim:
         raise ConfigTypeError("component out of range")
     k = tuple(int(x) for x in mode)
+    if not any(k):
+        # k and -k would share one coefficient: not a real sine
+        raise ConfigTypeError("mode must be nonzero, got %s" % _format_value(k))
     coeffs = {
         k: amplitude / 2j,
         tuple(-x for x in k): -amplitude / 2j,
@@ -628,9 +636,9 @@ def _run_rigidity_step(p, outdir):
 
         om = VfCochain(om.x1.map(smooth), om.x2.map(smooth))
     input_norm = max(nil_sobolev_norm(h, 0) for h in om.x1.slots + om.x2.slots)
-    wit = _witnesses(p["alpha"], p["K"])
+    _refuse_resonance(p["alpha"], p["K"])
     coords, H, residual = newton_step(
-        A, params, p["mu"], om, wit, threshold=p["threshold"]
+        A, params, p["mu"], om, threshold=p["threshold"]
     )
     rows = [("mu1", coords.mu1)]
     rows += [("lam%d" % i, x) for i, x in enumerate(coords.lam)]
@@ -649,7 +657,9 @@ def _run_rigidity_step(p, outdir):
 
 
 def _run_cg_decay(p, outdir):
-    _require_positive(p, "n_max")
+    if p["n_max"] < 2:
+        # the plateau compares against the inner window 2|n| <= n_max
+        raise ConfigTypeError("n_max must be >= 2, got %d" % p["n_max"])
     _require_positive(p, "length")
     corpus = nil_corpus(
         p["seed"], p["count"], p["degree"], p["n_max"], p["length"], p["decay"]

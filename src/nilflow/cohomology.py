@@ -15,6 +15,8 @@ So a cochain problem at mu is the mu = 0 problem for (f, g - mu f)
 Laplacian factors into two tridiagonal sweeps on X1's bands.  Both inverses
 of delta0 are that mu = 0 split (`_split_flat`), and beta enters it only in
 the central division, so beta = 0 is refused on representation rows alone.
+No inverse takes a Diophantine witness: the command line refuses a resonant
+frequency vector once per run, and gh_certificate fits its own witness.
 """
 
 import math
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import ConstantCocycle, const_delta0, const_cohomology_basis
-from .diophantine import min_small_divisor
+from .diophantine import fit_witness, min_small_divisor
 from .errors import DimensionMismatch, NonzeroAverage, NotACocycle, Resonance
 from .nilrep import (
     NilFunction,
@@ -47,7 +49,6 @@ __all__ = [
     "delta1_star_split",
     "leafwise_laplacian_apply",
     "laplacian_solve",
-    "split_via_laplacian",
     "rep_spectrum",
     "trusted_count",
     "gh_certificate",
@@ -137,13 +138,13 @@ def _strip_average(f):
     return f._rows_like(f.toral - TorusFunction.constant(2, avg), f.block), avg
 
 
-def delta0_star(params, omega, witnesses=None, tol=1e-9):
+def delta0_star(params, omega, tol=1e-9):
     """Tame inverse of delta0 on cocycles with vanishing averages: the H of
     the mu = 0 split of (f, g - mu f) (`_reduced`, `_split_flat`), returned
     once the split's cocycle defect and toral error, and omega's averages,
     are below tolerance.
     """
-    out, phi = _split_flat(*_reduced(params, omega), witnesses)
+    out, phi = _split_flat(*_reduced(params, omega))
     scale = max(omega.norm(0.0), 1e-300)
     defect = nil_sobolev_norm(phi, 0.0)
     if defect > tol * scale:
@@ -175,7 +176,7 @@ def delta0_star(params, omega, witnesses=None, tol=1e-9):
     return out.H
 
 
-def delta1_star_split(params, omega, witnesses=None, r=1.0, sigma=2.0):
+def delta1_star_split(params, omega, r=1.0, sigma=2.0):
     """Split a general cochain into a coboundary, an error pair controlled by
     the cocycle defect, and constants.
 
@@ -187,7 +188,7 @@ def delta1_star_split(params, omega, witnesses=None, r=1.0, sigma=2.0):
     mu goes through the mu = 0 split of (f, g - mu f), with mu times the first
     error added back to the second.
     """
-    out, phi = _split_flat(*_reduced(params, omega), witnesses)
+    out, phi = _split_flat(*_reduced(params, omega))
     if params.mu != 0:
         out = SplittingResult(
             H=out.H,
@@ -200,15 +201,9 @@ def delta1_star_split(params, omega, witnesses=None, r=1.0, sigma=2.0):
     return out
 
 
-def _split_flat(params, omega, witnesses):
+def _split_flat(params, omega):
     """The split at mu = 0, without constants; returns it with the cocycle
     defect it was built from."""
-    wit = (witnesses or {}).get("alpha")
-    if wit is not None and not wit.valid:
-        raise Resonance(
-            "frequency vector admits an exact resonance", mode=tuple(wit.argmin_k)
-        )
-
     phi = delta1(params, omega)
     f_triv = complex(omega.f.toral.average)
     g_triv = complex(omega.g.toral.average)
@@ -324,29 +319,6 @@ def laplacian_solve(params, source, witnesses=None, tol=1e-9):
     return NilFunction(toral=toral, reps=reps)
 
 
-def split_via_laplacian(params, omega, witnesses=None, r=1.0, sigma=2.0, tol=1e-7):
-    """Alternative splitting through the leafwise Laplacian: solve L h = phi,
-    take the error pair (X2 h, -X1 h), and invert the corrected cocycle.
-
-    Kept as an independent construction for cross-checking the direct split;
-    the two error pairs differ by a coboundary plus constants.
-    """
-    phi = delta1(params, omega)
-    # the corrected pair must pass the cocycle gate below, so the solve
-    # target sits well under tol
-    h = laplacian_solve(params, phi, witnesses, tol=1e-4 * tol)
-    f_err = apply_X2(params, h)
-    g_err = apply_X1(params, h).scaled(-1.0)
-    f0, f_triv = _strip_average(omega.f.sub(f_err))
-    g0, g_triv = _strip_average(omega.g.sub(g_err))
-    H = delta0_star(params, Cochain1(f0, g0), witnesses, tol=tol)
-    out = SplittingResult(
-        H=H, f_err=f_err, g_err=g_err, f_triv=f_triv, g_triv=g_triv
-    )
-    out.constants = _splitting_constants(omega, out, phi, r, sigma)
-    return out
-
-
 def trusted_count(M):
     """Number of low eigenvalues unaffected by Hermite truncation edges."""
     return max(M // 3, 1)
@@ -369,14 +341,15 @@ def rep_spectrum(params, n, M):
     return [float(-x) for x in np.sort(t * t + (params.mu * t + c) ** 2)]
 
 
-def gh_certificate(params, N, M, K, witnesses=None):
+def gh_certificate(params, N, M, K):
     """Certificate that the leafwise Laplacian has no near-kernel besides the
     constants.
 
     Toral side: exhaustive minimum of (2 pi k.alpha)^2 over ||k||_inf <= K,
-    with the witness lower bound at the argmin.  Representation side: on block
-    n, X2 - mu X1 is the scalar i c with c = 2 pi n beta, so -L = A^2 +
-    (mu A - c)^2 with A = i X1 of spectrum R has exact bottom c^2 / (1 + mu^2).
+    with the bound of its own gamma = 1 witness up to K at the argmin when
+    that witness is valid.  Representation side: on block n, X2 - mu X1 is
+    the scalar i c with c = 2 pi n beta, so -L = A^2 + (mu A - c)^2 with
+    A = i X1 of spectrum R has exact bottom c^2 / (1 + mu^2).
     The verdict reads only these closed forms; truncated_min, the least trusted
     |eigenvalue| at truncation M, is a diagnostic.
     """
@@ -384,8 +357,8 @@ def gh_certificate(params, N, M, K, witnesses=None):
     k_star, div = min_small_divisor(params.x1_y, K)
     toral_min = (2 * math.pi * div) ** 2
     toral = {"min": toral_min, "argmin": tuple(int(x) for x in k_star)}
-    wit = (witnesses or {}).get("alpha")
-    if wit is not None and wit.valid:
+    wit = fit_witness(params.x1_y, 1.0, K)
+    if wit.valid:
         # k_star is nonzero: the minimum runs over 0 < ||k||_inf <= K
         toral["witness_bound"] = (2 * math.pi * wit.lower_bound(k_star)) ** 2
     report["toral"] = toral
@@ -516,16 +489,16 @@ def vf_delta0(algebra, params, H):
     return VfCochain(values[0], values[1])
 
 
-def _solve_scalar_pair(params, f, g, witnesses, tol):
+def _solve_scalar_pair(params, f, g, tol):
     """Solve one scalar coboundary equation after removing the constants;
     returns (solution, average of f, average of g)."""
     f0, a1 = _strip_average(f)
     g0, a2 = _strip_average(g)
-    h = delta0_star(params, Cochain1(f0, g0), witnesses, tol=tol)
+    h = delta0_star(params, Cochain1(f0, g0), tol=tol)
     return h, a1, a2
 
 
-def vf_coboundary_solve(algebra, params, Omega, witnesses=None, tol=1e-9):
+def vf_coboundary_solve(algebra, params, Omega, tol=1e-9):
     """Triangular inversion of the vector-field coboundary.
 
     The q Y-coefficient equations are scalar coboundary problems; their
@@ -542,7 +515,7 @@ def vf_coboundary_solve(algebra, params, Omega, witnesses=None, tol=1e-9):
     a2 = []
     for i in range(q):
         h, c1, c2 = _solve_scalar_pair(
-            params, Omega.x1.y[i], Omega.x2.y[i], witnesses, tol
+            params, Omega.x1.y[i], Omega.x2.y[i], tol
         )
         h_y.append(h)
         a1.append(_clean_scalar(c1))
@@ -560,7 +533,7 @@ def vf_coboundary_solve(algebra, params, Omega, witnesses=None, tol=1e-9):
                 src1 = src1.sub(h_y[i].scaled(k1))
             if k2 != 0.0:
                 src2 = src2.sub(h_y[i].scaled(k2))
-        h, c1, c2 = _solve_scalar_pair(params, src1, src2, witnesses, tol)
+        h, c1, c2 = _solve_scalar_pair(params, src1, src2, tol)
         h_z.append(h)
         b1.append(_clean_scalar(c1))
         b2.append(_clean_scalar(c2))

@@ -1,4 +1,4 @@
-"""Finite-frequency witnesses for small-divisor lower bounds.
+"""Finite-frequency witness constants for small-divisor lower bounds.
 
 A witness records C = min |divisor(k)| * ||k||^gamma over nonzero integer
 vectors with sup norm at most K.  The minimum is exact.  The simultaneous

@@ -90,16 +90,16 @@ def section_s(params, mu, coords):
     )
 
 
-def delta_op(params, omega, witnesses=None):
+def delta_op(params, omega):
     """Regularized cochain: subtract the split's error pair, leaving a
     coboundary plus a constant cochain.  Vector-field cochains are treated
     coefficient slot by coefficient slot."""
     if isinstance(omega, Cochain1):
-        s = delta1_star_split(params, omega, witnesses)
+        s = delta1_star_split(params, omega)
         return Cochain1(omega.f.sub(s.f_err), omega.g.sub(s.g_err))
     # slot by slot, the two generator values form one scalar cochain
     pairs = omega.x1.map(
-        lambda f, g: delta_op(params, Cochain1(f, g), witnesses), omega.x2
+        lambda f, g: delta_op(params, Cochain1(f, g)), omega.x2
     )
     return VfCochain(pairs.map(lambda c: c.f), pairs.map(lambda c: c.g))
 
@@ -180,7 +180,7 @@ def _field_norm(A):
     return max(nil_sobolev_norm(h, 0.0) for h in A.slots)
 
 
-def newton_step(algebra, params, mu, omega, witnesses=None, threshold=0.5):
+def newton_step(algebra, params, mu, omega, threshold=0.5):
     """One linearized rigidity step at family point mu.
 
     Regularize the perturbation cochain, project onto the family directions,
@@ -197,11 +197,11 @@ def newton_step(algebra, params, mu, omega, witnesses=None, threshold=0.5):
             % (size, threshold)
         )
     combined = params.replace(mu=mu)
-    reduced = delta_op(combined, omega, witnesses)
+    reduced = delta_op(combined, omega)
     coords = project_P(algebra, params, mu, reduced)
     sec = section_s(params, mu, coords)
     lin = VfCochain(reduced.x1.sub(sec.x1), reduced.x2.sub(sec.x2))
-    H, resid_const = vf_coboundary_solve(algebra, combined, lin, witnesses)
+    H, resid_const = vf_coboundary_solve(algebra, combined, lin)
     D = vf_delta0(algebra, combined, H)
     residual_fields = []
     for om_i, s_i, d_i, yc, zc in (

@@ -25,7 +25,6 @@ import numpy as np
 from .diophantine import fit_witness
 from .errors import (
     DimensionMismatch,
-    EmptyCorpus,
     NoConvergence,
     NonInvertible,
     NonzeroAverage,
@@ -162,7 +161,7 @@ class TorusFunction:
     def size(self):
         return len(self.block) // 2
 
-    @property
+    @cached_property
     def degree(self):
         return int(np.max(np.abs(np.argwhere(self.block) - self.size), initial=0))
 
@@ -379,55 +378,6 @@ def sobolev_norm(f, r):
     return math.sqrt(float(np.sum(np.abs(f.block) ** 2 * w)))
 
 
-def tame_ratio_report(alpha, corpus, r, sigma, degrees=None):
-    """Solve the derivative equation for every corpus member and report the
-    worst ratio ||h||_r / ||f||_{r+sigma}.
-
-    With ``degrees`` (an increasing list of truncation degrees) each member is
-    additionally truncated to every degree, and the report records the worst
-    ratio per degree plus a plateau flag: consecutive worst ratios within 10%.
-    """
-    corpus = list(corpus)
-    if not corpus:
-        raise EmptyCorpus("tame ratio needs at least one function")
-    alpha = tuple(float(a) for a in alpha)
-
-    def ratio(f):
-        h = solve_small_divisor(alpha, f)
-        denom = sobolev_norm(f, r + sigma)
-        if denom == 0:
-            return 0.0
-        return sobolev_norm(h, r) / denom
-
-    ratios = [ratio(f) for f in corpus]
-    report = {
-        "r": float(r),
-        "sigma": float(sigma),
-        "count": len(corpus),
-        "ratios": ratios,
-        "ratio_max": max(ratios),
-        "degree_max": max(f.degree for f in corpus),
-        "by_degree": None,
-        "plateau_ok": None,
-    }
-    if degrees:
-        by_degree = {}
-        for D in degrees:
-            worst = 0.0
-            for f in corpus:
-                ft = f.truncated(D)
-                if not ft.is_zero():
-                    worst = max(worst, ratio(ft))
-            by_degree[int(D)] = worst
-        report["by_degree"] = by_degree
-        vals = [by_degree[int(D)] for D in degrees]
-        report["plateau_ok"] = all(
-            abs(b - a) < 0.10 * max(abs(a), abs(b), 1e-300)
-            for a, b in zip(vals, vals[1:])
-        )
-    return report
-
-
 def _grid_points(n, G):
     _require_size(G, n, "composition grid")
     xs = np.arange(G) / G
@@ -505,10 +455,16 @@ def _inverse(M):
 def _pulled_back(u, X, G, shift=0.0):
     """Grid values of (I + Du)^-1 (shift + X(x + u(x))) on the G^n grid, shape
     (G^n, n), returned with the inverted Jacobians (I + Du)^-1."""
-    pts = _grid_points(X.n, G)
+    n = X.n
+    # the Jacobians and their inverses hold n^2 entries per grid point
+    if G**n * n * n > _SIZE_CAP:
+        raise DimensionMismatch(
+            "pullback Jacobians too large (%d^%d points x %d^2 entries)" % (G, n, n)
+        )
+    pts = _grid_points(n, G)
     U, J = _displacement_arrays(u, G)
     _check_invertible(U, J)
-    Minv = _inverse(np.eye(X.n)[None, :, :] + J)
+    Minv = _inverse(np.eye(n)[None, :, :] + J)
     return np.einsum("pij,pj->pi", Minv, shift + X.evaluate(pts + U)), Minv
 
 

@@ -31,7 +31,6 @@ from nilflow.corpus import (
     torus_corpus,
     vf_cocycle_member,
 )
-from nilflow.diophantine import fit_witness
 from nilflow.errors import NoConvergence
 from nilflow.nilrep import NilFunction, cg_decay_report, nil_sobolev_norm
 from nilflow.rigidity import FamilyCoordinates, newton_step, project_P, section_s
@@ -43,10 +42,6 @@ GOLDEN = (1.0, PHI)
 
 def golden_params(beta=1.0, mu=0.0):
     return ActionParams(GOLDEN, (beta,), mu=mu)
-
-
-def golden_witnesses(K=50):
-    return {"alpha": fit_witness(GOLDEN, 1.0, K)}
 
 
 def _verdict(capsys, num, label, checks, elapsed, cap):
@@ -130,10 +125,9 @@ def test_criterion_1_constant_cohomology(capsys):
 def test_criterion_2_coboundary_roundtrip(capsys):
     t0 = time.monotonic()
     p = golden_params()
-    wit = golden_witnesses()
     worst = 0.0
     for h in nil_corpus(170, 50, degree=32, n_max=10, length=64, decay=3.0):
-        back = delta0_star(p, delta0(p, h), wit)
+        back = delta0_star(p, delta0(p, h))
         rel = nil_sobolev_norm(back.sub(h), 0) / nil_sobolev_norm(h, 0)
         worst = max(worst, rel)
     elapsed = time.monotonic() - t0
@@ -164,10 +158,9 @@ def test_criterion_3_splitting(capsys):
 
     t0 = time.monotonic()
     p = golden_params()
-    wit = golden_witnesses()
     worst = 0.0
     for om in cochain_corpus(171, 50, degree=8, n_max=3, length=8, decay=7.0):
-        s = delta1_star_split(p, om, wit)
+        s = delta1_star_split(p, om)
         f_back = apply_X1(p, s.H).add(s.f_err).add(NilFunction.constant(s.f_triv))
         g_back = apply_X2(p, s.H).add(s.g_err).add(NilFunction.constant(s.g_triv))
         scale = max(nil_sobolev_norm(om.f, 0), nil_sobolev_norm(om.g, 0))
@@ -187,7 +180,7 @@ def test_criterion_3_splitting(capsys):
                 _truncate_nil(master.f, degree, length),
                 _truncate_nil(master.g, degree, length),
             )
-            ratios.append(delta1_star_split(p, w, wit).constants)
+            ratios.append(delta1_star_split(p, w).constants)
         for key in ("h_ratio", "err_ratio"):
             small, big = ratios[0][key], ratios[1][key]
             drift_ok = drift_ok and abs(big - small) <= 0.10 * max(big, 1e-300)
@@ -214,7 +207,7 @@ def test_criterion_3_splitting(capsys):
 def test_criterion_4_gh_certificate(capsys):
     t0 = time.monotonic()
     p = golden_params()
-    report = gh_certificate(p, N=20, M=64, K=50, witnesses=golden_witnesses())
+    report = gh_certificate(p, N=20, M=64, K=50)
     kdim = joint_kernel_dim(p, K=50)
 
     resonant = gh_certificate(ActionParams((1.0, 0.5), (1.0,)), N=4, M=48, K=20)
@@ -318,7 +311,6 @@ def test_criterion_7_rigidity_scheme(capsys):
     t0 = time.monotonic()
     A = heisenberg()
     p = golden_params()
-    wit = golden_witnesses()
 
     proj_ok = True
     for mu in (-1.0, -0.5, 0.0, 0.5, 1.0):
@@ -340,7 +332,7 @@ def test_criterion_7_rigidity_scheme(capsys):
         residuals = []
         for eps in scales:
             om = _scale_cochain(base, eps / norm0)
-            _c, _H, resid = newton_step(A, p, 0.0, om, wit, threshold=10.0)
+            _c, _H, resid = newton_step(A, p, 0.0, om, threshold=10.0)
             residuals.append(max(resid, 1e-300))
         slopes.append(float(np.polyfit(np.log(scales), np.log(residuals), 1)[0]))
     elapsed = time.monotonic() - t0

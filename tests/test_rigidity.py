@@ -5,7 +5,6 @@ import pytest
 
 from nilflow.algebra import ActionParams, heisenberg
 from nilflow.cohomology import Cochain1, VfCochain, VfField, delta0, delta1, vf_delta0
-from nilflow.diophantine import fit_witness
 from nilflow.errors import (
     DimensionMismatch,
     FormatError,
@@ -32,10 +31,6 @@ PHI = (1 + math.sqrt(5)) / 2
 
 def golden_params(beta=1.0, mu=0.0):
     return ActionParams(alpha=(1.0, PHI), beta=(beta,), mu=mu)
-
-
-def golden_witnesses():
-    return {"alpha": fit_witness((1.0, PHI), 1.0, 50)}
 
 
 def norm_diff(F, G):
@@ -170,7 +165,7 @@ def test_delta_op_fixes_cocycles():
     h0 = rand_toral(rng)
     w = delta0(p, h0)
     w = Cochain1(w.f.add(NilFunction.constant(0.4)), w.g.add(NilFunction.constant(-0.6)))
-    out = delta_op(p, w, golden_witnesses())
+    out = delta_op(p, w)
     scale = max(w.norm(0.0), 1.0)
     assert norm_diff(out.f, w.f) < 1e-12 * scale
     assert norm_diff(out.g, w.g) < 1e-12 * scale
@@ -190,10 +185,10 @@ def test_delta_op_output_is_closed(mu):
     rng = np.random.default_rng(13)
     p = golden_params(mu=mu)
     w = Cochain1(rand_toral(rng), rand_toral(rng))
-    out = delta_op(p, w, golden_witnesses())
+    out = delta_op(p, w)
     scale = max(w.norm(0.0), 1.0)
     assert nil_sobolev_norm(delta1(p, out), 0.0) < 1e-9 * scale
-    again = delta_op(p, out, golden_witnesses())
+    again = delta_op(p, out)
     assert norm_diff(again.f, out.f) < 1e-9 * scale
     assert norm_diff(again.g, out.g) < 1e-9 * scale
 
@@ -210,7 +205,7 @@ def test_delta_op_vector_field_slots():
         ),
         omega.x2,
     )
-    out = delta_op(p, shifted, golden_witnesses())
+    out = delta_op(p, shifted)
     for got, want in zip(
         out.x1.y + out.x1.z + out.x2.y + out.x2.z,
         shifted.x1.y + shifted.x1.z + shifted.x2.y + shifted.x2.z,
@@ -369,7 +364,7 @@ def test_newton_pure_family_shift():
     p = golden_params()
     coords0 = FamilyCoordinates(0.02, (0.005, -0.01, 0.007))
     omega = section_s(p, 0.5, coords0)
-    coords, H, residual = newton_step(A, p, 0.5, omega, golden_witnesses())
+    coords, H, residual = newton_step(A, p, 0.5, omega)
     assert np.allclose(coords.vector, coords0.vector, atol=1e-14)
     for h in H.y + H.z:
         assert nil_sobolev_norm(h, 0.0) < 1e-12
@@ -389,9 +384,7 @@ def test_newton_recovers_coboundary(mu):
     H0 = _zero_avg_field(rng)
     eps = 1e-3
     omega = vf_delta0(A, combined, _field_scale(H0, eps))
-    coords, H, residual = newton_step(
-        A, p, mu, omega, golden_witnesses(), threshold=10.0
-    )
+    coords, H, residual = newton_step(A, p, mu, omega, threshold=10.0)
     assert np.max(np.abs(coords.vector)) < 1e-12
     for got, want in zip(H.y + H.z, H0.y + H0.z):
         assert norm_diff(got, want.scaled(eps)) < 1e-9 * eps
@@ -421,13 +414,12 @@ def test_newton_residual_quadratic():
     rng = np.random.default_rng(41)
     A = heisenberg()
     p = golden_params()
-    wit = golden_witnesses()
     H0 = _zero_avg_field(rng)
     sizes = np.logspace(-4, -2, 5)
     residuals = []
     for eps in sizes:
         omega = vf_delta0(A, p, _field_scale(H0, eps))
-        _, _, residual = newton_step(A, p, 0.0, omega, wit, threshold=10.0)
+        _, _, residual = newton_step(A, p, 0.0, omega, threshold=10.0)
         residuals.append(residual)
     slope = np.polyfit(np.log(sizes), np.log(residuals), 1)[0]
     assert 1.7 <= slope <= 2.3
@@ -439,7 +431,6 @@ def test_newton_mixed_input():
     rng = np.random.default_rng(43)
     A = heisenberg()
     p = golden_params()
-    wit = golden_witnesses()
     H0 = _zero_avg_field(rng)
     coords0 = FamilyCoordinates(0.6, (0.3, -0.2, 0.45))
     sizes = np.logspace(-4, -2, 5)
@@ -452,7 +443,7 @@ def test_newton_mixed_input():
             section_s(p, 0.0, scaled0),
             vf_delta0(A, p, _field_scale(H0, eps)),
         )
-        coords, H, residual = newton_step(A, p, 0.0, omega, wit, threshold=10.0)
+        coords, H, residual = newton_step(A, p, 0.0, omega, threshold=10.0)
         assert np.allclose(coords.vector, scaled0.vector, atol=1e-12)
         for got, want in zip(H.y + H.z, H0.y + H0.z):
             assert norm_diff(got, want.scaled(eps)) < 1e-8 * eps

@@ -12,7 +12,6 @@ from nilflow.algebra import ActionParams
 from nilflow.cohomology import joint_kernel_dim
 from nilflow.errors import (
     DimensionMismatch,
-    EmptyCorpus,
     NoConvergence,
     NonInvertible,
     NonzeroAverage,
@@ -29,7 +28,6 @@ from nilflow.torus import (
     pullback_field,
     sobolev_norm,
     solve_small_divisor,
-    tame_ratio_report,
     verify_conjugacy,
 )
 
@@ -177,35 +175,33 @@ def test_grid_roundtrip():
 # tame ratios
 
 
+def tame_ratio(f, r, sigma):
+    """||h||_r / ||f||_{r+sigma} for the solution h of GOLDEN.grad h = f."""
+    return sobolev_norm(solve_small_divisor(GOLDEN, f), r) / sobolev_norm(f, r + sigma)
+
+
 def test_tame_ratio_single_modes_closed_form():
     gamma, sigma = 1.0, 2.0
     modes = [(1, 0), (0, 1), (2, -1), (5, -3), (8, -5)]
-    corpus = [TorusFunction(2, {k: 1.0}) for k in modes]
-    report = tame_ratio_report(GOLDEN, corpus, r=1.0, sigma=sigma)
-    for k, ratio in zip(modes, report["ratios"]):
+    ratios = [tame_ratio(TorusFunction(2, {k: 1.0}), 1.0, sigma) for k in modes]
+    for k, ratio in zip(modes, ratios):
         ka = abs(k[0] + k[1] * PHI)
         expect = (2 * math.pi * ka) ** -1 * (1 + k[0] ** 2 + k[1] ** 2) ** (-sigma / 2)
         assert ratio == pytest.approx(expect, rel=1e-12)
     from nilflow import fit_witness
 
     w = fit_witness(GOLDEN, gamma=gamma, K=8)
-    assert report["ratio_max"] <= 1.0 / (2 * math.pi * w.C)
-
-
-def test_tame_ratio_empty_corpus():
-    with pytest.raises(EmptyCorpus):
-        tame_ratio_report(GOLDEN, [], r=1.0, sigma=2.0)
+    assert max(ratios) <= 1.0 / (2 * math.pi * w.C)
 
 
 def test_tame_ratio_plateau_on_random_corpus():
     rng = np.random.default_rng(16)
     sigma = 2.0  # witness exponent gamma=1 plus one
     # coefficient decay keeps the (r + sigma)-norm summable, so truncation
-    # tails are small and the ratio stabilizes in the degree
+    # tails are small and the worst ratio stabilizes in the degree
     corpus = [random_real_function(rng, K=16, decay=5.0) for _ in range(50)]
-    report = tame_ratio_report(GOLDEN, corpus, r=1.0, sigma=sigma, degrees=[8, 16])
-    assert report["plateau_ok"]
-    assert abs(report["by_degree"][16] - report["by_degree"][8]) < 0.10 * report["by_degree"][16]
+    worst = {D: max(tame_ratio(f.truncated(D), 1.0, sigma) for f in corpus) for D in (8, 16)}
+    assert abs(worst[16] - worst[8]) < 0.10 * worst[16]
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +454,15 @@ def test_degree_is_support_not_block_size():
     assert set(g.coeffs) == {(1, 0), (-1, 0)}
 
 
+def test_degree_is_computed_once_per_function(monkeypatch):
+    f = TorusFunction(2, {(3, -1): 1.0, (-3, 1): 1.0}, real=True)
+    calls = []
+    argwhere = np.argwhere
+    monkeypatch.setattr(torus.np, "argwhere", lambda a: calls.append(1) or argwhere(a))
+    assert [f.degree, f.degree, (f * 2.0).degree] == [3, 3, 3]
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize(
     "alpha", [(math.sqrt(2),), (1.0, math.sqrt(2), math.sqrt(3))], ids=["n1", "n3"]
 )
@@ -510,6 +515,27 @@ def test_oversized_block_is_refused():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_pullback_jacobians_are_capped_before_allocation():
+    # at K = 64 the step grid has 256 points per axis: for n = 3 the (G^n, n, n)
+    # Jacobians hold 256^3 x 9 entries, past the 4e7 cap
+    u = TorusVectorField([sine_mode(3, (1, 1, 1), 1e-3)] + [TorusFunction.constant(3, 0.0)] * 2)
+    X = TorusVectorField.constant((1.0, PHI, 2.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatch, match="pullback Jacobians too large"):
+            torus._pulled_back(u, X, torus._grid_size(64, 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # the newton workload's n = 2 grids at K = 64 stay inside it
+    u = TorusVectorField([sine_mode(2, (1, 1), 1e-3), TorusFunction.constant(2, 0.0)])
+    X = TorusVectorField.constant(GOLDEN)
+    for G in (torus._grid_size(64, 64), torus._verification_size(64)):
+        vals, Minv = torus._pulled_back(u, X, G)
+        assert vals.shape == (G * G, 2) and Minv.shape == (G * G, 2, 2)
 
 
 # ---------------------------------------------------------------------------
