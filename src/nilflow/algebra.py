@@ -365,12 +365,13 @@ def _nullspace(rows, ncols, tol, exact):
     return out
 
 
-def const_cohomology_basis(A, params, tol=RANK_TOL):
+def const_cohomology_basis(A, params):
     """Dimension of the constant cohomology and representatives of a complement
     of the constant coboundaries inside the constant cocycles.
 
     Exact (zero-tolerance) whenever the structure constants and all action
-    parameters are rational; otherwise floating point with pivot tolerance tol.
+    parameters are rational; otherwise floating point with pivot tolerance
+    RANK_TOL.
     """
     q, p, d = A.q, A.p, A.dim
     exact = all(_is_exact(x) for x in (*params.alpha, *params.beta, params.mu))
@@ -389,7 +390,7 @@ def const_cohomology_basis(A, params, tol=RANK_TOL):
         e[j] = Fraction(1) if exact else 1.0
         cols.append(const_delta1(A, params, ConstantCocycle.from_vector(e, q, p)))
     delta1_rows = [[cols[j][i] for j in range(n)] for i in range(d)]
-    kernel = _nullspace(delta1_rows, n, tol, exact)
+    kernel = _nullspace(delta1_rows, n, RANK_TOL, exact)
 
     # image of delta0: columns are coboundaries of basis vectors of the algebra
     image = []
@@ -398,7 +399,7 @@ def const_cohomology_basis(A, params, tol=RANK_TOL):
         e[j] = Fraction(1) if exact else 1.0
         image.append(const_delta0(A, params, e).to_vector())
 
-    rs = _RowSpace(tol, exact)
+    rs = _RowSpace(RANK_TOL, exact)
     rank_im = 0
     for v in image:
         if rs.insert(v):

@@ -587,6 +587,9 @@ def _kam_rows(state):
 
 
 def _run_kam(p, outdir):
+    _require_positive(p, "max_iter")
+    if p["floor"] <= 0:
+        raise ConfigTypeError("floor must be > 0, got %r" % p["floor"])
     beta = _sin_field(p["omega"], p["amplitude"], p["mode"], p["component"])
     try:
         state = kam_iterate(
@@ -619,15 +622,16 @@ def _run_kam(p, outdir):
 
 
 def _run_rigidity_step(p, outdir):
-    A = heisenberg()
-    params = ActionParams(tuple(p["alpha"]), (p["beta"],))
+    params = _heis_params(p)
+    if p["threshold"] <= 0:
+        raise ConfigTypeError("threshold must be > 0, got %r" % p["threshold"])
     if p["perturbation_file"]:
-        om = load_vf_cochain(p["perturbation_file"], q=A.q, p=A.p)
+        om = load_vf_cochain(p["perturbation_file"])
     else:
         # generated perturbations are tangent to the commuting deformations,
         # so the reported residual reflects the quadratic remainder
         om = vf_cocycle_member(
-            member_rng(p["seed"], 0), A, params, mu=p["mu"],
+            member_rng(p["seed"], 0), params,
             degree=p["degree"], decay=p["decay"], scale=p["scale"],
         )
     if p["cutoff"] >= 0:
@@ -637,9 +641,7 @@ def _run_rigidity_step(p, outdir):
         om = VfCochain(om.x1.map(smooth), om.x2.map(smooth))
     input_norm = max(nil_sobolev_norm(h, 0) for h in om.x1.slots + om.x2.slots)
     _refuse_resonance(p["alpha"], p["K"])
-    coords, H, residual = newton_step(
-        A, params, p["mu"], om, threshold=p["threshold"]
-    )
+    coords, H, residual = newton_step(params, om, threshold=p["threshold"])
     rows = [("mu1", coords.mu1)]
     rows += [("lam%d" % i, x) for i, x in enumerate(coords.lam)]
     rows.append(("residual_norm", residual))

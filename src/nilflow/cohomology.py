@@ -24,7 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import ConstantCocycle, const_delta0, const_cohomology_basis
+from .algebra import (
+    ConstantCocycle,
+    const_cohomology_basis,
+    const_delta0,
+    heisenberg,
+)
 from .diophantine import fit_witness, min_small_divisor
 from .errors import DimensionMismatch, NonzeroAverage, NotACocycle, Resonance
 from .nilrep import (
@@ -58,6 +63,11 @@ __all__ = [
 ]
 
 CONVENTION = "dpi(Y1)=d/dx, dpi(Y2)=2*pi*i*n*x, dpi(Z)=2*pi*i*n"
+
+# the one frame of the vector-field layer: Y1, Y2 and the central Z with
+# [Y1, Y2] = Z, as in the representation model, where dpi(Y1) = d/dx and
+# dpi(Y2) = 2 pi i n x commute to dpi(Z) = 2 pi i n
+_HEISENBERG = heisenberg()
 
 
 @dataclass
@@ -458,123 +468,98 @@ class VfCochain:
             raise DimensionMismatch("components of the two values must align")
 
 
-def _kappa(algebra, y_vec, i, t):
-    """Z_t component of [X, Y_i] for X with torus coefficients y_vec."""
-    return float(
-        sum(y_vec[l] * algebra.c[l][i][t] for l in range(algebra.q))
-    )
+def _require_frame(*fields):
+    """Refuse a vector field whose slots are not the frame's Y1, Y2 and Z."""
+    for F in fields:
+        if len(F.y) != 2 or len(F.z) != 1:
+            raise DimensionMismatch(
+                "vector fields have two Y slots and one Z slot, got %d and %d"
+                % (len(F.y), len(F.z))
+            )
 
 
-def vf_delta0(algebra, params, H):
+def _kappa(y_vec, i):
+    """Z component of [X, Y_i] for X with Y coefficients y_vec: [Y1, Y2] = Z."""
+    return float((-y_vec[1], y_vec[0])[i])
+
+
+def vf_delta0(params, H):
     """Coboundary of a vector field with function coefficients: the Lie
     derivative along each generator, including the bracket terms that push
     Y-coefficients into the center."""
-    if len(H.y) != algebra.q or len(H.z) != algebra.p:
-        raise DimensionMismatch("coefficient counts must match the algebra")
+    _require_frame(H)
     values = []
     for apply_gen, y_vec in (
         (apply_X1, params.x1_y),
         (apply_X2, params.x2_y),
     ):
         y_out = tuple(apply_gen(params, h) for h in H.y)
-        z_out = []
-        for t in range(algebra.p):
-            term = apply_gen(params, H.z[t])
-            for i in range(algebra.q):
-                kappa = _kappa(algebra, y_vec, i, t)
-                if kappa != 0.0:
-                    term = term.add(H.y[i].scaled(kappa))
-            z_out.append(term)
-        values.append(VfField(y_out, tuple(z_out)))
+        term = apply_gen(params, H.z[0])
+        for i in range(2):
+            kappa = _kappa(y_vec, i)
+            if kappa != 0.0:
+                term = term.add(H.y[i].scaled(kappa))
+        values.append(VfField(y_out, (term,)))
     return VfCochain(values[0], values[1])
 
 
-def _solve_scalar_pair(params, f, g, tol):
+def _solve_scalar_pair(params, f, g):
     """Solve one scalar coboundary equation after removing the constants;
     returns (solution, average of f, average of g)."""
     f0, a1 = _strip_average(f)
     g0, a2 = _strip_average(g)
-    h = delta0_star(params, Cochain1(f0, g0), tol=tol)
-    return h, a1, a2
+    return delta0_star(params, Cochain1(f0, g0)), a1, a2
 
 
-def vf_coboundary_solve(algebra, params, Omega, tol=1e-9):
+def vf_coboundary_solve(params, Omega):
     """Triangular inversion of the vector-field coboundary.
 
-    The q Y-coefficient equations are scalar coboundary problems; their
-    solutions feed bracket corrections into the p central sources, which are
+    The two Y-coefficient equations are scalar coboundary problems; their
+    solutions feed bracket corrections into the central source, which is
     then solved the same way.  Constant obstructions are reduced by constant
     coboundaries and returned as a combination of the cohomology
     representatives.
     """
-    q, p = algebra.q, algebra.p
-    if len(Omega.x1.y) != q or len(Omega.x1.z) != p:
-        raise DimensionMismatch("cochain shape must match the algebra")
-    h_y = []
-    a1 = []
-    a2 = []
-    for i in range(q):
-        h, c1, c2 = _solve_scalar_pair(
-            params, Omega.x1.y[i], Omega.x2.y[i], tol
-        )
-        h_y.append(h)
-        a1.append(_clean_scalar(c1))
-        a2.append(_clean_scalar(c2))
-    h_z = []
-    b1 = []
-    b2 = []
-    for t in range(p):
-        src1 = Omega.x1.z[t]
-        src2 = Omega.x2.z[t]
-        for i in range(q):
-            k1 = _kappa(algebra, params.x1_y, i, t)
-            k2 = _kappa(algebra, params.x2_y, i, t)
-            if k1 != 0.0:
-                src1 = src1.sub(h_y[i].scaled(k1))
-            if k2 != 0.0:
-                src2 = src2.sub(h_y[i].scaled(k2))
-        h, c1, c2 = _solve_scalar_pair(params, src1, src2, tol)
-        h_z.append(h)
-        b1.append(_clean_scalar(c1))
-        b2.append(_clean_scalar(c2))
-
-    residual = ConstantCocycle(tuple(a1), tuple(b1), tuple(a2), tuple(b2))
+    _require_frame(Omega.x1)
+    parts = [
+        _solve_scalar_pair(params, f, g) for f, g in zip(Omega.x1.y, Omega.x2.y)
+    ]
+    src1, src2 = Omega.x1.z[0], Omega.x2.z[0]
+    for i, (h, _c1, _c2) in enumerate(parts):
+        k1 = _kappa(params.x1_y, i)
+        k2 = _kappa(params.x2_y, i)
+        if k1 != 0.0:
+            src1 = src1.sub(h.scaled(k1))
+        if k2 != 0.0:
+            src2 = src2.sub(h.scaled(k2))
+    parts.append(_solve_scalar_pair(params, src1, src2))
+    # the averages of the Y1, Y2 and Z sources, under X1 and then under X2
+    residual = ConstantCocycle.from_vector(
+        [_clean_scalar(part[j]) for j in (1, 2) for part in parts], 2, 1
+    )
     # reduce the constant obstruction by constant coboundaries: the cocycle
     # space splits as image + representatives, so the decomposition is exact
-    dim = algebra.dim
-    image_cols = []
-    for j in range(dim):
-        e = [0.0] * dim
-        e[j] = 1.0
-        image_cols.append(
-            [complex(x) for x in const_delta0(algebra, params, e).to_vector()]
-        )
-    _dim, reps = const_cohomology_basis(algebra, params)
+    dim = _HEISENBERG.dim
+    image_cols = [
+        [complex(x) for x in const_delta0(_HEISENBERG, params, e).to_vector()]
+        for e in np.eye(dim).tolist()
+    ]
+    _dim, reps = const_cohomology_basis(_HEISENBERG, params)
     rep_cols = [[complex(x) for x in w.to_vector()] for w in reps]
     basis = np.array(image_cols + rep_cols, dtype=complex).T
     target = np.array([complex(x) for x in residual.to_vector()])
-    if basis.size:
-        coords, *_ = np.linalg.lstsq(basis, target, rcond=None)
-        const_shift = coords[:dim]
-        rep_part = np.zeros_like(target)
-        for idx, col in enumerate(rep_cols):
-            rep_part += coords[dim + idx] * np.array(col)
-        residual = ConstantCocycle.from_vector(
-            [_clean_scalar(x) for x in rep_part], q, p
-        )
-        h_y = [
-            h.add(NilFunction.constant(_clean_scalar(const_shift[i])))
-            if const_shift[i] != 0
-            else h
-            for i, h in enumerate(h_y)
-        ]
-        h_z = [
-            h.add(NilFunction.constant(_clean_scalar(const_shift[q + t])))
-            if const_shift[q + t] != 0
-            else h
-            for t, h in enumerate(h_z)
-        ]
-    return VfField(tuple(h_y), tuple(h_z)), residual
+    coords, *_ = np.linalg.lstsq(basis, target, rcond=None)
+    rep_part = np.zeros_like(target)
+    for idx, col in enumerate(rep_cols):
+        rep_part += coords[dim + idx] * np.array(col)
+    residual = ConstantCocycle.from_vector(
+        [_clean_scalar(x) for x in rep_part], 2, 1
+    )
+    h = [
+        h.add(NilFunction.constant(_clean_scalar(shift))) if shift != 0 else h
+        for (h, _c1, _c2), shift in zip(parts, coords[:dim])
+    ]
+    return VfField(tuple(h[:2]), (h[2],)), residual
 
 
 def _clean_scalar(x):

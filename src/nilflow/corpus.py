@@ -131,25 +131,23 @@ def cochain_corpus(seed, count, degree=6, n_max=3, length=8, decay=7.0):
     return out
 
 
-def vf_cocycle_member(rng, algebra, params, mu=0.0, degree=3, decay=3.0,
-                      scale=1.0):
-    """Perturbation tangent to the commuting deformations: the coboundary of
-    a random coefficient change plus a random family direction.  Generic
-    cochains are not closed, so quadratic-convergence experiments draw from
-    here."""
-    q, p = algebra.q, algebra.p
+def vf_cocycle_member(rng, params, degree=3, decay=3.0, scale=1.0):
+    """Perturbation tangent to the commuting deformations at params: the
+    coboundary of a random coefficient change plus a random family direction.
+    Generic cochains are not closed, so quadratic-convergence experiments draw
+    from here."""
 
     def slot():
         f = toral_function(rng, 2, degree, decay, real=True, zero_average=False)
         return NilFunction(toral=f * scale)
 
-    H = VfField(tuple(slot() for _ in range(q)), tuple(slot() for _ in range(p)))
+    H = VfField((slot(), slot()), (slot(),))
     coords = FamilyCoordinates(
         scale * rng.standard_normal(),
-        tuple(scale * rng.standard_normal() for _ in range(q + p)),
+        tuple(scale * rng.standard_normal() for _ in range(3)),
     )
-    cob = vf_delta0(algebra, params.replace(mu=mu), H)
-    sec = section_s(params, mu, coords)
+    cob = vf_delta0(params, H)
+    sec = section_s(params, coords)
     return VfCochain(cob.x1.add(sec.x1), cob.x2.add(sec.x2))
 
 

@@ -12,6 +12,7 @@ from .cohomology import (
     Cochain1,
     VfCochain,
     VfField,
+    _require_frame,
     delta1_star_split,
     vf_coboundary_solve,
     vf_delta0,
@@ -45,10 +46,6 @@ class FamilyCoordinates:
         self.mu1 = float(self.mu1)
         self.lam = tuple(float(x) for x in self.lam)
 
-    @classmethod
-    def zero(cls, q, p):
-        return cls(0.0, (0.0,) * (q + p))
-
     @property
     def vector(self):
         return (self.mu1,) + self.lam
@@ -58,7 +55,7 @@ def _avg(F):
     return float(complex(F.toral.average).real)
 
 
-def project_P(algebra, params, mu, omega):
+def project_P(params, omega):
     """Family coordinates of a vector-field cochain by averaging.
 
     The first-generator value averages to the Y offsets; the second-generator
@@ -67,17 +64,17 @@ def project_P(algebra, params, mu, omega):
     """
     if params.alpha[0] == 0:
         raise ValueError("leading frequency component must be nonzero")
-    if len(omega.x1.y) != algebra.q or len(omega.x1.z) != algebra.p:
-        raise DimensionMismatch("coefficient counts must match the algebra")
+    _require_frame(omega.x1)
     a = [_avg(h) for h in omega.x1.y]
     mu1 = _avg(omega.x2.y[0]) / float(params.alpha[0])
     b = [_avg(h) for h in omega.x2.z]
     return FamilyCoordinates(mu1, tuple(a) + tuple(b))
 
 
-def section_s(params, mu, coords):
-    """Constant cochain of the family member at coords relative to the base
-    action: the generator-coefficient difference rho_{mu+mu1, lam} - rho_{mu, 0}.
+def section_s(params, coords):
+    """Constant cochain of the family member at coords relative to the action
+    of params: the generator-coefficient difference rho_{mu+mu1, lam} -
+    rho_{mu, 0}, the same at every mu.
     """
     q = len(params.alpha)
     p = len(params.beta)
@@ -133,55 +130,47 @@ def nil_multiply(F, G):
         a, b = b, a
     m = b.shape[0]
     out = _zeros(2, F.toral.size + G.toral.size)
-    for i, j in np.argwhere(a):
-        out[i : i + m, j : j + m] += a[i, j] * b
+    # one unbuffered scatter: each output entry sums its products in the
+    # order of a's nonzeros, as shifting b once per nonzero would
+    i, j = np.nonzero(a)
+    k, l = np.divmod(np.arange(m * m), m)
+    np.add.at(
+        out,
+        (i[:, None] + k, j[:, None] + l),
+        a[i, j][:, None] * b.reshape(-1),
+    )
     return NilFunction(
         toral=TorusFunction(2, out, real=F.toral.real and G.toral.real)
     )
 
 
-def _require_heisenberg(algebra):
-    if algebra.q != 2 or algebra.p != 1:
-        raise DimensionMismatch(
-            "vector-field brackets are implemented for the Heisenberg shape"
-        )
-
-
-def vf_bracket(algebra, U, V):
-    """Bracket of vector fields with function coefficients: structure-constant
-    terms feed Y pairs into the center, derivative terms move coefficients
-    along the basis elements."""
-    _require_heisenberg(algebra)
-    q, p = algebra.q, algebra.p
+def vf_bracket(U, V):
+    """Bracket of vector fields with function coefficients: derivative terms
+    move coefficients along the basis elements, and [Y1, Y2] = Z feeds
+    u1 v2 - u2 v1 into the center."""
+    _require_frame(U, V)
     basis = [_GENERATORS[gen] for gen in ("Y1", "Y2", "Z")]
     u = U.slots
     v = V.slots
-    out = [NilFunction() for _ in range(q + p)]
+    out = [NilFunction() for _ in range(3)]
     for a, (y, z) in enumerate(basis):
         if u[a].is_zero() and v[a].is_zero():
             continue
-        for b in range(q + p):
+        for b in range(3):
             if not (u[a].is_zero() or v[b].is_zero()):
                 out[b] = out[b].add(nil_multiply(u[a], _apply_element(v[b], y, z)))
             if not (v[a].is_zero() or u[b].is_zero()):
                 out[b] = out[b].sub(nil_multiply(v[a], _apply_element(u[b], y, z)))
-    for t in range(p):
-        for l in range(q):
-            for i in range(q):
-                c = float(algebra.c[l][i][t])
-                if c != 0.0:
-                    out[q + t] = out[q + t].add(
-                        nil_multiply(U.y[l], V.y[i]).scaled(c)
-                    )
-    return VfField(tuple(out[:q]), tuple(out[q:]))
+    center = out[2].add(nil_multiply(u[0], v[1])).sub(nil_multiply(u[1], v[0]))
+    return VfField(tuple(out[:2]), (center,))
 
 
 def _field_norm(A):
     return max(nil_sobolev_norm(h, 0.0) for h in A.slots)
 
 
-def newton_step(algebra, params, mu, omega, threshold=0.5):
-    """One linearized rigidity step at family point mu.
+def newton_step(params, omega, threshold=0.5):
+    """One linearized rigidity step at the family point params.mu.
 
     Regularize the perturbation cochain, project onto the family directions,
     solve the coboundary equation for the remainder, then measure the
@@ -189,20 +178,18 @@ def newton_step(algebra, params, mu, omega, threshold=0.5):
     [H, omega - D/2] per generator.  The residual must shrink quadratically in
     the perturbation size.
     """
-    _require_heisenberg(algebra)
     size = max(_field_norm(omega.x1), _field_norm(omega.x2))
     if size > threshold:
         raise ThresholdExceeded(
             "perturbation norm %.3e exceeds the step threshold %.3e"
             % (size, threshold)
         )
-    combined = params.replace(mu=mu)
-    reduced = delta_op(combined, omega)
-    coords = project_P(algebra, params, mu, reduced)
-    sec = section_s(params, mu, coords)
+    reduced = delta_op(params, omega)
+    coords = project_P(params, reduced)
+    sec = section_s(params, coords)
     lin = VfCochain(reduced.x1.sub(sec.x1), reduced.x2.sub(sec.x2))
-    H, resid_const = vf_coboundary_solve(algebra, combined, lin)
-    D = vf_delta0(algebra, combined, H)
+    H, resid_const = vf_coboundary_solve(params, lin)
+    D = vf_delta0(params, H)
     residual_fields = []
     for om_i, s_i, d_i, yc, zc in (
         (omega.x1, sec.x1, D.x1, resid_const.a1, resid_const.b1),
@@ -210,7 +197,7 @@ def newton_step(algebra, params, mu, omega, threshold=0.5):
     ):
         lin_err = om_i.sub(s_i).sub(d_i).sub(VfField.constant(yc, zc))
         half_d = d_i.map(lambda h: h.scaled(0.5))
-        residual_fields.append(lin_err.add(vf_bracket(algebra, H, om_i.sub(half_d))))
+        residual_fields.append(lin_err.add(vf_bracket(H, om_i.sub(half_d))))
     residual_norm = max(_field_norm(f) for f in residual_fields)
     return coords, H, residual_norm
 
@@ -233,7 +220,7 @@ def serialize_vf_cochain(omega):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_vf_cochain(text, q=2, p=1):
+def parse_vf_cochain(text):
     """Inverse of serialize_vf_cochain; slots absent from the text are zero.
 
     Record syntax after the slot prefix matches parse_nil_function; ``#``
@@ -249,7 +236,7 @@ def parse_vf_cochain(text, q=2, p=1):
         if not m:
             raise FormatError("unknown slot %r" % head, line=lineno)
         gen, kind, idx = m.group(1), m.group(2), int(m.group(3))
-        if idx >= (q if kind == "y" else p):
+        if idx >= (2 if kind == "y" else 1):
             raise FormatError("slot index out of range: %r" % head, line=lineno)
         per_slot.setdefault((gen, kind, idx), []).append((lineno, rest.strip()))
 
@@ -266,13 +253,13 @@ def parse_vf_cochain(text, q=2, p=1):
 
     def field(gen):
         return VfField(
-            tuple(build((gen, "y", i)) for i in range(q)),
-            tuple(build((gen, "z", t)) for t in range(p)),
+            (build((gen, "y", 0)), build((gen, "y", 1))),
+            (build((gen, "z", 0)),),
         )
 
     return VfCochain(field("x1"), field("x2"))
 
 
-def load_vf_cochain(path, q=2, p=1):
+def load_vf_cochain(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_vf_cochain(fh.read(), q=q, p=p)
+        return parse_vf_cochain(fh.read())

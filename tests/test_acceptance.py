@@ -309,13 +309,13 @@ def _scale_cochain(om, c):
 
 def test_criterion_7_rigidity_scheme(capsys):
     t0 = time.monotonic()
-    A = heisenberg()
     p = golden_params()
 
     proj_ok = True
     for mu in (-1.0, -0.5, 0.0, 0.5, 1.0):
         coords = FamilyCoordinates(0.37, (0.21, -0.11, 0.05))
-        got = project_P(A, p, mu, section_s(p, mu, coords))
+        tilted = p.replace(mu=mu)
+        got = project_P(tilted, section_s(tilted, coords))
         proj_ok = proj_ok and bool(
             np.allclose(got.vector, coords.vector, atol=1e-12)
         )
@@ -323,8 +323,8 @@ def test_criterion_7_rigidity_scheme(capsys):
     slopes = []
     scales = np.logspace(-4, -2, 4)
     for i in range(20):
-        base = vf_cocycle_member(member_rng(174, i), A, p, mu=0.0, degree=3,
-                                 decay=3.0, scale=1.0)
+        base = vf_cocycle_member(member_rng(174, i), p, degree=3, decay=3.0,
+                                 scale=1.0)
         norm0 = max(
             nil_sobolev_norm(h, 0)
             for h in base.x1.y + base.x1.z + base.x2.y + base.x2.z
@@ -332,7 +332,7 @@ def test_criterion_7_rigidity_scheme(capsys):
         residuals = []
         for eps in scales:
             om = _scale_cochain(base, eps / norm0)
-            _c, _H, resid = newton_step(A, p, 0.0, om, threshold=10.0)
+            _c, _H, resid = newton_step(p, om, threshold=10.0)
             residuals.append(max(resid, 1e-300))
         slopes.append(float(np.polyfit(np.log(scales), np.log(residuals), 1)[0]))
     elapsed = time.monotonic() - t0

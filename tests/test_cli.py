@@ -309,6 +309,14 @@ def test_solve_coboundary_nonzero_average_is_negative(tmp_path):
         ("cg-decay", {"length": -1}, "ConfigTypeError"),
         ("cg-decay", {"n_max": 1}, "ConfigTypeError"),
         ("kam", {"omega": "1.0 %r" % PHI, "mode": "0 0"}, "ConfigTypeError"),
+        ("kam", {"omega": "1.0 %r" % PHI, "max_iter": 0}, "ConfigTypeError"),
+        ("kam", {"omega": "1.0 %r" % PHI, "max_iter": -2}, "ConfigTypeError"),
+        ("kam", {"omega": "1.0 %r" % PHI, "floor": 0.0}, "ConfigTypeError"),
+        ("kam", {"omega": "1.0 %r" % PHI, "floor": -1.0}, "ConfigTypeError"),
+        ("rigidity-step", {"threshold": 0.0}, "ConfigTypeError"),
+        ("rigidity-step", {"threshold": -1.0}, "ConfigTypeError"),
+        ("rigidity-step", {"alpha": "1.0"}, "ConfigTypeError"),
+        ("rigidity-step", {"alpha": "1.0 %r 0.5" % PHI}, "ConfigTypeError"),
     ],
     ids=[
         "count0", "count-3", "degree-2", "split-count0", "split-count-3",
@@ -318,6 +326,9 @@ def test_solve_coboundary_nonzero_average_is_negative(tmp_path):
         "gh-report-alpha3", "kernel-dim-alpha3", "spectrum-alpha3",
         "cg-decay-n_max0", "cg-decay-n_max-1", "cg-decay-length0",
         "cg-decay-length-1", "cg-decay-n_max1", "kam-mode0",
+        "kam-max_iter0", "kam-max_iter-2", "kam-floor0", "kam-floor-1",
+        "rigidity-step-threshold0", "rigidity-step-threshold-1",
+        "rigidity-step-alpha1", "rigidity-step-alpha3",
     ],
 )
 def test_solve_coboundary_rejects_empty_or_negative_sizes(tmp_path, sub, overrides, reason):

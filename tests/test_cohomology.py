@@ -725,14 +725,13 @@ def _const_vf_cochain(c):
 
 
 def test_vf_delta0_bracket_terms():
-    A = heisenberg()
     p = golden_params()
     h1 = NilFunction(toral=TorusFunction(2, {(1, 0): 1.0}))
     H = VfField((h1, NilFunction()), (NilFunction(),))
-    w = vf_delta0(A, p, H)
+    w = vf_delta0(p, H)
     # Y-coefficients move by the generator derivative
     assert w.x1.y[0].toral.coeff((1, 0)) == pytest.approx(2j * math.pi * 1.0)
-    # the central coefficient picks up kappa = x1_y[1] * c[1][0][0] = -phi
+    # the central coefficient picks up kappa = -x1_y[1] = -phi ([Y1, Y2] = Z)
     assert w.x1.z[0].toral.coeff((1, 0)) == pytest.approx(-PHI)
     # X2 is flat on toral data at mu = 0 and brackets to zero with x2_y = 0
     assert w.x2.y[0].is_zero()
@@ -741,14 +740,13 @@ def test_vf_delta0_bracket_terms():
 
 def test_vf_roundtrip():
     rng = np.random.default_rng(73)
-    A = heisenberg()
     p = golden_params(beta=0.8)
     H0 = VfField(
         (random_nil(rng), random_nil(rng)),
         (random_nil(rng),),
     )
-    Omega = vf_delta0(A, p, H0)
-    H, residual = vf_coboundary_solve(A, p, Omega)
+    Omega = vf_delta0(p, H0)
+    H, residual = vf_coboundary_solve(p, Omega)
     scale = max(nil_sobolev_norm(h, 0.0) for h in H0.y + H0.z)
     for got, want in zip(H.y + H.z, H0.y + H0.z):
         assert norm_diff(got, want) < 1e-9 * scale
@@ -761,7 +759,7 @@ def test_vf_constant_representative_is_fixed():
     _dim, reps = const_cohomology_basis(A, p)
     target = reps[0]
     Omega = _const_vf_cochain(target)
-    H, residual = vf_coboundary_solve(A, p, Omega)
+    H, residual = vf_coboundary_solve(p, Omega)
     got = np.array([complex(x) for x in residual.to_vector()])
     want = np.array([complex(x) for x in target.to_vector()])
     assert np.max(np.abs(got - want)) < 1e-12 * max(np.max(np.abs(want)), 1.0)
@@ -782,7 +780,7 @@ def test_vf_mixed_residual_projects_to_representatives():
         A.p,
     )
     H0 = VfField((random_nil(rng), random_nil(rng)), (random_nil(rng),))
-    base = vf_delta0(A, p, H0)
+    base = vf_delta0(p, H0)
     shift = _const_vf_cochain(mix)
     Omega = VfCochain(
         VfField(
@@ -794,7 +792,7 @@ def test_vf_mixed_residual_projects_to_representatives():
             tuple(a.add(b) for a, b in zip(base.x2.z, shift.x2.z)),
         ),
     )
-    _H, residual = vf_coboundary_solve(A, p, Omega)
+    _H, residual = vf_coboundary_solve(p, Omega)
     # independent projection: decompose the constant part in the image +
     # representative basis directly
     cols = []
@@ -818,11 +816,10 @@ def test_vf_mixed_residual_projects_to_representatives():
 
 
 def test_vf_shape_validation():
-    A = heisenberg()
     p = golden_params()
     with pytest.raises(DimensionMismatch):
-        vf_delta0(A, p, VfField((NilFunction(),), ()))
+        vf_delta0(p, VfField((NilFunction(),), ()))
     with pytest.raises(DimensionMismatch):
         vf_coboundary_solve(
-            A, p, VfCochain(VfField((NilFunction(),), ()), VfField((NilFunction(),), ()))
+            p, VfCochain(VfField((NilFunction(),), ()), VfField((NilFunction(),), ()))
         )

@@ -11,7 +11,14 @@ from nilflow.errors import (
     ThresholdExceeded,
     UnrepresentableProduct,
 )
-from nilflow.nilrep import NilFunction, nil_sobolev_norm
+from nilflow.nilrep import (
+    _GENERATORS,
+    NilFunction,
+    _apply_element,
+    apply_X1,
+    apply_X2,
+    nil_sobolev_norm,
+)
 from nilflow.rigidity import (
     FamilyCoordinates,
     delta_op,
@@ -24,7 +31,7 @@ from nilflow.rigidity import (
     smoothing_truncate,
     vf_bracket,
 )
-from nilflow.torus import TorusFunction
+from nilflow.torus import TorusFunction, _zeros
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -67,17 +74,16 @@ def rand_field(rng, scale=1.0, deg=2):
 
 
 def test_section_of_zero_is_zero():
-    sec = section_s(golden_params(), 0.3, FamilyCoordinates.zero(2, 1))
+    sec = section_s(golden_params(mu=0.3), FamilyCoordinates(0.0, (0.0, 0.0, 0.0)))
     for h in sec.x1.y + sec.x1.z + sec.x2.y + sec.x2.z:
         assert h.is_zero()
 
 
 @pytest.mark.parametrize("mu", [-1.0, -0.5, 0.0, 0.5, 1.0])
 def test_projection_inverts_section(mu):
-    A = heisenberg()
-    p = golden_params()
+    p = golden_params().replace(mu=mu)
     coords = FamilyCoordinates(0.37, (0.21, -0.11, 0.05))
-    got = project_P(A, p, mu, section_s(p, mu, coords))
+    got = project_P(p, section_s(p, coords))
     assert np.allclose(got.vector, coords.vector, atol=1e-12)
 
 
@@ -86,7 +92,7 @@ def test_section_is_linear():
     c1 = FamilyCoordinates(0.2, (0.1, -0.3, 0.4))
     c2 = FamilyCoordinates(-0.5, (0.25, 0.0, -0.2))
     c3 = FamilyCoordinates(c1.mu1 + c2.mu1, tuple(a + b for a, b in zip(c1.lam, c2.lam)))
-    s1, s2, s3 = (section_s(p, 0.0, c) for c in (c1, c2, c3))
+    s1, s2, s3 = (section_s(p, c) for c in (c1, c2, c3))
     for a, b, c in zip(
         s1.x1.y + s1.x2.y + s1.x2.z,
         s2.x1.y + s2.x2.y + s2.x2.z,
@@ -97,7 +103,6 @@ def test_section_is_linear():
 
 def test_projection_is_linear():
     rng = np.random.default_rng(5)
-    A = heisenberg()
     p = golden_params()
     o1 = VfCochain(rand_field(rng), rand_field(rng))
     o2 = VfCochain(rand_field(rng), rand_field(rng))
@@ -111,22 +116,20 @@ def test_projection_is_linear():
             tuple(a.add(b) for a, b in zip(o1.x2.z, o2.x2.z)),
         ),
     )
-    v1 = np.array(project_P(A, p, 0.0, o1).vector)
-    v2 = np.array(project_P(A, p, 0.0, o2).vector)
-    v3 = np.array(project_P(A, p, 0.0, both).vector)
+    v1 = np.array(project_P(p, o1).vector)
+    v2 = np.array(project_P(p, o2).vector)
+    v3 = np.array(project_P(p, both).vector)
     assert np.allclose(v1 + v2, v3, atol=1e-12)
 
 
 def test_projection_kills_coboundaries():
     rng = np.random.default_rng(7)
-    A = heisenberg()
     p = golden_params()
-    omega = vf_delta0(A, p, rand_field(rng))
-    assert np.allclose(project_P(A, p, 0.0, omega).vector, 0.0, atol=1e-12)
+    omega = vf_delta0(p, rand_field(rng))
+    assert np.allclose(project_P(p, omega).vector, 0.0, atol=1e-12)
 
 
 def test_projection_recovers_constant_cocycle():
-    A = heisenberg()
     p = golden_params()
     a, mu1, b = (0.3, -0.7), 0.45, (0.12,)
     omega = VfCochain(
@@ -139,20 +142,19 @@ def test_projection_recovers_constant_cocycle():
             tuple(NilFunction.constant(x) for x in b),
         ),
     )
-    got = project_P(A, p, 0.0, omega)
+    got = project_P(p, omega)
     assert got.mu1 == pytest.approx(mu1, abs=1e-14)
     assert got.lam == pytest.approx(a + b, abs=1e-14)
 
 
 def test_projection_needs_leading_frequency():
-    A = heisenberg()
     p = ActionParams(alpha=(0.0, PHI), beta=(1.0,))
     omega = VfCochain(
         VfField((NilFunction(), NilFunction()), (NilFunction(),)),
         VfField((NilFunction(), NilFunction()), (NilFunction(),)),
     )
     with pytest.raises(ValueError):
-        project_P(A, p, 0.0, omega)
+        project_P(p, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +197,8 @@ def test_delta_op_output_is_closed(mu):
 
 def test_delta_op_vector_field_slots():
     rng = np.random.default_rng(17)
-    A = heisenberg()
     p = golden_params()
-    omega = vf_delta0(A, p, rand_field(rng))
+    omega = vf_delta0(p, rand_field(rng))
     shifted = VfCochain(
         VfField(
             tuple(h.add(NilFunction.constant(0.1)) for h in omega.x1.y),
@@ -235,7 +236,6 @@ def test_truncate_preserves_constants():
 
 def test_truncate_commutes_with_projection():
     rng = np.random.default_rng(23)
-    A = heisenberg()
     p = golden_params()
     lifted = rand_field(rng, deg=4)
     lifted = VfField(
@@ -252,7 +252,7 @@ def test_truncate_commutes_with_projection():
             tuple(smoothing_truncate(h, 2) for h in omega.x2.z),
         ),
     )
-    assert project_P(A, p, 0.0, cut).vector == project_P(A, p, 0.0, omega).vector
+    assert project_P(p, cut).vector == project_P(p, omega).vector
 
 
 def test_truncate_error_bound():
@@ -306,36 +306,33 @@ def test_multiply_rejects_unrepresentable():
 
 
 def test_bracket_hand_example():
-    A = heisenberg()
     u = toral_nil({(1, 0): 2.0})
     v = toral_nil({(0, 1): 3.0})
     U = VfField((u, NilFunction()), (NilFunction(),))
     V = VfField((NilFunction(), v), (NilFunction(),))
-    out = vf_bracket(A, U, V)
+    out = vf_bracket(U, V)
     # -v * (Y2 u) on the first slot, u * (Y1 v) on the second, u*v into Z
     assert out.y[0].is_zero()
     assert out.y[1].toral.coeff((1, 1)) == pytest.approx(0.0)
-    assert out.z[0].toral.coeff((1, 1)) == pytest.approx(6.0 * float(A.c[0][1][0]))
+    assert out.z[0].toral.coeff((1, 1)) == pytest.approx(6.0)
 
 
 def test_bracket_derivative_terms():
-    A = heisenberg()
     u = toral_nil({(1, 1): 2.0})
     v = toral_nil({(2, -1): 3.0})
     U = VfField((u, NilFunction()), (NilFunction(),))
     V = VfField((NilFunction(), v), (NilFunction(),))
-    out = vf_bracket(A, U, V)
+    out = vf_bracket(U, V)
     assert out.y[0].toral.coeff((3, 0)) == pytest.approx(-(2j * math.pi * 1) * 6.0)
     assert out.y[1].toral.coeff((3, 0)) == pytest.approx((2j * math.pi * 2) * 6.0)
 
 
 def test_bracket_central_direction():
-    A = heisenberg()
     h = toral_nil({(1, 0): 1.0})
     g = toral_nil({(0, 2): 1.0})
     U = VfField((NilFunction(), NilFunction()), (h,))
     V = VfField((g, NilFunction()), (NilFunction(),))
-    out = vf_bracket(A, U, V)
+    out = vf_bracket(U, V)
     assert out.y[0].is_zero()
     assert out.y[1].is_zero()
     # -(g * Y1 h) Z survives; Z applied to toral data vanishes
@@ -344,11 +341,10 @@ def test_bracket_central_direction():
 
 def test_bracket_antisymmetry():
     rng = np.random.default_rng(31)
-    A = heisenberg()
     U = rand_field(rng)
     V = rand_field(rng)
-    fwd = vf_bracket(A, U, V)
-    bwd = vf_bracket(A, V, U)
+    fwd = vf_bracket(U, V)
+    bwd = vf_bracket(V, U)
     for a, b in zip(fwd.y + fwd.z, bwd.y + bwd.z):
         assert norm_diff(a, b.scaled(-1.0)) < 1e-12 * max(
             nil_sobolev_norm(a, 0.0), 1.0
@@ -360,11 +356,10 @@ def test_bracket_antisymmetry():
 
 
 def test_newton_pure_family_shift():
-    A = heisenberg()
-    p = golden_params()
+    p = golden_params(mu=0.5)
     coords0 = FamilyCoordinates(0.02, (0.005, -0.01, 0.007))
-    omega = section_s(p, 0.5, coords0)
-    coords, H, residual = newton_step(A, p, 0.5, omega)
+    omega = section_s(p, coords0)
+    coords, H, residual = newton_step(p, omega)
     assert np.allclose(coords.vector, coords0.vector, atol=1e-14)
     for h in H.y + H.z:
         assert nil_sobolev_norm(h, 0.0) < 1e-12
@@ -378,13 +373,12 @@ def _zero_avg_field(rng):
 @pytest.mark.parametrize("mu", [0.0, 0.5])
 def test_newton_recovers_coboundary(mu):
     rng = np.random.default_rng(37)
-    A = heisenberg()
     p = golden_params()
     combined = p.replace(mu=mu)
     H0 = _zero_avg_field(rng)
     eps = 1e-3
-    omega = vf_delta0(A, combined, _field_scale(H0, eps))
-    coords, H, residual = newton_step(A, p, mu, omega, threshold=10.0)
+    omega = vf_delta0(combined, _field_scale(H0, eps))
+    coords, H, residual = newton_step(combined, omega, threshold=10.0)
     assert np.max(np.abs(coords.vector)) < 1e-12
     for got, want in zip(H.y + H.z, H0.y + H0.z):
         assert norm_diff(got, want.scaled(eps)) < 1e-9 * eps
@@ -412,14 +406,13 @@ def _vf_add(a, b):
 
 def test_newton_residual_quadratic():
     rng = np.random.default_rng(41)
-    A = heisenberg()
     p = golden_params()
     H0 = _zero_avg_field(rng)
     sizes = np.logspace(-4, -2, 5)
     residuals = []
     for eps in sizes:
-        omega = vf_delta0(A, p, _field_scale(H0, eps))
-        _, _, residual = newton_step(A, p, 0.0, omega, threshold=10.0)
+        omega = vf_delta0(p, _field_scale(H0, eps))
+        _, _, residual = newton_step(p, omega, threshold=10.0)
         residuals.append(residual)
     slope = np.polyfit(np.log(sizes), np.log(residuals), 1)[0]
     assert 1.7 <= slope <= 2.3
@@ -429,7 +422,6 @@ def test_newton_residual_quadratic():
 
 def test_newton_mixed_input():
     rng = np.random.default_rng(43)
-    A = heisenberg()
     p = golden_params()
     H0 = _zero_avg_field(rng)
     coords0 = FamilyCoordinates(0.6, (0.3, -0.2, 0.45))
@@ -440,10 +432,10 @@ def test_newton_mixed_input():
             eps * coords0.mu1, tuple(eps * x for x in coords0.lam)
         )
         omega = _vf_add(
-            section_s(p, 0.0, scaled0),
-            vf_delta0(A, p, _field_scale(H0, eps)),
+            section_s(p, scaled0),
+            vf_delta0(p, _field_scale(H0, eps)),
         )
-        coords, H, residual = newton_step(A, p, 0.0, omega, threshold=10.0)
+        coords, H, residual = newton_step(p, omega, threshold=10.0)
         assert np.allclose(coords.vector, scaled0.vector, atol=1e-12)
         for got, want in zip(H.y + H.z, H0.y + H0.z):
             assert norm_diff(got, want.scaled(eps)) < 1e-8 * eps
@@ -454,21 +446,19 @@ def test_newton_mixed_input():
 
 def test_newton_threshold():
     rng = np.random.default_rng(47)
-    A = heisenberg()
     p = golden_params()
     omega = VfCochain(rand_field(rng, scale=5.0), rand_field(rng, scale=5.0))
     with pytest.raises(ThresholdExceeded):
-        newton_step(A, p, 0.0, omega)
+        newton_step(p, omega)
 
 
 def test_bracket_requires_heisenberg_shape():
-    from nilflow.algebra import TwoStepAlgebra
-    from fractions import Fraction
-
-    A3 = TwoStepAlgebra(3, 1, [[[Fraction(0)] for _ in range(3)] for _ in range(3)])
     U = VfField(tuple(NilFunction() for _ in range(3)), (NilFunction(),))
-    with pytest.raises(DimensionMismatch):
-        vf_bracket(A3, U, U)
+    W = VfField((NilFunction(), NilFunction()), ())
+    F = VfField((NilFunction(), NilFunction()), (NilFunction(),))
+    for a, b in ((U, U), (F, U), (W, F)):
+        with pytest.raises(DimensionMismatch):
+            vf_bracket(a, b)
 
 
 def test_multiply_matches_double_loop_reference():
@@ -485,6 +475,143 @@ def test_multiply_matches_double_loop_reference():
     l1 = [sum(abs(c) for c in H.toral.coeffs.values()) for H in (F, G)]
     bound = 64 * np.finfo(float).eps * l1[0] * l1[1]
     assert max(abs(out.coeff(k) - c) for k, c in ref.items()) <= bound
+
+
+def _shift_and_add(F, G):
+    """nil_multiply's toral product as one shifted copy of the block with
+    more nonzeros per nonzero of the other, added in their order."""
+    a, b = F.toral.block, G.toral.block
+    if np.count_nonzero(a) > np.count_nonzero(b):
+        a, b = b, a
+    m = b.shape[0]
+    out = _zeros(2, F.toral.size + G.toral.size)
+    for i, j in np.argwhere(a):
+        out[i : i + m, j : j + m] += a[i, j] * b
+    return out
+
+
+def _seeded_block(rng, degree, real):
+    side = 2 * degree + 1
+    block = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    block[rng.random((side, side)) < 0.3] = 0
+    if real:
+        block = block + np.conj(block[::-1, ::-1])
+    return NilFunction(toral=TorusFunction(2, block, real=real))
+
+
+def test_multiply_is_the_shift_and_add_bit_for_bit():
+    rng = np.random.default_rng(59)
+    for trial in range(80):
+        F = _seeded_block(rng, int(rng.integers(1, 7)), trial % 2 == 0)
+        G = _seeded_block(rng, int(rng.integers(1, 7)), trial % 4 < 2)
+        out = nil_multiply(F, G).toral
+        want = _shift_and_add(F, G)
+        real = F.toral.real and G.toral.real
+        assert out.real == real
+        assert out.block.shape == want.shape
+        assert out.block.tobytes() == TorusFunction(2, want, real=real).block.tobytes()
+
+
+def test_multiply_padded_constant_scales_reps():
+    # a constant whose block carries a zero border is still a constant
+    block = _zeros(2, 2)
+    block[2, 2] = 3.0
+    F = NilFunction(toral=TorusFunction(2, block))
+    G = NilFunction(reps={(1, 0): np.array([1.0, 2.0])})
+    for out in (nil_multiply(F, G), nil_multiply(G, F)):
+        assert np.allclose(out.rep(1), [3.0, 6.0])
+
+
+# ---------------------------------------------------------------------------
+# the vector-field layer's frame against the generic structure constants
+
+
+def _generic_bracket(algebra, U, V):
+    """vf_bracket with its structure term summed over c[l][i][t]."""
+    q, p = algebra.q, algebra.p
+    basis = [_GENERATORS[gen] for gen in ("Y1", "Y2", "Z")]
+    u = U.slots
+    v = V.slots
+    out = [NilFunction() for _ in range(q + p)]
+    for a, (y, z) in enumerate(basis):
+        if u[a].is_zero() and v[a].is_zero():
+            continue
+        for b in range(q + p):
+            if not (u[a].is_zero() or v[b].is_zero()):
+                out[b] = out[b].add(nil_multiply(u[a], _apply_element(v[b], y, z)))
+            if not (v[a].is_zero() or u[b].is_zero()):
+                out[b] = out[b].sub(nil_multiply(v[a], _apply_element(u[b], y, z)))
+    for t in range(p):
+        for l in range(q):
+            for i in range(q):
+                c = float(algebra.c[l][i][t])
+                if c != 0.0:
+                    out[q + t] = out[q + t].add(
+                        nil_multiply(U.y[l], V.y[i]).scaled(c)
+                    )
+    return VfField(tuple(out[:q]), tuple(out[q:]))
+
+
+def _generic_delta0(algebra, params, H):
+    """vf_delta0 with kappa summed over c[l][i][t]."""
+    values = []
+    for apply_gen, y_vec in (
+        (apply_X1, params.x1_y),
+        (apply_X2, params.x2_y),
+    ):
+        y_out = tuple(apply_gen(params, h) for h in H.y)
+        z_out = []
+        for t in range(algebra.p):
+            term = apply_gen(params, H.z[t])
+            for i in range(algebra.q):
+                kappa = float(
+                    sum(y_vec[l] * algebra.c[l][i][t] for l in range(algebra.q))
+                )
+                if kappa != 0.0:
+                    term = term.add(H.y[i].scaled(kappa))
+            z_out.append(term)
+        values.append(VfField(y_out, tuple(z_out)))
+    return VfCochain(values[0], values[1])
+
+
+def _same_bits(F, G):
+    return (
+        F.toral.real == G.toral.real
+        and F.toral.block.shape == G.toral.block.shape
+        and F.toral.block.tobytes() == G.toral.block.tobytes()
+        and F.keys == G.keys
+        and F.lengths.tobytes() == G.lengths.tobytes()
+        and F.block.shape == G.block.shape
+        and F.block.tobytes() == G.block.tobytes()
+    )
+
+
+def _with_reps(rng, F):
+    rows = {
+        (1, 0): rng.standard_normal(3) + 1j * rng.standard_normal(3),
+        (-2, 1): rng.standard_normal(2) + 1j * rng.standard_normal(2),
+    }
+    return NilFunction(toral=F.toral, reps=rows)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.7])
+def test_frame_matches_the_generic_structure_constants(mu):
+    A = heisenberg()
+    p = golden_params(mu=mu)
+    rng = np.random.default_rng(61)
+    for _trial in range(6):
+        U, V = rand_field(rng), rand_field(rng)
+        # a zero and a constant slot take the short paths of nil_multiply
+        W = VfField((NilFunction(), V.y[1]), (NilFunction.constant(0.25),))
+        for a, b in ((U, V), (V, U), (U, W), (W, U)):
+            got = vf_bracket(a, b)
+            want = _generic_bracket(A, a, b)
+            assert all(_same_bits(g, w) for g, w in zip(got.slots, want.slots))
+        H = VfField(tuple(_with_reps(rng, h) for h in U.y), U.z)
+        got = vf_delta0(p, H)
+        want = _generic_delta0(A, p, H)
+        for g_fld, w_fld in ((got.x1, want.x1), (got.x2, want.x2)):
+            assert all(_same_bits(g, w) for g, w in zip(g_fld.slots, w_fld.slots))
 
 
 # ---------------------------------------------------------------------------
