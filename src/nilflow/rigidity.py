@@ -37,7 +37,7 @@ from .torus import TorusFunction, _zeros
 @dataclass
 class FamilyCoordinates:
     """Point of the transversal family: a coordinate-change direction and the
-    q+p constant offsets of the generator coefficients."""
+    Y1, Y2 and Z constant offsets of the generator coefficients."""
 
     mu1: float
     lam: tuple
@@ -74,17 +74,14 @@ def project_P(params, omega):
 def section_s(params, coords):
     """Constant cochain of the family member at coords relative to the action
     of params: the generator-coefficient difference rho_{mu+mu1, lam} -
-    rho_{mu, 0}, the same at every mu.
+    rho_{mu, 0}, the same at every mu.  lam holds the Y1, Y2 and Z offsets.
     """
-    q = len(params.alpha)
-    p = len(params.beta)
-    lam = coords.lam
-    if len(lam) != q + p:
-        raise DimensionMismatch("offset vector must have length q + p")
-    return VfCochain(
-        VfField.constant(lam[:q], (0.0,) * p),
-        VfField.constant([coords.mu1 * float(a) for a in params.alpha], lam[q:]),
-    )
+    if len(coords.lam) != 3:
+        raise DimensionMismatch("offset vector must hold the Y1, Y2 and Z offsets")
+    y1, y2, z = coords.lam
+    x2 = VfField.constant([coords.mu1 * float(a) for a in params.alpha], (z,))
+    _require_frame(x2)
+    return VfCochain(VfField.constant((y1, y2), (0.0,)), x2)
 
 
 def delta_op(params, omega):
@@ -110,13 +107,20 @@ def smoothing_truncate(F, cutoff):
     return F._cut(F.toral.truncated(cutoff), cutoff, int(math.floor(cutoff)) + 1)
 
 
+# largest block side at which nil_multiply's scatter beats its shifted adds
+_SCATTER_SIDE = 11
+
+
 def nil_multiply(F, G):
     """Pointwise product where it stays inside the coefficient frame: toral
     times toral is a convolution, constants scale anything.  Products involving
     a representation part and a nonconstant factor leave the frame.
 
-    The convolution shifts the larger block by each nonzero mode of the
-    smaller one and adds: the products of the double sum, no FFT roundoff."""
+    The convolution adds one shifted copy of the larger block per nonzero mode
+    of the smaller: the products of the double sum, no FFT roundoff.  Up to
+    side _SCATTER_SIDE one unbuffered np.add.at scatter adds them in the same
+    order, faster, with index arrays of nnz * side^2 <= side^4 entries; past
+    it ufunc.at's cost per entry loses to one add per nonzero."""
     for A, B in ((F, G), (G, F)):
         if not A.keys and A.toral.degree == 0:
             return B.scaled(complex(A.toral.average))
@@ -130,15 +134,15 @@ def nil_multiply(F, G):
         a, b = b, a
     m = b.shape[0]
     out = _zeros(2, F.toral.size + G.toral.size)
-    # one unbuffered scatter: each output entry sums its products in the
-    # order of a's nonzeros, as shifting b once per nonzero would
-    i, j = np.nonzero(a)
-    k, l = np.divmod(np.arange(m * m), m)
-    np.add.at(
-        out,
-        (i[:, None] + k, j[:, None] + l),
-        a[i, j][:, None] * b.reshape(-1),
-    )
+    if m <= _SCATTER_SIDE:
+        i, j = np.nonzero(a)
+        k, l = np.divmod(np.arange(m * m), m)
+        np.add.at(
+            out, (i[:, None] + k, j[:, None] + l), a[i, j][:, None] * b.reshape(-1)
+        )
+    else:
+        for i, j in np.argwhere(a):
+            out[i : i + m, j : j + m] += a[i, j] * b
     return NilFunction(
         toral=TorusFunction(2, out, real=F.toral.real and G.toral.real)
     )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,21 @@ def test_section_of_zero_is_zero():
     sec = section_s(golden_params(mu=0.3), FamilyCoordinates(0.0, (0.0, 0.0, 0.0)))
     for h in sec.x1.y + sec.x1.z + sec.x2.y + sec.x2.z:
         assert h.is_zero()
+
+
+@pytest.mark.parametrize(
+    "alpha, lam",
+    [
+        ((1.0, PHI), (0.1, 0.2)),
+        ((1.0, PHI), (0.1, 0.2, 0.3, 0.4)),
+        ((1.0, PHI, 2.0), (0.1, 0.2, 0.3)),
+    ],
+    ids=["two-offsets", "four-offsets", "three-alpha"],
+)
+def test_section_refuses_fields_outside_the_frame(alpha, lam):
+    p = ActionParams(alpha=alpha, beta=(1.0,), mu=0.0)
+    with pytest.raises(DimensionMismatch):
+        section_s(p, FamilyCoordinates(0.3, lam))
 
 
 @pytest.mark.parametrize("mu", [-1.0, -0.5, 0.0, 0.5, 1.0])
@@ -500,16 +516,31 @@ def _seeded_block(rng, degree, real):
 
 
 def test_multiply_is_the_shift_and_add_bit_for_bit():
+    # degrees 1-8 put the larger block on both sides of the scatter's limit
     rng = np.random.default_rng(59)
     for trial in range(80):
-        F = _seeded_block(rng, int(rng.integers(1, 7)), trial % 2 == 0)
-        G = _seeded_block(rng, int(rng.integers(1, 7)), trial % 4 < 2)
+        F = _seeded_block(rng, int(rng.integers(1, 9)), trial % 2 == 0)
+        G = _seeded_block(rng, int(rng.integers(1, 9)), trial % 4 < 2)
         out = nil_multiply(F, G).toral
         want = _shift_and_add(F, G)
         real = F.toral.real and G.toral.real
         assert out.real == real
         assert out.block.shape == want.shape
         assert out.block.tobytes() == TorusFunction(2, want, real=real).block.tobytes()
+
+
+def test_multiply_of_dense_degree_24_blocks_stays_small():
+    # a scatter over all nnz * m^2 products would hold 49^4 entries per index
+    # array, about 180 MB; the product needs its output block and one shift
+    rng = np.random.default_rng(61)
+    F, G = (_seeded_block(rng, 24, False) for _ in range(2))
+    tracemalloc.start()
+    try:
+        nil_multiply(F, G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_multiply_padded_constant_scales_reps():
