@@ -374,6 +374,11 @@ def const_cohomology_basis(A, params):
     RANK_TOL.
     """
     q, p, d = A.q, A.p, A.dim
+    if params.q != q or params.p != p:
+        raise DimensionMismatch(
+            "alpha and beta need %d and %d components, got %d and %d"
+            % (q, p, params.q, params.p)
+        )
     exact = all(_is_exact(x) for x in (*params.alpha, *params.beta, params.mu))
     if any(x == 0 for x in params.x1_y):
         warnings.warn(

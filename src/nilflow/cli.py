@@ -331,9 +331,10 @@ def _heis_params(p):
     return ActionParams(tuple(p["alpha"]), (p["beta"],), mu=p["mu"])
 
 
-def _require_positive(p, key):
-    if p[key] < 1:
-        raise ConfigTypeError("%s must be >= 1, got %d" % (key, p[key]))
+def _require_at_least(p, least, *keys):
+    for key in keys:
+        if p[key] < least:
+            raise ConfigTypeError("%s must be >= %d, got %d" % (key, least, p[key]))
 
 
 def _refuse_resonance(alpha, K):
@@ -380,7 +381,7 @@ def _run_solve_coboundary(p, outdir):
         raise ConfigTypeError("alpha needs at least one component")
     if p["count"] < 1:
         raise EmptyCorpus("count must be >= 1, got %d" % p["count"])
-    _require_positive(p, "degree")
+    _require_at_least(p, 1, "degree")
     if p["input"]:
         fns = [load_nil_function(p["input"]).toral]
     else:
@@ -427,6 +428,7 @@ def _run_split(p, outdir):
     params = _heis_params(p)
     if p["count"] < 1:
         raise EmptyCorpus("count must be >= 1, got %d" % p["count"])
+    _require_at_least(p, 0, "degree", "n_max", "length")
     corpus = cochain_corpus(
         p["seed"], p["count"], p["degree"], p["n_max"], p["length"], p["decay"]
     )
@@ -469,7 +471,7 @@ def _run_split(p, outdir):
 
 def _run_spectrum(p, outdir):
     params = _heis_params(p)
-    _require_positive(p, "n_max")
+    _require_at_least(p, 1, "n_max")
     t = trusted_count(p["M"])
 
     def one(n):
@@ -520,7 +522,7 @@ def _run_gh_report(p, outdir):
 
 def _run_kernel_dim(p, outdir):
     params = _heis_params(p)
-    _require_positive(p, "N")
+    _require_at_least(p, 1, "N")
     # N and M stay in the schema and in kernel.csv; the count reads toral modes
     dim = joint_kernel_dim(params, p["K"], tol=p["tol"])
     _write_csv(
@@ -587,7 +589,7 @@ def _kam_rows(state):
 
 
 def _run_kam(p, outdir):
-    _require_positive(p, "max_iter")
+    _require_at_least(p, 1, "max_iter")
     if p["floor"] <= 0:
         raise ConfigTypeError("floor must be > 0, got %r" % p["floor"])
     beta = _sin_field(p["omega"], p["amplitude"], p["mode"], p["component"])
@@ -625,6 +627,7 @@ def _run_rigidity_step(p, outdir):
     params = _heis_params(p)
     if p["threshold"] <= 0:
         raise ConfigTypeError("threshold must be > 0, got %r" % p["threshold"])
+    _require_at_least(p, 0, "degree")
     if p["perturbation_file"]:
         om = load_vf_cochain(p["perturbation_file"])
     else:
@@ -662,7 +665,8 @@ def _run_cg_decay(p, outdir):
     if p["n_max"] < 2:
         # the plateau compares against the inner window 2|n| <= n_max
         raise ConfigTypeError("n_max must be >= 2, got %d" % p["n_max"])
-    _require_positive(p, "length")
+    _require_at_least(p, 1, "length")
+    _require_at_least(p, 0, "degree")
     corpus = nil_corpus(
         p["seed"], p["count"], p["degree"], p["n_max"], p["length"], p["decay"]
     )

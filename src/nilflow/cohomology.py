@@ -24,12 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (
-    ConstantCocycle,
-    const_cohomology_basis,
-    const_delta0,
-    heisenberg,
-)
+from .algebra import ConstantCocycle
 from .diophantine import fit_witness, min_small_divisor
 from .errors import DimensionMismatch, NonzeroAverage, NotACocycle, Resonance
 from .nilrep import (
@@ -63,11 +58,6 @@ __all__ = [
 ]
 
 CONVENTION = "dpi(Y1)=d/dx, dpi(Y2)=2*pi*i*n*x, dpi(Z)=2*pi*i*n"
-
-# the one frame of the vector-field layer: Y1, Y2 and the central Z with
-# [Y1, Y2] = Z, as in the representation model, where dpi(Y1) = d/dx and
-# dpi(Y2) = 2 pi i n x commute to dpi(Z) = 2 pi i n
-_HEISENBERG = heisenberg()
 
 
 @dataclass
@@ -421,7 +411,10 @@ def joint_kernel_dim(params, K, tol=1e-8):
 
 @dataclass
 class VfField:
-    """Vector field with function coefficients: sum h_i Y_i + sum h'_t Z_t."""
+    """Vector field h1 Y1 + h2 Y2 + h' Z with function coefficients, in the
+    one frame of the vector-field layer: the central Z with [Y1, Y2] = Z, as
+    in the representation model, where dpi(Y1) = d/dx and dpi(Y2) = 2 pi i n x
+    commute to dpi(Z) = 2 pi i n.  Any other slot shape is refused here."""
 
     y: tuple
     z: tuple
@@ -429,6 +422,11 @@ class VfField:
     def __post_init__(self):
         self.y = tuple(self.y)
         self.z = tuple(self.z)
+        if len(self.y) != 2 or len(self.z) != 1:
+            raise DimensionMismatch(
+                "vector fields have two Y slots and one Z slot, got %d and %d"
+                % (len(self.y), len(self.z))
+            )
 
     @classmethod
     def constant(cls, y_values, z_values):
@@ -463,20 +461,6 @@ class VfCochain:
     x1: VfField
     x2: VfField
 
-    def __post_init__(self):
-        if len(self.x1.y) != len(self.x2.y) or len(self.x1.z) != len(self.x2.z):
-            raise DimensionMismatch("components of the two values must align")
-
-
-def _require_frame(*fields):
-    """Refuse a vector field whose slots are not the frame's Y1, Y2 and Z."""
-    for F in fields:
-        if len(F.y) != 2 or len(F.z) != 1:
-            raise DimensionMismatch(
-                "vector fields have two Y slots and one Z slot, got %d and %d"
-                % (len(F.y), len(F.z))
-            )
-
 
 def _kappa(y_vec, i):
     """Z component of [X, Y_i] for X with Y coefficients y_vec: [Y1, Y2] = Z."""
@@ -487,7 +471,6 @@ def vf_delta0(params, H):
     """Coboundary of a vector field with function coefficients: the Lie
     derivative along each generator, including the bracket terms that push
     Y-coefficients into the center."""
-    _require_frame(H)
     values = []
     for apply_gen, y_vec in (
         (apply_X1, params.x1_y),
@@ -511,16 +494,30 @@ def _solve_scalar_pair(params, f, g):
     return delta0_star(params, Cochain1(f0, g0)), a1, a2
 
 
+def _real_average(x, slot):
+    """A slot average as the real number a constant cocycle holds."""
+    x = complex(x)
+    if x.imag != 0:
+        raise ValueError("slot %s has a complex average %r" % (slot, x))
+    return x.real
+
+
 def vf_coboundary_solve(params, Omega):
     """Triangular inversion of the vector-field coboundary.
 
     The two Y-coefficient equations are scalar coboundary problems; their
     solutions feed bracket corrections into the central source, which is
-    then solved the same way.  Constant obstructions are reduced by constant
-    coboundaries and returned as a combination of the cohomology
-    representatives.
+    then solved the same way.  Left over are the source averages
+    r = (y1, z1; y2, z2) under X1 and X2, real or refused with ValueError.
+    A constant field c has the coboundary (0, kappa; 0, mu kappa), with
+    kappa = alpha1 c2 - alpha2 c1: the least-norm shift
+    c = z1 (-alpha2, alpha1, 0) / |alpha|^2 absorbs z1, and the obstruction
+    (y1, 0; mu y1 + s alpha, z2 - mu z1), s = alpha.(y2 - mu y1) / |alpha|^2,
+    lies in the family directions of section_s.  The part of y2 - mu y1
+    across alpha is not a cocycle and stays in the caller's residual.  At
+    alpha = 0 every constant coboundary vanishes: no shift, and the
+    obstruction is r.
     """
-    _require_frame(Omega.x1)
     parts = [
         _solve_scalar_pair(params, f, g) for f, g in zip(Omega.x1.y, Omega.x2.y)
     ]
@@ -533,37 +530,22 @@ def vf_coboundary_solve(params, Omega):
         if k2 != 0.0:
             src2 = src2.sub(h.scaled(k2))
     parts.append(_solve_scalar_pair(params, src1, src2))
-    # the averages of the Y1, Y2 and Z sources, under X1 and then under X2
-    residual = ConstantCocycle.from_vector(
-        [_clean_scalar(part[j]) for j in (1, 2) for part in parts], 2, 1
-    )
-    # reduce the constant obstruction by constant coboundaries: the cocycle
-    # space splits as image + representatives, so the decomposition is exact
-    dim = _HEISENBERG.dim
-    image_cols = [
-        [complex(x) for x in const_delta0(_HEISENBERG, params, e).to_vector()]
-        for e in np.eye(dim).tolist()
-    ]
-    _dim, reps = const_cohomology_basis(_HEISENBERG, params)
-    rep_cols = [[complex(x) for x in w.to_vector()] for w in reps]
-    basis = np.array(image_cols + rep_cols, dtype=complex).T
-    target = np.array([complex(x) for x in residual.to_vector()])
-    coords, *_ = np.linalg.lstsq(basis, target, rcond=None)
-    rep_part = np.zeros_like(target)
-    for idx, col in enumerate(rep_cols):
-        rep_part += coords[dim + idx] * np.array(col)
-    residual = ConstantCocycle.from_vector(
-        [_clean_scalar(x) for x in rep_part], 2, 1
-    )
+    r = np.array([
+        [_real_average(part[j], "x%d.%s" % (j, slot))
+         for part, slot in zip(parts, ("y0", "y1", "z0"))]
+        for j in (1, 2)
+    ])
+    (y1, z1), (y2, z2) = (r[0, :2], r[0, 2]), (r[1, :2], r[1, 2])
+    alpha = np.array(params.alpha, dtype=float)
+    norm2 = alpha @ alpha
+    shift = (0.0, 0.0)
+    if norm2 > 0:
+        mu = float(params.mu)
+        shift = z1 * np.array([-alpha[1], alpha[0]]) / norm2
+        y2 = mu * y1 + alpha * (alpha @ (y2 - mu * y1)) / norm2
+        z1, z2 = 0.0, z2 - mu * z1
     h = [
-        h.add(NilFunction.constant(_clean_scalar(shift))) if shift != 0 else h
-        for (h, _c1, _c2), shift in zip(parts, coords[:dim])
+        h.add(NilFunction.constant(c)) if c != 0 else h
+        for (h, _c1, _c2), c in zip(parts, shift)
     ]
-    return VfField(tuple(h[:2]), (h[2],)), residual
-
-
-def _clean_scalar(x):
-    x = complex(x)
-    if x.imag == 0:
-        return x.real
-    return x
+    return VfField(tuple(h), (parts[2][0],)), ConstantCocycle(y1, (z1,), y2, (z2,))

@@ -12,7 +12,6 @@ from .cohomology import (
     Cochain1,
     VfCochain,
     VfField,
-    _require_frame,
     delta1_star_split,
     vf_coboundary_solve,
     vf_delta0,
@@ -45,6 +44,8 @@ class FamilyCoordinates:
     def __post_init__(self):
         self.mu1 = float(self.mu1)
         self.lam = tuple(float(x) for x in self.lam)
+        if len(self.lam) != 3:
+            raise DimensionMismatch("offset vector must hold the Y1, Y2 and Z offsets")
 
     @property
     def vector(self):
@@ -64,7 +65,6 @@ def project_P(params, omega):
     """
     if params.alpha[0] == 0:
         raise ValueError("leading frequency component must be nonzero")
-    _require_frame(omega.x1)
     a = [_avg(h) for h in omega.x1.y]
     mu1 = _avg(omega.x2.y[0]) / float(params.alpha[0])
     b = [_avg(h) for h in omega.x2.z]
@@ -76,11 +76,8 @@ def section_s(params, coords):
     of params: the generator-coefficient difference rho_{mu+mu1, lam} -
     rho_{mu, 0}, the same at every mu.  lam holds the Y1, Y2 and Z offsets.
     """
-    if len(coords.lam) != 3:
-        raise DimensionMismatch("offset vector must hold the Y1, Y2 and Z offsets")
     y1, y2, z = coords.lam
     x2 = VfField.constant([coords.mu1 * float(a) for a in params.alpha], (z,))
-    _require_frame(x2)
     return VfCochain(VfField.constant((y1, y2), (0.0,)), x2)
 
 
@@ -152,7 +149,6 @@ def vf_bracket(U, V):
     """Bracket of vector fields with function coefficients: derivative terms
     move coefficients along the basis elements, and [Y1, Y2] = Z feeds
     u1 v2 - u2 v1 into the center."""
-    _require_frame(U, V)
     basis = [_GENERATORS[gen] for gen in ("Y1", "Y2", "Z")]
     u = U.slots
     v = V.slots

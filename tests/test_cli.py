@@ -317,6 +317,11 @@ def test_solve_coboundary_nonzero_average_is_negative(tmp_path):
         ("rigidity-step", {"threshold": -1.0}, "ConfigTypeError"),
         ("rigidity-step", {"alpha": "1.0"}, "ConfigTypeError"),
         ("rigidity-step", {"alpha": "1.0 %r 0.5" % PHI}, "ConfigTypeError"),
+        ("split", {"degree": -1}, "ConfigTypeError"),
+        ("split", {"n_max": -1}, "ConfigTypeError"),
+        ("split", {"length": -2}, "ConfigTypeError"),
+        ("cg-decay", {"degree": -1}, "ConfigTypeError"),
+        ("rigidity-step", {"degree": -1}, "ConfigTypeError"),
     ],
     ids=[
         "count0", "count-3", "degree-2", "split-count0", "split-count-3",
@@ -328,7 +333,9 @@ def test_solve_coboundary_nonzero_average_is_negative(tmp_path):
         "cg-decay-length-1", "cg-decay-n_max1", "kam-mode0",
         "kam-max_iter0", "kam-max_iter-2", "kam-floor0", "kam-floor-1",
         "rigidity-step-threshold0", "rigidity-step-threshold-1",
-        "rigidity-step-alpha1", "rigidity-step-alpha3",
+        "rigidity-step-alpha1", "rigidity-step-alpha3", "split-degree-1",
+        "split-n_max-1", "split-length-2", "cg-decay-degree-1",
+        "rigidity-step-degree-1",
     ],
 )
 def test_solve_coboundary_rejects_empty_or_negative_sizes(tmp_path, sub, overrides, reason):
@@ -343,6 +350,20 @@ def test_solve_coboundary_rejects_empty_or_negative_sizes(tmp_path, sub, overrid
     rec = read_summary(out)[0]
     assert (rec["verdict"], rec["reason"]) == ("error", reason)
     assert os.listdir(out) == ["summary.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "sub,overrides",
+    [
+        ("split", {"count": 2, "degree": 0, "n_max": 0, "length": 0}),
+        ("cg-decay", {"count": 2, "degree": 0}),
+        ("rigidity-step", {"degree": 0}),
+    ],
+    ids=["split", "cg-decay", "rigidity-step"],
+)
+def test_zero_sizes_stay_valid(tmp_path, sub, overrides):
+    base = {"alpha": (1.0, PHI)} if "alpha" in SCHEMAS[sub] else {}
+    assert run(make_config(sub, tmp_path, **base, **overrides)) == 0
 
 
 @pytest.mark.parametrize(
@@ -472,6 +493,28 @@ def test_constant_cohomology_default_model(tmp_path):
     # each of the 4 representatives spans 2 * dim = 6 slots
     rows = read_csv(tmp_path, "basis.csv")
     assert len(rows) == 1 + 4 * 6
+
+
+_Q3_P2 = "q=3 p=2\nc 1 2 1 1\nc 1 3 2 1\nc 2 3 1 1\nc 2 3 2 2\n"
+
+
+@pytest.mark.parametrize(
+    "algebra,alpha,beta",
+    [("", "1.0", "1.0 2.0"), (_Q3_P2, "1 2", "1 2 3")],
+    ids=["heisenberg", "q3-p2"],
+)
+def test_constant_cohomology_refuses_mismatched_lengths(tmp_path, algebra, alpha, beta):
+    # q + p agrees in both cases; alpha and beta must match q and p apiece
+    entries = {"alpha": alpha, "beta": beta}
+    if algebra:
+        path = tmp_path / "algebra.txt"
+        path.write_text(algebra)
+        entries["algebra"] = str(path)
+    out = tmp_path / "out"
+    assert run(make_config("constant-cohomology", out, **entries)) == 1
+    rec = read_summary(out)[0]
+    assert (rec["verdict"], rec["reason"]) == ("error", "DimensionMismatch")
+    assert os.listdir(out) == ["summary.jsonl"]
 
 
 def test_kam_golden_run(tmp_path):
@@ -736,3 +779,46 @@ def test_main_rigidity_flags_override_config(tmp_path):
     assert rec["mu"] == 0.0
     # the cutoff removed the degree-5 central modes before the step
     assert rec["input_norm"] < 2e-3
+
+
+@pytest.mark.parametrize(
+    "record",
+    ["x1.y0 toral 0 0 0.001 0.002", "x1.z0 toral 0 0 0.001 0.002"],
+    ids=["x1.y0", "x1.z0"],
+)
+def test_rigidity_step_refuses_a_complex_average(tmp_path, capsys, record):
+    # project_P reads only real parts (and never x1.z0); the reduction of the
+    # constant obstruction refuses the imaginary part by slot
+    pert = tmp_path / "pert.txt"
+    pert.write_text(record + "\n")
+    out = tmp_path / "out"
+    cfg = make_config(
+        "rigidity-step", out, alpha=(1.0, PHI), perturbation_file=str(pert)
+    )
+    assert run(cfg) == 1
+    rec = read_summary(out)[0]
+    assert (rec["verdict"], rec["reason"]) == ("error", "ValueError")
+    assert record.split()[0] in rec["detail"]
+    assert capsys.readouterr().err == ""
+    assert not (out / "coordinates.csv").exists()
+
+
+def test_rigidity_step_h_norm_is_continuous_in_mu(tmp_path):
+    # the Z average under X1 is a constant coboundary at every mu; its shift
+    # must not jump where |mu alpha| crosses a rank tolerance
+    pert = tmp_path / "pert.txt"
+    pert.write_text(
+        "x1.y0 toral 1 0 0.001 0.0\nx1.y0 toral -1 0 0.001 0.0\n"
+        "x1.z0 toral 0 0 0.002 0.0\n"
+        "x2.y1 toral 0 1 0.0005 0.0\nx2.y1 toral 0 -1 0.0005 0.0\n"
+    )
+    norms = []
+    for i, mu in enumerate((0.0, 1e-12, 1e-6, 0.3)):
+        out = tmp_path / ("out%d" % i)
+        cfg = make_config(
+            "rigidity-step", out, alpha=(1.0, PHI), mu=mu,
+            perturbation_file=str(pert),
+        )
+        assert run(cfg) == 0
+        norms.append(read_summary(out)[0]["h_norm"])
+    assert max(norms) - min(norms) <= 1e-9 * max(norms)

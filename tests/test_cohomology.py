@@ -815,6 +815,64 @@ def test_vf_mixed_residual_projects_to_representatives():
     assert np.max(np.abs(got - expected)) < 1e-9
 
 
+def _lstsq_reduction(params, r):
+    """Oracle: the constant vector r in the basis of the constant coboundaries
+    of the Heisenberg algebra and the representatives of
+    const_cohomology_basis, by least squares.  Returns the least-norm shift
+    and the representative part, as real vectors."""
+    A = heisenberg()
+    image = [const_delta0(A, params, e).to_vector() for e in np.eye(A.dim).tolist()]
+    _dim, reps = const_cohomology_basis(A, params)
+    rep_cols = np.array([w.to_vector() for w in reps], dtype=float).T
+    basis = np.hstack([np.array(image, dtype=float).T, rep_cols])
+    coords, *_ = np.linalg.lstsq(basis, np.asarray(r, dtype=float), rcond=None)
+    return coords[: A.dim], rep_cols @ coords[A.dim :]
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.7, -2.0])
+def test_closed_form_obstruction_matches_lstsq_oracle(mu):
+    rng = np.random.default_rng(83)
+    p = golden_params(beta=0.8, mu=mu)
+    alpha = np.array(p.alpha)
+    for _ in range(20):
+        y1, (z1, z2, t) = rng.standard_normal(2), rng.standard_normal(3)
+        # a constant cocycle: y2 - mu y1 lies along alpha
+        r = np.concatenate([y1, [z1], mu * y1 + t * alpha, [z2]])
+        H, obstruction = vf_coboundary_solve(
+            p, _const_vf_cochain(ConstantCocycle.from_vector(r, 2, 1))
+        )
+        shift = [complex(h.toral.average).real for h in H.slots]
+        got = np.array(obstruction.to_vector(), dtype=float)
+        image = np.array(const_delta0(heisenberg(), p, shift).to_vector(), dtype=float)
+        assert np.max(np.abs(image + got - r)) < 1e-12
+        want_shift, want = _lstsq_reduction(p, r)
+        d = got - want
+        # the two complements differ by a constant coboundary (0, t; 0, mu t)
+        assert np.max(np.abs(d[[0, 1, 3, 4]])) < 1e-12
+        assert abs(d[5] - mu * d[2]) < 1e-12
+        if mu == 0:
+            assert np.max(np.abs(d)) < 1e-12
+            assert np.max(np.abs(np.array(shift) - want_shift)) < 1e-12
+
+
+def test_zero_alpha_has_no_shift_and_returns_the_averages():
+    # at alpha = 0 no constant field has a coboundary
+    p = golden_params(mu=0.7, alpha=(0.0, 0.0))
+    r = ConstantCocycle((0.1, -0.2), (0.3,), (0.4, 0.5), (-0.6,))
+    H, obstruction = vf_coboundary_solve(p, _const_vf_cochain(r))
+    assert obstruction == r
+    assert all(h.is_zero() for h in H.slots)
+
+
+def test_complex_average_is_refused_by_slot():
+    Omega = VfCochain(
+        VfField.constant((0.0, 0.0), (0.0,)),
+        VfField.constant((0.0, 0.001 + 0.002j), (0.0,)),
+    )
+    with pytest.raises(ValueError, match="slot x2.y1 has a complex average"):
+        vf_coboundary_solve(golden_params(), Omega)
+
+
 def test_vf_shape_validation():
     p = golden_params()
     with pytest.raises(DimensionMismatch):

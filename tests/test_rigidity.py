@@ -469,12 +469,16 @@ def test_newton_threshold():
 
 
 def test_bracket_requires_heisenberg_shape():
-    U = VfField(tuple(NilFunction() for _ in range(3)), (NilFunction(),))
-    W = VfField((NilFunction(), NilFunction()), ())
-    F = VfField((NilFunction(), NilFunction()), (NilFunction(),))
-    for a, b in ((U, U), (F, U), (W, F)):
+    # a field outside the frame is refused where it is built
+    def field(ny, nz):
+        return VfField(
+            tuple(NilFunction() for _ in range(ny)),
+            tuple(NilFunction() for _ in range(nz)),
+        )
+
+    for a, b in (((3, 1), (3, 1)), ((2, 1), (3, 1)), ((2, 0), (2, 1))):
         with pytest.raises(DimensionMismatch):
-            vf_bracket(a, b)
+            vf_bracket(field(*a), field(*b))
 
 
 def test_multiply_matches_double_loop_reference():
