@@ -10,9 +10,13 @@ flattens a perturbed constant field back to its linear model.
 
 Conventions: enumeration degree is the sup norm of k; composition samples on
 an equispaced grid of at least 4K points per dimension and re-expands through
-the FFT.  The Newton step re-expands at its truncation degree K on the 4K
-grid; the final verification samples a 5-smooth grid that is not a power of
-two.
+the FFT.  Real functions are sampled and re-expanded through half-spectrum
+transforms (irfftn, rfftn) over the modes with k_last >= 0, and evaluated
+pointwise from the modes k > 0 in lexicographic order; complex functions and
+grids too coarse for the block (which alias) use the full complex transforms.
+The Newton step re-expands at its truncation degree K on the 4K grid; the
+final verification samples a 5-smooth grid that is not a power of two, sized
+from K.
 """
 
 import math
@@ -225,17 +229,39 @@ class TorusFunction:
         pts = np.asarray(points, dtype=float)
         if pts.shape[-1] != self.n:
             raise DimensionMismatch("points must have trailing dimension n")
-        vals = np.zeros(pts.shape[:-1], dtype=complex)
+        if not self.real:
+            vals = np.zeros(pts.shape[:-1], dtype=complex)
+            for k, c in self.coeffs.items():
+                vals += c * np.exp(2j * np.pi * (pts @ np.asarray(k, dtype=float)))
+            return vals
+        # c_{-k} = conj(c_k): the modes k > 0 (lexicographic) pair with their
+        # conjugates into 2 (Re c cos - Im c sin), real throughout
+        vals = np.full(pts.shape[:-1], self.average)
+        zero = (0,) * self.n
         for k, c in self.coeffs.items():
-            vals += c * np.exp(2j * np.pi * (pts @ np.asarray(k, dtype=float)))
-        return vals.real if self.real else vals
+            if k > zero:
+                theta = 2 * np.pi * (pts @ np.asarray(k, dtype=float))
+                # a pure cosine or sine mode needs one of the two
+                if c.real:
+                    vals += 2 * c.real * np.cos(theta)
+                if c.imag:
+                    vals -= 2 * c.imag * np.sin(theta)
+        return vals
 
     def grid_values(self, G):
         """Values on the equispaced G^n grid via the inverse FFT; modes beyond
-        the grid's Nyquist band alias onto it."""
+        the grid's Nyquist band alias onto it.  A real block that fits the
+        grid (2 size < G) goes through irfftn on its k_last >= 0 half."""
+        if G < 1:
+            raise DimensionMismatch("grid side must be positive, got %r" % (G,))
         _require_size(G, self.n, "evaluation grid")
+        D = self.size
+        wrap = np.arange(-D, D + 1) % G
+        if self.real and 2 * D < G:
+            half = np.zeros((G,) * (self.n - 1) + (G // 2 + 1,), dtype=complex)
+            half[np.ix_(*[wrap] * (self.n - 1), np.arange(D + 1))] = self.block[..., D:]
+            return np.fft.irfftn(half, (G,) * self.n, range(self.n), norm="forward")
         arr = np.zeros((G,) * self.n, dtype=complex)
-        wrap = np.arange(-self.size, self.size + 1) % G
         np.add.at(arr, np.ix_(*[wrap] * self.n), self.block)
         vals = np.fft.ifftn(arr) * G**self.n
         return vals.real if self.real else vals
@@ -245,15 +271,24 @@ class TorusFunction:
         """Re-expand equispaced samples; keeps modes with sup norm <= degree,
         discarding coefficients below drop_below relative to the largest one.
         Alias-free for band-limited data when every axis has > 2*degree points.
-        With ``real`` the block is symmetrized, absorbing FFT roundoff."""
+        With ``real`` the block is symmetrized, absorbing FFT roundoff.  Real
+        samples go through rfftn: the k_last >= 0 half of the window is read
+        off and the other half is its conjugate reflection."""
         values = np.asarray(values)
         if real is None:
             real = not np.iscomplexobj(values)
+        if degree < 0:
+            raise DimensionMismatch("degree must be >= 0, got %r" % (degree,))
         if min(values.shape) <= 2 * degree:
             raise DimensionMismatch("grid too coarse for the requested degree")
-        C = np.fft.fftn(values) / values.size
         window = np.arange(-degree, degree + 1)
-        block = C[np.ix_(*[window % s for s in values.shape])]
+        if np.iscomplexobj(values):
+            C = np.fft.fftn(values) / values.size
+            block = C[np.ix_(*[window % s for s in values.shape])]
+        else:
+            H = np.fft.rfftn(values, norm="forward")
+            half = H[np.ix_(*[window % s for s in values.shape[:-1]], np.arange(degree + 1))]
+            block = np.concatenate([np.conj(np.flip(half[..., 1:])), half], axis=-1)
         floor = drop_below * float(np.max(np.abs(block)))
         block = np.where(np.abs(block) > floor, block, 0)
         return cls._exact(values.ndim, block, bool(real))
@@ -384,15 +419,27 @@ def _grid_points(n, G):
     return np.stack(np.meshgrid(*([xs] * n), indexing="ij"), axis=-1).reshape(-1, n)
 
 
+def _sampled(functions, G):
+    """Real grid values of the functions, one row each: shape (len, G^n).
+    One transform per function; rows are filled in place."""
+    rows = np.empty((len(functions), G ** functions[0].n))
+    for row, f in zip(rows, functions):
+        row[:] = np.real(f.grid_values(G)).reshape(-1)
+    return rows
+
+
 def _grid_values(u, G):
     """Real grid values of the components of the field u, shape (G^n, n)."""
-    return np.stack([np.real(c.grid_values(G)).reshape(-1) for c in u.components], axis=-1)
+    return _sampled(u.components, G).T
 
 
 def _displacement_arrays(u, G):
-    """Grid values of u and of its Jacobian: shapes (G^n, n) and (G^n, n, n)."""
-    partials = [TorusVectorField([c.partial(j) for c in u.components]) for j in range(u.n)]
-    return _grid_values(u, G), np.stack([_grid_values(p, G) for p in partials], axis=-1)
+    """Grid values of u and of its Jacobian: shapes (G^n, n) and (G^n, n, n),
+    the Jacobian entry [p, i, j] being d_j u_i."""
+    n = u.n
+    fs = list(u.components) + [c.partial(j) for c in u.components for j in range(n)]
+    rows = _sampled(fs, G)
+    return rows[:n].T, rows[n:].reshape(n, n, -1).transpose(2, 0, 1)
 
 
 def _field_from_grid(vals, G, degree, drop_below=0.0):
@@ -604,7 +651,9 @@ def verify_conjugacy(state):
     """Sup-norm distance, on a dense grid, between the pullback of the member
     field (omega - lambda_bar) + beta0 under id + u_acc and the target omega.
     Raises NonInvertible when id + u_acc is outside the invertibility region."""
-    G = _verification_size(max(state.u_acc.degree, state.beta0.degree, 1))
+    # sized from the truncation degree, not from u_acc's degree, which
+    # roundoff-level coefficients at the edge of its window decide
+    G = _verification_size(max(state.trunc_degree, state.beta0.degree, 1))
     omega = np.asarray(state.omega)
     vals, _ = _pulled_back(
         state.u_acc, state.beta0, G, omega - np.asarray(state.lambda_bar)

@@ -692,3 +692,166 @@ def test_closed_operations_match_the_checked_constructor(n, real):
     support = h.block != 0
     support[(3,) * n] = False
     same(solve_small_divisor(alpha, h), torus._quotient(-1j * h.block, 2 * np.pi * ka, support), real)
+
+
+# ---------------------------------------------------------------------------
+# half-spectrum transforms and real evaluation against the complex ones
+
+
+def _complex_grid_values(f, G):
+    # the full complex transform, with aliasing through the scatter
+    arr = np.zeros((G,) * f.n, dtype=complex)
+    wrap = np.arange(-f.size, f.size + 1) % G
+    np.add.at(arr, np.ix_(*[wrap] * f.n), f.block)
+    vals = np.fft.ifftn(arr) * G**f.n
+    return vals.real if f.real else vals
+
+
+def _complex_from_grid(cls, values, degree, real=None, drop_below=0.0):
+    # the window of the full complex fftn
+    values = np.asarray(values)
+    if real is None:
+        real = not np.iscomplexobj(values)
+    if min(values.shape) <= 2 * degree:
+        raise DimensionMismatch("grid too coarse for the requested degree")
+    C = np.fft.fftn(values) / values.size
+    window = np.arange(-degree, degree + 1)
+    block = C[np.ix_(*[window % s for s in values.shape])]
+    floor = drop_below * float(np.max(np.abs(block)))
+    block = np.where(np.abs(block) > floor, block, 0)
+    return cls._exact(values.ndim, block, bool(real))
+
+
+def _complex_evaluate(f, points):
+    # direct summation over every mode, k and -k alike
+    pts = np.asarray(points, dtype=float)
+    vals = np.zeros(pts.shape[:-1], dtype=complex)
+    for k, c in f.coeffs.items():
+        vals += c * np.exp(2j * np.pi * (pts @ np.asarray(k, dtype=float)))
+    return vals.real if f.real else vals
+
+
+def _close(got, want, rel=1e-13):
+    return np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+# n = 3 on the 270 grid would sample 2e7 points; the other pairs cover it
+_SIDES = [(n, G) for n in (1, 2, 3) for G in (16, 45, 270) if G**n < 10**6]
+
+
+@pytest.mark.parametrize("n, G", _SIDES)
+def test_real_grid_values_match_the_complex_transform(n, G):
+    rng = np.random.default_rng(70 + n + G)
+    widest = (G - 1) // 2  # the largest block that does not alias
+    for D in sorted({0, 1, min(widest, 12), widest}):
+        f = TorusFunction(n, _real_block(rng, n, D), real=True)
+        got = f.grid_values(G)
+        assert got.dtype == float and got.shape == (G,) * n
+        assert _close(got, _complex_grid_values(f, G))
+        # a block whose support lies in the k_last = 0 plane
+        b = f.block.copy()
+        b[..., :D] = 0
+        b[..., D + 1:] = 0
+        flat = TorusFunction(n, b, real=True)
+        assert np.count_nonzero(flat.block) > 0
+        assert _close(flat.grid_values(G), _complex_grid_values(flat, G))
+    # aliased blocks (2 size >= G) and complex functions keep the scatter and
+    # the complex transform, to the bit
+    for D in ((G + 1) // 2, G):
+        if (2 * D + 1) ** n > 10**6:
+            continue
+        f = TorusFunction(n, _real_block(rng, n, D), real=True)
+        assert np.array_equal(f.grid_values(G), _complex_grid_values(f, G))
+    g = _random_block_function(rng, n, min(widest, 5), real=False)
+    assert np.array_equal(g.grid_values(G), _complex_grid_values(g, G))
+
+
+@pytest.mark.parametrize("n, G", _SIDES)
+def test_real_from_grid_matches_the_complex_transform(n, G):
+    rng = np.random.default_rng(80 + n + G)
+    shapes = [(G,) * n]
+    if n > 1:
+        shapes.append(tuple(G + 3 * i for i in range(n)))
+        shapes.append(tuple(G + 3 * (n - 1 - i) for i in range(n)))
+    for shape in shapes:
+        values = rng.normal(size=shape)
+        for degree in sorted({0, 3, (min(shape) - 1) // 2}):
+            got = TorusFunction.from_grid(values, degree)
+            want = _complex_from_grid(TorusFunction, values, degree)
+            assert got.real and got.block.shape == want.block.shape
+            assert _close(got.block, want.block)
+        # complex samples keep the complex transform, to the bit
+        cvals = values + 1j * rng.normal(size=shape)
+        for real in (None, True):
+            got = TorusFunction.from_grid(cvals, 3, real)
+            want = _complex_from_grid(TorusFunction, cvals, 3, real)
+            assert got.real == want.real
+            assert got.block.tobytes() == want.block.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_real_evaluate_matches_the_complex_sum(n):
+    rng = np.random.default_rng(90 + n)
+    pts = rng.uniform(-1.0, 2.0, size=(7, 5, n))
+    for D in (0, 1, 4, 9):
+        f = TorusFunction(n, _real_block(rng, n, D), real=True)
+        got = f.evaluate(pts)
+        assert got.dtype == float and got.shape == (7, 5)
+        assert _close(got, _complex_evaluate(f, pts))
+    # pure sine and cosine modes, and a constant
+    for f in (sine_mode(n, (1,) * n, 0.3), sine_mode(n, (2,) + (-1,) * (n - 1), 1.0) * 1j * 1j,
+              TorusFunction(n, {(1,) * n: 0.5, (-1,) * n: 0.5}, real=True),
+              TorusFunction.constant(n, -2.5)):
+        assert _close(f.evaluate(pts), _complex_evaluate(f, pts))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sine_mode(2, (1, 1), 1.0).grid_values(0),
+        lambda: sine_mode(2, (1, 1), 1.0).grid_values(-4),
+        lambda: TorusFunction(2, {(1, 1): 1.0}).grid_values(-4),
+        lambda: TorusFunction.from_grid(np.ones((8, 8)), -1),
+        lambda: TorusFunction.from_grid(np.ones((8, 8)) * 1j, -1),
+    ],
+    ids=["real-zero", "real-negative", "complex-negative", "degree-negative", "complex-degree-negative"],
+)
+def test_bad_grid_sizes_are_typed_refusals(call):
+    with pytest.raises(DimensionMismatch):
+        call()
+
+
+@pytest.mark.parametrize(
+    "K, mode, amplitude", [(64, (1, 1), 1e-3), (32, (2, -3), 0.01)], ids=["K64", "K32"]
+)
+def test_kam_agrees_with_the_complex_transforms(monkeypatch, K, mode, amplitude):
+    beta = TorusVectorField([sine_mode(2, mode, amplitude), TorusFunction.constant(2, 0.0)])
+    default = kam_iterate(GOLDEN, beta, trunc_degree=K)
+    monkeypatch.setattr(TorusFunction, "grid_values", _complex_grid_values)
+    monkeypatch.setattr(TorusFunction, "from_grid", classmethod(_complex_from_grid))
+    monkeypatch.setattr(TorusFunction, "evaluate", _complex_evaluate)
+    ref = kam_iterate(GOLDEN, beta, trunc_degree=K)
+    assert len(default.residual_history) == len(ref.residual_history)
+    assert np.max(np.abs(np.subtract(default.lambda_bar, ref.lambda_bar))) <= 1e-14
+    # a residual carries the roundoff of O(1) grid values in absolute terms,
+    # eps |omega| ~ 4e-16; above that floor the two agree to 1e-12 relative
+    for got, want in zip(default.residual_history, ref.residual_history):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-16)
+    assert default.verified_sup_error <= 1e-13 and ref.verified_sup_error <= 1e-13
+
+
+def test_verification_grid_follows_the_truncation_degree(monkeypatch):
+    # the change after one step is a single mode, far inside K = 16: the grid
+    # is still the one for K, not for the change's degree
+    state = kam_step(KamState.initial(GOLDEN, golden_perturbation(1e-3), trunc_degree=16))
+    assert state.u_acc.degree < 16
+    sizes = []
+    pulled_back = torus._pulled_back
+
+    def recorded(u, X, G, shift=0.0):
+        sizes.append(G)
+        return pulled_back(u, X, G, shift)
+
+    monkeypatch.setattr(torus, "_pulled_back", recorded)
+    assert verify_conjugacy(state) <= 10 * state.residual + 1e-13
+    assert sizes == [torus._verification_size(16)] != [torus._verification_size(1)]
