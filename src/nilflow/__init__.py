@@ -100,6 +100,9 @@ from .corpus import (  # noqa: F401
     torus_corpus,
     vf_cocycle_member,
 )
+# perfbench/child.py reads nilflow._parallel as a package attribute, and no
+# other module in the package imports it
+from . import _parallel  # noqa: F401
 from .cli import (  # noqa: F401
     ExperimentConfig,
     parse_config,

@@ -1,31 +1,17 @@
-"""Worker-count control and an order-preserving parallel map.
+"""Serial stand-ins for the benchmark harness.
 
-Results are returned in input order regardless of completion order, so output
-written from mapped results is byte-identical for any worker count.
+nilflow runs on one thread, and nothing in the package calls this module.
+perfbench still reads ``worker_count`` for its run manifest and wraps
+``ordered_map`` by attribute, so both stay until the harness stops naming
+them; then this file goes (ROADMAP.md, item 2).
 """
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 
 def worker_count():
-    """Number of workers to use, capped by the NILFLOW_THREADS variable."""
-    raw = os.environ.get("NILFLOW_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        n = os.cpu_count() or 1
-    return max(1, n)
+    """Number of workers a run uses: always one."""
+    return 1
 
 
 def ordered_map(fn, items):
-    """Apply fn to each item, in parallel when more than one worker is
-    configured; the result list follows the input order."""
-    items = list(items)
-    workers = min(worker_count(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """Apply fn to each item in order."""
+    return [fn(x) for x in items]

@@ -6,7 +6,7 @@ Exit status: 0 on success, 2 on a negative mathematical verdict (resonance,
 refused certificate, failed convergence), 1 on errors.
 
 Numeric cells are written with repr so identical config and seed produce
-byte-identical output, independent of the worker count.
+byte-identical output.  A run uses one thread.
 """
 
 import argparse
@@ -18,7 +18,6 @@ import sys
 import traceback
 from dataclasses import dataclass, field, replace
 
-from ._parallel import ordered_map
 from .algebra import (
     ActionParams,
     const_cohomology_basis,
@@ -45,6 +44,7 @@ from .errors import (
     ConfigError,
     ConfigTypeError,
     EmptyCorpus,
+    FormatError,
     MissingKey,
     NilflowError,
     NoConvergence,
@@ -334,7 +334,7 @@ def _heis_params(p):
 def _require_at_least(p, least, *keys):
     for key in keys:
         if p[key] < least:
-            raise ConfigTypeError("%s must be >= %d, got %d" % (key, least, p[key]))
+            raise ConfigTypeError("%s must be >= %d, got %r" % (key, least, p[key]))
 
 
 def _refuse_resonance(alpha, K):
@@ -382,8 +382,15 @@ def _run_solve_coboundary(p, outdir):
     if p["count"] < 1:
         raise EmptyCorpus("count must be >= 1, got %d" % p["count"])
     _require_at_least(p, 1, "degree")
+    _require_at_least(p, 0, "decay")
     if p["input"]:
-        fns = [load_nil_function(p["input"]).toral]
+        loaded = load_nil_function(p["input"])
+        if loaded.keys:
+            raise FormatError(
+                "input has representation rows, first (n, m) = %r; "
+                "solve-coboundary solves toral data only" % (loaded.keys[0],)
+            )
+        fns = [loaded.toral]
     else:
         fns = torus_corpus(
             p["seed"], p["count"], dim=len(alpha), degree=p["degree"],
@@ -404,7 +411,7 @@ def _run_solve_coboundary(p, outdir):
             defect / fn if fn else 0.0,
         )
 
-    solved = ordered_map(one, fns)
+    solved = [one(f) for f in fns]
     rows = [(i,) + row for i, (_h, row) in enumerate(solved)]
     _write_csv(
         outdir,
@@ -428,7 +435,7 @@ def _run_split(p, outdir):
     params = _heis_params(p)
     if p["count"] < 1:
         raise EmptyCorpus("count must be >= 1, got %d" % p["count"])
-    _require_at_least(p, 0, "degree", "n_max", "length")
+    _require_at_least(p, 0, "degree", "n_max", "length", "decay")
     corpus = cochain_corpus(
         p["seed"], p["count"], p["degree"], p["n_max"], p["length"], p["decay"]
     )
@@ -449,7 +456,7 @@ def _run_split(p, outdir):
         ) / scale
         return recon, s.constants["h_ratio"], s.constants["err_ratio"]
 
-    results = ordered_map(one, corpus)
+    results = [one(om) for om in corpus]
     rows = [(i,) + r for i, r in enumerate(results)]
     _write_csv(
         outdir,
@@ -478,7 +485,7 @@ def _run_spectrum(p, outdir):
         ev = rep_spectrum(params, n, p["M"])
         return [(n, i, float(v), int(i < t)) for i, v in enumerate(ev)]
 
-    blocks = ordered_map(one, range(1, p["n_max"] + 1))
+    blocks = [one(n) for n in range(1, p["n_max"] + 1)]
     rows = [row for block in blocks for row in block]
     _write_csv(
         outdir, "spectrum.csv", ["n", "index", "eigenvalue", "trusted"], rows
@@ -627,7 +634,7 @@ def _run_rigidity_step(p, outdir):
     params = _heis_params(p)
     if p["threshold"] <= 0:
         raise ConfigTypeError("threshold must be > 0, got %r" % p["threshold"])
-    _require_at_least(p, 0, "degree")
+    _require_at_least(p, 0, "degree", "decay")
     if p["perturbation_file"]:
         om = load_vf_cochain(p["perturbation_file"])
     else:
@@ -666,7 +673,7 @@ def _run_cg_decay(p, outdir):
         # the plateau compares against the inner window 2|n| <= n_max
         raise ConfigTypeError("n_max must be >= 2, got %d" % p["n_max"])
     _require_at_least(p, 1, "length")
-    _require_at_least(p, 0, "degree")
+    _require_at_least(p, 0, "degree", "decay")
     corpus = nil_corpus(
         p["seed"], p["count"], p["degree"], p["n_max"], p["length"], p["decay"]
     )

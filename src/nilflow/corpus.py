@@ -1,8 +1,8 @@
 """Seeded random corpora for experiments and property checks.
 
 Each member is drawn from a generator keyed by (seed, index), so the draw for
-member i never depends on how many members are requested, on evaluation
-order, or on worker count.
+member i never depends on how many members are requested or on evaluation
+order.
 """
 
 from functools import lru_cache

@@ -273,6 +273,24 @@ def test_solve_coboundary_input_file(tmp_path):
     assert sobolev_norm(directional_derivative((1.0, PHI), h) - f, 0) < 1e-14
 
 
+def test_solve_coboundary_refuses_representation_rows(tmp_path):
+    # the solve covers the toral part only; dropping the rows would write a
+    # solution of some other equation
+    src = tmp_path / "f.txt"
+    src.write_text(
+        "toral 1 0 0.5 0.0\ntoral -1 0 0.5 0.0\n"
+        "rep 2 1 3 0.0 2.0\nrep 1 0 0 1.0 0.0\n"
+    )
+    cfg = make_config(
+        "solve-coboundary", tmp_path, alpha=(1.0, PHI), input=str(src)
+    )
+    assert run(cfg) == 1
+    rec = read_summary(tmp_path)[0]
+    assert (rec["verdict"], rec["reason"]) == ("error", "FormatError")
+    assert "(1, 0)" in rec["detail"]
+    assert sorted(os.listdir(tmp_path)) == ["f.txt", "summary.jsonl"]
+
+
 def test_solve_coboundary_nonzero_average_is_negative(tmp_path):
     src = tmp_path / "f.txt"
     src.write_text("toral 0 0 1.0 0.0\n")
@@ -322,6 +340,11 @@ def test_solve_coboundary_nonzero_average_is_negative(tmp_path):
         ("split", {"length": -2}, "ConfigTypeError"),
         ("cg-decay", {"degree": -1}, "ConfigTypeError"),
         ("rigidity-step", {"degree": -1}, "ConfigTypeError"),
+        # a negative decay makes the corpus weights grow with |k|
+        ("solve-coboundary", {"decay": -1.0}, "ConfigTypeError"),
+        ("split", {"decay": -1.0}, "ConfigTypeError"),
+        ("cg-decay", {"decay": -1.0}, "ConfigTypeError"),
+        ("rigidity-step", {"decay": -1.0}, "ConfigTypeError"),
     ],
     ids=[
         "count0", "count-3", "degree-2", "split-count0", "split-count-3",
@@ -335,7 +358,8 @@ def test_solve_coboundary_nonzero_average_is_negative(tmp_path):
         "rigidity-step-threshold0", "rigidity-step-threshold-1",
         "rigidity-step-alpha1", "rigidity-step-alpha3", "split-degree-1",
         "split-n_max-1", "split-length-2", "cg-decay-degree-1",
-        "rigidity-step-degree-1",
+        "rigidity-step-degree-1", "decay-1", "split-decay-1",
+        "cg-decay-decay-1", "rigidity-step-decay-1",
     ],
 )
 def test_solve_coboundary_rejects_empty_or_negative_sizes(tmp_path, sub, overrides, reason):
@@ -437,8 +461,7 @@ def test_spectrum_rows_and_trusted_flags(tmp_path):
 
 
 def test_spectrum_and_gh_report_diagonalize_once_per_truncation(tmp_path, monkeypatch):
-    # both read the cached Hermite nodes; one worker keeps the cache race-free
-    monkeypatch.setenv("NILFLOW_THREADS", "1")
+    # both read the cached Hermite nodes
     nilrep._hermite_nodes.cache_clear()
     sizes = []
     eigvalsh = np.linalg.eigvalsh
@@ -677,11 +700,10 @@ def _digest(path):
         return fh.read()
 
 
-def test_byte_identical_output_across_worker_counts(tmp_path, monkeypatch):
+def test_nilflow_threads_variable_changes_no_byte(tmp_path, monkeypatch):
     cases = [
         ("solve-coboundary", "coboundary.csv",
          dict(alpha=(1.0, PHI), count=6, degree=6, seed=2)),
-        # representation blocks go through the pool in split
         ("split", "split.csv",
          dict(alpha=(1.0, PHI), count=6, degree=4, n_max=4, length=12, seed=3)),
         ("cg-decay", "decay.csv", dict(count=6, n_max=10, length=6, seed=4)),

@@ -1,8 +1,9 @@
 """Every name the benchmark harness reaches into by name exists in the package.
 
-perfbench wraps the layer functions listed in its tracer, the thread pool and
-the toral constructor by attribute name, its child process imports a few
-more for the Laplacian probe, and every workload op is a CLI config text.  A
+perfbench wraps the layer functions listed in its tracer, the serial map in
+``nilflow._parallel`` and the toral constructor by attribute name, its child
+process reads the package and imports a few more names for the Laplacian
+probe, and every workload op is a CLI config text.  A
 rename in the package or a schema change would otherwise show up only as a
 crashed benchmark run.  The newton workload's ops also run here under their
 own gates, so a change to the grid path that breaks the benchmark's
@@ -11,13 +12,17 @@ verification or rigidity bound fails the tests as well.
 
 import importlib
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from nilflow import _parallel, cli, torus
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def _load(name):
@@ -63,6 +68,26 @@ def test_probe_imports_exist():
         mod = importlib.import_module("nilflow." + module)
         for attr in attrs:
             assert callable(getattr(mod, attr, None)), "nilflow.%s.%s" % (module, attr)
+
+
+@pytest.mark.parametrize("trace", [0, 1], ids=["plain", "traced"])
+def test_child_sees_a_one_worker_package(tmp_path, trace):
+    # the child imports only ``nilflow`` and ``nilflow.cli`` before it reads
+    # nilflow._parallel, so this runs in a fresh interpreter, not in this one
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(
+        {"root": ROOT, "trace": trace, "setup_only": False, "ops": []}
+    ))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env.pop("NILFLOW_THREADS", None)
+    proc = subprocess.run(
+        [sys.executable, os.path.join(PERFBENCH, "child.py"), str(spec)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["env"]["workers"] == 1
+    assert result["statuses"] == []
 
 
 class _StubTracer:
