@@ -658,7 +658,7 @@ def _run_rigidity_step(p, outdir):
     rows.append(("input_norm", input_norm))
     _write_csv(outdir, "coordinates.csv", ["name", "value"], rows)
     h_norm = max((nil_sobolev_norm(h, 0) for h in H.slots), default=0.0)
-    return {
+    record = {
         "verdict": "ok",
         "mu": p["mu"],
         "coordinates": list(coords.vector),
@@ -666,6 +666,15 @@ def _run_rigidity_step(p, outdir):
         "h_norm": h_norm,
         "residual_norm": residual,
     }
+    if residual > 0 and residual >= input_norm:
+        # a step that leaves the residual where it was is no correction
+        record.update(
+            verdict="negative",
+            reason="NoConvergence",
+            detail="step made no progress: residual_norm %.4e >= input_norm %.4e"
+            % (residual, input_norm),
+        )
+    return record
 
 
 def _run_cg_decay(p, outdir):

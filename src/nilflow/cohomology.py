@@ -188,6 +188,14 @@ def delta1_star_split(params, omega, r=1.0, sigma=2.0):
     mu goes through the mu = 0 split of (f, g - mu f), with mu times the first
     error added back to the second.
     """
+    out, phi = _split(params, omega)
+    out.constants = _splitting_constants(omega, out, phi, r, sigma)
+    return out
+
+
+def _split(params, omega):
+    """delta1_star_split without its tame constants: the split and the
+    cocycle defect it was built from."""
     out, phi = _split_flat(*_reduced(params, omega))
     if params.mu != 0:
         out = SplittingResult(
@@ -197,8 +205,7 @@ def delta1_star_split(params, omega, r=1.0, sigma=2.0):
             f_triv=out.f_triv,
             g_triv=out.g_triv + params.mu * out.f_triv,
         )
-    out.constants = _splitting_constants(omega, out, phi, r, sigma)
-    return out
+    return out, phi
 
 
 def _split_flat(params, omega):

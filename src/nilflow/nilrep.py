@@ -191,6 +191,11 @@ class RepOperator:
 _NO_INTS = _readonly(np.zeros(0, dtype=int))
 _NO_ROWS = ((), _NO_INTS, _NO_INTS, _readonly(np.zeros((0, 0), dtype=complex)))
 
+# the zero toral part, real and complex: blocks are read-only, so every zero
+# NilFunction shares one instead of building and reality-checking its own
+_ZERO_REAL = TorusFunction(2, real=True)
+_ZERO_COMPLEX = TorusFunction(2)
+
 
 def _rows_of(reps):
     """Validated row labels, frequencies, lengths and zero-padded block of a
@@ -233,7 +238,7 @@ class NilFunction:
 
     def __init__(self, toral=None, reps=None):
         if toral is None:
-            toral = TorusFunction(2, real=True)
+            toral = _ZERO_REAL
         if toral.n != 2:
             raise DimensionMismatch("toral part must live on the 2-torus")
         self.toral = toral
@@ -252,7 +257,7 @@ class NilFunction:
     def _from_rows(cls, toral, keys, ns, lengths, block):
         """Trusted constructor: rows sorted, validated and zero-padded."""
         F = cls.__new__(cls)
-        F.toral = TorusFunction(2, real=True) if toral is None else toral
+        F.toral = _ZERO_REAL if toral is None else toral
         F._set_rows(keys, ns, lengths, block)
         return F
 
@@ -343,7 +348,7 @@ def _apply_element(F, y, z):
     ladder on the representation rows."""
     central = y[0] == 0.0 and y[1] == 0.0
     if central:
-        toral = TorusFunction(2, real=F.toral.real)
+        toral = _ZERO_REAL if F.toral.real else _ZERO_COMPLEX
     else:
         toral = directional_derivative(y, F.toral)
     if not F.keys:

@@ -5,6 +5,7 @@ verified Newton step for perturbed actions on the Heisenberg model."""
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -12,7 +13,7 @@ from .cohomology import (
     Cochain1,
     VfCochain,
     VfField,
-    delta1_star_split,
+    _split,
     vf_coboundary_solve,
     vf_delta0,
 )
@@ -30,7 +31,7 @@ from .nilrep import (
     parse_nil_function,
     serialize_nil_function,
 )
-from .torus import TorusFunction, _zeros
+from .torus import TorusFunction, _readonly, _zeros
 
 
 @dataclass
@@ -86,7 +87,7 @@ def delta_op(params, omega):
     coboundary plus a constant cochain.  Vector-field cochains are treated
     coefficient slot by coefficient slot."""
     if isinstance(omega, Cochain1):
-        s = delta1_star_split(params, omega)
+        s = _split(params, omega)[0]
         return Cochain1(omega.f.sub(s.f_err), omega.g.sub(s.g_err))
     # slot by slot, the two generator values form one scalar cochain
     pairs = omega.x1.map(
@@ -104,8 +105,21 @@ def smoothing_truncate(F, cutoff):
     return F._cut(F.toral.truncated(cutoff), cutoff, int(math.floor(cutoff)) + 1)
 
 
-# largest block side at which nil_multiply's scatter beats its shifted adds
+# largest side of the denser factor's block at which nil_multiply's bincount
+# kernel beats its shifted adds
 _SCATTER_SIDE = 11
+
+
+@lru_cache(maxsize=64)
+def _shift_offsets(m, S):
+    """Flat offsets k S + l of an m x m block's entries inside an S x S one."""
+    k, l = np.divmod(np.arange(m * m), m)
+    return _readonly(k * S + l)
+
+
+def _is_constant(f):
+    """Whether every nonzero coefficient of f sits at the centre."""
+    return np.count_nonzero(f.block) == (f.block[(f.size,) * f.n] != 0)
 
 
 def nil_multiply(F, G):
@@ -113,13 +127,14 @@ def nil_multiply(F, G):
     times toral is a convolution, constants scale anything.  Products involving
     a representation part and a nonconstant factor leave the frame.
 
-    The convolution adds one shifted copy of the larger block per nonzero mode
-    of the smaller: the products of the double sum, no FFT roundoff.  Up to
-    side _SCATTER_SIDE one unbuffered np.add.at scatter adds them in the same
-    order, faster, with index arrays of nnz * side^2 <= side^4 entries; past
-    it ufunc.at's cost per entry loses to one add per nonzero."""
+    The convolution adds one shifted copy of the denser block per nonzero mode
+    of the sparser: the products of the double sum, no FFT roundoff.  Up to
+    side _SCATTER_SIDE two np.bincount calls over flat output indices, one
+    for the real and one for the imaginary parts, add them in the same order,
+    faster, with index arrays of nnz * side^2 <= side^4 entries; past it one
+    add per nonzero wins and needs no index arrays."""
     for A, B in ((F, G), (G, F)):
-        if not A.keys and A.toral.degree == 0:
+        if not A.keys and _is_constant(A.toral):
             return B.scaled(complex(A.toral.average))
     if F.keys or G.keys:
         raise UnrepresentableProduct(
@@ -132,11 +147,15 @@ def nil_multiply(F, G):
     m = b.shape[0]
     out = _zeros(2, F.toral.size + G.toral.size)
     if m <= _SCATTER_SIDE:
+        # bincount sums each output entry's terms in input order: the
+        # sparser factor's nonzeros in block order, as the shifted adds do
+        S = len(out)
         i, j = np.nonzero(a)
-        k, l = np.divmod(np.arange(m * m), m)
-        np.add.at(
-            out, (i[:, None] + k, j[:, None] + l), a[i, j][:, None] * b.reshape(-1)
-        )
+        idx = ((i * S + j)[:, None] + _shift_offsets(m, S)).reshape(-1)
+        terms = (a[i, j][:, None] * b.reshape(-1)).reshape(-1)
+        flat = out.reshape(-1)
+        flat.real = np.bincount(idx, terms.real, S * S)
+        flat.imag = np.bincount(idx, terms.imag, S * S)
     else:
         for i, j in np.argwhere(a):
             out[i : i + m, j : j + m] += a[i, j] * b

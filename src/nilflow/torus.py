@@ -62,8 +62,12 @@ def _readonly(a):
 
 
 def _symmetrized(block):
-    """(c_k + conj(c_{-k})) / 2 on a centred block."""
-    return 0.5 * (block + np.conj(np.flip(block)))
+    """(c_k + conj(c_{-k})) / 2 on a centred block, in one temporary: IEEE
+    addition commutes, so the bits are those of 0.5 * (block + conj(flip))."""
+    out = np.conj(np.flip(block))
+    out += block
+    out *= 0.5
+    return out
 
 
 @lru_cache(maxsize=64)

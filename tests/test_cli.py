@@ -608,6 +608,35 @@ def test_rigidity_step_at_zero_beta_matches_nonzero_beta(tmp_path, mu):
     assert digests[0] == digests[1]
 
 
+def test_rigidity_step_without_progress_is_negative(tmp_path):
+    # with a cos(2 pi x1) term in the Y1 coefficient of X2 alone, the step's
+    # residual equals its input
+    pert = tmp_path / "pert.txt"
+    pert.write_text("x2.y0 toral 1 0 0.001 0.0\nx2.y0 toral -1 0 0.001 0.0\n")
+    out = tmp_path / "out"
+    cfg = make_config(
+        "rigidity-step", out, alpha=(1.0, PHI), perturbation_file=str(pert)
+    )
+    assert run(cfg) == 2
+    rec = read_summary(out)[0]
+    assert (rec["verdict"], rec["reason"]) == ("negative", "NoConvergence")
+    assert rec["residual_norm"] == rec["input_norm"] > 0
+    assert "no progress" in rec["detail"]
+    assert read_csv(out, "coordinates.csv")[-2][0] == "residual_norm"
+
+
+def test_rigidity_step_on_zero_input_is_ok(tmp_path):
+    # nothing to correct: a zero residual is no stall
+    pert = tmp_path / "pert.txt"
+    pert.write_text("")
+    cfg = make_config(
+        "rigidity-step", tmp_path, alpha=(1.0, PHI), perturbation_file=str(pert)
+    )
+    assert run(cfg) == 0
+    rec = read_summary(tmp_path)[0]
+    assert rec["residual_norm"] == rec["input_norm"] == 0.0
+
+
 def test_rigidity_step_threshold_negative(tmp_path):
     cfg = make_config(
         "rigidity-step", tmp_path, alpha=(1.0, PHI), scale=5.0, seed=4

@@ -5,7 +5,17 @@ import numpy as np
 import pytest
 
 from nilflow.algebra import ActionParams, heisenberg
-from nilflow.cohomology import Cochain1, VfCochain, VfField, delta0, delta1, vf_delta0
+from nilflow import cohomology
+from nilflow.cohomology import (
+    Cochain1,
+    VfCochain,
+    VfField,
+    delta0,
+    delta1,
+    delta1_star_split,
+    vf_delta0,
+)
+from nilflow.corpus import member_rng, vf_cocycle_member
 from nilflow.errors import (
     DimensionMismatch,
     FormatError,
@@ -209,6 +219,19 @@ def test_delta_op_output_is_closed(mu):
     again = delta_op(p, out)
     assert norm_diff(again.f, out.f) < 1e-9 * scale
     assert norm_diff(again.g, out.g) < 1e-9 * scale
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.7])
+def test_delta_op_subtracts_the_splits_errors_bit_for_bit(mu, monkeypatch):
+    # delta_op takes the split without its tame constants: no norm is taken
+    rng = np.random.default_rng(17)
+    p = golden_params(mu=mu)
+    w = Cochain1(_with_reps(rng, rand_toral(rng)), _with_reps(rng, rand_toral(rng)))
+    s = delta1_star_split(p, w)
+    monkeypatch.setattr(cohomology, "nil_sobolev_norm", None)
+    out = delta_op(p, w)
+    assert _same_bits(out.f, w.f.sub(s.f_err))
+    assert _same_bits(out.g, w.g.sub(s.g_err))
 
 
 def test_delta_op_vector_field_slots():
@@ -533,6 +556,39 @@ def test_multiply_is_the_shift_and_add_bit_for_bit():
         assert out.block.tobytes() == TorusFunction(2, want, real=real).block.tobytes()
 
 
+def _signed_zero_block(rng, degree, real):
+    # explicit -0.0 and 0.0-0.0j entries and one all-zero row (mirrored for
+    # a real block, so the reality check passes); the corners stay nonzero,
+    # so neither factor takes the constant path
+    side = 2 * degree + 1
+    block = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    pick = rng.random((side, side))
+    pick[0, 0] = pick[-1, -1] = 1.0
+    row = int(rng.integers(1, side - 1))
+    if real:
+        block = block + np.conj(block[::-1, ::-1])
+        pick = np.minimum(pick, pick[::-1, ::-1])
+        block[side - 1 - row] = 0
+    block[pick < 0.2] = complex(-0.0, 0.0)
+    block[(pick >= 0.2) & (pick < 0.4)] = complex(0.0, -0.0)
+    block[(pick >= 0.4) & (pick < 0.5)] = complex(-0.0, -0.0)
+    block[row] = 0
+    return NilFunction(toral=TorusFunction(2, block, real=real))
+
+
+def test_multiply_keeps_the_shift_and_adds_signed_zeros():
+    rng = np.random.default_rng(67)
+    for trial in range(40):
+        real = trial % 2 == 0
+        F = _signed_zero_block(rng, int(rng.integers(1, 8)), real)
+        G = _signed_zero_block(rng, int(rng.integers(1, 8)), real)
+        assert np.signbit(F.toral.block.real[F.toral.block.real == 0]).any()
+        out = nil_multiply(F, G).toral
+        want = _shift_and_add(F, G)
+        assert out.real == real
+        assert out.block.tobytes() == TorusFunction(2, want, real=real).block.tobytes()
+
+
 def test_multiply_of_dense_degree_24_blocks_stays_small():
     # a scatter over all nnz * m^2 products would hold 49^4 entries per index
     # array, about 180 MB; the product needs its output block and one shift
@@ -555,6 +611,41 @@ def test_multiply_padded_constant_scales_reps():
     G = NilFunction(reps={(1, 0): np.array([1.0, 2.0])})
     for out in (nil_multiply(F, G), nil_multiply(G, F)):
         assert np.allclose(out.rep(1), [3.0, 6.0])
+
+
+def test_zero_toral_parts_are_shared_and_read_only():
+    zero = NilFunction().toral
+    assert NilFunction().toral is zero
+    assert zero.real and zero.is_zero()
+    with pytest.raises(ValueError):
+        zero.block[...] = 1.0
+    # a central element kills the toral part: the zero of the same reality
+    for real in (True, False):
+        F = NilFunction(toral=TorusFunction(2, {(1, 0): 1.0, (-1, 0): 1.0}, real=real))
+        first, second = (_apply_element(F, (0.0, 0.0), 1.0).toral for _ in range(2))
+        assert first is second
+        assert first.real == real and first.is_zero()
+
+
+def test_newton_step_builds_few_checked_toral_parts(monkeypatch):
+    # the benchmark's draw at seed 1: degree 3, smoothed at cutoff 3.  The
+    # closed operations skip the checked constructor and zeros are shared;
+    # what is left are the products and the constants.
+    params = golden_params()
+    om = vf_cocycle_member(member_rng(1, 0), params, degree=3, decay=3.0, scale=1e-3)
+    om = VfCochain(
+        *(f.map(lambda h: smoothing_truncate(h, 3.0)) for f in (om.x1, om.x2))
+    )
+    calls = []
+    init = TorusFunction.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TorusFunction, "__init__", counted)
+    newton_step(params, om)
+    assert len(calls) <= 32
 
 
 # ---------------------------------------------------------------------------
