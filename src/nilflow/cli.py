@@ -289,10 +289,12 @@ def serialize_config(config):
 
 
 def _cell(x):
+    # np.float64 and np.complex128 subclass float and complex; converting
+    # first writes their value, not numpy's repr (np.float64(0.5))
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))
     if isinstance(x, complex):
-        return repr(x)
+        return repr(complex(x))
     return x
 
 
@@ -402,12 +404,12 @@ def _run_solve_coboundary(p, outdir):
         fn = sobolev_norm(f, 0)
         defect = sobolev_norm(directional_derivative(alpha, h) - f, 0)
         denom = sobolev_norm(f, p["r"] + p["sigma"])
-        ratio = sobolev_norm(h, p["r"]) / denom if denom else 0.0
+        h_norm = sobolev_norm(h, p["r"])
         return h, (
             f.degree,
             denom,
-            sobolev_norm(h, p["r"]),
-            ratio,
+            h_norm,
+            h_norm / denom if denom else 0.0,
             defect / fn if fn else 0.0,
         )
 
@@ -436,10 +438,10 @@ def _run_split(p, outdir):
     if p["count"] < 1:
         raise EmptyCorpus("count must be >= 1, got %d" % p["count"])
     _require_at_least(p, 0, "degree", "n_max", "length", "decay")
+    _refuse_resonance(p["alpha"], p["K"])
     corpus = cochain_corpus(
         p["seed"], p["count"], p["degree"], p["n_max"], p["length"], p["decay"]
     )
-    _refuse_resonance(p["alpha"], p["K"])
 
     def one(om):
         s = delta1_star_split(params, om, r=p["r"], sigma=p["sigma"])

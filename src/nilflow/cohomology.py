@@ -102,7 +102,12 @@ def _block_scales(params, n):
     diagonal phase, with rho = |(alpha1, 2 pi n alpha2)|, and X2 = mu X1 + i c
     with c = 2 pi n beta."""
     rho = np.hypot(params.alpha[0], 2 * math.pi * n * params.alpha[1])
-    return rho, 2 * math.pi * n * params.beta[0]
+    return rho, _central_scale(params, n)
+
+
+def _central_scale(params, n):
+    """c = 2 pi n beta of block n, elementwise for an array of n."""
+    return 2 * math.pi * n * params.beta[0]
 
 
 def _reduced(params, omega):
@@ -127,7 +132,7 @@ def _divide_central(params, F, toral=None):
             "central parameter vanishes; no inverse on representation n=%d" % n,
             mode=(n,),
         )
-    _rho, c = _block_scales(params, F.ns[:, None])
+    c = _central_scale(params, F.ns[:, None])
     return F._rows_like(toral, F.block / (1j * c))
 
 
@@ -265,7 +270,7 @@ def _rep_laplacian_solve(params, n, v, tol):
     central scalar to the oscillator scale, so the truncation doubles, capped,
     until the exact-operator defect drops below tolerance.
     """
-    _rho, c = _block_scales(params, n)
+    c = _central_scale(params, n)
     v = np.asarray(v, dtype=complex)
     vmax = float(np.max(np.abs(v))) if len(v) else 0.0
     if vmax == 0.0:

@@ -90,13 +90,15 @@ def _rep_draw_plan(n_max, length, decay):
 def _rep_rows(rng, n_max, length, decay):
     """Row labels, frequencies, lengths and zero-padded block of one draw: the
     real then the imaginary part of each row in turn, from one
-    standard_normal call."""
+    standard_normal call.  The weighted parts are written straight into the
+    block's real and imaginary views."""
     keys, ns, lengths, rows, weights = _rep_draw_plan(n_max, length, float(decay))
     if not keys:
         return keys, ns, lengths, None
     v = rng.standard_normal(2 * len(rows) * length).reshape(len(rows), 2, length)
     block = np.empty((len(rows), length), dtype=complex)
-    block[rows] = weights * (v[:, 0] + 1j * v[:, 1])
+    block.real[rows] = weights * v[:, 0]
+    block.imag[rows] = weights * v[:, 1]
     return keys, ns, lengths, block
 
 

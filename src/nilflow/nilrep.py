@@ -15,7 +15,11 @@ The Hermite ladder x.h_j = sqrt((j+1)/2) h_{j+1} + sqrt(j/2) h_{j-1} is
 written once, as the bands of `RepOperator`.  Generator actions on vectors
 (`dpi_apply`, `apply_X1`, `apply_X2`, the brackets of the rigidity step) apply
 the same bands, one entry larger than the vector, to every row of a block at
-once, and the leafwise Laplacian of `cohomology` inverts them: its block
+once.  Those bands are built once per row layout (the rows' frequencies, the
+width and the element) and cached read-only, and an element without a
+central part, such as X1, skips the zero main diagonal.  Sums and
+differences of functions align rows by label and combine them entry by
+entry.  The leafwise Laplacian of `cohomology` inverts the bands: its block
 factors into two shifted copies of X1's bands, each undone by one
 `_tridiag_solve`.  `_hermite_nodes` diagonalizes the same ladder once per
 truncation, for the closed-form spectra built on it.
@@ -91,10 +95,27 @@ def _bands(n, size, y, z):
     return sup, sub, scale * z
 
 
+@lru_cache(maxsize=16, typed=True)
+def _row_bands(ns, size, y1, y2, z):
+    """`_bands` of a block whose rows have the central frequencies ns (a
+    tuple), read-only, with the main diagonal None when z is zero.  The rows
+    of a corpus share their frequencies and width, so one build serves every
+    member.  Keys compare 0.0 and -0.0 equal, which can move nothing but the
+    sign of an exact zero entry."""
+    sup, sub, diag = _bands(np.array(ns)[:, None], size, (y1, y2), z)
+    return _readonly(sup), _readonly(sub), None if z == 0 else _readonly(diag)
+
+
 def _tridiag_apply(sup, sub, diag, v):
-    """Tridiagonal product along the last axis of v."""
-    out = diag * v
-    out[..., :-1] += sup * v[..., 1:]
+    """Tridiagonal product along the last axis of v.  A main diagonal of None
+    is zero: the product starts from the super-diagonal's."""
+    if diag is None:
+        out = np.empty_like(v)
+        np.multiply(sup, v[..., 1:], out=out[..., :-1])
+        out[..., -1] = 0
+    else:
+        out = diag * v
+        out[..., :-1] += sup * v[..., 1:]
     out[..., 1:] += sub * v[..., :-1]
     return out
 
@@ -123,12 +144,12 @@ def _act(ns, block, y, z):
     """Action of y1*Y1 + y2*Y2 + z*Z on each row of a zero-padded block, row i
     at central frequency ns[i].  A ladder term moves h_j to h_{j+1}, so every
     row grows by one entry; the purely central element (y = 0) keeps them."""
-    ns = np.asarray(ns)[:, None]
+    ns = np.asarray(ns)
     if y[0] == 0.0 and y[1] == 0.0:
-        return 2j * np.pi * ns * z * block
+        return 2j * np.pi * ns[:, None] * z * block
     v = np.zeros((len(block), block.shape[1] + 1), dtype=complex)
     v[:, :-1] = block
-    return _tridiag_apply(*_bands(ns, v.shape[1], y, z), v)
+    return _tridiag_apply(*_row_bands(tuple(ns.tolist()), v.shape[1], *y, z), v)
 
 
 def dpi_apply(gen, n, v):
@@ -304,32 +325,41 @@ class NilFunction:
         return self.reps.get((n, m), np.zeros(0, dtype=complex))
 
     def add(self, other):
-        toral = self.toral + other.toral
+        return self._combine(other, self.toral + other.toral, np.add)
+
+    def sub(self, other):
+        """self - other as a direct difference: rows are aligned as in `add`
+        and other's are subtracted, with no negated copy of other built."""
+        return self._combine(other, self.toral - other.toral, np.subtract)
+
+    def _combine(self, other, toral, op):
+        """self op other on the representation rows, op being np.add or
+        np.subtract, over the given toral part.  Rows are matched by label,
+        and a row missing from one side counts as zero there."""
         if not other.keys:
             return self._rows_like(toral, self.block)
         if not self.keys:
-            return other._rows_like(toral, other.block)
+            block = -other.block if op is np.subtract else other.block
+            return other._rows_like(toral, block)
         a, b = self.block, other.block
         width = max(a.shape[1], b.shape[1])
         if self.keys == other.keys:
             if a.shape != b.shape:
                 a, b = _widened(a, width), _widened(b, width)
             return self._rows_like(
-                toral, a + b, np.maximum(self.lengths, other.lengths)
+                toral, op(a, b), np.maximum(self.lengths, other.lengths)
             )
         keys = tuple(sorted(set(self.keys) | set(other.keys)))
         index = {key: i for i, key in enumerate(keys)}
         lengths = np.zeros(len(keys), dtype=int)
         block = np.zeros((len(keys), width), dtype=complex)
-        for F in (self, other):
+        for F, F_op in ((self, np.add), (other, op)):
             rows = [index[key] for key in F.keys]
             lengths[rows] = np.maximum(lengths[rows], F.lengths)
-            block[rows, : F.block.shape[1]] += F.block
+            cols = slice(0, F.block.shape[1])
+            block[rows, cols] = F_op(block[rows, cols], F.block)
         ns = np.array([n for n, _m in keys], dtype=int)
         return NilFunction._from_rows(toral, keys, ns, lengths, block)
-
-    def sub(self, other):
-        return self.add(other.scaled(-1.0))
 
     def scaled(self, factor):
         block = self.block * factor if self.keys else None
@@ -400,7 +430,7 @@ def nil_sobolev_norm(F, r):
     (n, j) Hermite coefficient by (1 + n^2 + |n|(2j+1))^(r/2)."""
     total = sobolev_norm(F.toral, r) ** 2
     if F.keys:
-        total += float(np.sum(_weighted_sq(F, r)))
+        total += float(_weighted_sq(F, r).sum())
     return float(np.sqrt(total))
 
 

@@ -193,17 +193,31 @@ class TorusFunction:
 
     def __add__(self, other):
         if isinstance(other, TorusFunction):
-            if other.n != self.n:
-                raise DimensionMismatch("dimension mismatch")
-            small, big = sorted((self.block, other.block), key=len)
-            out = big.copy()
-            off = (len(big) - len(small)) // 2
-            out[(slice(off, off + len(small)),) * self.n] += small
-            return TorusFunction._exact(self.n, out, self.real and other.real)
+            return self._combine(other, np.add)
         return self + TorusFunction.constant(self.n, other)
 
     def __sub__(self, other):
-        return self + (other * -1 if isinstance(other, TorusFunction) else -other)
+        """self - other; a TorusFunction is subtracted entry by entry, the
+        blocks aligned as in `__add__`, with no negated copy of it built."""
+        if isinstance(other, TorusFunction):
+            return self._combine(other, np.subtract)
+        return self + -other
+
+    def _combine(self, other, op):
+        """self op other, op being np.add or np.subtract: the smaller centred
+        block goes into the middle of a fresh copy of the larger, which is
+        other's negation when op subtracts a larger other."""
+        if other.n != self.n:
+            raise DimensionMismatch("dimension mismatch")
+        a, b = self.block, other.block
+        if len(a) >= len(b):
+            out, small = a.copy(), b
+        else:
+            out, small, op = (-b if op is np.subtract else b.copy()), a, np.add
+        off = (len(out) - len(small)) // 2
+        inner = out[(slice(off, off + len(small)),) * self.n]
+        op(inner, small, out=inner)
+        return TorusFunction._exact(self.n, out, self.real and other.real)
 
     def __mul__(self, scalar):
         scalar = complex(scalar)
@@ -414,7 +428,7 @@ def sobolev_norm(f, r):
     if isinstance(f, TorusVectorField):
         return math.sqrt(sum(sobolev_norm(c, r) ** 2 for c in f.components))
     w = _sobolev_weight(f.n, f.size, float(r))
-    return math.sqrt(float(np.sum(np.abs(f.block) ** 2 * w)))
+    return math.sqrt(float((np.abs(f.block) ** 2 * w).sum()))
 
 
 def _grid_points(n, G):

@@ -452,6 +452,27 @@ def test_split_smoke(tmp_path):
     assert len(read_csv(tmp_path, "split.csv")) == 4
 
 
+@pytest.mark.parametrize("mu", [0.0, 0.4])
+def test_split_builds_the_ladder_bands_once_per_row_layout(tmp_path, monkeypatch, mu):
+    # every member of a corpus has the same rows, so a run builds X1's bands
+    # (and at mu != 0 those of X2) once, not twice per member
+    nilrep._row_bands.cache_clear()
+    layouts = []
+    bands = nilrep._bands
+
+    def counting(n, size, y, z):
+        layouts.append((tuple(np.ravel(n).tolist()), size, tuple(y), z))
+        return bands(n, size, y, z)
+
+    monkeypatch.setattr(nilrep, "_bands", counting)
+    cfg = make_config(
+        "split", tmp_path, alpha=(1.0, PHI), mu=mu, count=8, degree=4, n_max=16,
+        length=64, seed=1,
+    )
+    assert run(cfg) == 0
+    assert len(layouts) == len(set(layouts)) == (1 if mu == 0 else 2)
+
+
 def test_spectrum_rows_and_trusted_flags(tmp_path):
     cfg = make_config("spectrum", tmp_path, alpha=(1.0, PHI), n_max=3, M=32)
     assert run(cfg) == 0
@@ -659,6 +680,14 @@ def test_resonant_alpha_is_refused_by_one_gate(tmp_path, monkeypatch, sub):
     assert os.listdir(tmp_path) == ["summary.jsonl"]
 
 
+def test_split_refuses_a_resonant_alpha_before_the_draw(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "cochain_corpus", lambda *args: calls.append(args))
+    assert run(make_config("split", tmp_path, alpha=(1.0, 0.5), count=80)) == 2
+    assert read_summary(tmp_path)[0]["reason"] == "Resonance"
+    assert calls == []
+
+
 def test_resonance_is_reported_before_the_step_threshold(tmp_path):
     # at scale 5 the perturbation exceeds the threshold (ThresholdExceeded at
     # golden alpha); the resonant alpha is refused first
@@ -722,6 +751,14 @@ def test_nonfinite_result_is_an_error_record_without_nan(tmp_path, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # determinism
+
+
+def test_csv_cells_write_numpy_scalars_as_python_numbers():
+    assert cli._cell(np.float64(0.5)) == "0.5"
+    assert cli._cell(np.complex128(1 - 2j)) == "(1-2j)"
+    for x in (0.1, 1e-300, -0.0, math.inf, 2.5 + 0.1j):
+        assert cli._cell(x) == repr(x)
+    assert cli._cell(3) == 3 and cli._cell("x") == "x"
 
 
 def _digest(path):

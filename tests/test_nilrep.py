@@ -13,8 +13,12 @@ from nilflow.cohomology import (
     laplacian_solve,
 )
 from nilflow.nilrep import (
+    _GENERATORS,
     NilFunction,
     RepOperator,
+    _act,
+    _bands,
+    _row_bands,
     _tridiag_solve,
     apply_X1,
     apply_X2,
@@ -537,3 +541,73 @@ def test_reps_view_and_block_are_read_only():
     with pytest.raises(ValueError):
         A.lengths[0] = 1
     assert A.reps is A.reps  # cached
+
+
+# ---------------------------------------------------------------------------
+# the generator actions and differences against the uncached, negate-and-add
+# forms they replace, bit for bit (np.array_equal treats -0.0 as 0.0)
+
+
+def _uncached_tridiag_apply(sup, sub, diag, v):
+    out = diag * v
+    out[..., :-1] += sup * v[..., 1:]
+    out[..., 1:] += sub * v[..., :-1]
+    return out
+
+
+def _uncached_act(ns, block, y, z):
+    ns = np.asarray(ns)[:, None]
+    if y[0] == 0.0 and y[1] == 0.0:
+        return 2j * np.pi * ns * z * block
+    v = np.zeros((len(block), block.shape[1] + 1), dtype=complex)
+    v[:, :-1] = block
+    return _uncached_tridiag_apply(*_bands(ns, v.shape[1], y, z), v)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.4])
+def test_generator_actions_match_the_uncached_bands_bit_for_bit(mu):
+    p = _params(mu=mu)
+    A, B, lap = _ragged_functions()
+    for F in (A, B, lap):
+        for y, z in [(p.x1_y, 0.0), (p.x2_y, p.x2_z[0])] + list(_GENERATORS.values()):
+            assert np.array_equal(_act(F.ns, F.block, y, z), _uncached_act(F.ns, F.block, y, z))
+        assert np.array_equal(apply_X1(p, F).block, _uncached_act(F.ns, F.block, p.x1_y, 0.0))
+        assert np.array_equal(
+            apply_X2(p, F).block, _uncached_act(F.ns, F.block, p.x2_y, p.x2_z[0])
+        )
+
+
+def test_row_bands_are_cached_read_only():
+    sup, sub, diag = _row_bands((-2, 1, 3), 6, 1.0, PHI, 0.0)
+    assert diag is None  # no central part, no main diagonal
+    assert _row_bands((-2, 1, 3), 6, 1.0, PHI, 0.0)[0] is sup
+    for band in (sup, sub) + _row_bands((-2, 1, 3), 6, 1.0, PHI, 0.5)[1:]:
+        assert not band.flags.writeable
+
+
+def test_difference_is_the_sum_with_the_negation_bit_for_bit():
+    # the row sets and widths differ pairwise: A, B and lap share some keys,
+    # the zero function none, and lap's rows are hundreds of entries long
+    A, B, lap = _ragged_functions()
+    for F in (A, B, lap, NilFunction()):
+        for G in (A, B, lap, NilFunction(), A.scaled(0.5)):
+            got, want = F.sub(G), F.add(G.scaled(-1.0))
+            assert got.keys == want.keys
+            assert np.array_equal(got.lengths, want.lengths)
+            assert np.array_equal(got.ns, want.ns)
+            assert got.block.shape == want.block.shape
+            assert np.array_equal(got.block, want.block)
+            assert got.toral.real == want.toral.real
+            assert np.array_equal(got.toral.block, want.toral.block)
+
+
+def test_difference_with_an_infinite_entry_has_no_nan():
+    # scaling by -1.0 multiplied (inf + 1j) by (-1 + 0j), and inf * 0 = nan;
+    # the direct difference keeps every component finite or infinite
+    F = NilFunction(reps={(1, 0): [1 + 1j, 2.0], (2, 1): [3.0]})
+    G = NilFunction(reps={(1, 0): [complex(math.inf, 1.0)]})
+    for got, want in ((F.sub(G), [complex(-math.inf, 0.0), 2.0]),
+                      (NilFunction().sub(G), [complex(-math.inf, -1.0)])):
+        assert not np.isnan(got.block).any()
+        assert np.array_equal(got.reps[(1, 0)], want)
+    assert np.array_equal(F.sub(G).reps[(2, 1)], [3.0])

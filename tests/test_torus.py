@@ -855,3 +855,35 @@ def test_verification_grid_follows_the_truncation_degree(monkeypatch):
     monkeypatch.setattr(torus, "_pulled_back", recorded)
     assert verify_conjugacy(state) <= 10 * state.residual + 1e-13
     assert sizes == [torus._verification_size(16)] != [torus._verification_size(1)]
+
+
+def _complex_function(rng, K):
+    side = 2 * K + 1
+    return TorusFunction(2, rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)))
+
+
+@pytest.mark.parametrize("Ka, Kb", [(2, 5), (5, 2), (3, 3), (0, 4)])
+def test_difference_is_the_sum_with_the_negation_bit_for_bit(Ka, Kb):
+    # a - b is subtracted entry by entry; the bits are those of a + b * -1
+    rng = np.random.default_rng(19)
+    for real_a in (True, False):
+        for real_b in (True, False):
+            a = random_real_function(rng, K=Ka) if real_a else _complex_function(rng, Ka)
+            b = random_real_function(rng, K=Kb) if real_b else _complex_function(rng, Kb)
+            got, want = a - b, a + b * -1
+            assert got.real == want.real == (real_a and real_b)
+            assert got.block.shape == want.block.shape
+            assert np.array_equal(got.block, want.block)
+    f = random_real_function(rng, K=2)
+    assert np.array_equal((f - 0.25).block, (f + -0.25).block)
+
+
+def test_difference_with_an_infinite_entry_has_no_nan():
+    # b * -1 multiplied (inf + 1j) by (-1 + 0j) and made inf * 0 = nan; the
+    # direct difference keeps every component finite or infinite
+    a = TorusFunction(2, {(0, 0): 1 + 1j, (1, 0): 2.0})
+    b = TorusFunction(2, {(1, 0): complex(math.inf, 1.0)})
+    for got, want in ((a - b, {(0, 0): 1 + 1j, (1, 0): complex(-math.inf, -1.0)}),
+                      (b - a, {(0, 0): -1 - 1j, (1, 0): complex(math.inf, 1.0)})):
+        assert not np.isnan(got.block).any()
+        assert got.coeffs == want
