@@ -132,7 +132,7 @@ def parse_algebra(text):
 
 
 def load_algebra(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return parse_algebra(fh.read())
 
 

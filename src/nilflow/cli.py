@@ -602,6 +602,7 @@ def _run_kam(p, outdir):
     if p["floor"] <= 0:
         raise ConfigTypeError("floor must be > 0, got %r" % p["floor"])
     beta = _sin_field(p["omega"], p["amplitude"], p["mode"], p["component"])
+    failure = None
     try:
         state = kam_iterate(
             p["omega"], beta, max_iter=p["max_iter"], floor=p["floor"],
@@ -609,20 +610,18 @@ def _run_kam(p, outdir):
         )
     except NoConvergence as exc:
         # the partial history still gets written before reporting failure
-        if exc.state is not None:
-            _write_csv(
-                outdir, "kam.csv", ["iteration", "residual", "residual_r2"],
-                _kam_rows(exc.state),
-            )
+        state, failure = exc.state, exc
+    if state is not None:
+        _write_csv(
+            outdir, "kam.csv", ["iteration", "residual", "residual_r2"],
+            _kam_rows(state),
+        )
+    if failure is not None:
         return {
             "verdict": "negative",
             "reason": "NoConvergence",
-            "detail": str(exc),
+            "detail": str(failure),
         }
-    _write_csv(
-        outdir, "kam.csv", ["iteration", "residual", "residual_r2"],
-        _kam_rows(state),
-    )
     return {
         "verdict": "ok",
         "iterations": len(state.residual_history) - 1,

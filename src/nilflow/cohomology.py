@@ -29,7 +29,7 @@ from .diophantine import fit_witness, min_small_divisor
 from .errors import DimensionMismatch, NonzeroAverage, NotACocycle, Resonance
 from .nilrep import (
     NilFunction,
-    RepOperator,
+    _bands,
     _hermite_nodes,
     _tridiag_solve,
     apply_X1,
@@ -286,11 +286,11 @@ def _rep_laplacian_solve(params, n, v, tol):
     size = max(64, 2 * len(v))
     while True:
         size = min(size, _LAP_SIZE_CAP)
-        op = RepOperator(n, size, y=params.x1_y)
+        sup, sub, diag = _bands(n, size, params.x1_y, 0.0)
         sol = np.zeros(size, dtype=complex)
         sol[: len(v)] = v / denom
         for s in shifts:
-            sol = _tridiag_solve(op.super, op.sub, op.diag - s, sol)
+            sol = _tridiag_solve(sup, sub, diag - s, sol)
         check = leafwise_laplacian_apply(
             params, NilFunction(reps={(n, 0): sol})
         ).rep(n).copy()

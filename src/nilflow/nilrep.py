@@ -11,18 +11,18 @@ Convention, fixed once for the whole package: the first lattice generator acts
 as d/dx, the second as multiplication by 2*pi*i*n*x, and the center as the
 scalar 2*pi*i*n.  Every spectrum and certificate downstream inherits it.
 
-The Hermite ladder x.h_j = sqrt((j+1)/2) h_{j+1} + sqrt(j/2) h_{j-1} is
-written once, as the bands of `RepOperator`.  Generator actions on vectors
-(`dpi_apply`, `apply_X1`, `apply_X2`, the brackets of the rigidity step) apply
-the same bands, one entry larger than the vector, to every row of a block at
-once.  Those bands are built once per row layout (the rows' frequencies, the
-width and the element) and cached read-only, and an element without a
-central part, such as X1, skips the zero main diagonal.  Sums and
-differences of functions align rows by label and combine them entry by
-entry.  The leafwise Laplacian of `cohomology` inverts the bands: its block
-factors into two shifted copies of X1's bands, each undone by one
-`_tridiag_solve`.  `_hermite_nodes` diagonalizes the same ladder once per
-truncation, for the closed-form spectra built on it.
+The Hermite ladder x.h_j = sqrt((j+1)/2) h_{j+1} + sqrt(j/2) h_{j-1} has
+one home: the tridiagonal bands of `_bands`, and of `_row_bands` for a whole
+block.  Generator actions on vectors (`dpi_apply`, `apply_X1`, `apply_X2`,
+the brackets of the rigidity step) apply those bands, one entry larger than
+the vector, to every row of a block at once.  Those bands are built once
+per row layout (the rows' frequencies, the width and the element) and cached
+read-only, and an element without a central part, such as X1, skips the
+zero main diagonal.  Sums and differences of functions align rows by label
+and combine them entry by entry.  The leafwise Laplacian of `cohomology`
+inverts the bands: its block factors into two shifted copies of X1's bands,
+each undone by one `_tridiag_solve`.  `_hermite_nodes` diagonalizes the same
+ladder once per truncation, for the closed-form spectra built on it.
 """
 
 from functools import cached_property, lru_cache
@@ -41,7 +41,6 @@ from .torus import (
 
 __all__ = [
     "NilFunction",
-    "RepOperator",
     "dpi_apply",
     "apply_X1",
     "apply_X2",
@@ -59,12 +58,6 @@ _GENERATORS = {
     "Y2": ((0.0, 1.0), 0.0),
     "Z": ((0.0, 0.0), 1.0),
 }
-
-
-def _unknown_generator(gen):
-    return ValueError(
-        "unknown generator %r; expected one of %s" % (gen, (tuple(_GENERATORS),))
-    )
 
 
 def _ladder(size):
@@ -160,53 +153,12 @@ def dpi_apply(gen, n, v):
     generators return a vector one entry longer than the input.
     """
     if gen not in _GENERATORS:
-        raise _unknown_generator(gen)
+        raise ValueError(
+            "unknown generator %r; expected one of %s" % (gen, (tuple(_GENERATORS),))
+        )
     if n == 0:
         raise ValueError("central frequency must be nonzero")
     return _act([n], np.asarray(v, dtype=complex)[None, :], *_GENERATORS[gen])[0]
-
-
-class RepOperator:
-    """Tridiagonal action of a Lie algebra element y1*Y1 + y2*Y2 + z*Z on a
-    length-`size` block of the Hermite basis at central frequency n.
-
-    The stored bands satisfy G* = -G exactly.  Truncation cuts the ladder
-    after the last index, so a product of two such blocks differs from the
-    block of the product of the full operators in its last row.
-    """
-
-    def __init__(self, n, size, y=(0.0, 0.0), z=0.0):
-        if n == 0:
-            raise ValueError("central frequency must be nonzero")
-        if size < 1:
-            raise ValueError("size must be positive")
-        self.n = int(n)
-        self.size = int(size)
-        self.y = (float(y[0]), float(y[1]))
-        self.z = complex(z)
-        self.super, self.sub, diag = _bands(n, size, y, z)
-        self.diag = np.full(size, diag, dtype=complex)
-
-    @classmethod
-    def generator(cls, gen, n, size):
-        if gen not in _GENERATORS:
-            raise _unknown_generator(gen)
-        y, z = _GENERATORS[gen]
-        return cls(n, size, y=y, z=z)
-
-    def apply(self, v):
-        v = np.asarray(v, dtype=complex)
-        if len(v) != self.size:
-            raise DimensionMismatch(
-                "vector length %d does not match operator size %d" % (len(v), self.size)
-            )
-        return _tridiag_apply(self.super, self.sub, self.diag, v)
-
-    def matrix(self):
-        m = np.diag(self.diag)
-        m[np.arange(self.size - 1), np.arange(1, self.size)] = self.super
-        m[np.arange(1, self.size), np.arange(self.size - 1)] = self.sub
-        return m
 
 
 _NO_INTS = _readonly(np.zeros(0, dtype=int))
@@ -537,7 +489,8 @@ def parse_nil_function(text):
                 c = complex(float(parts[4]), float(parts[5]))
                 if j < 0:
                     raise FormatError("negative Hermite index", line=lineno)
-                rep_entries.setdefault((n, m), {})[j] = c
+                row = rep_entries.setdefault((n, m), {})
+                row[j] = row[j] + c if j in row else c
             else:
                 raise FormatError("unknown record %r" % parts[0], line=lineno)
         except FormatError:

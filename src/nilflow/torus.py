@@ -57,7 +57,7 @@ def _zeros(n, D):
 
 
 def _readonly(a):
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 

@@ -1,25 +1,26 @@
 """Structure constants, constant cochains, and the constant-cohomology rank."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
 
-from nilflow import (
+from nilflow.algebra import (
     ActionParams,
     ConstantCocycle,
     TwoStepAlgebra,
+    algebra_from_brackets,
     bracket,
     const_cocycle_check,
     const_cohomology_basis,
     const_delta0,
-    heisenberg,
-)
-from nilflow.algebra import (
-    algebra_from_brackets,
     const_delta1,
+    heisenberg,
     parse_algebra,
     serialize_algebra,
 )
@@ -371,9 +372,25 @@ def test_parse_errors_carry_line_numbers():
 def test_load_algebra(tmp_path):
     f = tmp_path / "alg.txt"
     f.write_text(serialize_algebra(heisenberg()))
-    from nilflow import load_algebra
+    from nilflow.algebra import load_algebra
 
     assert load_algebra(f) == heisenberg()
+
+
+def test_load_algebra_reads_utf8_under_an_ascii_locale(tmp_path):
+    # the default text encoding follows the locale; an ASCII locale must not
+    # refuse a UTF-8 comment
+    f = tmp_path / "alg.txt"
+    f.write_text("# Heisenberg \u2014 [Y1, Y2] = Z\n" + serialize_algebra(heisenberg()),
+                 encoding="utf-8")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.path.join(root, "src"))
+    code = ("import sys; from nilflow.algebra import heisenberg, load_algebra; "
+            "sys.exit(load_algebra(sys.argv[1]) != heisenberg())")
+    proc = subprocess.run([sys.executable, "-c", code, str(f)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_constant_cocycle_vector_roundtrip():

@@ -28,9 +28,10 @@ from nilflow.errors import (
     NotACocycle,
     Resonance,
 )
-from nilflow.nilrep import NilFunction, RepOperator, apply_X1, apply_X2, nil_sobolev_norm
+from nilflow.nilrep import NilFunction, _bands, apply_X1, apply_X2, nil_sobolev_norm
 from nilflow.torus import TorusFunction
 
+from dense_ladder import dense_ladder
 from laplacian_route import split_via_laplacian
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -110,8 +111,8 @@ def test_delta1_matches_matrix_assembly():
     g = NilFunction(reps={(2, 0): rng.standard_normal(5) + 1j * rng.standard_normal(5)})
     phi = delta1(p, Cochain1(f, g))
     size = 6
-    a = RepOperator(2, size, y=p.x1_y).matrix()
-    b = RepOperator(2, size, y=p.x2_y, z=p.x2_z[0]).matrix()
+    a = dense_ladder(2, size, p.x1_y)
+    b = dense_ladder(2, size, p.x2_y, p.x2_z[0])
     fp = np.zeros(size, dtype=complex)
     fp[:5] = f.rep(2)
     gp = np.zeros(size, dtype=complex)
@@ -398,8 +399,8 @@ def test_laplacian_matches_assembled_matrix():
     F = NilFunction(reps={(2, 0): v})
     out = leafwise_laplacian_apply(p, F)
     size = 8
-    a = RepOperator(2, size, y=p.x1_y).matrix()
-    b = RepOperator(2, size, y=p.x2_y, z=p.x2_z[0]).matrix()
+    a = dense_ladder(2, size, p.x1_y)
+    b = dense_ladder(2, size, p.x2_y, p.x2_z[0])
     vp = np.zeros(size, dtype=complex)
     vp[:6] = v
     oracle = (a @ a + b @ b) @ vp
@@ -433,11 +434,11 @@ def test_laplacian_solve_never_exceeds_size_cap(monkeypatch, tol, converges):
     # from 80, and the last attempt is at the cap itself
     sizes = []
 
-    def recording(n, size, **kwargs):
+    def recording(n, size, y, z):
         sizes.append(size)
-        return RepOperator(n, size, **kwargs)
+        return _bands(n, size, y, z)
 
-    monkeypatch.setattr(cohomology, "RepOperator", recording)
+    monkeypatch.setattr(cohomology, "_bands", recording)
     p = golden_params(beta=1.0 / 3.0)
     v = np.random.default_rng(83).standard_normal(40)
     source = NilFunction(reps={(1, 0): v})
@@ -457,7 +458,7 @@ def test_laplacian_solve_refuses_zero_beta_before_any_size(monkeypatch, mu):
     def refuse(*args, **kwargs):
         raise AssertionError("no truncation may be tried at beta = 0")
 
-    monkeypatch.setattr(cohomology, "RepOperator", refuse)
+    monkeypatch.setattr(cohomology, "_bands", refuse)
     p = golden_params(beta=0.0, mu=mu)
     with pytest.raises(Resonance) as err:
         laplacian_solve(p, NilFunction(reps={(-3, 2): np.ones(5)}))
@@ -568,8 +569,8 @@ def test_rep_spectrum_matches_node_law(M):
 def test_rep_spectrum_matches_dense_generator_squares(mu, n, M, beta):
     # oracle: the dense sum of squared generator matrices, symmetrized
     p = golden_params(beta=beta, mu=mu)
-    a = RepOperator(n, M, y=p.x1_y).matrix()
-    b = RepOperator(n, M, y=p.x2_y, z=p.x2_z[0]).matrix()
+    a = dense_ladder(n, M, p.x1_y)
+    b = dense_ladder(n, M, p.x2_y, p.x2_z[0])
     lap = a @ a + b @ b
     dense = np.sort(np.linalg.eigvalsh((lap + lap.conj().T) / 2.0))[::-1]
     ev = np.array(rep_spectrum(p, n, M))
@@ -657,7 +658,7 @@ def test_joint_kernel_counts_toral_modes_only(monkeypatch, beta):
         raise AssertionError("joint_kernel_dim must not touch representation blocks")
 
     monkeypatch.setattr(np.linalg, "svd", refuse)
-    monkeypatch.setattr(cohomology, "RepOperator", refuse)
+    monkeypatch.setattr(cohomology, "_bands", refuse)
     assert joint_kernel_dim(golden_params(beta=beta), K=12) == 1
 
 

@@ -12,14 +12,15 @@ import warnings
 import numpy as np
 import pytest
 
-from nilflow import (
+from nilflow import diophantine
+from nilflow.diophantine import (
     DiophantineWitness,
+    _canonical,
+    _snap_floor,
     fit_witness,
     min_small_divisor,
     simultaneous_witness,
 )
-from nilflow import diophantine
-from nilflow.diophantine import _canonical, _snap_floor
 from nilflow.errors import DimensionMismatch
 
 PHI = (1 + math.sqrt(5)) / 2

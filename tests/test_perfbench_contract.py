@@ -56,6 +56,23 @@ def test_traced_subcommands_exist():
     assert set(TRACER.SUBCOMMANDS) <= set(cli.SCHEMAS)
 
 
+def test_package_import_loads_every_traced_layer():
+    # the tracer wraps the layers found in sys.modules after ``import nilflow``
+    # and reads nilflow._parallel as an attribute; a fresh interpreter shows
+    # what the package import alone loads
+    code = (
+        "import json, sys, nilflow; nilflow._parallel.worker_count; "
+        "print(json.dumps(sorted(n for n in sys.modules if n.startswith('nilflow.'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, cwd=ROOT, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    expected = {"nilflow." + m for m in TRACER.LAYERS} | {"nilflow._parallel"}
+    assert expected <= loaded, sorted(expected - loaded)
+
+
 def test_probe_imports_exist():
     names = {
         "algebra": ["ActionParams"],

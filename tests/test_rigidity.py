@@ -757,6 +757,13 @@ def test_vf_cochain_text_roundtrip():
     assert back.x2.z[0].reps.keys() == with_reps.reps.keys()
 
 
+def test_vf_cochain_sums_repeated_records_in_a_slot():
+    text = "x2.z0 rep 1 0 3 0.1 -0.2\nx1.y0 toral 1 0 0.5 0.0\nx2.z0 rep 1 0 3 0.1 -0.2\n"
+    back = parse_vf_cochain(text)
+    assert back.x2.z[0].rep(1)[3] == 0.2 - 0.4j
+    assert back.x1.y[0].toral.coeff((1, 0)) == 0.5
+
+
 def test_vf_cochain_unknown_slot_reports_its_line():
     text = "x1.y0 toral 1 0 0.5 0.0\n# comment\nx3.y0 toral 1 0 0.5 0.0\n"
     with pytest.raises(FormatError, match="unknown slot") as exc:

@@ -188,7 +188,7 @@ def test_tame_ratio_single_modes_closed_form():
         ka = abs(k[0] + k[1] * PHI)
         expect = (2 * math.pi * ka) ** -1 * (1 + k[0] ** 2 + k[1] ** 2) ** (-sigma / 2)
         assert ratio == pytest.approx(expect, rel=1e-12)
-    from nilflow import fit_witness
+    from nilflow.diophantine import fit_witness
 
     w = fit_witness(GOLDEN, gamma=gamma, K=8)
     assert max(ratios) <= 1.0 / (2 * math.pi * w.C)
