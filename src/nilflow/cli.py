@@ -74,59 +74,76 @@ from .torus import (
 
 _REQUIRED = object()
 
-# key -> (type tag, default); _REQUIRED marks keys without a default
+
+def _at_least(x):
+    return ">= %r" % x, lambda v: v >= x
+
+
+def _one_of(*options):
+    return " or ".join(options), lambda v: v in options
+
+
+_POSITIVE = "> 0", lambda v: v > 0
+# the Heisenberg model has two torus directions
+_PAIR = "a pair", lambda v: len(v) == 2
+
+# key -> (type tag, default[, bound]); _REQUIRED marks keys without a default.
+# A bound is (text, holds), checked by run; bounds across keys stay in the
+# runners, and those the library enforces for its own callers stay there.
 SCHEMAS = {
     "witness": {
         "alpha": ("floats", _REQUIRED),
         "gamma": ("float", 1.0),
         "K": ("int", 50),
-        "kind": ("str", "linear-form"),
+        "kind": ("str", "linear-form", _one_of("linear-form", "simultaneous")),
     },
     "solve-coboundary": {
         "alpha": ("floats", _REQUIRED),
         "input": ("str", ""),
         "seed": ("int", 0),
-        "count": ("int", 1),
-        "degree": ("int", 8),
-        "decay": ("float", 3.0),
+        "count": ("int", 1, _at_least(1)),
+        "degree": ("int", 8, _at_least(1)),
+        # a negative decay makes the corpus weights grow with |k|
+        "decay": ("float", 3.0, _at_least(0)),
         "r": ("float", 1.0),
         "sigma": ("float", 2.0),
     },
     "split": {
-        "alpha": ("floats", _REQUIRED),
+        "alpha": ("floats", _REQUIRED, _PAIR),
         "beta": ("float", 1.0),
         "mu": ("float", 0.0),
         "seed": ("int", 0),
-        "count": ("int", 50),
-        "degree": ("int", 6),
-        "n_max": ("int", 3),
-        "length": ("int", 8),
-        "decay": ("float", 7.0),
+        "count": ("int", 50, _at_least(1)),
+        "degree": ("int", 6, _at_least(0)),
+        "n_max": ("int", 3, _at_least(0)),
+        "length": ("int", 8, _at_least(0)),
+        "decay": ("float", 7.0, _at_least(0)),
         "r": ("float", 1.0),
         "sigma": ("float", 2.0),
         "recon_tol": ("float", 1e-9),
         "K": ("int", 50),
     },
     "spectrum": {
-        "alpha": ("floats", _REQUIRED),
+        "alpha": ("floats", _REQUIRED, _PAIR),
         "beta": ("float", 1.0),
         "mu": ("float", 0.0),
-        "n_max": ("int", 10),
+        "n_max": ("int", 10, _at_least(1)),
         "M": ("int", 64),
     },
     "gh-report": {
-        "alpha": ("floats", _REQUIRED),
+        "alpha": ("floats", _REQUIRED, _PAIR),
         "beta": ("float", 1.0),
         "mu": ("float", 0.0),
-        "N": ("int", 10),
+        # the growth law in |n| is reported across at least two blocks
+        "N": ("int", 10, _at_least(2)),
         "M": ("int", 64),
         "K": ("int", 50),
     },
     "kernel-dim": {
-        "alpha": ("floats", _REQUIRED),
+        "alpha": ("floats", _REQUIRED, _PAIR),
         "beta": ("float", 1.0),
         "mu": ("float", 0.0),
-        "N": ("int", 10),
+        "N": ("int", 10, _at_least(1)),
         "M": ("int", 64),
         "K": ("int", 50),
         "tol": ("float", 1e-8),
@@ -140,23 +157,24 @@ SCHEMAS = {
     "kam": {
         "omega": ("floats", _REQUIRED),
         "amplitude": ("float", 1e-3),
-        "mode": ("ints", (1, 1)),
+        # k and -k would share one coefficient: not a real sine
+        "mode": ("ints", (1, 1), ("nonzero", any)),
         "component": ("int", 0),
         "K": ("int", 64),
-        "max_iter": ("int", 10),
-        "floor": ("float", 1e-12),
+        "max_iter": ("int", 10, _at_least(1)),
+        "floor": ("float", 1e-12, _POSITIVE),
     },
     "rigidity-step": {
-        "alpha": ("floats", _REQUIRED),
+        "alpha": ("floats", _REQUIRED, _PAIR),
         "beta": ("float", 1.0),
         "mu": ("float", 0.0),
         "perturbation_file": ("str", ""),
         "cutoff": ("float", -1.0),
-        "threshold": ("float", 0.5),
+        "threshold": ("float", 0.5, _POSITIVE),
         "seed": ("int", 0),
         "scale": ("float", 1e-3),
-        "degree": ("int", 3),
-        "decay": ("float", 3.0),
+        "degree": ("int", 3, _at_least(0)),
+        "decay": ("float", 3.0, _at_least(0)),
         "K": ("int", 50),
     },
     "cg-decay": {
@@ -164,10 +182,11 @@ SCHEMAS = {
         "count": ("int", 30),
         "s": ("float", 0.0),
         "k": ("float", 2.0),
-        "degree": ("int", 8),
-        "n_max": ("int", 40),
-        "length": ("int", 8),
-        "decay": ("float", 3.0),
+        "degree": ("int", 8, _at_least(0)),
+        # the plateau compares against the inner window 2|n| <= n_max
+        "n_max": ("int", 40, _at_least(2)),
+        "length": ("int", 8, _at_least(1)),
+        "decay": ("float", 3.0, _at_least(0)),
     },
 }
 
@@ -179,27 +198,27 @@ def _to_float(s):
     return x
 
 
-def _to_floats(s):
+def _to_tuple(convert, s):
     parts = s.split()
     if not parts:
         raise ValueError("empty list")
-    return tuple(_to_float(x) for x in parts)
-
-
-def _to_ints(s):
-    parts = s.split()
-    if not parts:
-        raise ValueError("empty list")
-    return tuple(int(x, 10) for x in parts)
+    return tuple(convert(x) for x in parts)
 
 
 _CONVERTERS = {
     "int": lambda s: int(s, 10),
     "float": _to_float,
-    "floats": _to_floats,
-    "ints": _to_ints,
+    "floats": lambda s: _to_tuple(_to_float, s),
+    "ints": lambda s: _to_tuple(lambda x: int(x, 10), s),
     "str": lambda s: s,
 }
+
+
+def _convert(typ, value, where):
+    try:
+        return _CONVERTERS[typ](value)
+    except ValueError:
+        raise ConfigTypeError("%s expects %s, got %r" % (where, typ, value)) from None
 
 
 @dataclass
@@ -252,14 +271,8 @@ def parse_config(text, default_subcommand=None):
             raise UnknownKey(
                 "line %d: unknown key %r for subcommand %s" % (lineno, key, sub)
             )
-        typ = schema[key][0]
-        try:
-            params[key] = _CONVERTERS[typ](value)
-        except ValueError:
-            raise ConfigTypeError(
-                "line %d: key %r expects %s, got %r" % (lineno, key, typ, value)
-            ) from None
-    for key, (_typ, default) in schema.items():
+        params[key] = _convert(schema[key][0], value, "line %d: key %r" % (lineno, key))
+    for key, (_typ, default, *_bound) in schema.items():
         if key not in params:
             if default is _REQUIRED:
                 raise MissingKey(
@@ -325,18 +338,18 @@ def _write_summary(outdir, record):
     return record
 
 
+def _check_bounds(sub, p):
+    """Refuse a value outside its key's declared bound, naming the key."""
+    for key, (_typ, _default, *bound) in SCHEMAS[sub].items():
+        for text, holds in bound:
+            if not holds(p[key]):
+                # a count below 1 draws an empty corpus
+                error = EmptyCorpus if key == "count" else ConfigTypeError
+                raise error("%s must be %s, got %s" % (key, text, _format_value(p[key])))
+
+
 def _heis_params(p):
-    if len(p["alpha"]) != 2:
-        raise ConfigTypeError(
-            "alpha needs exactly two components, got %d" % len(p["alpha"])
-        )
     return ActionParams(tuple(p["alpha"]), (p["beta"],), mu=p["mu"])
-
-
-def _require_at_least(p, least, *keys):
-    for key in keys:
-        if p[key] < least:
-            raise ConfigTypeError("%s must be >= %d, got %r" % (key, least, p[key]))
 
 
 def _refuse_resonance(alpha, K):
@@ -353,12 +366,8 @@ def _refuse_resonance(alpha, K):
 
 
 def _run_witness(p, outdir):
-    if p["kind"] == "simultaneous":
-        w = simultaneous_witness(p["alpha"], p["gamma"], p["K"])
-    elif p["kind"] == "linear-form":
-        w = fit_witness(p["alpha"], p["gamma"], p["K"])
-    else:
-        raise ConfigTypeError("kind must be linear-form or simultaneous")
+    witness = simultaneous_witness if p["kind"] == "simultaneous" else fit_witness
+    w = witness(p["alpha"], p["gamma"], p["K"])
     argmin = " ".join(str(int(x)) for x in w.argmin_k)
     _write_csv(
         outdir,
@@ -379,12 +388,6 @@ def _run_witness(p, outdir):
 
 def _run_solve_coboundary(p, outdir):
     alpha = tuple(p["alpha"])
-    if not alpha:
-        raise ConfigTypeError("alpha needs at least one component")
-    if p["count"] < 1:
-        raise EmptyCorpus("count must be >= 1, got %d" % p["count"])
-    _require_at_least(p, 1, "degree")
-    _require_at_least(p, 0, "decay")
     if p["input"]:
         loaded = load_nil_function(p["input"])
         if loaded.keys:
@@ -435,9 +438,6 @@ def _run_solve_coboundary(p, outdir):
 
 def _run_split(p, outdir):
     params = _heis_params(p)
-    if p["count"] < 1:
-        raise EmptyCorpus("count must be >= 1, got %d" % p["count"])
-    _require_at_least(p, 0, "degree", "n_max", "length", "decay")
     _refuse_resonance(p["alpha"], p["K"])
     corpus = cochain_corpus(
         p["seed"], p["count"], p["degree"], p["n_max"], p["length"], p["decay"]
@@ -480,7 +480,6 @@ def _run_split(p, outdir):
 
 def _run_spectrum(p, outdir):
     params = _heis_params(p)
-    _require_at_least(p, 1, "n_max")
     t = trusted_count(p["M"])
 
     def one(n):
@@ -502,9 +501,6 @@ def _run_spectrum(p, outdir):
 
 def _run_gh_report(p, outdir):
     params = _heis_params(p)
-    if p["N"] < 2:
-        # the growth law in |n| is reported across at least two blocks
-        raise ConfigTypeError("N must be >= 2, got %d" % p["N"])
     report = gh_certificate(params, p["N"], p["M"], p["K"])
     _write_csv(
         outdir,
@@ -531,7 +527,6 @@ def _run_gh_report(p, outdir):
 
 def _run_kernel_dim(p, outdir):
     params = _heis_params(p)
-    _require_at_least(p, 1, "N")
     # N and M stay in the schema and in kernel.csv; the count reads toral modes
     dim = joint_kernel_dim(params, p["K"], tol=p["tol"])
     _write_csv(
@@ -549,6 +544,8 @@ def _run_kernel_dim(p, outdir):
 def _run_constant_cohomology(p, outdir):
     A = load_algebra(p["algebra"]) if p["algebra"] else heisenberg()
     params = ActionParams(tuple(p["alpha"]), tuple(p["beta"]), mu=p["mu"])
+    # const_cohomology_basis checks the lengths of alpha and beta against the
+    # algebra's q and p
     dim, reps = const_cohomology_basis(A, params)
     rows = []
     for i, rep in enumerate(reps):
@@ -566,15 +563,13 @@ def _run_constant_cohomology(p, outdir):
 
 
 def _sin_field(omega, amplitude, mode, component):
+    # mode and component are bounded by omega's length
     dim = len(omega)
     if len(mode) != dim:
         raise ConfigTypeError("mode length must match omega")
     if not 0 <= component < dim:
         raise ConfigTypeError("component out of range")
     k = tuple(int(x) for x in mode)
-    if not any(k):
-        # k and -k would share one coefficient: not a real sine
-        raise ConfigTypeError("mode must be nonzero, got %s" % _format_value(k))
     coeffs = {
         k: amplitude / 2j,
         tuple(-x for x in k): -amplitude / 2j,
@@ -598,9 +593,6 @@ def _kam_rows(state):
 
 
 def _run_kam(p, outdir):
-    _require_at_least(p, 1, "max_iter")
-    if p["floor"] <= 0:
-        raise ConfigTypeError("floor must be > 0, got %r" % p["floor"])
     beta = _sin_field(p["omega"], p["amplitude"], p["mode"], p["component"])
     failure = None
     try:
@@ -633,9 +625,6 @@ def _run_kam(p, outdir):
 
 def _run_rigidity_step(p, outdir):
     params = _heis_params(p)
-    if p["threshold"] <= 0:
-        raise ConfigTypeError("threshold must be > 0, got %r" % p["threshold"])
-    _require_at_least(p, 0, "degree", "decay")
     if p["perturbation_file"]:
         om = load_vf_cochain(p["perturbation_file"])
     else:
@@ -679,11 +668,6 @@ def _run_rigidity_step(p, outdir):
 
 
 def _run_cg_decay(p, outdir):
-    if p["n_max"] < 2:
-        # the plateau compares against the inner window 2|n| <= n_max
-        raise ConfigTypeError("n_max must be >= 2, got %d" % p["n_max"])
-    _require_at_least(p, 1, "length")
-    _require_at_least(p, 0, "degree", "decay")
     corpus = nil_corpus(
         p["seed"], p["count"], p["degree"], p["n_max"], p["length"], p["decay"]
     )
@@ -734,6 +718,7 @@ def run(config):
     if runner is None:
         raise UnknownKey("unknown subcommand %r" % config.subcommand)
     try:
+        _check_bounds(config.subcommand, config.params)
         record = runner(config.params, outdir)
     except Exception as exc:
         # every failure ends in a typed record; an unexpected one also leaves
@@ -779,9 +764,9 @@ def main(argv=None):
         sp.add_argument("--config", help="path to a key = value config file")
         sp.add_argument("--out", help="output directory (overrides config)")
         if name == "rigidity-step":
-            sp.add_argument("--mu", type=float, help="coordinate tilt of the second generator")
+            sp.add_argument("--mu", help="coordinate tilt of the second generator")
             sp.add_argument("--perturbation-file", help="cochain file to correct")
-            sp.add_argument("--cutoff", type=float, help="smoothing cutoff applied to the input")
+            sp.add_argument("--cutoff", help="smoothing cutoff applied to the input")
     ns = parser.parse_args(argv)
     try:
         text = ""
@@ -796,13 +781,12 @@ def main(argv=None):
             )
         if ns.out:
             config = replace(config, out=ns.out)
-        if ns.subcommand == "rigidity-step":
-            if ns.mu is not None:
-                config.params["mu"] = ns.mu
-            if ns.perturbation_file is not None:
-                config.params["perturbation_file"] = ns.perturbation_file
-            if ns.cutoff is not None:
-                config.params["cutoff"] = ns.cutoff
+        # the rigidity-step flags are converted and bounded like config keys
+        for key in ("mu", "perturbation_file", "cutoff"):
+            value = getattr(ns, key, None)
+            if value is not None:
+                typ = SCHEMAS[ns.subcommand][key][0]
+                config.params[key] = _convert(typ, value, "--" + key.replace("_", "-"))
         return run(config)
     except (ConfigError, OSError) as exc:
         print(

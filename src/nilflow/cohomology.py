@@ -376,7 +376,12 @@ def gh_certificate(params, N, M, K):
     report["toral"] = toral
 
     beta = params.beta[0]
-    c = (2 * math.pi * beta) ** 2 / (1 + params.mu * params.mu)
+    try:
+        c = (2 * math.pi * beta) ** 2 / (1 + params.mu * params.mu)
+    except OverflowError:
+        c = math.inf
+    if not math.isfinite(c * N * N):  # the bottom c n^2 of block N is the largest
+        raise ValueError("beta = %r overflows the spectral bottom at n = %d" % (beta, N))
     t = trusted_count(M)
     report["rep"] = [
         {

@@ -405,6 +405,10 @@ def cg_decay_report(corpus, s, k):
     if not corpus:
         raise EmptyCorpus("corpus is empty")
     n_max = max((F.support_n for F in corpus), default=0)
+    try:
+        pi_norm(max(n_max, 1)) ** k  # |n|^k is largest at the top frequency
+    except OverflowError:
+        raise ValueError("|n|^k overflows at s = %r, k = %r" % (s, k)) from None
     ratios = []
     vacuous = 0
     for F in corpus:
@@ -412,8 +416,13 @@ def cg_decay_report(corpus, s, k):
             vacuous += 1
             ratios.append(None)
             continue
+        with np.errstate(over="ignore"):
+            norm = nil_sobolev_norm(F, s + k)
+        if not np.isfinite(norm) or (norm == 0 and F.block.any()):
+            # an overflowed or underflowed norm would make every ratio 0
+            raise ValueError("the (s+k)-norm is %r at s = %r, k = %r" % (norm, s, k))
         # a zero member meets the bound trivially: its ratios come out 0
-        denom = nil_sobolev_norm(F, s + k) or np.inf
+        denom = norm or np.inf
         # the rows are sorted by (n, m), so each frequency is one run of rows
         starts = np.flatnonzero(np.diff(F.ns, prepend=0))
         freqs = F.ns[starts]

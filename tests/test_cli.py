@@ -124,26 +124,32 @@ def test_out_key_sets_output_directory():
 
 
 def _readme_keys():
-    """{subcommand: [(key, required)]} from README's "Keys per subcommand"
-    list: the backticked names of each bullet outside parentheses, with a
-    trailing * marking a required key."""
+    """{subcommand: [(key, required, note)]} from README's "Keys per
+    subcommand" list: the backticked names of each bullet, a trailing *
+    marking a required key, and the parenthesized note after a name or None."""
     with open(README, encoding="utf-8") as fh:
         text = fh.read()
     listing = text.split("Keys per subcommand", 1)[1].split("\n\n", 2)[1]
     keys = {}
     for bullet in listing.split("\n- "):
         head, _, rest = " ".join(bullet.lstrip("- ").split()).partition(": ")
-        names = re.findall(r"`([^`]+)`", re.sub(r"\([^()]*\)", "", rest))
-        keys[head.strip("`")] = [(n.rstrip("*"), n.endswith("*")) for n in names]
+        names = re.findall(r"`([^`]+)`(?: \(([^()]*)\))?", rest)
+        keys[head.strip("`")] = [
+            (n.rstrip("*"), n.endswith("*"), note or None) for n, note in names
+        ]
     return keys
 
 
 def test_readme_lists_each_subcommands_schema_keys():
     listed = _readme_keys()
     assert sorted(listed) == sorted(SCHEMAS)
+    # a note that reads as some key's bound must be this key's bound
+    texts = {e[2][0] for schema in SCHEMAS.values() for e in schema.values() if len(e) > 2}
     for sub, schema in SCHEMAS.items():
-        expected = [(key, default is cli._REQUIRED) for key, (_typ, default) in schema.items()]
-        assert listed[sub] == expected, sub
+        expected = [(key, default is cli._REQUIRED) for key, (_typ, default, *_) in schema.items()]
+        assert [(n, req) for n, req, _ in listed[sub]] == expected, sub
+        bounds = {key: b[0] for key, (_t, _d, *bound) in schema.items() for b in bound}
+        assert {n: note for n, _, note in listed[sub] if note in texts} == bounds, sub
 
 
 def test_kam_config_roundtrips_through_serialize():
@@ -168,7 +174,7 @@ def test_every_schema_roundtrips_its_defaults():
     for sub, schema in SCHEMAS.items():
         # required keys get stand-in values so the config is complete
         params = {}
-        for key, (typ, default) in schema.items():
+        for key, (typ, default, *_) in schema.items():
             if type(default) is object:
                 params[key] = (1.0, PHI) if typ == "floats" else 1
             else:
@@ -910,3 +916,130 @@ def test_rigidity_step_h_norm_is_continuous_in_mu(tmp_path):
         assert run(cfg) == 0
         norms.append(read_summary(out)[0]["h_norm"])
     assert max(norms) - min(norms) <= 1e-9 * max(norms)
+
+
+# ---------------------------------------------------------------------------
+# the input contract: declared bounds, overflow refusals, a bounded fuzz
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"k": 100.0}, {"k": 200.0}, {"s": -100.0, "k": 200.0},
+     {"s": -1e300}, {"k": -1e300}],
+    ids=["k100", "k200", "s-100-k200", "s-1e300", "k-1e300"],
+)
+def test_cg_decay_refuses_orders_outside_the_float_range(tmp_path, capsys, overrides):
+    # at the default n_max 40 these norms overflow or underflow; read as
+    # numbers they would make every ratio 0 (a vacuous ok) or raise
+    assert run(make_config("cg-decay", tmp_path, **overrides)) == 1
+    rec = read_summary(tmp_path)[0]
+    assert (rec["verdict"], rec["reason"]) == ("error", "ValueError")
+    assert "s = %r, k = %r" % (overrides.get("s", 0.0), overrides.get("k", 2.0)) in rec["detail"]
+    assert "Traceback" not in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["summary.jsonl"]
+
+
+def test_gh_report_refuses_a_beta_whose_bottom_overflows(tmp_path, capsys):
+    assert run(make_config("gh-report", tmp_path, alpha=(1.0, PHI), beta=1e300)) == 1
+    rec = read_summary(tmp_path)[0]
+    assert (rec["verdict"], rec["reason"]) == ("error", "ValueError")
+    assert "beta = 1e+300" in rec["detail"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# small shapes, at the scale of the perfbench smoke configs
+_FUZZ_BASE = {
+    "witness": {"alpha": "1.0 %r" % PHI, "K": 8},
+    "solve-coboundary": {"alpha": "1.0 %r" % PHI, "count": 2, "degree": 4},
+    "split": {"alpha": "1.0 %r" % PHI, "count": 2, "degree": 2, "n_max": 2,
+              "length": 4, "K": 8},
+    "spectrum": {"alpha": "1.0 %r" % PHI, "n_max": 2, "M": 16},
+    "gh-report": {"alpha": "1.0 %r" % PHI, "N": 2, "M": 16, "K": 8},
+    "kernel-dim": {"alpha": "1.0 %r" % PHI, "N": 1, "M": 16, "K": 8},
+    "kam": {"omega": "1.0 %r" % PHI, "K": 16, "max_iter": 3},
+    "rigidity-step": {"alpha": "1.0 %r" % PHI, "degree": 1, "K": 8},
+    "cg-decay": {"count": 2, "n_max": 4, "length": 4},
+}
+_BOUNDED = [
+    (sub, key)
+    for sub, schema in SCHEMAS.items()
+    for key, entry in schema.items()
+    if len(entry) > 2
+]
+
+
+def _edge_texts(typ, bound):
+    """The values at and just past a bound, as config text."""
+    if bound.startswith(">"):
+        op, x = bound.split()
+        x = float(x)
+        past = math.nextafter(x, -math.inf if op == ">=" else math.inf)
+        if typ == "int":
+            past = x - 1 if op == ">=" else x + 1
+            return [str(int(x)), str(int(past))]
+        return [repr(x), repr(past)]
+    if bound == "a pair":
+        return ["1.0", "1.0 %r" % PHI, "1.0 %r 0.5" % PHI]
+    if bound == "nonzero":
+        return ["0 0", "0 1"]
+    return bound.split(" or ") + ["other"]
+
+
+def _fuzz_case(tmp_path, capsys, sub, entries, flags=()):
+    tmp_path.mkdir()
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("".join("%s = %s\n" % kv for kv in entries.items()))
+    out = tmp_path / "out"
+    status = main([sub, "--config", str(cfg), "--out", str(out), *flags])
+    err = capsys.readouterr().err
+    assert status in (0, 1, 2)
+    assert "Traceback" not in err
+    if not (out / "summary.jsonl").exists():
+        return status, json.loads(err.strip().splitlines()[-1])
+
+    def refuse(name):
+        raise AssertionError("non-finite JSON constant %s" % name)
+
+    with open(out / "summary.jsonl") as fh:
+        rec = json.loads(fh.read(), parse_constant=refuse)
+    if rec["verdict"] == "ok":
+        assert rec.get("count", 1) >= 1 and rec.get("ratio_max", 1) != 0.0, rec
+    return status, rec
+
+
+@pytest.mark.parametrize("sub,key", _BOUNDED, ids=["%s-%s" % c for c in _BOUNDED])
+def test_fuzz_declared_bounds_end_in_a_result_or_a_typed_record(
+    tmp_path, capsys, sub, key
+):
+    typ, _default, (bound, holds) = SCHEMAS[sub][key]
+    rng = np.random.default_rng([21, len(sub), len(key)])
+    base = dict(_FUZZ_BASE[sub])
+    if "seed" in SCHEMAS[sub]:
+        base["seed"] = int(rng.integers(0, 2**31))
+    for i, text in enumerate(_edge_texts(typ, bound) + ["nan", "inf", "-inf"]):
+        status, rec = _fuzz_case(tmp_path / str(i), capsys, sub, {**base, key: text})
+        try:
+            value = cli._CONVERTERS[typ](text)
+        except ValueError:
+            assert (status, rec["reason"]) == (1, "ConfigTypeError"), text
+            continue
+        if holds(value):
+            assert rec.get("reason") not in ("ConfigTypeError", "EmptyCorpus"), text
+        else:
+            reason = "EmptyCorpus" if key == "count" else "ConfigTypeError"
+            assert (status, rec["reason"]) == (1, reason), text
+            assert key in rec["detail"]
+            assert os.listdir(tmp_path / str(i) / "out") == ["summary.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "flag",
+    # the = form passes a value that starts with a minus sign
+    ["--cutoff=nan", "--cutoff=inf", "--mu=nan", "--mu=inf", "--cutoff=-inf"],
+)
+def test_rigidity_flags_refuse_nonfinite_values(tmp_path, capsys, flag):
+    base = dict(_FUZZ_BASE["rigidity-step"])
+    status, rec = _fuzz_case(tmp_path / "case", capsys, "rigidity-step", base, (flag,))
+    assert (status, rec["verdict"], rec["reason"]) == (1, "error", "ConfigTypeError")
+    assert flag.split("=")[0] in rec["detail"]
+    assert not (tmp_path / "case" / "out" / "summary.jsonl").exists()
