@@ -38,25 +38,6 @@ from .nilrep import (
 )
 from .torus import TorusFunction, _divisors, solve_small_divisor
 
-__all__ = [
-    "Cochain1",
-    "SplittingResult",
-    "VfField",
-    "VfCochain",
-    "delta0",
-    "delta1",
-    "delta0_star",
-    "delta1_star_split",
-    "leafwise_laplacian_apply",
-    "laplacian_solve",
-    "rep_spectrum",
-    "trusted_count",
-    "gh_certificate",
-    "joint_kernel_dim",
-    "vf_delta0",
-    "vf_coboundary_solve",
-]
-
 CONVENTION = "dpi(Y1)=d/dx, dpi(Y2)=2*pi*i*n*x, dpi(Z)=2*pi*i*n"
 
 
@@ -362,8 +343,10 @@ def gh_certificate(params, N, M, K):
     that witness is valid.  Representation side: on block n, X2 - mu X1 is
     the scalar i c with c = 2 pi n beta, so -L = A^2 + (mu A - c)^2 with
     A = i X1 of spectrum R has exact bottom c^2 / (1 + mu^2).
-    The verdict reads only these closed forms; truncated_min, the least trusted
-    |eigenvalue| at truncation M, is a diagnostic.
+    The verdict reads only these closed forms: the toral minimum is resonant
+    when its divisor snaps to zero (`diophantine._snap_floor`), the
+    representation side degenerate when its bottom is zero.  truncated_min,
+    the least trusted |eigenvalue| at truncation M, is a diagnostic.
     """
     report = {"convention": CONVENTION, "N": N, "M": M, "K": K}
     k_star, div = min_small_divisor(params.x1_y, K)
@@ -394,14 +377,12 @@ def gh_certificate(params, N, M, K):
     report["fit"] = {"c": c, "d": 2.0}
     report["beta_degenerate"] = beta == 0
 
-    candidates = sorted([toral_min] + [row["min_abs"] for row in report["rep"]])
-    near_zero = candidates[0] <= 1e-8 * (candidates[1] if len(candidates) > 1 else 1.0)
-    report["near_zero"] = near_zero
-    if near_zero and candidates[0] == toral_min:
+    if div == 0:
         report["resonant_mode"] = toral["argmin"]
-    elif near_zero:
+    elif c == 0:
         report["reason"] = "ZeroSpectralBottom"
-    report["certified"] = not near_zero
+    report["near_zero"] = div == 0 or c == 0
+    report["certified"] = not report["near_zero"]
     return report
 
 

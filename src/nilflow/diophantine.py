@@ -1,17 +1,23 @@
 """Finite-frequency witness constants for small-divisor lower bounds.
 
 A witness records C = min |divisor(k)| * ||k||^gamma over nonzero integer
-vectors with sup norm at most K.  The minimum is exact.  The simultaneous
-witness scores the whole (2K+1)^n box.  The linear form |a . k| scores a box
-one dimension smaller: with j = argmax |a_j|, each k' off axis j keeps only
-the four k_j nearest the root -a'.k'/a_j.  Every other k has
-|a . k| >= (2 - roundoff)|a_j|, while the kept unit vectors e_i (i != j)
-score |a_i| <= |a_j|, so the reduced minimum is the minimum over the whole
-box, with the same argmin.  The whole box answers only where that argument
-fails: n = 1, a_j = 0, or |a_j| under the roundoff floor.  The norm
-in the product is Euclidean; the enumeration bound is the sup norm; both
-conventions are recorded on the witness.  These are desk-scale certificates
-up to K, not proofs of Diophantineness.
+vectors with sup norm at most K.  C is the floating-point minimum, not yet a
+certified lower bound: it can sit above the exact minimum by a few ulps
+(ROADMAP item 4).  The simultaneous witness scores the whole (2K+1)^n box.
+The linear form |a . k| scores a box one dimension smaller: with
+j = argmax |a_j|, each k' off axis j keeps only the four k_j nearest the root
+-a'.k'/a_j.  Every other k has |a . k| >= (2 - roundoff)|a_j|, while the kept
+unit vectors e_i (i != j) score |a_i| <= |a_j|, so the reduced minimum is the
+minimum over the whole box, with the same argmin.  The whole box answers only
+where that argument fails: n = 1 or a_j = 0.  The norm in the product is
+Euclidean; the enumeration bound is the sup norm; both conventions are
+recorded on the witness.  These are desk-scale certificates up to K, not
+proofs of Diophantineness.
+
+_snap_floor is the one zero test for divisors: a computed value at or below
+_SNAP * sum |a_i k_i|, the rounding bound of the dot product, counts as an
+exact resonance.  The test is relative, so scaling a by a power of two
+changes no verdict.
 """
 
 import math
@@ -24,8 +30,8 @@ from .errors import DimensionMismatch
 # largest enumeration degree K of every witness
 ENUM_CAP = 512
 
-# dot products of integer vectors with O(1) reals: values at or below this
-# multiple of eps cannot be distinguished from an exact resonance
+# a dot product at or below this multiple of sum |a_i k_i| cannot be told
+# from an exact resonance
 _SNAP = 8 * np.finfo(float).eps
 
 
@@ -45,7 +51,8 @@ class DiophantineWitness:
         return self.C > 0
 
     def lower_bound(self, k):
-        """Certified bound |divisor(k)| >= C * ||k||^-gamma for 0 < ||k||_inf <= K."""
+        """Bound |divisor(k)| >= C * ||k||^-gamma for 0 < ||k||_inf <= K, with
+        C the floating-point minimum, not yet certified (ROADMAP item 4)."""
         k = np.asarray(k, dtype=float)
         if not 0 < np.abs(k).max(initial=0.0) <= self.K:
             raise ValueError("the witness bounds only 0 < ||k||_inf <= K = %d" % self.K)
@@ -100,7 +107,9 @@ def _reduced_grid(a, j, K):
 
 
 def _snap_floor(values_scale):
-    return _SNAP * np.maximum(1.0, values_scale)
+    """Resonance floor of dot products whose terms sum to values_scale in
+    absolute value: a value at or below it counts as zero."""
+    return _SNAP * values_scale
 
 
 def _canonical(k):
@@ -114,12 +123,11 @@ def _canonical(k):
 
 
 def min_small_divisor(a, K):
-    """Exact min of |a . k| over 0 < ||k||_inf <= K; returns (k*, value),
-    the argmin and divisor of the gamma = 0 witness.  It reads the reduced
-    enumeration of fit_witness, and the whole box only for n = 1 or a
-    largest entry under the roundoff floor.
+    """Min of |a . k| over 0 < ||k||_inf <= K; returns (k*, value), the
+    argmin and divisor of the gamma = 0 witness.  It reads the reduced
+    enumeration of fit_witness, and the whole box only for n = 1 or a = 0.
 
-    Values below the dot-product roundoff floor are snapped to exact zero.
+    A value at or below its _snap_floor is returned as exact zero.
     """
     wit = fit_witness(a, 0.0, K)
     return wit.argmin_k, wit.value
@@ -159,13 +167,12 @@ def fit_witness(a, gamma, K):
     _check_box(a.size, K)
     _require_in_range(a, K, "a")
     j = int(np.argmax(np.abs(a)))
-    aj = abs(float(a[j]))
     # every k off the reduced grid lies at least 2 - roundoff from the root,
-    # so it scores |a . k| > |a_j|, above its snap floor while |a_j| clears
-    # the largest floor of the box; the unit vectors e_i (i != j) stay on the
-    # grid and score |a_i| <= |a_j|, so no point off it reaches the minimum
-    # or ties it.  a_j = 0 reads the whole box.
-    if a.size > 1 and aj > _snap_floor(aj * K * a.size):
+    # so it scores |a . k| > |a_j|, above its snap floor of at most
+    # 8 eps K n |a_j| < |a_j|; the unit vectors e_i (i != j) stay on the grid
+    # and score |a_i| <= |a_j|, so no point off it reaches the minimum or
+    # ties it
+    if a.size > 1 and a[j] != 0:
         grid = _reduced_grid(a, j, K)
     else:
         grid = _integer_grid(a.size, K)

@@ -39,19 +39,6 @@ from .torus import (
     sobolev_norm,
 )
 
-__all__ = [
-    "NilFunction",
-    "dpi_apply",
-    "apply_X1",
-    "apply_X2",
-    "nil_sobolev_norm",
-    "pi_norm",
-    "cg_decay_report",
-    "parse_nil_function",
-    "load_nil_function",
-    "serialize_nil_function",
-]
-
 # generator -> (Y coefficients, Z coefficient) of the Lie algebra element
 _GENERATORS = {
     "Y1": ((1.0, 0.0), 0.0),
@@ -416,17 +403,20 @@ def cg_decay_report(corpus, s, k):
             vacuous += 1
             ratios.append(None)
             continue
-        with np.errstate(over="ignore"):
-            norm = nil_sobolev_norm(F, s + k)
-        if not np.isfinite(norm) or (norm == 0 and F.block.any()):
-            # an overflowed or underflowed norm would make every ratio 0
-            raise ValueError("the (s+k)-norm is %r at s = %r, k = %r" % (norm, s, k))
-        # a zero member meets the bound trivially: its ratios come out 0
-        denom = norm or np.inf
         # the rows are sorted by (n, m), so each frequency is one run of rows
         starts = np.flatnonzero(np.diff(F.ns, prepend=0))
         freqs = F.ns[starts]
-        per_n = np.sqrt(np.add.reduceat(np.sum(_weighted_sq(F, s), axis=1), starts))
+        # an infinite weight on a zero coefficient reads nan, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = nil_sobolev_norm(F, s + k)
+            per_n = np.sqrt(np.add.reduceat(np.sum(_weighted_sq(F, s), axis=1), starts))
+        if not np.isfinite(norm) or (norm == 0 and F.block.any()):
+            # an overflowed or underflowed norm would make every ratio 0
+            raise ValueError("the (s+k)-norm is %r at s = %r, k = %r" % (norm, s, k))
+        if not np.isfinite(per_n).all():
+            raise ValueError("the s-norm of a component overflows at s = %r, k = %r" % (s, k))
+        # a zero member meets the bound trivially: its ratios come out 0
+        denom = norm or np.inf
         ratio = per_n * np.array([pi_norm(n) ** k for n in freqs.tolist()]) / denom
         inner = ratio[2 * np.abs(freqs) <= n_max]
         ratios.append(

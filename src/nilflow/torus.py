@@ -26,7 +26,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .diophantine import fit_witness
+from .diophantine import _snap_floor, fit_witness
 from .errors import (
     DimensionMismatch,
     NoConvergence,
@@ -34,8 +34,6 @@ from .errors import (
     NonzeroAverage,
     Resonance,
 )
-
-_EPS = np.finfo(float).eps
 
 # coefficients below this relative size are discarded when re-expanding
 _DROP = 1e-16
@@ -80,12 +78,12 @@ def _freqs(n, D):
 
 @lru_cache(maxsize=64)
 def _divisors(alpha, D):
-    """k.alpha on the degree-D block and its resonance floor: |k.alpha| at or
-    below roundoff of the dot product counts as resonant."""
+    """k.alpha on the degree-D block and its resonance floor (`_snap_floor`):
+    |k.alpha| at or below the floor counts as resonant."""
     _require_size(2 * D + 1, len(alpha), "divisor block")
     ks = _freqs(len(alpha), D)
     ka = sum(k * a for k, a in zip(ks, alpha))
-    floor = 8 * _EPS * sum(abs(k * a) for k, a in zip(ks, alpha))
+    floor = _snap_floor(sum(abs(k * a) for k, a in zip(ks, alpha)))
     return _readonly(ka), _readonly(floor)
 
 
@@ -428,7 +426,8 @@ def sobolev_norm(f, r):
     if isinstance(f, TorusVectorField):
         return math.sqrt(sum(sobolev_norm(c, r) ** 2 for c in f.components))
     w = _sobolev_weight(f.n, f.size, float(r))
-    return math.sqrt(float((np.abs(f.block) ** 2 * w).sum()))
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        return math.sqrt(float((np.abs(f.block) ** 2 * w).sum()))
 
 
 def _grid_points(n, G):

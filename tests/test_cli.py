@@ -222,6 +222,29 @@ def test_gh_report_zero_beta_is_refused(tmp_path):
     assert rec["beta_degenerate"] is True
 
 
+def test_gh_report_reads_each_half_on_its_own_terms(tmp_path):
+    # a large bottom does not make the golden divisor resonant
+    cfg = make_config("gh-report", tmp_path, alpha=(1.0, PHI), beta=1000.0, N=4, M=48)
+    assert run(cfg) == 0
+    rec = read_summary(tmp_path)[0]
+    assert rec["verdict"] == "certified"
+    assert rec["toral_argmin"] == [34, -21]
+    assert "resonant_mode" not in rec and "reason" not in rec
+
+
+def test_tiny_golden_alpha_is_not_resonant(tmp_path):
+    # the resonance floor is relative: 2^-64 (1, phi) is golden at every scale
+    alpha = (2.0**-64, 2.0**-64 * PHI)
+    assert run(make_config("witness", tmp_path / "w", alpha=alpha)) == 0
+    rec = read_summary(tmp_path / "w")[0]
+    assert rec["verdict"] == "ok"
+    assert rec["argmin"] == [34, -21] and rec["C"] > 0
+    split = make_config("split", tmp_path / "s", alpha=alpha, count=2, degree=2,
+                        n_max=2, length=4)
+    assert run(split) == 0
+    assert read_summary(tmp_path / "s")[0]["verdict"] == "ok"
+
+
 def test_gh_report_resonant_negative(tmp_path):
     cfg = make_config("gh-report", tmp_path, alpha=(1.0, 0.5), N=4, M=48, K=20)
     assert run(cfg) == 2
@@ -925,8 +948,10 @@ def test_rigidity_step_h_norm_is_continuous_in_mu(tmp_path):
 @pytest.mark.parametrize(
     "overrides",
     [{"k": 100.0}, {"k": 200.0}, {"s": -100.0, "k": 200.0},
-     {"s": -1e300}, {"k": -1e300}],
-    ids=["k100", "k200", "s-100-k200", "s-1e300", "k-1e300"],
+     {"s": -1e300}, {"k": -1e300}, {"s": 300.0, "k": -300.0},
+     {"s": 300.0, "k": -300.0, "decay": 1000.0}],
+    ids=["k100", "k200", "s-100-k200", "s-1e300", "k-1e300", "s300-k-300",
+         "s300-k-300-decay1000"],
 )
 def test_cg_decay_refuses_orders_outside_the_float_range(tmp_path, capsys, overrides):
     # at the default n_max 40 these norms overflow or underflow; read as
@@ -937,6 +962,23 @@ def test_cg_decay_refuses_orders_outside_the_float_range(tmp_path, capsys, overr
     assert "s = %r, k = %r" % (overrides.get("s", 0.0), overrides.get("k", 2.0)) in rec["detail"]
     assert "Traceback" not in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["summary.jsonl"]
+
+
+def test_rigidity_step_at_an_overflowing_mu_exceeds_the_threshold(tmp_path, capsys):
+    # the generated perturbation scales with mu; its norm is past the float
+    # range and reads as inf, from the config key and from the flag alike
+    run_key = run(make_config("rigidity-step", tmp_path / "key", alpha=(1.0, PHI), mu=1e300))
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text("alpha = 1.0 %r\n" % PHI)
+    run_flag = main([
+        "rigidity-step", "--config", str(cfg), "--out", str(tmp_path / "flag"), "--mu=1e300",
+    ])
+    assert run_key == run_flag == 2
+    for out in ("key", "flag"):
+        rec = read_summary(tmp_path / out)[0]
+        assert (rec["verdict"], rec["reason"]) == ("negative", "ThresholdExceeded")
+        assert "norm inf" in rec["detail"]
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_gh_report_refuses_a_beta_whose_bottom_overflows(tmp_path, capsys):

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nilflow import diophantine
+from nilflow import diophantine, torus
 from nilflow.diophantine import (
     DiophantineWitness,
     _canonical,
@@ -256,11 +256,38 @@ def test_reduced_enumeration_falls_back_to_full_box(monkeypatch):
     # ... and for the golden vector at gamma = 1, where C is about 0.85
     assert fit_witness((1, PHI), 1.0, 50) == _full_box_witness((1, PHI), 1.0, 50)
     assert calls == []
-    # n = 1, the zero vector and a largest entry under the roundoff floor
-    # read the whole box
+    # n = 1 and the zero vector read the whole box; a tiny vector clears its
+    # relative floor and takes the reduced grid
     for a, K in (((2.5,), 5), ((0.0, 0.0, 0.0), 3), ((3e-16, -1e-16), 4)):
         assert fit_witness(a, 1.0, K) == _full_box_witness(a, 1.0, K)
-    assert calls == [(1, 5), (3, 3), (2, 4)]
+    assert calls == [(1, 5), (3, 3)]
+
+
+_SCALE_VECTORS = [
+    (1.0, PHI),
+    (1.0, math.sqrt(2), math.sqrt(3)),
+    (1.0, 0.5),  # resonant at (1, -2)
+    (0.1, 0.2, -0.3),  # tenths: resonant at (1, 1, 1) only through the snap
+]
+
+
+@pytest.mark.parametrize("m", [-64, 64])
+def test_resonance_rule_is_scale_invariant(m):
+    # scaling by a power of two is exact, so a relative floor changes nothing
+    rng = np.random.default_rng(2024)
+    vectors = _SCALE_VECTORS + [tuple(rng.normal(size=n)) for n in (2, 3)]
+    t = 2.0**m
+    for a in vectors:
+        a = np.array(a)
+        K = 30 if a.size == 2 else 8
+        for gamma in (0.0, 1.0):
+            w, ws = fit_witness(a, gamma, K), fit_witness(t * a, gamma, K)
+            assert (ws.argmin_k, ws.valid) == (w.argmin_k, w.valid), (a, m)
+            assert (ws.C, ws.value) == (t * w.C, t * w.value), (a, m)
+        ka, floor = torus._divisors(tuple(a), 6)
+        kas, floors = torus._divisors(tuple(t * a), 6)
+        np.testing.assert_array_equal(np.abs(kas) <= floors, np.abs(ka) <= floor)
+    assert not fit_witness((0.1, 0.2, -0.3), 0.0, 1).valid
 
 
 def test_reduced_enumeration_stays_small():

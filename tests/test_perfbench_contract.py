@@ -5,9 +5,9 @@ perfbench wraps the layer functions listed in its tracer, the serial map in
 process reads the package and imports a few more names for the Laplacian
 probe, and every workload op is a CLI config text.  A
 rename in the package or a schema change would otherwise show up only as a
-crashed benchmark run.  The newton workload's ops also run here under their
-own gates, so a change to the grid path that breaks the benchmark's
-verification or rigidity bound fails the tests as well.
+crashed benchmark run.  Every workload's ops also run here under their own
+gates at seed 1, so a change that breaks the benchmark's verification,
+rigidity, certificate or witness gates fails the tests as well.
 """
 
 import importlib
@@ -155,3 +155,17 @@ def test_newton_ops_pass_their_gates(tmp_path, smoke):
         config.out = str(outdir)
         attempted, failed = op.gate(cli.run(config), str(outdir))
         assert (attempted, failed) == (1, 0), op.tag
+
+
+@pytest.mark.parametrize("smoke", [True, False], ids=["smoke", "full"])
+@pytest.mark.parametrize("workload", ["toral-corpus", "rep-split", "rep-certify"])
+def test_workload_ops_pass_their_gates(tmp_path, workload, smoke):
+    for op in WORKLOADS.WORKLOADS[workload](1, smoke):
+        outdir = tmp_path / op.tag
+        outdir.mkdir()
+        for name, text in op.files.items():
+            (outdir / name).write_text(text)
+        config = cli.parse_config(op.config_text(str(outdir)))
+        config.out = str(outdir)
+        attempted, failed = op.gate(cli.run(config), str(outdir))
+        assert attempted >= 1 and failed == 0, op.tag
