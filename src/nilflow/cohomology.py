@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import ConstantCocycle
-from .diophantine import fit_witness, min_small_divisor
+from .diophantine import _SNAP, fit_witness, min_small_divisor
 from .errors import DimensionMismatch, NonzeroAverage, NotACocycle, Resonance
 from .nilrep import (
     NilFunction,
@@ -388,8 +388,10 @@ def gh_certificate(params, N, M, K):
 
 def joint_kernel_dim(params, K, tol=1e-8):
     """Count toral modes with ||k||_inf <= K annihilated by both generators
-    within tol: 2 pi |k.alpha| <= tol for X1 and |mu| 2 pi |k.alpha| <= tol
-    for X2 = mu X1, on the divisors of `torus._divisors`.
+    within tol relative to the divisor's scale: |k.alpha| <= tol sum |k_i
+    alpha_i|, or at or below the resonance floor of `torus._divisors`.  The
+    test is relative, so X2 = mu X1 adds no constraint and scaling alpha
+    changes no count.
 
     The constant mode always qualifies; with valid parameters it is the only
     one, certifying unique ergodicity.  Representation blocks add nothing:
@@ -399,9 +401,10 @@ def joint_kernel_dim(params, K, tol=1e-8):
         raise ValueError("K must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    ka, _floor = _divisors(tuple(float(a) for a in params.x1_y), K)
-    d1 = 2 * math.pi * np.abs(ka)
-    return int(np.count_nonzero((d1 <= tol) & (abs(params.mu) * d1 <= tol)))
+    ka, floor = _divisors(tuple(float(a) for a in params.x1_y), K)
+    # the floor is _SNAP, a power of two, times sum |k_i alpha_i|, so this is
+    # max(floor, tol sum |k_i alpha_i|) to the bit while the floor is normal
+    return int(np.count_nonzero(np.abs(ka) <= floor * max(1.0, tol / _SNAP)))
 
 
 # --- cochains with vector-field coefficients --------------------------------

@@ -11,7 +11,8 @@ flattens a perturbed constant field back to its linear model.
 Conventions: enumeration degree is the sup norm of k; composition samples on
 an equispaced grid of at least 4K points per dimension and re-expands through
 the FFT.  Real functions are sampled and re-expanded through half-spectrum
-transforms (irfftn, rfftn) over the modes with k_last >= 0, and evaluated
+transforms that touch only the D+1 columns k_last = 0..D of a degree-D band,
+in irfftn's and rfftn's axis order and so to their bits, and are evaluated
 pointwise from the modes k > 0 in lexicographic order; complex functions and
 grids too coarse for the block (which alias) use the full complex transforms.
 The Newton step re-expands at its truncation degree K on the 4K grid; the
@@ -159,9 +160,15 @@ class TorusFunction:
 
     @classmethod
     def constant(cls, n, value, real=None):
-        if real is None:
-            real = abs(complex(value).imag) == 0
-        return cls(n, np.full((1,) * n, complex(value)), real=real)
+        """The constant function value, real unless value has an imaginary
+        part.  Only an explicit ``real`` is checked: one derived from the
+        value cannot fail the check."""
+        value = complex(value)
+        if real is not None:
+            return cls(n, np.full((1,) * n, value), real=real)
+        if n < 1:
+            raise DimensionMismatch("need n >= 1")
+        return cls._exact(int(n), np.full((1,) * n, value), value.imag == 0)
 
     @property
     def size(self):
@@ -267,16 +274,22 @@ class TorusFunction:
     def grid_values(self, G):
         """Values on the equispaced G^n grid via the inverse FFT; modes beyond
         the grid's Nyquist band alias onto it.  A real block that fits the
-        grid (2 size < G) goes through irfftn on its k_last >= 0 half."""
+        grid (2 size < G) goes through the inverse half-spectrum transform
+        of its k_last >= 0 half."""
         if G < 1:
             raise DimensionMismatch("grid side must be positive, got %r" % (G,))
         _require_size(G, self.n, "evaluation grid")
         D = self.size
         wrap = np.arange(-D, D + 1) % G
         if self.real and 2 * D < G:
-            half = np.zeros((G,) * (self.n - 1) + (G // 2 + 1,), dtype=complex)
+            # irfftn's passes, in its order, over the D+1 columns that carry
+            # modes: each column is transformed on its own, and irfft pads
+            # the zero columns up to G//2+1 itself
+            half = np.zeros((G,) * (self.n - 1) + (D + 1,), dtype=complex)
             half[np.ix_(*[wrap] * (self.n - 1), np.arange(D + 1))] = self.block[..., D:]
-            return np.fft.irfftn(half, (G,) * self.n, range(self.n), norm="forward")
+            for ax in range(self.n - 1):
+                half = np.fft.ifft(half, axis=ax, norm="forward")
+            return np.fft.irfft(half, G, axis=-1, norm="forward")
         arr = np.zeros((G,) * self.n, dtype=complex)
         np.add.at(arr, np.ix_(*[wrap] * self.n), self.block)
         vals = np.fft.ifftn(arr) * G**self.n
@@ -288,8 +301,9 @@ class TorusFunction:
         discarding coefficients below drop_below relative to the largest one.
         Alias-free for band-limited data when every axis has > 2*degree points.
         With ``real`` the block is symmetrized, absorbing FFT roundoff.  Real
-        samples go through rfftn: the k_last >= 0 half of the window is read
-        off and the other half is its conjugate reflection."""
+        samples go through the half-spectrum transform: the k_last >= 0 half
+        of the window is computed and the other half is its conjugate
+        reflection."""
         values = np.asarray(values)
         if real is None:
             real = not np.iscomplexobj(values)
@@ -302,8 +316,11 @@ class TorusFunction:
             C = np.fft.fftn(values) / values.size
             block = C[np.ix_(*[window % s for s in values.shape])]
         else:
-            H = np.fft.rfftn(values, norm="forward")
-            half = H[np.ix_(*[window % s for s in values.shape[:-1]], np.arange(degree + 1))]
+            # rfftn's passes, in its order, each keeping only the window
+            half = np.fft.rfft(values, axis=-1, norm="forward")[..., : degree + 1]
+            for ax in reversed(range(values.ndim - 1)):
+                half = np.fft.fft(half, axis=ax, norm="forward")
+                half = half.take(window % values.shape[ax], axis=ax)
             block = np.concatenate([np.conj(np.flip(half[..., 1:])), half], axis=-1)
         floor = drop_below * float(np.max(np.abs(block)))
         block = np.where(np.abs(block) > floor, block, 0)

@@ -243,6 +243,9 @@ def test_tiny_golden_alpha_is_not_resonant(tmp_path):
                         n_max=2, length=4)
     assert run(split) == 0
     assert read_summary(tmp_path / "s")[0]["verdict"] == "ok"
+    assert run(make_config("kernel-dim", tmp_path / "k", alpha=alpha, N=2, M=32)) == 0
+    rec = read_summary(tmp_path / "k")[0]
+    assert rec["verdict"] == "unique" and rec["dim"] == 1
 
 
 def test_gh_report_resonant_negative(tmp_path):

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -676,27 +678,45 @@ def test_joint_kernel_degenerate_direction():
 
 
 def _joint_kernel_two_grids(p, K, tol):
-    # reference: the count joint_kernel_dim replaced, with a separate k.x2 grid
-    r = np.arange(-K, K + 1)
-    k0, k1 = r[:, None], r[None, :]
-    d1 = 2 * math.pi * np.abs(k0 * p.x1_y[0] + k1 * p.x1_y[1])
-    d2 = 2 * math.pi * np.abs(k0 * p.x2_y[0] + k1 * p.x2_y[1])
-    return int(np.count_nonzero((d1 <= tol) & (d2 <= tol)))
+    # reference: the relative count on separate k.x1 and k.x2 grids, in exact
+    # rational arithmetic; a mode counts where both |k.x| <= tol sum |k_i x_i|
+    def annihilated(x, k):
+        x = [Fraction(float(c)) for c in x]
+        return abs(sum(ki * c for ki, c in zip(k, x))) <= Fraction(tol) * sum(
+            abs(ki * c) for ki, c in zip(k, x))
+
+    r = range(-K, K + 1)
+    return sum(annihilated(p.x1_y, k) and annihilated(p.x2_y, k) for k in itertools.product(r, r))
 
 
 @pytest.mark.parametrize("alpha", [(1.0, PHI), (1.0, 0.5), (1.0, 0.0), (0.3, 0.7)])
 def test_joint_kernel_matches_the_two_grid_count(alpha):
+    """X2 = mu X1 adds no constraint under the relative test: the count is
+    X1's alone, whatever mu and beta are."""
     counts = set()
-    for mu in (0.0, 0.7, -2.0, 50.0):
-        for beta in (0.0, 1.0):
-            p = golden_params(beta=beta, mu=mu, alpha=alpha)
-            for K in (3, 12):
-                for tol in (1e-8, 1e-3, 0.5, 10.0):
-                    count = joint_kernel_dim(p, K, tol=tol)
-                    assert count == _joint_kernel_two_grids(p, K, tol), (mu, beta, K, tol)
-                    counts.add(count)
+    for K in (3, 12):
+        for tol in (1e-8, 1e-3, 0.5, 10.0):
+            wants = set()
+            for mu in (0.0, 0.7, -2.0, 50.0):
+                want = _joint_kernel_two_grids(golden_params(mu=mu, alpha=alpha), K, tol)
+                for beta in (0.0, 1.0):
+                    p = golden_params(beta=beta, mu=mu, alpha=alpha)
+                    assert joint_kernel_dim(p, K, tol=tol) == want, (mu, beta, K, tol)
+                wants.add(want)
+            # the k.x2 grid never changes the count: it is X1's at every mu
+            assert len(wants) == 1
+            counts |= wants
     # the sweep reaches counts beyond the constant mode
     assert len(counts) > 2
+
+
+@pytest.mark.parametrize("m", [-64, 0, 64])
+def test_joint_kernel_is_scale_invariant(m):
+    # the test is relative: scaling alpha by a power of two moves no count
+    for alpha, K, want in [((1.0, PHI), 50, 1), ((1.0, 1.6246211481433281), 50, 1),
+                           ((1.0, 0.5), 12, 13), ((1.0, 0.0), 6, 13)]:
+        p = golden_params(alpha=tuple(2.0**m * a for a in alpha))
+        assert joint_kernel_dim(p, K) == want, (alpha, m)
 
 
 def test_joint_kernel_validation():

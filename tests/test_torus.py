@@ -694,6 +694,32 @@ def test_closed_operations_match_the_checked_constructor(n, real):
     same(solve_small_divisor(alpha, h), torus._quotient(-1j * h.block, 2 * np.pi * ka, support), real)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_constants_match_the_checked_constructor(n, monkeypatch):
+    """A constant whose reality is read off the value skips the check, with
+    the checked constructor's bits; an explicit real is still checked."""
+    values = (2.5, -0.0, 0.0, -1e-300, complex(3.0, 0.0), complex(-0.0, -0.0), 1j, complex(1, -2))
+    # a list, not a dict: -0.0 and 0.0 are equal keys
+    wants = [TorusFunction(n, np.full((1,) * n, complex(v)), real=complex(v).imag == 0)
+             for v in values]
+    checked = TorusFunction.__init__
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("constant went through the checked constructor")
+
+    monkeypatch.setattr(TorusFunction, "__init__", refuse)
+    for v, want in zip(values, wants):
+        got = TorusFunction.constant(n, v)
+        assert got.n == n and got.real == want.real
+        assert got.block.tobytes() == want.block.tobytes() and not got.block.flags.writeable
+    monkeypatch.setattr(TorusFunction, "__init__", checked)
+    with pytest.raises(ValueError, match="reality"):
+        TorusFunction.constant(n, 1j, real=True)
+    assert TorusFunction.constant(n, 2.0, real=False).real is False
+    with pytest.raises(DimensionMismatch):
+        TorusFunction.constant(0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # half-spectrum transforms and real evaluation against the complex ones
 
@@ -787,6 +813,100 @@ def test_real_from_grid_matches_the_complex_transform(n, G):
             want = _complex_from_grid(TorusFunction, cvals, 3, real)
             assert got.real == want.real
             assert got.block.tobytes() == want.block.tobytes()
+
+
+def _irfftn_grid_values(f, G):
+    # the real path as full half-spectrum transforms: every G//2+1 column
+    # goes through irfftn, the zero ones included
+    D = f.size
+    if not (f.real and 2 * D < G):
+        return _complex_grid_values(f, G)
+    wrap = np.arange(-D, D + 1) % G
+    half = np.zeros((G,) * (f.n - 1) + (G // 2 + 1,), dtype=complex)
+    half[np.ix_(*[wrap] * (f.n - 1), np.arange(D + 1))] = f.block[..., D:]
+    return np.fft.irfftn(half, (G,) * f.n, range(f.n), norm="forward")
+
+
+def _rfftn_from_grid(cls, values, degree, real=None, drop_below=0.0):
+    # the real path read off the full rfftn of the samples
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        return _complex_from_grid(cls, values, degree, real, drop_below)
+    if real is None:
+        real = True
+    if min(values.shape) <= 2 * degree:
+        raise DimensionMismatch("grid too coarse for the requested degree")
+    window = np.arange(-degree, degree + 1)
+    H = np.fft.rfftn(values, norm="forward")
+    half = H[np.ix_(*[window % s for s in values.shape[:-1]], np.arange(degree + 1))]
+    block = np.concatenate([np.conj(np.flip(half[..., 1:])), half], axis=-1)
+    floor = drop_below * float(np.max(np.abs(block)))
+    block = np.where(np.abs(block) > floor, block, 0)
+    return cls._exact(values.ndim, block, bool(real))
+
+
+def _same_bits(got, want):
+    return (got.dtype == want.dtype and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got.real), np.signbit(want.real))
+            and np.array_equal(np.signbit(got.imag), np.signbit(want.imag)))
+
+
+# (n, G): the smallest grids that fit a degree-D block (2D+2), odd sides, the
+# Newton grid 256 and the verification grid 270, all under 10^6 points
+_PRUNED_SIDES = [(1, 2), (1, 8), (1, 45), (1, 256), (1, 270), (2, 4), (2, 14), (2, 45),
+                 (2, 256), (2, 270), (3, 2), (3, 10), (3, 27), (3, 64)]
+
+
+@pytest.mark.parametrize("n, G", _PRUNED_SIDES)
+def test_pruned_transforms_match_the_full_half_spectrum_bit_for_bit(n, G):
+    """grid_values and from_grid transform only the D+1 columns that carry
+    modes; the full irfftn/rfftn path is the oracle, to the bit and to the
+    sign of every zero."""
+    rng = np.random.default_rng(230 + 7 * n + G)
+    widest = (G - 1) // 2
+    for D in sorted({0, min(widest, 1), min(widest, 5), max(widest - 1, 0), widest}):
+        blocks = [_real_block(rng, n, D)]
+        # signed zeros: a pure sine, a pure cosine and a sparse block
+        blocks.append(1j * blocks[0].imag)
+        blocks.append(blocks[0].real + 0j)
+        sparse = blocks[0] * (rng.uniform(size=blocks[0].shape) < 0.3)
+        blocks.append(0.5 * (sparse + np.conj(np.flip(sparse))))
+        for block in blocks:
+            f = TorusFunction(n, block, real=True)
+            got, want = f.grid_values(G), _irfftn_grid_values(f, G)
+            assert got.shape == (G,) * n and _same_bits(got, want)
+            # degree D on the G grid is the window's edge when D = widest
+            for drop in (0.0, 1e-3, 0.5):
+                back = TorusFunction.from_grid(got, D, drop_below=drop)
+                ref = _rfftn_from_grid(TorusFunction, got, D, drop_below=drop)
+                assert back.real and _same_bits(back.block, ref.block)
+    # samples with signed zeros, and grids whose sides differ per axis
+    shapes = [(G,) * n]
+    if n > 1:
+        shapes += [tuple(G + i for i in range(n)), tuple(G + 2 * (n - 1 - i) for i in range(n))]
+    for shape in shapes:
+        values = rng.normal(size=shape)
+        values[rng.uniform(size=shape) < 0.2] = -0.0
+        edge = (min(shape) - 1) // 2
+        for degree in sorted({0, min(edge, 2), edge}):
+            for drop in (0.0, 0.1):
+                got = TorusFunction.from_grid(values, degree, drop_below=drop)
+                want = _rfftn_from_grid(TorusFunction, values, degree, drop_below=drop)
+                assert _same_bits(got.block, want.block)
+
+
+def test_kam_state_is_unchanged_by_the_pruned_transforms(monkeypatch):
+    default = kam_iterate(GOLDEN, golden_perturbation(1e-3), trunc_degree=64)
+    monkeypatch.setattr(TorusFunction, "grid_values", _irfftn_grid_values)
+    monkeypatch.setattr(TorusFunction, "from_grid", classmethod(_rfftn_from_grid))
+    ref = kam_iterate(GOLDEN, golden_perturbation(1e-3), trunc_degree=64)
+    for got, want in zip(default.u_acc.components + default.beta_cur.components,
+                         ref.u_acc.components + ref.beta_cur.components):
+        assert got.real == want.real and _same_bits(got.block, want.block)
+    assert default.lambda_bar == ref.lambda_bar
+    assert default.residual_history == ref.residual_history
+    assert default.residual_history_r2 == ref.residual_history_r2
+    assert default.verified_sup_error == ref.verified_sup_error
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
