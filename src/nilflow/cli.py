@@ -301,22 +301,15 @@ def serialize_config(config):
 # --- output helpers ---------------------------------------------------------
 
 
-def _cell(x):
-    # np.float64 and np.complex128 subclass float and complex; converting
-    # first writes their value, not numpy's repr (np.float64(0.5))
-    if isinstance(x, float):
-        return repr(float(x))
-    if isinstance(x, complex):
-        return repr(complex(x))
-    return x
-
-
 def _write_csv(outdir, name, header, rows):
+    """Write header and rows to outdir/name.  Cells must be Python scalars:
+    csv writes str(cell), for a Python float or complex its repr, which reads
+    back to the same bits; a numpy scalar's str follows numpy's print options,
+    so runners convert with float() where a value could come from numpy."""
     with open(os.path.join(outdir, name), "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        for row in rows:
-            w.writerow([_cell(x) for x in row])
+        w.writerows(rows)
 
 
 def _write_summary(outdir, record):
@@ -480,14 +473,12 @@ def _run_split(p, outdir):
 
 def _run_spectrum(p, outdir):
     params = _heis_params(p)
-    t = trusted_count(p["M"])
-
-    def one(n):
-        ev = rep_spectrum(params, n, p["M"])
-        return [(n, i, float(v), int(i < t)) for i, v in enumerate(ev)]
-
-    blocks = [one(n) for n in range(1, p["n_max"] + 1)]
-    rows = [row for block in blocks for row in block]
+    M = p["M"]
+    t = trusted_count(M)
+    trusted = [1] * t + [0] * (M - t)
+    rows = []
+    for n in range(1, p["n_max"] + 1):
+        rows += zip([n] * M, range(M), rep_spectrum(params, n, M), trusted)
     _write_csv(
         outdir, "spectrum.csv", ["n", "index", "eigenvalue", "trusted"], rows
     )
@@ -533,7 +524,7 @@ def _run_kernel_dim(p, outdir):
         outdir,
         "kernel.csv",
         ["N", "M", "K", "tol", "dim"],
-        [(p["N"], p["M"], p["K"], p["tol"], dim)],
+        [(p["N"], p["M"], p["K"], float(p["tol"]), dim)],
     )
     return {
         "verdict": "unique" if dim == 1 else "negative",

@@ -329,9 +329,18 @@ def rep_spectrum(params, n, M):
         raise ValueError("n = 0 labels the toral block")
     if M < 16:
         raise ValueError("need M >= 16 for a meaningful truncation")
-    rho, c = _block_scales(params, n)
-    t = rho * _hermite_nodes(M)
-    return [float(-x) for x in np.sort(t * t + (params.mu * t + c) ** 2)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho, c = _block_scales(params, n)
+        t = rho * _hermite_nodes(M)
+        ev = np.sort(t * t + (params.mu * t + c) ** 2)
+    # NaN sorts last, so the last value is the one to check
+    if not math.isfinite(ev[-1]):
+        raise ValueError(
+            "the spectrum of block n = %d overflows at alpha = %r, beta = %r, mu = %r"
+            % (n, params.alpha, params.beta[0], params.mu)
+        )
+    # negation is exact: these are the floats, zero signs included, of -ev
+    return (-ev).tolist()
 
 
 def gh_certificate(params, N, M, K):
@@ -365,6 +374,10 @@ def gh_certificate(params, N, M, K):
         c = math.inf
     if not math.isfinite(c * N * N):  # the bottom c n^2 of block N is the largest
         raise ValueError("beta = %r overflows the spectral bottom at n = %d" % (beta, N))
+    if beta != 0 and c == 0:
+        raise ValueError(
+            "beta = %r underflows the spectral bottom at mu = %r" % (beta, params.mu)
+        )
     t = trusted_count(M)
     report["rep"] = [
         {

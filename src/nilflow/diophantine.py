@@ -81,29 +81,33 @@ def _check_box(n, K):
 
 
 def _box(n, K):
-    # all of {-K..K}^n, zero included, in lexicographic order
-    axes = [np.arange(-K, K + 1)] * n
+    # all of {-K..K}^n, zero included at the centre, in lexicographic order;
+    # float64, exact since every entry is an integer of size <= ENUM_CAP
+    axes = [np.arange(-K, K + 1, dtype=float)] * n
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
 
 
 def _integer_grid(n, K):
     _check_box(n, K)
     grid = _box(n, K)
-    keep = np.any(grid != 0, axis=1)
-    return grid[keep]
+    return np.delete(grid, len(grid) // 2, axis=0)
 
 
 def _reduced_grid(a, j, K):
     # every integer outside floor(root) + {-1, 0, 1, 2} lies at least 2 from
-    # the computed root -a'.k'/a_j, so at least 2 - roundoff from the true one
+    # the computed root -a'.k'/a_j, so at least 2 - roundoff from the true
+    # one; the grid is float64 like the box, exact up to ENUM_CAP
     off = np.arange(a.size) != j
     other = _box(a.size - 1, K)
-    near = np.floor(-(other @ a[off]) / a[j]).astype(np.int64)
-    grid = np.empty((4 * len(other), a.size), dtype=np.int64)
+    near = np.floor(-(other @ a[off]) / a[j])
+    grid = np.empty((4 * len(other), a.size))
     grid[:, off] = np.repeat(other, 4, axis=0)
     grid[:, j] = (near[:, None] + np.arange(-1, 3)).ravel()
-    keep = (np.abs(grid[:, j]) <= K) & np.any(grid != 0, axis=1)
-    return grid[keep]
+    keep = np.abs(grid[:, j]) <= K
+    # k = 0 is the second row of k' = 0, the box's centre, whose root is 0
+    keep[4 * (len(other) // 2) + 1] = False
+    # np.compress copies the rows several times faster than grid[keep]
+    return np.compress(keep, grid, axis=0)
 
 
 def _snap_floor(values_scale):
@@ -134,7 +138,8 @@ def min_small_divisor(a, K):
 
 
 def _finish_witness(grid, vals, gamma, K, kind):
-    norms = np.linalg.norm(grid, axis=1)
+    # the squares of integer entries sum exactly, in any order
+    norms = np.sqrt(np.einsum("ij,ij->i", grid, grid))
     product = vals * norms**gamma
     i = int(np.argmin(product))
     ties = np.flatnonzero(product == product[i])

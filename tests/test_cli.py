@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -213,13 +214,14 @@ def test_gh_report_rows_are_the_closed_form_bottom(tmp_path, mu):
         assert float(truncated_min) >= float(min_abs) * (1 - 1e-9)
 
 
-def test_gh_report_zero_beta_is_refused(tmp_path):
+def test_gh_report_zero_beta_is_refused(tmp_path, capsys):
     cfg = make_config("gh-report", tmp_path, alpha=(1.0, PHI), beta=0.0, N=4, M=64)
     assert run(cfg) == 2
     rec = read_summary(tmp_path)[0]
     assert rec["verdict"] == "negative"
     assert rec["reason"] == "ZeroSpectralBottom"
     assert rec["beta_degenerate"] is True
+    assert capsys.readouterr().err == ""
 
 
 def test_gh_report_reads_each_half_on_its_own_terms(tmp_path):
@@ -785,12 +787,51 @@ def test_nonfinite_result_is_an_error_record_without_nan(tmp_path, monkeypatch):
 # determinism
 
 
-def test_csv_cells_write_numpy_scalars_as_python_numbers():
-    assert cli._cell(np.float64(0.5)) == "0.5"
-    assert cli._cell(np.complex128(1 - 2j)) == "(1-2j)"
-    for x in (0.1, 1e-300, -0.0, math.inf, 2.5 + 0.1j):
-        assert cli._cell(x) == repr(x)
-    assert cli._cell(3) == 3 and cli._cell("x") == "x"
+# every subcommand that writes a CSV, on small configs; the second spectrum
+# run underflows every eigenvalue to an exact -0.0
+_CSV_RUNS = [
+    ("witness", "witness.csv", dict(alpha=(1.0, PHI), K=8)),
+    ("witness", "witness.csv", dict(alpha=(1.0, PHI), K=8, kind="simultaneous")),
+    ("solve-coboundary", "coboundary.csv", dict(alpha=(1.0, PHI), count=2, degree=4)),
+    ("split", "split.csv",
+     dict(alpha=(1.0, PHI), count=2, degree=2, n_max=2, length=4, K=8)),
+    ("spectrum", "spectrum.csv", dict(alpha=(1.0, PHI), n_max=2, M=17)),
+    ("spectrum", "spectrum.csv",
+     dict(alpha=(1e-170, 1e-170 * PHI), beta=0.0, n_max=1, M=16)),
+    ("gh-report", "gh_per_n.csv", dict(alpha=(1.0, PHI), N=2, M=16, K=8)),
+    ("kernel-dim", "kernel.csv", dict(alpha=(1.0, PHI), N=1, M=16, K=8)),
+    ("constant-cohomology", "basis.csv", {}),
+    ("kam", "kam.csv", dict(omega=(1.0, PHI), K=16)),
+    ("rigidity-step", "coordinates.csv", dict(alpha=(1.0, PHI), seed=1)),
+    ("cg-decay", "decay.csv", dict(count=4, n_max=8, length=8)),
+]
+_TEXT_COLUMNS = {"kind", "argmin", "name"}
+
+
+def test_csv_cells_are_the_reprs_of_python_scalars(tmp_path):
+    zeros = 0
+    for i, (sub, name, overrides) in enumerate(_CSV_RUNS):
+        out = tmp_path / str(i)
+        assert run(make_config(sub, out, **overrides)) == 0, sub
+        header, *body = read_csv(out, name)
+        assert body, sub
+        for row in body:
+            for column, cell in zip(header, row):
+                assert not cell.startswith("np."), (sub, column, cell)
+                if column in _TEXT_COLUMNS:
+                    continue
+                try:
+                    assert str(int(cell)) == cell, (sub, column, cell)
+                except ValueError:
+                    assert repr(float(cell)) == cell, (sub, column, cell)
+                zeros += cell == "-0.0"
+    assert zeros == 16
+    # complex and signed-zero cells keep Python's repr; text is still quoted
+    row = (1 - 2j, complex(0.0, -0.0), -0.0, 0.1, 1e-300, math.inf, 3, "a,b")
+    cli._write_csv(str(tmp_path), "cells.csv", ["c"] * len(row), [row])
+    assert read_csv(tmp_path, "cells.csv")[1] == [
+        x if isinstance(x, str) else repr(x) for x in row
+    ]
 
 
 def _digest(path):
@@ -990,6 +1031,31 @@ def test_gh_report_refuses_a_beta_whose_bottom_overflows(tmp_path, capsys):
     assert (rec["verdict"], rec["reason"]) == ("error", "ValueError")
     assert "beta = 1e+300" in rec["detail"]
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sub, overrides, detail",
+    [
+        ("spectrum", dict(mu=1e160, n_max=2, M=32), "mu = 1e+160"),
+        ("gh-report", dict(mu=1e200, N=2, M=32), "beta = 1.0 underflows"),
+        ("gh-report", dict(beta=1e-200, N=2, M=32), "beta = 1e-200 underflows"),
+    ],
+    ids=["spectrum-mu1e160", "gh-report-mu1e200", "gh-report-beta1e-200"],
+)
+def test_spectra_past_the_float_range_are_error_records(
+    tmp_path, capsys, sub, overrides, detail
+):
+    # an infinite eigenvalue or a bottom flushed to zero is no certificate;
+    # no RuntimeWarning may reach stderr on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = run(make_config(sub, tmp_path, alpha=(1.0, PHI), **overrides))
+    assert status == 1
+    rec = read_summary(tmp_path)[0]
+    assert (rec["verdict"], rec["reason"]) == ("error", "ValueError")
+    assert detail in rec["detail"]
+    assert capsys.readouterr().err == ""
+    assert os.listdir(tmp_path) == ["summary.jsonl"]
 
 
 # small shapes, at the scale of the perfbench smoke configs

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -586,6 +587,49 @@ def test_rep_spectrum_matches_dense_generator_squares(mu, n, M, beta):
     # never below the closed-form bottom (2 pi n beta)^2 / (1 + mu^2)
     bottom = (2 * math.pi * n * p.x2_z[0]) ** 2 / (1 + mu * mu)
     assert np.all(np.abs(ev[: trusted_count(M)]) >= bottom * (1 - 1e-9))
+
+
+def _rep_spectrum_elementwise(params, n, M):
+    # the element-by-element form of rep_spectrum, kept as its oracle
+    rho, c = cohomology._block_scales(params, n)
+    t = rho * cohomology._hermite_nodes(M)
+    return [float(-x) for x in np.sort(t * t + (params.mu * t + c) ** 2)]
+
+
+@pytest.mark.parametrize("M", [16, 17, 256])
+@pytest.mark.parametrize("n", [1, -3])
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize("mu", [0.0, 0.7, -2.0])
+def test_rep_spectrum_matches_the_elementwise_negation_bit_for_bit(mu, beta, n, M):
+    p = golden_params(beta=beta, mu=mu)
+    ev = rep_spectrum(p, n, M)
+    oracle = _rep_spectrum_elementwise(p, n, M)
+    assert all(type(x) is float for x in ev)
+    assert np.array_equal(ev, oracle)
+    np.testing.assert_array_equal(np.signbit(ev), np.signbit(oracle))
+
+
+@pytest.mark.parametrize("M", [16, 17])
+@pytest.mark.parametrize("mu", [0.0, 0.7])
+def test_rep_spectrum_keeps_the_sign_of_an_exact_zero(mu, M):
+    # the middle node of an odd M is a roundoff away from 0, not 0; a tiny
+    # alpha at beta = 0 underflows every t^2 + (mu t)^2 to an exact 0.0
+    p = golden_params(beta=0.0, mu=mu, alpha=(1e-170, 1e-170 * PHI))
+    ev = rep_spectrum(p, 1, M)
+    assert ev == _rep_spectrum_elementwise(p, 1, M)
+    assert all(x == 0.0 and math.copysign(1.0, x) == -1.0 for x in ev)
+
+
+@pytest.mark.parametrize(
+    "mu, beta, alpha",
+    [(1e160, 1.0, (1.0, PHI)), (0.0, 1e300, (1.0, PHI)), (0.0, 1.0, (1e300, PHI))],
+    ids=["mu", "beta", "alpha"],
+)
+def test_rep_spectrum_refuses_an_overflowing_block_without_a_warning(mu, beta, alpha):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows at alpha"):
+            rep_spectrum(golden_params(beta=beta, mu=mu, alpha=alpha), 1, 32)
 
 
 def test_rep_spectrum_even_in_n():

@@ -239,6 +239,38 @@ def test_reduced_enumeration_matches_full_box(n):
     assert resonant > 0  # the C = 0 cases were reached
 
 
+@pytest.mark.parametrize("gamma", [0.0, 1.0])
+def test_reduced_enumeration_matches_full_box_at_the_benchmark_vector(gamma):
+    # the witness-linear vector of the benchmark, against the int64 oracle box
+    a = (1.0, math.sqrt(2), math.sqrt(3))
+    assert fit_witness(a, gamma, 24) == _full_box_witness(a, gamma, 24)
+
+
+@pytest.mark.parametrize("K", [1, 2, 7])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_enumeration_grids_are_float64_and_never_hold_zero(n, K):
+    full = diophantine._integer_grid(n, K)
+    assert full.dtype == np.float64 and len(full) == (2 * K + 1) ** n - 1
+    assert np.all(np.any(full != 0, axis=1))
+    rng = np.random.default_rng(10 * n + K)
+    for sign in (1.0, -1.0):
+        a = rng.normal(size=n)
+        j = int(np.argmax(np.abs(a)))
+        a[j] = sign * abs(a[j])
+        grid = diophantine._reduced_grid(a, j, K)
+        assert grid.dtype == np.float64
+        assert np.all(np.any(grid != 0, axis=1))
+        assert np.array_equal(grid, np.round(grid)) and np.abs(grid).max() <= K
+        assert len(np.unique(grid, axis=0)) == len(grid)
+        # off axis j the box's centre k' = 0 keeps k_j in {-1, 1, 2}
+        centre = grid[~np.any(np.delete(grid, j, axis=1) != 0, axis=1)]
+        assert sorted(centre[:, j]) == [x for x in (-1, 1, 2) if x <= K]
+        # as do the unit vectors e_i, i != j, which score |a_i| <= |a_j|
+        for i in range(n):
+            if i != j:
+                assert np.any(np.all(grid == np.eye(n)[i], axis=1))
+
+
 def test_reduced_enumeration_falls_back_to_full_box(monkeypatch):
     calls = []
     full = diophantine._integer_grid
