@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyCorpus, FormatError
 from .torus import (
+    _SIZE_CAP,
     TorusFunction,
     _readonly,
     _require_size,
@@ -56,10 +57,13 @@ def _ladder(size):
 @lru_cache(maxsize=256)
 def _hermite_nodes(size):
     """The Gauss-Hermite nodes of order `size`, ascending and read-only: the
-    eigenvalues of the real symmetric Jacobi matrix of the ladder."""
+    eigenvalues of the real symmetric Jacobi matrix of the ladder, made
+    exactly antisymmetric (x_i = -x_{size-1-i}, a middle node exactly 0) as
+    the exact nodes are."""
     _require_size(size, 2, "Hermite truncation")
     r = _ladder(size)
-    return _readonly(np.linalg.eigvalsh(np.diag(r, 1) + np.diag(r, -1)))
+    x = np.linalg.eigvalsh(np.diag(r, 1) + np.diag(r, -1))
+    return _readonly((x - x[::-1]) / 2)
 
 
 def _bands(n, size, y, z):
@@ -157,6 +161,14 @@ _ZERO_REAL = TorusFunction(2, real=True)
 _ZERO_COMPLEX = TorusFunction(2)
 
 
+def _require_rows(rows, width, key):
+    # called before a (rows, width) block is allocated; key names its longest row
+    if rows * width > _SIZE_CAP:
+        raise DimensionMismatch(
+            "representation block too large (%d rows, row %r has %d entries)" % (rows, key, width)
+        )
+
+
 def _rows_of(reps):
     """Validated row labels, frequencies, lengths and zero-padded block of a
     {(n, m): vector} map."""
@@ -177,6 +189,8 @@ def _rows_of(reps):
             rows[(int(n), int(m))] = vec
     keys = tuple(sorted(rows))
     lengths = np.array([len(rows[k]) for k in keys], dtype=int)
+    if keys:
+        _require_rows(len(keys), int(lengths.max()), keys[lengths.argmax()])
     block = np.zeros((len(keys), lengths.max(initial=0)), dtype=complex)
     for i, key in enumerate(keys):
         block[i, : lengths[i]] = rows[key]
@@ -455,9 +469,11 @@ def cg_decay_report(corpus, s, k):
 
 def serialize_nil_function(F):
     lines = []
-    for key in sorted(F.toral.coeffs):
-        c = complex(F.toral.coeffs[key])
-        lines.append("toral %d %d %r %r" % (key[0], key[1], c.real, c.imag))
+    block = F.toral.block
+    # argwhere walks the block in order, which sorts the frequencies
+    idx = np.argwhere(block)
+    for (k1, k2), c in zip((idx - F.toral.size).tolist(), block[tuple(idx.T)].tolist()):
+        lines.append("toral %d %d %r %r" % (k1, k2, c.real, c.imag))
     for (n, m) in sorted(F.reps):
         v = F.reps[(n, m)]
         for j in range(len(v)):
@@ -468,9 +484,16 @@ def serialize_nil_function(F):
 
 
 def parse_nil_function(text):
+    return _parse_records(enumerate(text.splitlines(), start=1))
+
+
+def _parse_records(records):
+    """The function of (line number, record text) pairs in the text format;
+    ``#`` starts a comment and blank records are skipped.  Errors carry the
+    given line numbers."""
     toral = {}
     rep_entries = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in records:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -496,6 +519,10 @@ def parse_nil_function(text):
             raise
         except ValueError:
             raise FormatError("malformed record: %r" % raw, line=lineno)
+    if rep_entries:
+        # refused before any row is allocated, at the block the rows make
+        key = max(rep_entries, key=lambda k: max(rep_entries[k]))
+        _require_rows(len(rep_entries), max(rep_entries[key]) + 1, key)
     reps = {}
     for key, entries in rep_entries.items():
         v = np.zeros(max(entries) + 1, dtype=complex)

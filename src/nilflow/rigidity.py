@@ -27,11 +27,11 @@ from .nilrep import (
     _GENERATORS,
     NilFunction,
     _apply_element,
+    _parse_records,
     nil_sobolev_norm,
-    parse_nil_function,
     serialize_nil_function,
 )
-from .torus import TorusFunction, _readonly, _zeros
+from .torus import TorusFunction, _readonly, _symmetrized, _zeros
 
 
 @dataclass
@@ -159,9 +159,9 @@ def nil_multiply(F, G):
     else:
         for i, j in np.argwhere(a):
             out[i : i + m, j : j + m] += a[i, j] * b
-    return NilFunction(
-        toral=TorusFunction(2, out, real=F.toral.real and G.toral.real)
-    )
+    # the sums' rounding breaks conjugate symmetry: a real product is repaired
+    real = F.toral.real and G.toral.real
+    return NilFunction(toral=TorusFunction._exact(2, _symmetrized(out) if real else out, real))
 
 
 def vf_bracket(U, V):
@@ -259,22 +259,12 @@ def parse_vf_cochain(text):
             raise FormatError("slot index out of range: %r" % head, line=lineno)
         per_slot.setdefault((gen, kind, idx), []).append((lineno, rest.strip()))
 
-    def build(key):
-        entries = per_slot.get(key, [])
-        if not entries:
-            return NilFunction()
-        # records are re-parsed at their original line positions so any
-        # format error reports the right line of the combined file
-        buf = [""] * max(l for l, _ in entries)
-        for l, rest in entries:
-            buf[l - 1] = rest
-        return parse_nil_function("\n".join(buf))
+    def build(*key):
+        # each slot's records keep their line numbers in the combined file
+        return _parse_records(per_slot.get(key, []))
 
     def field(gen):
-        return VfField(
-            (build((gen, "y", 0)), build((gen, "y", 1))),
-            (build((gen, "z", 0)),),
-        )
+        return VfField((build(gen, "y", 0), build(gen, "y", 1)), (build(gen, "z", 0),))
 
     return VfCochain(field("x1"), field("x2"))
 

@@ -1,12 +1,16 @@
 """Truncated Fourier analysis on the n-torus.
 
 Functions are finite sums f(x) = sum_k c_k exp(2 pi i k.x) stored as one
-centred coefficient block per function, on which every operation is an array
-expression.  The module provides the directional-derivative solver that
-divides by the small divisors 2 pi i k.alpha, Sobolev norms, time averages
-along linear flows, pseudo-spectral pullback of vector fields under
-near-identity diffeomorphisms id + u, and the Newton conjugacy iteration that
-flattens a perturbed constant field back to its linear model.
+centred coefficient block per function, their only representation, on which
+every operation is an array expression.  A real function's block obeys
+c_{-k} = conj(c_k) up to the sign of zero, which is unspecified; the rule is
+checked once, where data enter, and repaired only where rounding can break
+it, after from_grid's transforms and nil_multiply's sums.  The module
+provides the directional-derivative solver that divides by the small
+divisors 2 pi i k.alpha, Sobolev norms, time averages along linear flows,
+pseudo-spectral pullback of vector fields under near-identity
+diffeomorphisms id + u, and the Newton conjugacy iteration that flattens a
+perturbed constant field back to its linear model.
 
 Conventions: enumeration degree is the sup norm of k; composition samples on
 an equispaced grid of at least 4K points per dimension and re-expands through
@@ -23,7 +27,6 @@ from K.
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -108,10 +111,11 @@ class TorusFunction:
     """Band-limited function on T^n held as one centred coefficient block.
 
     ``block`` is a read-only complex array of shape (2D+1,)*n holding c_k at
-    index k + D; D is ``size``, and ``degree`` is the sup norm of the nonzero
-    support.  The constructor takes such a block or a {k: c} map.  When
-    ``real`` is set the block is symmetrized so that c_{-k} is exactly the
-    conjugate of c_k.
+    index k + D, in lexicographic order of k; D is ``size``, and ``degree``
+    is the sup norm of the nonzero support.  The constructor takes such a
+    block or a {k: c} map and checks it: when ``real`` is set the block must
+    be conjugate-symmetric to 1e-8 relative, and is symmetrized so that
+    c_{-k} is exactly the conjugate of c_k.
     """
 
     def __init__(self, n, coeffs=None, real=False):
@@ -135,16 +139,16 @@ class TorusFunction:
 
     @classmethod
     def _exact(cls, n, block, real):
-        """Trusted constructor for a fresh block of the right shape on which
-        the reality check cannot fail: +, -, real scaling, derivatives and
-        truncation of real functions keep c_{-k} = conj(c_k) up to the sign
-        of zero, and the check after from_grid's symmetrization is vacuous.
-        The check is skipped; symmetrizing still fixes the signs of zeros, so
-        the block is bit-identical to what __init__ builds."""
+        """Trusted constructor for a fresh block of the right shape, wrapped
+        as it is.  A real block must be conjugate-symmetric up to the sign of
+        zero, c_{-k} = conj(c_k): +, -, real scaling, derivatives, truncation
+        and the divisor solve keep that, since each entry at -k comes from
+        the negated or conjugated operation at k.  Arithmetic that can break
+        it (transforms, convolutions) symmetrizes before calling."""
         f = cls.__new__(cls)
         f.n = n
         f.real = real
-        f.block = _readonly(_symmetrized(block) if real else block)
+        f.block = _readonly(block)
         return f
 
     def _block_from_map(self, coeffs):
@@ -177,16 +181,6 @@ class TorusFunction:
     @cached_property
     def degree(self):
         return int(np.max(np.abs(np.argwhere(self.block) - self.size), initial=0))
-
-    @cached_property
-    def coeffs(self):
-        """Read-only {k: c} view of the nonzero coefficients."""
-        idx = np.argwhere(self.block)
-        keys = map(tuple, (idx - self.size).tolist())
-        return MappingProxyType(dict(zip(keys, self.block[tuple(idx.T)].tolist())))
-
-    def coeff(self, k):
-        return self.coeffs.get(tuple(int(x) for x in k), 0j)
 
     @property
     def average(self):
@@ -252,23 +246,27 @@ class TorusFunction:
         pts = np.asarray(points, dtype=float)
         if pts.shape[-1] != self.n:
             raise DimensionMismatch("points must have trailing dimension n")
+        flat = np.flatnonzero(self.block)
+        if self.real:
+            # block order is lexicographic in k: the modes k > 0 follow the centre
+            flat = flat[flat > self.block.size // 2]
+        ks = np.column_stack(np.unravel_index(flat, self.block.shape)) - self.size
+        modes = zip(ks.astype(float), self.block.flat[flat].tolist())
         if not self.real:
             vals = np.zeros(pts.shape[:-1], dtype=complex)
-            for k, c in self.coeffs.items():
-                vals += c * np.exp(2j * np.pi * (pts @ np.asarray(k, dtype=float)))
+            for k, c in modes:
+                vals += c * np.exp(2j * np.pi * (pts @ k))
             return vals
-        # c_{-k} = conj(c_k): the modes k > 0 (lexicographic) pair with their
-        # conjugates into 2 (Re c cos - Im c sin), real throughout
+        # c_{-k} = conj(c_k): the modes k > 0 pair with their conjugates into
+        # 2 (Re c cos - Im c sin), real throughout
         vals = np.full(pts.shape[:-1], self.average)
-        zero = (0,) * self.n
-        for k, c in self.coeffs.items():
-            if k > zero:
-                theta = 2 * np.pi * (pts @ np.asarray(k, dtype=float))
-                # a pure cosine or sine mode needs one of the two
-                if c.real:
-                    vals += 2 * c.real * np.cos(theta)
-                if c.imag:
-                    vals -= 2 * c.imag * np.sin(theta)
+        for k, c in modes:
+            theta = 2 * np.pi * (pts @ k)
+            # a pure cosine or sine mode needs one of the two
+            if c.real:
+                vals += 2 * c.real * np.cos(theta)
+            if c.imag:
+                vals -= 2 * c.imag * np.sin(theta)
         return vals
 
     def grid_values(self, G):
@@ -324,7 +322,7 @@ class TorusFunction:
             block = np.concatenate([np.conj(np.flip(half[..., 1:])), half], axis=-1)
         floor = drop_below * float(np.max(np.abs(block)))
         block = np.where(np.abs(block) > floor, block, 0)
-        return cls._exact(values.ndim, block, bool(real))
+        return cls._exact(values.ndim, _symmetrized(block) if real else block, bool(real))
 
     def __repr__(self):
         return "TorusFunction(n=%d, modes=%d, degree=%d%s)" % (

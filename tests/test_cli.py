@@ -325,6 +325,31 @@ def test_solve_coboundary_refuses_representation_rows(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["f.txt", "summary.jsonl"]
 
 
+@pytest.mark.parametrize("j", [10**15, 4 * 10**7], ids=["1e15", "4e7"])
+@pytest.mark.parametrize("sub", ["solve-coboundary", "rigidity-step"])
+def test_an_unbounded_hermite_index_is_refused_before_allocation(tmp_path, capsys, sub, j):
+    # index j makes a row of j + 1 entries, past the 4e7-entry block cap
+    src = tmp_path / "f.txt"
+    if sub == "solve-coboundary":
+        src.write_text("rep 1 0 %d 1.0 0.0\n" % j)
+        cfg = make_config(sub, tmp_path / "out", alpha=(1.0, PHI), input=str(src))
+    else:
+        src.write_text("x1.y0 toral 1 0 0.001 0.0\nx2.z0 rep 1 0 %d 1.0 0.0\n" % j)
+        cfg = make_config(sub, tmp_path / "out", alpha=(1.0, PHI), perturbation_file=str(src))
+    tracemalloc.start()
+    try:
+        status = run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 1
+    rec = read_summary(tmp_path / "out")[0]
+    assert (rec["verdict"], rec["reason"]) == ("error", "DimensionMismatch")
+    assert "row (1, 0) has %d entries" % (j + 1) in rec["detail"]
+    assert capsys.readouterr().err == ""
+    assert peak < 32 * 2**20
+
+
 def test_solve_coboundary_nonzero_average_is_negative(tmp_path):
     src = tmp_path / "f.txt"
     src.write_text("toral 0 0 1.0 0.0\n")

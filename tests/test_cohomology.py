@@ -36,6 +36,7 @@ from nilflow.torus import TorusFunction
 
 from dense_ladder import dense_ladder
 from laplacian_route import split_via_laplacian
+from toral_coeffs import coeff
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -79,7 +80,7 @@ def test_delta0_single_toral_mode():
     p = golden_params()
     h = NilFunction(toral=TorusFunction(2, {(2, -1): 1.0}))
     w = delta0(p, h)
-    assert w.f.toral.coeff((2, -1)) == pytest.approx(2j * math.pi * (2 - PHI))
+    assert coeff(w.f.toral, (2, -1)) == pytest.approx(2j * math.pi * (2 - PHI))
     assert w.g.is_zero()
 
 
@@ -104,7 +105,7 @@ def test_delta1_on_toral_second_component():
     p = golden_params()
     g = NilFunction(toral=TorusFunction(2, {(1, 1): 2.0}))
     phi = delta1(p, Cochain1(NilFunction(), g))
-    assert phi.toral.coeff((1, 1)) == pytest.approx(-2j * math.pi * (1 + PHI) * 2.0)
+    assert coeff(phi.toral, (1, 1)) == pytest.approx(-2j * math.pi * (1 + PHI) * 2.0)
 
 
 def test_delta1_matches_matrix_assembly():
@@ -392,7 +393,7 @@ def test_laplacian_on_toral_mode():
     p = golden_params()
     F = NilFunction(toral=TorusFunction(2, {(1, 2): 1.0}))
     out = leafwise_laplacian_apply(p, F)
-    assert out.toral.coeff((1, 2)) == pytest.approx(-(2 * math.pi * (1 + 2 * PHI)) ** 2)
+    assert coeff(out.toral, (1, 2)) == pytest.approx(-(2 * math.pi * (1 + 2 * PHI)) ** 2)
 
 
 def test_laplacian_matches_assembled_matrix():
@@ -415,7 +416,7 @@ def test_laplacian_solve_trivial_cases():
     assert laplacian_solve(p, NilFunction()).is_zero()
     F = NilFunction(toral=TorusFunction(2, {(2, 1): 3.0}))
     h = laplacian_solve(p, F)
-    assert h.toral.coeff((2, 1)) == pytest.approx(
+    assert coeff(h.toral, (2, 1)) == pytest.approx(
         -3.0 / (2 * math.pi * (2 + PHI)) ** 2
     )
     with pytest.raises(NonzeroAverage):
@@ -612,8 +613,8 @@ def test_rep_spectrum_matches_the_elementwise_negation_bit_for_bit(mu, beta, n, 
 @pytest.mark.parametrize("M", [16, 17])
 @pytest.mark.parametrize("mu", [0.0, 0.7])
 def test_rep_spectrum_keeps_the_sign_of_an_exact_zero(mu, M):
-    # the middle node of an odd M is a roundoff away from 0, not 0; a tiny
-    # alpha at beta = 0 underflows every t^2 + (mu t)^2 to an exact 0.0
+    # a tiny alpha at beta = 0 underflows every t^2 + (mu t)^2 to an exact
+    # 0.0, not only the middle node's
     p = golden_params(beta=0.0, mu=mu, alpha=(1e-170, 1e-170 * PHI))
     ev = rep_spectrum(p, 1, M)
     assert ev == _rep_spectrum_elementwise(p, 1, M)
@@ -630,6 +631,26 @@ def test_rep_spectrum_refuses_an_overflowing_block_without_a_warning(mu, beta, a
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="overflows at alpha"):
             rep_spectrum(golden_params(beta=beta, mu=mu, alpha=alpha), 1, 32)
+
+
+@pytest.mark.parametrize("M", [16, 17, 48, 256])
+@pytest.mark.parametrize("mu", [0.0, 0.7, -2.0])
+def test_truncated_spectrum_is_even_in_n_bit_for_bit(mu, M):
+    # the nodes are exactly antisymmetric, as the exact Gauss-Hermite nodes
+    # are, so blocks n and -n have the same eigenvalues, zero signs included
+    x = cohomology._hermite_nodes(M)
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x + x[::-1], np.zeros(M))
+    if M % 2:
+        assert x[M // 2] == 0.0
+    for beta in (0.0, 0.7):
+        p = golden_params(beta=beta, mu=mu)
+        a, b = rep_spectrum(p, 1, M), rep_spectrum(p, -1, M)
+        assert a == b
+        np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+        if beta == 0 and M % 2:
+            # the middle node's eigenvalue is the closed form's exact -0.0
+            assert a[0] == 0.0 and math.copysign(1.0, a[0]) == -1.0
 
 
 def test_rep_spectrum_even_in_n():
@@ -795,9 +816,9 @@ def test_vf_delta0_bracket_terms():
     H = VfField((h1, NilFunction()), (NilFunction(),))
     w = vf_delta0(p, H)
     # Y-coefficients move by the generator derivative
-    assert w.x1.y[0].toral.coeff((1, 0)) == pytest.approx(2j * math.pi * 1.0)
+    assert coeff(w.x1.y[0].toral, (1, 0)) == pytest.approx(2j * math.pi * 1.0)
     # the central coefficient picks up kappa = -x1_y[1] = -phi ([Y1, Y2] = Z)
-    assert w.x1.z[0].toral.coeff((1, 0)) == pytest.approx(-PHI)
+    assert coeff(w.x1.z[0].toral, (1, 0)) == pytest.approx(-PHI)
     # X2 is flat on toral data at mu = 0 and brackets to zero with x2_y = 0
     assert w.x2.y[0].is_zero()
     assert w.x2.z[0].is_zero()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -33,6 +34,7 @@ from nilflow.nilrep import (
 from nilflow.torus import TorusFunction, sobolev_norm
 
 from dense_ladder import dense_generator, dense_ladder
+from toral_coeffs import coeff, coeffs
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -167,7 +169,7 @@ def test_second_generator_is_scalar_on_rep_mode():
     p = _params(beta=0.25)
     F = NilFunction(reps={(1, 0): np.array([1.0, 0.5])})
     G = apply_X2(p, F)
-    assert not G.toral.coeffs
+    assert not coeffs(G.toral)
     assert np.allclose(G.rep(1), 2j * np.pi * 0.25 * np.array([1.0, 0.5]), atol=0)
 
 
@@ -175,7 +177,7 @@ def test_first_generator_is_directional_derivative_on_toral():
     p = _params()
     F = NilFunction(toral=TorusFunction(2, {(2, -1): 1.5}))
     G = apply_X1(p, F)
-    assert G.toral.coeff((2, -1)) == pytest.approx(
+    assert coeff(G.toral, (2, -1)) == pytest.approx(
         2j * np.pi * (2 * 1.0 - 1 * PHI) * 1.5
     )
     assert not G.reps
@@ -318,7 +320,7 @@ def test_serialization_roundtrip():
     )
     text = serialize_nil_function(F)
     G = parse_nil_function(text)
-    assert G.toral.coeffs == F.toral.coeffs
+    assert coeffs(G.toral) == coeffs(F.toral)
     assert G.toral.real
     assert set(G.reps) == set(F.reps)
     for key in F.reps:
@@ -327,7 +329,7 @@ def test_serialization_roundtrip():
 
 def test_parse_skips_comments_and_blanks():
     F = parse_nil_function("# header\n\ntoral 1 0 1.0 0.0  # trailing\n")
-    assert F.toral.coeff((1, 0)) == 1.0
+    assert coeff(F.toral, (1, 0)) == 1.0
 
 
 def test_parse_sums_repeated_records_of_both_kinds():
@@ -337,7 +339,7 @@ def test_parse_sums_repeated_records_of_both_kinds():
         "rep 1 0 0 1.0 0.0\nrep 1 0 0 1.0 0.0\nrep 1 0 2 0.25 -1.0\n"
         "rep 1 0 0 0.0 -0.5\n"
     )
-    assert F.toral.coeff((1, 0)) == 2.0 + 0.5j
+    assert coeff(F.toral, (1, 0)) == 2.0 + 0.5j
     assert np.array_equal(F.rep(1), [2.0 - 0.5j, 0.0, 0.25 - 1.0j])
     # an entry given once keeps its bits, the sign of a zero part included
     (c,) = parse_nil_function("rep -1 0 0 -0.0 1.5\n").rep(-1)
@@ -360,6 +362,25 @@ def test_parse_validates_copy_index_bound():
         parse_nil_function("rep 2 2 0 1.0 0.0\n")
     with pytest.raises(FormatError):
         parse_nil_function("rep 0 0 0 1.0 0.0\n")
+
+
+def test_representation_blocks_past_the_cap_are_refused_before_allocation():
+    # 41 rows padded to the longest, 10^6 entries, make a 4.1e7-entry block
+    text = "".join("rep %d 0 0 1.0 0.0\n" % n for n in range(1, 41)) + "rep 41 0 999999 1.0 0.0\n"
+    reps = {(n, 0): np.ones(1) for n in range(1, 41)}
+    reps[(41, 0)] = np.ones(10**6, dtype=complex)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatch, match=r"41 rows, row \(41, 0\) has 1000000 entries"):
+            parse_nil_function(text)
+        with pytest.raises(DimensionMismatch, match=r"41 rows, row \(41, 0\) has 1000000 entries"):
+            NilFunction(reps=reps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # one row short of the cap is a function
+    assert NilFunction(reps={k: v for k, v in reps.items() if k[0] > 1}).block.shape == (40, 10**6)
 
 
 def test_load_from_file(tmp_path):

@@ -7,7 +7,9 @@ probe, and every workload op is a CLI config text.  A
 rename in the package or a schema change would otherwise show up only as a
 crashed benchmark run.  Every workload's ops also run here under their own
 gates at seed 1, so a change that breaks the benchmark's verification,
-rigidity, certificate or witness gates fails the tests as well.
+rigidity, certificate or witness gates fails the tests as well, and one
+smoke op per workload runs in a traced child, whose counters read attributes
+of the package's objects.
 """
 
 import importlib
@@ -169,3 +171,37 @@ def test_workload_ops_pass_their_gates(tmp_path, workload, smoke):
         config.out = str(outdir)
         attempted, failed = op.gate(cli.run(config), str(outdir))
         assert attempted >= 1 and failed == 0, op.tag
+
+
+# the smoke op of each workload whose traced counters read the most of the
+# package's attributes (nilrep.hermite_coeffs reads NilFunction.reps)
+_TRACED_OPS = {"toral-corpus": "coboundary", "rep-split": "split",
+               "rep-certify": "gh-report", "newton": "rigidity-0"}
+
+
+@pytest.mark.parametrize("workload", sorted(_TRACED_OPS))
+def test_traced_child_runs_a_smoke_op(tmp_path, workload):
+    # a traced pass wraps the layers and reads attributes of their arguments
+    # and results, so a package change can break it where a plain one runs
+    ops = WORKLOADS.WORKLOADS[workload](1, True)
+    (op,) = [op for op in ops if op.tag == _TRACED_OPS[workload]]
+    for name, text in op.files.items():
+        (tmp_path / name).write_text(text)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "root": ROOT, "trace": 1, "setup_only": False,
+        "ops": [{"subcommand": op.subcommand, "config": op.config_text(str(tmp_path)),
+                 "out": str(tmp_path / op.tag)}],
+    }))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env.pop("NILFLOW_THREADS", None)
+    proc = subprocess.run(
+        [sys.executable, os.path.join(PERFBENCH, "child.py"), str(spec)],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["statuses"] == [0]
+    assert isinstance(result["layers"], dict) and result["layers"]
+    attempted, failed = op.gate(0, str(tmp_path / op.tag))
+    assert attempted >= 1 and failed == 0

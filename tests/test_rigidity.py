@@ -44,6 +44,8 @@ from nilflow.rigidity import (
 )
 from nilflow.torus import TorusFunction, _zeros
 
+from toral_coeffs import coeff, coeffs
+
 PHI = (1 + math.sqrt(5)) / 2
 
 
@@ -325,7 +327,7 @@ def test_multiply_single_modes():
     F = toral_nil({(1, 2): 2.0})
     G = toral_nil({(-1, 3): 0.5})
     out = nil_multiply(F, G)
-    assert out.toral.coeff((0, 5)) == pytest.approx(1.0)
+    assert coeff(out.toral, (0, 5)) == pytest.approx(1.0)
 
 
 def test_multiply_constant_scales_reps():
@@ -352,8 +354,8 @@ def test_bracket_hand_example():
     out = vf_bracket(U, V)
     # -v * (Y2 u) on the first slot, u * (Y1 v) on the second, u*v into Z
     assert out.y[0].is_zero()
-    assert out.y[1].toral.coeff((1, 1)) == pytest.approx(0.0)
-    assert out.z[0].toral.coeff((1, 1)) == pytest.approx(6.0)
+    assert coeff(out.y[1].toral, (1, 1)) == pytest.approx(0.0)
+    assert coeff(out.z[0].toral, (1, 1)) == pytest.approx(6.0)
 
 
 def test_bracket_derivative_terms():
@@ -362,8 +364,8 @@ def test_bracket_derivative_terms():
     U = VfField((u, NilFunction()), (NilFunction(),))
     V = VfField((NilFunction(), v), (NilFunction(),))
     out = vf_bracket(U, V)
-    assert out.y[0].toral.coeff((3, 0)) == pytest.approx(-(2j * math.pi * 1) * 6.0)
-    assert out.y[1].toral.coeff((3, 0)) == pytest.approx((2j * math.pi * 2) * 6.0)
+    assert coeff(out.y[0].toral, (3, 0)) == pytest.approx(-(2j * math.pi * 1) * 6.0)
+    assert coeff(out.y[1].toral, (3, 0)) == pytest.approx((2j * math.pi * 2) * 6.0)
 
 
 def test_bracket_central_direction():
@@ -375,7 +377,7 @@ def test_bracket_central_direction():
     assert out.y[0].is_zero()
     assert out.y[1].is_zero()
     # -(g * Y1 h) Z survives; Z applied to toral data vanishes
-    assert out.z[0].toral.coeff((1, 2)) == pytest.approx(-(2j * math.pi * 1))
+    assert coeff(out.z[0].toral, (1, 2)) == pytest.approx(-(2j * math.pi * 1))
 
 
 def test_bracket_antisymmetry():
@@ -508,16 +510,16 @@ def test_multiply_matches_double_loop_reference():
     rng = np.random.default_rng(31)
     F, G = rand_toral(rng, deg=3), rand_toral(rng, deg=2, real=False)
     ref = {}
-    for k, a in F.toral.coeffs.items():
-        for l, b in G.toral.coeffs.items():
+    for k, a in coeffs(F.toral).items():
+        for l, b in coeffs(G.toral).items():
             key = (k[0] + l[0], k[1] + l[1])
             ref[key] = ref.get(key, 0) + a * b
     out = nil_multiply(F, G).toral
-    assert set(out.coeffs) == set(ref)
+    assert set(coeffs(out)) == set(ref)
     # the shift-and-add sums the same products in another order
-    l1 = [sum(abs(c) for c in H.toral.coeffs.values()) for H in (F, G)]
+    l1 = [sum(abs(c) for c in coeffs(H.toral).values()) for H in (F, G)]
     bound = 64 * np.finfo(float).eps * l1[0] * l1[1]
-    assert max(abs(out.coeff(k) - c) for k, c in ref.items()) <= bound
+    assert max(abs(coeff(out, k) - c) for k, c in ref.items()) <= bound
 
 
 def _shift_and_add(F, G):
@@ -761,7 +763,7 @@ def test_vf_cochain_sums_repeated_records_in_a_slot():
     text = "x2.z0 rep 1 0 3 0.1 -0.2\nx1.y0 toral 1 0 0.5 0.0\nx2.z0 rep 1 0 3 0.1 -0.2\n"
     back = parse_vf_cochain(text)
     assert back.x2.z[0].rep(1)[3] == 0.2 - 0.4j
-    assert back.x1.y[0].toral.coeff((1, 0)) == 0.5
+    assert coeff(back.x1.y[0].toral, (1, 0)) == 0.5
 
 
 def test_vf_cochain_unknown_slot_reports_its_line():
@@ -769,3 +771,17 @@ def test_vf_cochain_unknown_slot_reports_its_line():
     with pytest.raises(FormatError, match="unknown slot") as exc:
         parse_vf_cochain(text)
     assert exc.value.line == 3
+
+
+def test_vf_cochain_malformed_record_in_a_slot_reports_its_line():
+    # the bad record sits in a slot that already has one, after other slots'
+    text = (
+        "x1.y0 toral 1 0 0.5 0.0\n"
+        "x2.z0 rep 1 0 3 0.1 -0.2\n"
+        "x1.y1 toral 0 1 0.25 0.0  # comment\n"
+        "x2.z0 rep 1 0 oops 0.1 -0.2\n"
+        "x1.y0 toral -1 0 0.5 0.0\n"
+    )
+    with pytest.raises(FormatError, match="malformed record") as exc:
+        parse_vf_cochain(text)
+    assert exc.value.line == 4
