@@ -438,11 +438,15 @@ def test_block_is_read_only():
     assert not hasattr(f, "coeffs") and not hasattr(f, "coeff")
 
 
-def test_degree_is_support_not_block_size():
+def test_coeffs_view_omits_exact_zeros():
     # exact zeros given in a map are not support
     f = TorusFunction(2, {(3, 0): 0.0, (1, 0): 1.0, (0, 0): 0.0})
     assert coeffs(f) == {(1, 0): 1.0} and f.size == 1 and f.degree == 1
+    assert coeffs(TorusFunction(2)) == {}
     assert TorusFunction(2).is_zero() and TorusFunction(2).degree == 0
+
+
+def test_degree_is_support_not_block_size():
     f = TorusFunction(2, {(1, 0): 1.0, (-1, 0): 1.0, (4, 0): 1e-20, (-4, 0): 1e-20}, real=True)
     assert f.degree == 4
     t = f.truncated(8, drop_below=1e-16)
