@@ -36,6 +36,7 @@ from .corpus import (
     cochain_corpus,
     member_rng,
     nil_corpus,
+    toral_function,
     torus_corpus,
     vf_cocycle_member,
 )
@@ -62,7 +63,12 @@ from .nilrep import (
     nil_sobolev_norm,
     serialize_nil_function,
 )
-from .rigidity import load_vf_cochain, newton_step, smoothing_truncate
+from .rigidity import (
+    load_vf_cochain,
+    newton_step,
+    require_toral_perturbation,
+    smoothing_truncate,
+)
 from .torus import (
     TorusFunction,
     TorusVectorField,
@@ -160,6 +166,11 @@ SCHEMAS = {
         # k and -k would share one coefficient: not a real sine
         "mode": ("ints", (1, 1), ("nonzero", any)),
         "component": ("int", 0),
+        # degree 0 perturbs one component by the sine at mode; from 1 on,
+        # every component is a seeded draw of every mode up to degree
+        "degree": ("int", 0, _at_least(0)),
+        "decay": ("float", 3.0, _at_least(0)),
+        "seed": ("int", 0),
         "K": ("int", 64),
         "max_iter": ("int", 10, _at_least(1)),
         "floor": ("float", 1e-12, _POSITIVE),
@@ -553,9 +564,19 @@ def _run_constant_cohomology(p, outdir):
     }
 
 
-def _sin_field(omega, amplitude, mode, component):
-    # mode and component are bounded by omega's length
+def _kam_field(p):
+    """The kam perturbation: at degree 0 the sine at mode in one component;
+    from degree 1 on, component i is member i of the seed's draw
+    (`toral_function`), scaled by amplitude."""
+    omega, amplitude = p["omega"], p["amplitude"]
     dim = len(omega)
+    if p["degree"]:
+        return TorusVectorField([
+            toral_function(member_rng(p["seed"], i), dim, p["degree"], p["decay"]) * amplitude
+            for i in range(dim)
+        ])
+    # mode and component are bounded by omega's length
+    mode, component = p["mode"], p["component"]
     if len(mode) != dim:
         raise ConfigTypeError("mode length must match omega")
     if not 0 <= component < dim:
@@ -584,7 +605,7 @@ def _kam_rows(state):
 
 
 def _run_kam(p, outdir):
-    beta = _sin_field(p["omega"], p["amplitude"], p["mode"], p["component"])
+    beta = _kam_field(p)
     failure = None
     try:
         state = kam_iterate(
@@ -630,6 +651,7 @@ def _run_rigidity_step(p, outdir):
             return smoothing_truncate(h, p["cutoff"])
 
         om = VfCochain(om.x1.map(smooth), om.x2.map(smooth))
+    require_toral_perturbation(om)
     input_norm = max(nil_sobolev_norm(h, 0) for h in om.x1.slots + om.x2.slots)
     _refuse_resonance(p["alpha"], p["K"])
     coords, H, residual = newton_step(params, om, threshold=p["threshold"])

@@ -65,6 +65,11 @@ class UnrepresentableProduct(NilflowError):
     which the coefficient model deliberately does not provide."""
 
 
+class UnsupportedPerturbation(NilflowError):
+    """Rigidity step given a perturbation whose slots carry representation
+    rows: its regularizer and bracket handle toral coefficients only."""
+
+
 class ConfigError(NilflowError):
     pass
 

@@ -492,6 +492,7 @@ def _parse_records(records):
     ``#`` starts a comment and blank records are skipped.  Errors carry the
     given line numbers."""
     toral = {}
+    toral_lines = {}
     rep_entries = {}
     for lineno, raw in records:
         line = raw.split("#", 1)[0].strip()
@@ -504,6 +505,7 @@ def _parse_records(records):
                     raise ValueError
                 k = (int(parts[1]), int(parts[2]))
                 toral[k] = toral.get(k, 0.0) + complex(float(parts[3]), float(parts[4]))
+                toral_lines.setdefault(k, lineno)
             elif parts[0] == "rep":
                 if len(parts) != 6:
                     raise ValueError
@@ -519,6 +521,17 @@ def _parse_records(records):
             raise
         except ValueError:
             raise FormatError("malformed record: %r" % raw, line=lineno)
+    modes = [k for k, c in toral.items() if c != 0]
+    if modes:
+        # refused before the block is allocated, at the first record of its
+        # outermost mode
+        k = max(modes, key=lambda k: max(map(abs, k)))
+        side = 2 * max(map(abs, k)) + 1
+        if side**2 > _SIZE_CAP:
+            raise DimensionMismatch(
+                "line %d: toral block too large (mode %r makes %d^2 entries)"
+                % (toral_lines[k], k, side)
+            )
     if rep_entries:
         # refused before any row is allocated, at the block the rows make
         key = max(rep_entries, key=lambda k: max(rep_entries[k]))

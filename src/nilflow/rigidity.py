@@ -22,6 +22,7 @@ from .errors import (
     FormatError,
     ThresholdExceeded,
     UnrepresentableProduct,
+    UnsupportedPerturbation,
 )
 from .nilrep import (
     _GENERATORS,
@@ -188,6 +189,19 @@ def _field_norm(A):
     return max(nil_sobolev_norm(h, 0.0) for h in A.slots)
 
 
+def require_toral_perturbation(omega):
+    """Refuse a perturbation cochain with representation rows in any slot
+    (UnsupportedPerturbation).  `delta_op` regularizes each slot as a scalar
+    cochain, which is right for toral data only, and `vf_bracket` cannot
+    multiply representation rows."""
+    for name, F in _named_slots(omega):
+        if F.keys:
+            raise UnsupportedPerturbation(
+                "perturbation slot %s carries representation rows, first %r; "
+                "the rigidity step takes toral coefficients only" % (name, F.keys[0])
+            )
+
+
 def newton_step(params, omega, threshold=0.5):
     """One linearized rigidity step at the family point params.mu.
 
@@ -195,8 +209,10 @@ def newton_step(params, omega, threshold=0.5):
     solve the coboundary equation for the remainder, then measure the
     second-order residue: the linear leftover plus the first conjugacy bracket
     [H, omega - D/2] per generator.  The residual must shrink quadratically in
-    the perturbation size.
+    the perturbation size.  A perturbation with representation rows is
+    refused first (`require_toral_perturbation`).
     """
+    require_toral_perturbation(omega)
     size = max(_field_norm(omega.x1), _field_norm(omega.x2))
     if size > threshold:
         raise ThresholdExceeded(
@@ -226,16 +242,22 @@ def newton_step(params, omega, threshold=0.5):
 _SLOT_RE = re.compile(r"(x1|x2)\.(y|z)(\d+)\Z")
 
 
+def _named_slots(omega):
+    """(name, coefficient function) of each slot of a vector-field cochain,
+    named as in the text form: x1.y0, x1.y1, x1.z0, then x2's."""
+    for gen, fld in (("x1", omega.x1), ("x2", omega.x2)):
+        for kind, slots in (("y", fld.y), ("z", fld.z)):
+            for idx, F in enumerate(slots):
+                yield "%s.%s%d" % (gen, kind, idx), F
+
+
 def serialize_vf_cochain(omega):
     """Flat text form: every record of a slot's coefficient function is
     prefixed with the slot name, e.g. ``x1.y0 toral 1 2 0.5 0.0``."""
     lines = []
-    for gen, fld in (("x1", omega.x1), ("x2", omega.x2)):
-        for kind, slots in (("y", fld.y), ("z", fld.z)):
-            for idx, F in enumerate(slots):
-                prefix = "%s.%s%d " % (gen, kind, idx)
-                for rec in serialize_nil_function(F).splitlines():
-                    lines.append(prefix + rec)
+    for name, F in _named_slots(omega):
+        for rec in serialize_nil_function(F).splitlines():
+            lines.append(name + " " + rec)
     return "\n".join(lines) + ("\n" if lines else "")
 
 

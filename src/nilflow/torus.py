@@ -19,9 +19,11 @@ transforms that touch only the D+1 columns k_last = 0..D of a degree-D band,
 in irfftn's and rfftn's axis order and so to their bits, and are evaluated
 pointwise from the modes k > 0 in lexicographic order; complex functions and
 grids too coarse for the block (which alias) use the full complex transforms.
-The Newton step re-expands at its truncation degree K on the 4K grid; the
-final verification samples a 5-smooth grid that is not a power of two, sized
-from K.
+Blocks with at least 4 nonzero modes per entry of their side are evaluated
+by separable contraction against exp(2 pi i x_j k) tables instead.  The
+Newton step re-expands at its truncation degree K on the 4K grid, working on
+contiguous rows of grid values; the final verification samples a 5-smooth
+grid that is not a power of two, sized from K.
 """
 
 import math
@@ -242,10 +244,13 @@ class TorusFunction:
         return TorusFunction._exact(self.n, out, self.real)
 
     def evaluate(self, points):
-        """Values at an (..., n) array of points, by direct mode summation."""
-        pts = np.asarray(points, dtype=float)
-        if pts.shape[-1] != self.n:
-            raise DimensionMismatch("points must have trailing dimension n")
+        """Values at an (..., n) array of points.  A block with at least
+        _SEPARABLE_MODES nonzero modes per entry of its side is contracted
+        one axis at a time against exp(2 pi i x_j k) tables
+        (`_separable_values`); a sparser one is summed mode by mode."""
+        pts = _points(points, self.n)
+        if self._takes_separable_path():
+            return _separable_values([self], pts)[0]
         flat = np.flatnonzero(self.block)
         if self.real:
             # block order is lexicographic in k: the modes k > 0 follow the centre
@@ -268,6 +273,11 @@ class TorusFunction:
             if c.imag:
                 vals -= 2 * c.imag * np.sin(theta)
         return vals
+
+    def _takes_separable_path(self):
+        # the nonzero count against the block side, as nil_multiply picks its
+        # kernel by side
+        return np.count_nonzero(self.block) >= _SEPARABLE_MODES * len(self.block)
 
     def grid_values(self, G):
         """Values on the equispaced G^n grid via the inverse FFT; modes beyond
@@ -330,6 +340,75 @@ class TorusFunction:
         )
 
 
+# a block with at least this many nonzero modes per entry of its side is
+# evaluated by separable contraction; below it the mode loop is faster
+_SEPARABLE_MODES = 4
+
+# complex entries of the tables and partial sums of one block of points on
+# the separable path
+_SEPARABLE_CHUNK = 2**19
+
+
+def _points(points, n):
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[-1] != n:
+        raise DimensionMismatch("points must have trailing dimension n")
+    return pts
+
+
+def _exp_tables(x, D):
+    """exp(2 pi i k x) for k = -D..D at the points x, one row per k: shape
+    (2D+1, len(x)).  Row k+1 is row k times row 1, each product writing one
+    contiguous row, and row -k is the conjugate of row k."""
+    E = np.empty((2 * D + 1, len(x)), dtype=complex)
+    E[D] = 1.0
+    if D:
+        E[D + 1] = np.exp(2j * np.pi * x)
+        for k in range(D + 2, 2 * D + 1):
+            np.multiply(E[k - 1], E[D + 1], out=E[k])
+        np.conj(E[:D:-1], out=E[:D])
+    return E
+
+
+def _contract(f, tables):
+    """Values of f from the tables of its points (`_exp_tables`, of degree at
+    least f.size): the block is contracted against them from the last axis
+    to the first, one matrix product and then one sum per axis.  A real
+    block contracts its k_0 >= 0 half with the k_0 > 0 rows doubled; the
+    real part is the sum, since c_{-k} = conj(c_k)."""
+    d = f.size
+    E = [t[len(t) // 2 - d : len(t) // 2 + d + 1] for t in tables]
+    block = f.block
+    if f.real:
+        block = block[d:].copy()
+        block[1:] *= 2
+        E[0] = E[0][d:]
+    T = block.reshape(-1, len(E[-1])) @ E[-1]
+    for e in reversed(E[:-1]):
+        T = np.einsum("akp,kp->ap", T.reshape(-1, len(e), T.shape[-1]), e)
+    vals = T.reshape(-1)
+    return vals.real if f.real else vals
+
+
+def _separable_values(functions, pts):
+    """Values of the functions at the (..., n) points, one array each, by
+    separable contraction (`_contract`).  The points go in blocks that keep
+    the tables and partial sums near _SEPARABLE_CHUNK entries; each block's
+    tables serve every function."""
+    n = pts.shape[-1]
+    x = pts.reshape(-1, n)
+    D = max(f.size for f in functions)
+    side = 2 * D + 1
+    step = max(1, _SEPARABLE_CHUNK // (n * side + side ** (n - 1)))
+    out = [np.empty(len(x), dtype=float if f.real else complex) for f in functions]
+    for start in range(0, len(x), step):
+        part = x[start : start + step]
+        tables = [_exp_tables(part[:, j], D) for j in range(n)]
+        for f, vals in zip(functions, out):
+            vals[start : start + step] = _contract(f, tables)
+    return [vals.reshape(pts.shape[:-1]) for vals in out]
+
+
 class TorusVectorField:
     """Vector field on T^n with TorusFunction components."""
 
@@ -390,8 +469,22 @@ class TorusVectorField:
         )
 
     def evaluate(self, points):
-        pts = np.asarray(points, dtype=float)
-        return np.stack([np.real(c.evaluate(pts)) for c in self.components], axis=-1)
+        """Real values at an (..., n) array of points, shape (..., n).  The
+        components on the separable path share one set of tables."""
+        return np.stack(self._component_values(points), axis=-1)
+
+    def _component_values(self, points):
+        """Real values of each component at the (..., n) points, one array each."""
+        pts = _points(points, self.n)
+        separable = [c._takes_separable_path() for c in self.components]
+        if any(separable):
+            dense = iter(_separable_values(
+                [c for c, s in zip(self.components, separable) if s], pts
+            ))
+        return [
+            np.real(next(dense) if s else c.evaluate(pts))
+            for c, s in zip(self.components, separable)
+        ]
 
     def __repr__(self):
         return "TorusVectorField(n=%d, degree=%d)" % (self.n, self.degree)
@@ -445,47 +538,57 @@ def sobolev_norm(f, r):
         return math.sqrt(float((np.abs(f.block) ** 2 * w).sum()))
 
 
-def _grid_points(n, G):
-    _require_size(G, n, "composition grid")
-    xs = np.arange(G) / G
-    return np.stack(np.meshgrid(*([xs] * n), indexing="ij"), axis=-1).reshape(-1, n)
-
-
 def _sampled(functions, G):
     """Real grid values of the functions, one row each: shape (len, G^n).
-    One transform per function; rows are filled in place."""
-    rows = np.empty((len(functions), G ** functions[0].n))
+    One transform per nonzero function, into its row; a zero function's row
+    is filled with +0, which is what its transform gives."""
+    n = functions[0].n
+    _require_size(G, n, "composition grid")
+    rows = np.empty((len(functions), G**n))
     for row, f in zip(rows, functions):
-        row[:] = np.real(f.grid_values(G)).reshape(-1)
+        if f.is_zero():
+            row[:] = 0.0
+        else:
+            row[:] = np.real(f.grid_values(G)).reshape(-1)
     return rows
 
 
-def _grid_values(u, G):
-    """Real grid values of the components of the field u, shape (G^n, n)."""
-    return _sampled(u.components, G).T
+def _moved_points(U, G):
+    """The G^n grid points x moved to x + u(x), shape (G^n, n), from the rows
+    U of u's grid values."""
+    n = len(U)
+    pts = np.empty((G,) * n + (n,))
+    xs = np.arange(G) / G
+    for i, row in enumerate(U):
+        np.add(xs.reshape((-1,) + (1,) * (n - 1 - i)), row.reshape((G,) * n), out=pts[..., i])
+    return pts.reshape(-1, n)
 
 
-def _displacement_arrays(u, G):
-    """Grid values of u and of its Jacobian: shapes (G^n, n) and (G^n, n, n),
-    the Jacobian entry [p, i, j] being d_j u_i."""
-    n = u.n
-    fs = list(u.components) + [c.partial(j) for c in u.components for j in range(n)]
-    rows = _sampled(fs, G)
-    return rows[:n].T, rows[n:].reshape(n, n, -1).transpose(2, 0, 1)
-
-
-def _field_from_grid(vals, G, degree, drop_below=0.0):
-    """Real vector field re-expanded from grid samples of shape (G^n, n)."""
-    n = vals.shape[1]
+def _field_from_grid(rows, G, degree, drop_below=0.0):
+    """Real vector field re-expanded from grid rows, one of G^n samples per
+    component."""
+    n = len(rows)
     return TorusVectorField([
-        TorusFunction.from_grid(vals[:, i].reshape((G,) * n), degree, True, drop_below)
-        for i in range(n)
+        TorusFunction.from_grid(row.reshape((G,) * n), degree, True, drop_below)
+        for row in rows
     ])
 
 
 def _check_invertible(U, J):
-    sup_u = float(np.max(np.abs(U))) if U.size else 0.0
-    sup_j = float(np.max(np.sum(np.abs(J), axis=2))) if J.size else 0.0
+    """Refuse id + u when the rows U of u or the rows J of Du (row i n + j
+    holding d_j u_i) reach sup norm 1/2; Du's is the largest row sum of
+    |d_j u_i|, added in the order of j."""
+    if not U.size:
+        return
+    n = len(U)
+    sup_u = float(np.maximum(U.max(), -U.min()))
+    sup_j = 0.0
+    total, term = np.empty((2, U.shape[1]))
+    for i in range(n):
+        np.abs(J[i * n], out=total)
+        for row in J[i * n + 1 : (i + 1) * n]:
+            total += np.abs(row, out=term)
+        sup_j = float(np.maximum(sup_j, total.max()))
     if sup_u >= 0.5:
         raise NonInvertible("displacement sup-norm %.3g >= 1/2" % sup_u)
     if sup_j >= 0.5:
@@ -520,31 +623,64 @@ def _verification_size(K_in):
 
 
 def _inverse(M):
-    """Inverses of a stack of n x n matrices, shape (P, n, n); for n = 2 in
-    closed form, the adjugate over the determinant."""
+    """Inverses of a stack of n x n matrices, shape (P, n, n).  For n = 2 M is
+    overwritten with them, in closed form: the adjugate over the determinant
+    a d - b c.  Other n go through np.linalg.inv into a new array."""
     if M.shape[1:] != (2, 2):
         return np.linalg.inv(M)
     a, b, c, d = M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1]
-    adj = np.empty_like(M)
-    adj[:, 0, 0], adj[:, 0, 1], adj[:, 1, 0], adj[:, 1, 1] = d, -b, -c, a
-    adj /= (a * d - b * c)[:, None, None]
-    return adj
+    det = a * d
+    det -= b * c
+    a[:], d[:] = d, a.copy()
+    np.negative(b, out=b)
+    np.negative(c, out=c)
+    M /= det[:, None, None]
+    return M
+
+
+def _matvec_rows(Minv, v):
+    """Rows of Minv v for 2 x 2 matrices Minv, shape (P, 2, 2), and v two
+    rows or two scalars: one product per entry and one sum, as einsum's and
+    matmul's loops form them.  Those start from +0, which turns a -0 sum
+    into +0, so the rows do too."""
+    out = np.empty((2, len(Minv)))
+    for i, row in enumerate(out):
+        np.multiply(Minv[:, i, 0], v[0], out=row)
+        row += Minv[:, i, 1] * v[1]
+        row += 0.0
+    return out
 
 
 def _pulled_back(u, X, G, shift=0.0):
     """Grid values of (I + Du)^-1 (shift + X(x + u(x))) on the G^n grid, shape
-    (G^n, n), returned with the inverted Jacobians (I + Du)^-1."""
+    (G^n, n), returned with the inverted Jacobians (I + Du)^-1, shape
+    (G^n, n, n).
+
+    u and its partials are sampled once into contiguous rows, one per
+    function (`_sampled`), and u's zero components are not transformed.
+    I + Du is formed and, for n = 2, inverted in those rows, and for n = 2
+    (I + Du)^-1 is applied row by row; the results are transposed views of
+    the rows, with the bits of the (G^n, n, n) arrays and einsum."""
     n = X.n
     # the Jacobians and their inverses hold n^2 entries per grid point
     if G**n * n * n > _SIZE_CAP:
         raise DimensionMismatch(
             "pullback Jacobians too large (%d^%d points x %d^2 entries)" % (G, n, n)
         )
-    pts = _grid_points(n, G)
-    U, J = _displacement_arrays(u, G)
+    fs = list(u.components) + [c.partial(j) for c in u.components for j in range(n)]
+    rows = _sampled(fs, G)
+    U, J = rows[:n], rows[n:]
     _check_invertible(U, J)
-    Minv = _inverse(np.eye(n)[None, :, :] + J)
-    return np.einsum("pij,pj->pi", Minv, shift + X.evaluate(pts + U)), Minv
+    pts = _moved_points(U, G)
+    # adding 0.0 off the diagonal turns -0 into +0, as np.eye(n) + Du does
+    J += np.eye(n).reshape(-1, 1)
+    Minv = _inverse(J.reshape(n, n, -1).transpose(2, 0, 1))
+    V = X._component_values(pts)
+    for v, s in zip(V, np.broadcast_to(shift, (n,))):
+        v += s
+    if n != 2:
+        return np.einsum("pij,pj->pi", Minv, np.stack(V, axis=-1)), Minv
+    return _matvec_rows(Minv, V).T, Minv
 
 
 def pullback_field(u, X, out_degree=None):
@@ -561,15 +697,19 @@ def pullback_field(u, X, out_degree=None):
     if out_degree is None:
         out_degree = 2 * K_in
     G = _grid_size(K_in, out_degree)
-    return _field_from_grid(_pulled_back(u, X, G)[0], G, out_degree)
+    return _field_from_grid(_pulled_back(u, X, G)[0].T, G, out_degree)
 
 
 def _compose_displacement(u_new, u_acc, out_degree):
-    """Displacement of (id + u_acc) o (id + u_new): u_new + u_acc(x + u_new)."""
+    """Displacement of (id + u_acc) o (id + u_new): u_new + u_acc(x + u_new),
+    formed on rows of grid values; u_new's zero components are not
+    transformed."""
     G = _grid_size(max(u_new.degree, u_acc.degree, 1), out_degree)
-    pts = _grid_points(u_new.n, G)
-    U_new = _grid_values(u_new, G)
-    return _field_from_grid(U_new + u_acc.evaluate(pts + U_new), G, out_degree, _DROP)
+    U = _sampled(u_new.components, G)
+    vals = u_acc._component_values(_moved_points(U, G))
+    for v, row in zip(vals, U):
+        v += row
+    return _field_from_grid(vals, G, out_degree, _DROP)
 
 
 @dataclass
@@ -617,7 +757,9 @@ class KamState:
 def kam_step(state):
     """One Newton step: shift the parameter by the current average, solve the
     derivative equation for the coordinate change, compose, and recompute the
-    residual by pulling the original field back under the accumulated change."""
+    residual by pulling the original field back under the accumulated change.
+    The grid values stay in rows, one per component or Jacobian entry, from
+    the pullback to the re-expansion."""
     beta = state.beta_cur
     omega = np.asarray(state.omega)
     n = len(state.omega)
@@ -666,8 +808,14 @@ def kam_step(state):
     P_avg = np.array([P[:, i].mean() for i in range(n)])
     d_lambda = np.linalg.solve(avg_M, P_avg - omega)
     lam = tuple(float(x) for x in np.asarray(state.lambda_bar) + d_lambda)
-    beta_vals = P - Minv @ d_lambda - omega[None, :]
-    beta_next = _field_from_grid(beta_vals, G, K, _DROP)
+    # P - Minv d_lambda - omega, as rows
+    if n == 2:
+        beta_rows = _matvec_rows(Minv, d_lambda)
+        np.subtract(P.T, beta_rows, out=beta_rows)
+        beta_rows -= omega[:, None]
+    else:
+        beta_rows = (P - Minv @ d_lambda - omega[None, :]).T
+    beta_next = _field_from_grid(beta_rows, G, K, _DROP)
 
     return replace(
         state,

@@ -24,9 +24,12 @@ from nilflow.cli import (
     run,
     serialize_config,
 )
+from nilflow.corpus import member_rng, toral_function
 from nilflow.errors import ConfigTypeError, MissingKey, UnknownKey
 from nilflow.nilrep import load_nil_function
 from nilflow.torus import directional_derivative, sobolev_norm
+
+from toral_coeffs import coeffs
 
 PHI = (1 + math.sqrt(5)) / 2
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -163,6 +166,9 @@ def test_kam_config_roundtrips_through_serialize():
             "amplitude": float(10.0 ** rng.uniform(-6, -2)),
             "mode": (int(rng.integers(-3, 4)), int(rng.integers(1, 4))),
             "component": int(rng.integers(0, 2)),
+            "degree": int(rng.integers(0, 8)),
+            "decay": float(rng.uniform(0, 5)),
+            "seed": int(rng.integers(0, 2**31)),
             "K": int(rng.integers(8, 128)),
             "max_iter": int(rng.integers(1, 12)),
             "floor": float(10.0 ** rng.uniform(-14, -8)),
@@ -348,6 +354,41 @@ def test_an_unbounded_hermite_index_is_refused_before_allocation(tmp_path, capsy
     assert "row (1, 0) has %d entries" % (j + 1) in rec["detail"]
     assert capsys.readouterr().err == ""
     assert peak < 32 * 2**20
+
+
+def test_a_toral_record_past_the_cap_is_refused_by_line(tmp_path, capsys):
+    src = tmp_path / "f.txt"
+    src.write_text("# one mode\ntoral 100000 0 1.0 0.0\n")
+    cfg = make_config("solve-coboundary", tmp_path / "out", alpha=(1.0, PHI), input=str(src))
+    tracemalloc.start()
+    try:
+        status = run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 1
+    rec = read_summary(tmp_path / "out")[0]
+    assert (rec["verdict"], rec["reason"]) == ("error", "DimensionMismatch")
+    assert rec["detail"].startswith("line 2: ")
+    assert capsys.readouterr().err == ""
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("slot", ["x1.y0", "x2.z0"], ids=["Y-slot", "Z-slot"])
+def test_rigidity_step_refuses_representation_rows(tmp_path, capsys, slot):
+    pert = tmp_path / "p.txt"
+    pert.write_text("x1.y0 toral 1 0 0.001 0.0\n%s rep 1 0 0 0.001 0.0\n" % slot)
+    out = tmp_path / "out"
+    assert run(make_config("rigidity-step", out, alpha=(1.0, PHI), perturbation_file=str(pert))) == 1
+    rec = read_summary(out)[0]
+    assert (rec["verdict"], rec["reason"]) == ("error", "UnsupportedPerturbation")
+    assert "slot %s" % slot in rec["detail"]
+    assert os.listdir(out) == ["summary.jsonl"]
+    assert capsys.readouterr().err == ""
+    # smoothing below the central frequency 1 drops the row, and the step runs
+    out = tmp_path / "smoothed"
+    cfg = make_config("rigidity-step", out, alpha=(1.0, PHI), perturbation_file=str(pert), cutoff=0.5)
+    assert run(cfg) == 0
 
 
 def test_solve_coboundary_nonzero_average_is_negative(tmp_path):
@@ -645,6 +686,36 @@ def test_kam_unverifiable_conjugacy_is_negative(tmp_path, monkeypatch):
     assert (rec["verdict"], rec["reason"]) == ("negative", "NoConvergence")
     assert "verification failed" in rec["detail"]
     assert len(read_csv(tmp_path, "kam.csv")) >= 3
+
+
+def test_kam_multi_mode_draw(tmp_path):
+    p = {"omega": (1.0, PHI), "amplitude": 3e-3, "degree": 4, "decay": 2.0, "seed": 5}
+    beta = cli._kam_field(p)
+    for i, c in enumerate(beta.components):
+        want = toral_function(member_rng(5, i), 2, 4, 2.0) * 3e-3
+        assert c.real and c.degree == 4 and np.array_equal(c.block, want.block)
+    cfg = make_config("kam", tmp_path, omega=(1.0, PHI), K=32, amplitude=3e-3, degree=4, decay=2.0, seed=5)
+    assert run(cfg) == 0
+    rec = read_summary(tmp_path)[0]
+    assert rec["verdict"] == "ok" and rec["verified_sup_error"] < 1e-11
+    assert len(read_csv(tmp_path, "kam.csv")) >= 4
+
+
+def test_kam_default_is_the_single_sine():
+    p = {key: entry[1] for key, entry in SCHEMAS["kam"].items()}
+    p["omega"] = (1.0, PHI)
+    beta = cli._kam_field(p)
+    assert beta.components[1].is_zero()
+    assert coeffs(beta.components[0]) == {(1, 1): 1e-3 / 2j, (-1, -1): -1e-3 / 2j}
+
+
+@pytest.mark.parametrize("K", [64, 16], ids=["full", "smoke"])
+def test_the_newton_workload_kam_takes_the_direct_path(tmp_path, monkeypatch, K):
+    def refuse(functions, pts):
+        raise AssertionError("separable path taken")
+
+    monkeypatch.setattr(torus, "_separable_values", refuse)
+    assert run(make_config("kam", tmp_path, omega=(1.0, PHI), K=K)) == 0
 
 
 def test_kam_zero_mode_is_refused_by_name(tmp_path):

@@ -383,6 +383,22 @@ def test_representation_blocks_past_the_cap_are_refused_before_allocation():
     assert NilFunction(reps={k: v for k, v in reps.items() if k[0] > 1}).block.shape == (40, 10**6)
 
 
+def test_toral_records_past_the_cap_are_refused_by_line():
+    # mode (100000, 0) makes a 200001^2 block, past the 4e7-entry cap
+    text = "toral 1 0 0.5 0.0\n# far out\ntoral 100000 0 1.0 0.0\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatch, match=r"^line 3: .*\(100000, 0\) makes 200001\^2"):
+            parse_nil_function(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # records that cancel leave no mode, and no block to refuse
+    F = parse_nil_function(text + "toral 100000 0 -1.0 0.0\n")
+    assert F.toral.size == 1
+
+
 def test_load_from_file(tmp_path):
     path = tmp_path / "member.txt"
     path.write_text("toral 0 0 2.0 0.0\nrep 1 0 0 1.0 -1.0\n")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nilflow.algebra import ActionParams, heisenberg
-from nilflow import cohomology
+from nilflow import cohomology, rigidity
 from nilflow.cohomology import (
     Cochain1,
     VfCochain,
@@ -21,6 +21,7 @@ from nilflow.errors import (
     FormatError,
     ThresholdExceeded,
     UnrepresentableProduct,
+    UnsupportedPerturbation,
 )
 from nilflow.nilrep import (
     _GENERATORS,
@@ -491,6 +492,20 @@ def test_newton_threshold():
     omega = VfCochain(rand_field(rng, scale=5.0), rand_field(rng, scale=5.0))
     with pytest.raises(ThresholdExceeded):
         newton_step(p, omega)
+
+
+@pytest.mark.parametrize("slot", ["x1.y1", "x2.z0"])
+def test_newton_step_refuses_representation_rows_before_any_work(monkeypatch, slot):
+    text = "x1.y0 toral 1 0 0.001 0.0\n%s rep 2 1 0 0.001 0.0005\n" % slot
+    omega = parse_vf_cochain(text)
+
+    def no_work(*args):
+        raise AssertionError("the step ran")
+
+    monkeypatch.setattr(rigidity, "delta_op", no_work)
+    monkeypatch.setattr(rigidity, "_field_norm", no_work)
+    with pytest.raises(UnsupportedPerturbation, match=r"slot %s .*\(2, 1\)" % slot):
+        newton_step(golden_params(), omega)
 
 
 def test_bracket_requires_heisenberg_shape():

@@ -559,7 +559,10 @@ def test_closed_form_inverse_matches_linalg():
     J = _jacobians(rng, 2, 20000, edge)
     assert np.max(np.sum(np.abs(J), axis=2)) < 0.5
     M = np.eye(2) + J
-    got = torus._inverse(M)
+    # the inverses overwrite their input for n = 2
+    work = M.copy()
+    got = torus._inverse(work)
+    assert got is work
     # |(I + J)^-1| <= 1 / (1 - 1/2) in the sup norm: both inverses are O(1)
     # and agree to a few rounding units
     assert np.max(np.abs(got - np.linalg.inv(M))) <= 8 * np.finfo(float).eps
@@ -1049,3 +1052,142 @@ def test_difference_with_an_infinite_entry_has_no_nan():
                       (b - a, {(0, 0): -1 - 1j, (1, 0): complex(math.inf, 1.0)})):
         assert not np.isnan(got.block).any()
         assert coeffs(got) == want
+
+
+# ---------------------------------------------------------------------------
+# the row layout of the grid path, and separable evaluation
+
+
+def _stacked_pullback(rows, X, G, shift):
+    # the pullback on (G^n, n, n) stacks: meshgrid points, np.eye + J, the
+    # closed-form or linalg inverse, and einsum
+    n = X.n
+    xs = np.arange(G) / G
+    pts = np.stack(np.meshgrid(*([xs] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    U, J = rows[:n].T, rows[n:].reshape(n, n, -1).transpose(2, 0, 1)
+    M = np.eye(n)[None, :, :] + J
+    if n == 2:
+        a, b, c, d = M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1]
+        Minv = np.empty_like(M)
+        Minv[:, 0, 0], Minv[:, 0, 1], Minv[:, 1, 0], Minv[:, 1, 1] = d, -b, -c, a
+        Minv /= (a * d - b * c)[:, None, None]
+    else:
+        Minv = np.linalg.inv(M)
+    return np.einsum("pij,pj->pi", Minv, shift + X.evaluate(pts + U)), Minv
+
+
+def _same_signed_bits(got, want):
+    return (got.shape == want.shape and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("zero", [False, True], ids=["full", "zero-component"])
+@pytest.mark.parametrize("target", ["field", "signed-zero"])
+def test_row_pullback_matches_the_stacked_matrices_bit_for_bit(monkeypatch, n, zero, target):
+    rng = np.random.default_rng(60 + n)
+    G = {1: 64, 2: 24, 3: 10}[n]
+    # u_0 depends on x_0 only, so its other partials are exact zeros
+    comps = [sine_mode(n, (1,) + (0,) * (n - 1), 0.01)]
+    for _ in range(n - 1):
+        block = _real_block(rng, n, 2)
+        comps.append(TorusFunction(n, 1e-3 * block / np.abs(block).sum(), real=True))
+    if zero:
+        comps[-1] = TorusFunction.constant(n, 0.0)
+    u = TorusVectorField(comps)
+    if target == "field":
+        X = TorusVectorField([sine_mode(n, (1,) * n, 0.3) + 1.0] + [sine_mode(n, (2,) + (1,) * (n - 1), 0.2)] * (n - 1))
+        shift = np.linspace(0.5, 1.5, n)
+    else:
+        # -0 values: products of -0 sum to -0, which einsum's +0 start turns into +0
+        X = TorusVectorField([TorusFunction.constant(n, -0.0)] * n)
+        shift = np.full(n, -0.0)
+    sampled_rows = []
+    sampled = torus._sampled
+
+    def signed(functions, G):
+        rows = sampled(functions, G)
+        rows[rows == 0] = -0.0
+        sampled_rows.append(rows.copy())
+        return rows
+
+    monkeypatch.setattr(torus, "_sampled", signed)
+    vals, Minv = torus._pulled_back(u, X, G, shift)
+    rows, = sampled_rows
+    if n > 1 or zero:
+        assert (np.signbit(rows[n:]) & (rows[n:] == 0)).any()
+    want_vals, want_Minv = _stacked_pullback(rows, X, G, shift)
+    assert _same_signed_bits(vals, want_vals)
+    assert _same_signed_bits(Minv, want_Minv)
+    if target == "signed-zero" and n == 2:
+        # the case the +0 start decides is there
+        assert (want_vals == 0).all() and not np.signbit(want_vals).any()
+
+
+def test_zero_components_are_never_transformed(monkeypatch):
+    transformed = []
+    grid_values = TorusFunction.grid_values
+
+    def counted(f, G):
+        transformed.append(f)
+        return grid_values(f, G)
+
+    monkeypatch.setattr(TorusFunction, "grid_values", counted)
+    u = golden_perturbation(1e-3)
+    torus._pulled_back(u, TorusVectorField.constant(GOLDEN), 64)
+    # u_0 and its two partials; u_1 = 0 and its partials get zero rows
+    assert len(transformed) == 3
+    transformed.clear()
+    torus._compose_displacement(u, golden_perturbation(2e-3), 16)
+    assert len(transformed) == 1
+    transformed.clear()
+    kam_iterate(GOLDEN, u, trunc_degree=64)
+    assert transformed and not any(f.is_zero() for f in transformed)
+
+
+def _sparse(rng, block, count, real):
+    # keep count random nonzeros, in conjugate pairs for a real block
+    flat = block.reshape(-1)
+    half = flat.size // 2
+    pool = np.arange(half + 1, flat.size) if real else np.arange(flat.size)
+    keep = rng.choice(pool, size=count // 2 if real else count, replace=False)
+    if real:
+        keep = np.concatenate([keep, flat.size - 1 - keep])
+    out = np.zeros_like(flat)
+    out[keep] = flat[keep]
+    return out.reshape(block.shape)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_separable_path_matches_direct_summation(monkeypatch, n, real):
+    rng = np.random.default_rng(80 + n)
+    D = {1: 40, 2: 12, 3: 4}[n]
+    side = 2 * D + 1
+    pts = rng.uniform(-0.5, 1.5, size=(50, 3, n))
+    dense = _real_block(rng, n, D)
+    if not real:
+        dense = dense + 1j * _real_block(rng, n, D)[::-1]
+    # at the threshold, 4 nonzeros per entry of the side, except on T^1,
+    # which cannot reach it
+    sparse = _sparse(rng, dense, min(4 * side, dense.size // 2), real)
+    for block in (dense, sparse):
+        # the values are at most 1 in size
+        f = TorusFunction(n, block / np.abs(block).sum(), real=real)
+        assert f._takes_separable_path() == (n > 1)
+        got = torus._separable_values([f], pts)[0]
+        assert got.dtype == (float if real else complex) and got.shape == (50, 3)
+        if n > 1:
+            assert np.array_equal(f.evaluate(pts), got)
+        with monkeypatch.context() as m:
+            m.setattr(torus, "_SEPARABLE_MODES", math.inf)
+            want = f.evaluate(pts)
+        assert np.max(np.abs(got - want)) <= 1e-13
+    # a field evaluates its separable components on shared tables
+    g = TorusFunction(n, sparse / np.abs(sparse).sum() * 0.5, real=real)
+    field = TorusVectorField([f, sine_mode(n, (1,) * n, 0.25), g])
+    got = field.evaluate(pts)
+    want = np.stack([np.real(c.evaluate(pts)) for c in field.components], axis=-1)
+    assert got.shape == (50, 3, 3)
+    assert np.array_equal(got[..., 1], want[..., 1])
+    assert np.max(np.abs(got - want)) <= 1e-13
