@@ -6,7 +6,10 @@ Exit status: 0 on success, 2 on a negative mathematical verdict (resonance,
 refused certificate, failed convergence), 1 on errors.
 
 Numeric cells are written with repr so identical config and seed produce
-byte-identical output.  A run uses one thread.
+byte-identical output.  A run starts no threads of its own.  One exception
+to both: a multi-mode ``kam`` (``degree`` >= 1) evaluates its dense fields
+through a BLAS matrix product, which runs on the BLAS library's threads and
+whose last bits depend on their count; ``OPENBLAS_NUM_THREADS=1`` pins it.
 """
 
 import argparse
@@ -571,6 +574,9 @@ def _kam_field(p):
     omega, amplitude = p["omega"], p["amplitude"]
     dim = len(omega)
     if p["degree"]:
+        schema = SCHEMAS["kam"]
+        if (p["mode"], p["component"]) != (schema["mode"][1], schema["component"][1]):
+            raise ConfigTypeError("mode and component are not read when degree >= 1")
         return TorusVectorField([
             toral_function(member_rng(p["seed"], i), dim, p["degree"], p["decay"]) * amplitude
             for i in range(dim)

@@ -19,11 +19,11 @@ transforms that touch only the D+1 columns k_last = 0..D of a degree-D band,
 in irfftn's and rfftn's axis order and so to their bits, and are evaluated
 pointwise from the modes k > 0 in lexicographic order; complex functions and
 grids too coarse for the block (which alias) use the full complex transforms.
-Blocks with at least 4 nonzero modes per entry of their side are evaluated
-by separable contraction against exp(2 pi i x_j k) tables instead.  The
-Newton step re-expands at its truncation degree K on the 4K grid, working on
-contiguous rows of grid values; the final verification samples a 5-smooth
-grid that is not a power of two, sized from K.
+Blocks with enough nonzero modes for their side are evaluated by separable
+contraction against exp(2 pi i x_j k) tables instead.  The Newton step
+re-expands at its truncation degree K on the 4K grid, working on contiguous
+rows of grid values; the final verification samples a 5-smooth grid that is
+not a power of two, sized from K.
 """
 
 import math
@@ -244,8 +244,8 @@ class TorusFunction:
         return TorusFunction._exact(self.n, out, self.real)
 
     def evaluate(self, points):
-        """Values at an (..., n) array of points.  A block with at least
-        _SEPARABLE_MODES nonzero modes per entry of its side is contracted
+        """Values at an (..., n) array of points.  A block with enough nonzero
+        modes for its side and dimension (`_SEPARABLE_MARGIN`) is contracted
         one axis at a time against exp(2 pi i x_j k) tables
         (`_separable_values`); a sparser one is summed mode by mode."""
         pts = _points(points, self.n)
@@ -275,9 +275,10 @@ class TorusFunction:
         return vals
 
     def _takes_separable_path(self):
-        # the nonzero count against the block side, as nil_multiply picks its
-        # kernel by side
-        return np.count_nonzero(self.block) >= _SEPARABLE_MODES * len(self.block)
+        # the nonzero count against the separable path's work per point, in
+        # the units of one mode of the mode loop (see _SEPARABLE_MARGIN)
+        even = self.n * (16 + len(self.block)) / 8 + self.block.size / 256
+        return np.count_nonzero(self.block) >= _SEPARABLE_MARGIN * even
 
     def grid_values(self, G):
         """Values on the equispaced G^n grid via the inverse FFT; modes beyond
@@ -340,9 +341,16 @@ class TorusFunction:
         )
 
 
-# a block with at least this many nonzero modes per entry of its side is
-# evaluated by separable contraction; below it the mode loop is faster
-_SEPARABLE_MODES = 4
+# Per point, the mode loop pays one exp, or one cos and one sin, per nonzero
+# mode; the separable path a fixed cost per axis, one complex product per
+# table entry (n side of them) and one multiply-add per block entry.  Timed
+# with one BLAS thread at n = 1, 2, 3 (BENCH_26.json, "separable_crossover"),
+# these cost about 2 modes per axis, 1/8 of a mode per table entry and 1/256
+# per block entry, so the paths break even near n (16 + side) / 8 + size / 256
+# nonzero modes.  The separable path is taken from this multiple of that
+# count on, where it is about twice as fast or more; closer to even the mode
+# loop keeps its values.
+_SEPARABLE_MARGIN = 2
 
 # complex entries of the tables and partial sums of one block of points on
 # the separable path
@@ -642,7 +650,8 @@ def _matvec_rows(Minv, v):
     """Rows of Minv v for 2 x 2 matrices Minv, shape (P, 2, 2), and v two
     rows or two scalars: one product per entry and one sum, as einsum's and
     matmul's loops form them.  Those start from +0, which turns a -0 sum
-    into +0, so the rows do too."""
+    into +0, so the rows do too.  From three terms on their loops sum in
+    another order (vectorized, or in BLAS), so other n keep them."""
     out = np.empty((2, len(Minv)))
     for i, row in enumerate(out):
         np.multiply(Minv[:, i, 0], v[0], out=row)
@@ -659,8 +668,9 @@ def _pulled_back(u, X, G, shift=0.0):
     u and its partials are sampled once into contiguous rows, one per
     function (`_sampled`), and u's zero components are not transformed.
     I + Du is formed and, for n = 2, inverted in those rows, and for n = 2
-    (I + Du)^-1 is applied row by row; the results are transposed views of
-    the rows, with the bits of the (G^n, n, n) arrays and einsum."""
+    (I + Du)^-1 is applied row by row (`_matvec_rows`); the results are
+    transposed views of the rows, with the bits of the (G^n, n, n) arrays
+    and einsum."""
     n = X.n
     # the Jacobians and their inverses hold n^2 entries per grid point
     if G**n * n * n > _SIZE_CAP:

@@ -689,7 +689,8 @@ def test_kam_unverifiable_conjugacy_is_negative(tmp_path, monkeypatch):
 
 
 def test_kam_multi_mode_draw(tmp_path):
-    p = {"omega": (1.0, PHI), "amplitude": 3e-3, "degree": 4, "decay": 2.0, "seed": 5}
+    p = {key: entry[1] for key, entry in SCHEMAS["kam"].items()}
+    p.update(omega=(1.0, PHI), amplitude=3e-3, degree=4, decay=2.0, seed=5)
     beta = cli._kam_field(p)
     for i, c in enumerate(beta.components):
         want = toral_function(member_rng(5, i), 2, 4, 2.0) * 3e-3
@@ -699,6 +700,15 @@ def test_kam_multi_mode_draw(tmp_path):
     rec = read_summary(tmp_path)[0]
     assert rec["verdict"] == "ok" and rec["verified_sup_error"] < 1e-11
     assert len(read_csv(tmp_path, "kam.csv")) >= 4
+
+
+@pytest.mark.parametrize("key, value", [("mode", (2, 1)), ("component", 1)])
+def test_kam_multi_mode_refuses_the_single_sine_keys(tmp_path, key, value):
+    cfg = make_config("kam", tmp_path, omega=(1.0, PHI), degree=2, **{key: value})
+    assert run(cfg) == 1
+    rec = read_summary(tmp_path)[0]
+    assert rec["reason"] == "ConfigTypeError"
+    assert "not read when degree >= 1" in rec["detail"]
 
 
 def test_kam_default_is_the_single_sine():

@@ -1158,6 +1158,27 @@ def _sparse(rng, block, count, real):
     return out.reshape(block.shape)
 
 
+def _separable_threshold(n, side):
+    # twice the nonzero count at which the paths cost the same: 2 modes per
+    # axis, 1/8 of a mode per table entry, 1/256 per block entry
+    return math.ceil(2 * (n * (16 + side) / 8 + side**n / 256))
+
+
+@pytest.mark.parametrize(
+    "n, D, count",
+    # the count grows with the block size, not with its side alone
+    [(1, 256, 137), (2, 64, 203), (3, 4, 25), (3, 20, 582)],
+)
+def test_separable_threshold_counts_the_work_per_point(n, D, count):
+    side = 2 * D + 1
+    assert _separable_threshold(n, side) == count
+    for nonzero in (count - 1, count):
+        block = np.zeros(side**n, dtype=complex)
+        block[:nonzero] = 1.0
+        f = TorusFunction(n, block.reshape((side,) * n), real=False)
+        assert f._takes_separable_path() == (nonzero == count)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 def test_separable_path_matches_direct_summation(monkeypatch, n, real):
@@ -1168,19 +1189,21 @@ def test_separable_path_matches_direct_summation(monkeypatch, n, real):
     dense = _real_block(rng, n, D)
     if not real:
         dense = dense + 1j * _real_block(rng, n, D)[::-1]
-    # at the threshold, 4 nonzeros per entry of the side, except on T^1,
-    # which cannot reach it
-    sparse = _sparse(rng, dense, min(4 * side, dense.size // 2), real)
+    # at the threshold; a real block keeps its nonzeros in conjugate pairs
+    count = _separable_threshold(n, side)
+    count += real and count % 2
+    sparse = _sparse(rng, dense, count, real)
+    below = _sparse(rng, dense, count - 1 - real, real)
+    assert not TorusFunction(n, below, real=real)._takes_separable_path()
     for block in (dense, sparse):
         # the values are at most 1 in size
         f = TorusFunction(n, block / np.abs(block).sum(), real=real)
-        assert f._takes_separable_path() == (n > 1)
+        assert f._takes_separable_path()
         got = torus._separable_values([f], pts)[0]
         assert got.dtype == (float if real else complex) and got.shape == (50, 3)
-        if n > 1:
-            assert np.array_equal(f.evaluate(pts), got)
+        assert np.array_equal(f.evaluate(pts), got)
         with monkeypatch.context() as m:
-            m.setattr(torus, "_SEPARABLE_MODES", math.inf)
+            m.setattr(torus, "_SEPARABLE_MARGIN", math.inf)
             want = f.evaluate(pts)
         assert np.max(np.abs(got - want)) <= 1e-13
     # a field evaluates its separable components on shared tables
