@@ -13,7 +13,7 @@ tolerance otherwise.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, FormatError
@@ -136,17 +136,6 @@ def load_algebra(path):
         return parse_algebra(fh.read())
 
 
-def serialize_algebra(A):
-    lines = ["q=%d p=%d" % (A.q, A.p)]
-    for l in range(A.q):
-        for i in range(l + 1, A.q):
-            for j in range(A.p):
-                v = A.c[l][i][j]
-                if v != 0:
-                    lines.append("c %d %d %d %s" % (l + 1, i + 1, j + 1, v))
-    return "\n".join(lines) + "\n"
-
-
 class ActionParams:
     """Parameters (alpha, beta, mu) of the acting pair X1 = alpha.Y and
     X2 = mu X1 + beta.Z.
@@ -220,10 +209,6 @@ class ConstantCocycle:
         if len(self.a1) != len(self.a2) or len(self.b1) != len(self.b2):
             raise DimensionMismatch("component lengths disagree")
 
-    @classmethod
-    def zero(cls, q, p):
-        return cls((0,) * q, (0,) * p, (0,) * q, (0,) * p)
-
     def to_vector(self):
         return list(self.a1) + list(self.b1) + list(self.a2) + list(self.b2)
 
@@ -233,17 +218,6 @@ class ConstantCocycle:
         if len(v) != 2 * (q + p):
             raise DimensionMismatch("vector length must be 2(q+p)")
         return cls(v[:q], v[q : q + p], v[q + p : 2 * q + p], v[2 * q + p :])
-
-    def scaled(self, t):
-        return ConstantCocycle(
-            tuple(t * x for x in self.a1),
-            tuple(t * x for x in self.b1),
-            tuple(t * x for x in self.a2),
-            tuple(t * x for x in self.b2),
-        )
-
-    def max_abs(self):
-        return max((abs(x) for x in self.to_vector()), default=0)
 
 
 def bracket(A, u, v):
@@ -282,13 +256,6 @@ def const_delta1(A, params, omega):
     t1 = bracket(A, params.generator(1), w2)
     t2 = bracket(A, params.generator(2), w1)
     return [x - y for x, y in zip(t1, t2)]
-
-
-def const_cocycle_check(A, params, omega, tol=1e-9):
-    """True iff omega is a constant cocycle within tol (relative to its size)."""
-    d = const_delta1(A, params, omega)
-    scale = max(1, omega.max_abs())
-    return max(abs(x) for x in d) <= tol * scale
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ import sys
 import traceback
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .algebra import (
     ActionParams,
     const_cohomology_basis,
@@ -304,14 +306,6 @@ def _format_value(v):
     return str(v)
 
 
-def serialize_config(config):
-    """Text form accepted back by parse_config."""
-    lines = ["subcommand = %s" % config.subcommand, "out = %s" % config.out]
-    for key in sorted(config.params):
-        lines.append("%s = %s" % (key, _format_value(config.params[key])))
-    return "\n".join(lines) + "\n"
-
-
 # --- output helpers ---------------------------------------------------------
 
 
@@ -465,7 +459,15 @@ def _run_split(p, outdir):
         ) / scale
         return recon, s.constants["h_ratio"], s.constants["err_ratio"]
 
-    results = [one(om) for om in corpus]
+    with np.errstate(all="ignore"):
+        results = [one(om) for om in corpus]
+    # an overflow anywhere in a member's split leaves inf or nan in its row
+    bad = next((i for i, r in enumerate(results) if not all(map(math.isfinite, r))), None)
+    if bad is not None:
+        raise ValueError(
+            "the split of member %d overflows at alpha = %r, beta = %r, mu = %r"
+            % (bad, params.alpha, params.beta[0], params.mu)
+        )
     rows = [(i,) + r for i, r in enumerate(results)]
     _write_csv(
         outdir,

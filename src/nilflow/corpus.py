@@ -58,12 +58,9 @@ def toral_function(rng, dim=2, degree=8, decay=3.0, real=True, zero_average=True
     )
 
 
-def torus_corpus(seed, count, dim=2, degree=8, decay=3.0, real=True,
-                 zero_average=True):
-    return [
-        toral_function(member_rng(seed, i), dim, degree, decay, real, zero_average)
-        for i in range(count)
-    ]
+def torus_corpus(seed, count, dim=2, degree=8, decay=3.0):
+    """Corpus of real toral functions with zero average."""
+    return [toral_function(member_rng(seed, i), dim, degree, decay) for i in range(count)]
 
 
 @lru_cache(maxsize=16)
@@ -113,13 +110,9 @@ def nil_function(rng, degree=8, n_max=4, length=8, decay=3.0,
     )
 
 
-def nil_corpus(seed, count, degree=8, n_max=4, length=8, decay=3.0,
-               zero_average=True):
-    return [
-        nil_function(member_rng(seed, i), degree, n_max, length, decay,
-                     zero_average)
-        for i in range(count)
-    ]
+def nil_corpus(seed, count, degree=8, n_max=4, length=8, decay=3.0):
+    """Corpus of functions whose toral parts have zero average."""
+    return [nil_function(member_rng(seed, i), degree, n_max, length, decay) for i in range(count)]
 
 
 def cochain_corpus(seed, count, degree=6, n_max=3, length=8, decay=7.0):

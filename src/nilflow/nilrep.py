@@ -13,9 +13,9 @@ scalar 2*pi*i*n.  Every spectrum and certificate downstream inherits it.
 
 The Hermite ladder x.h_j = sqrt((j+1)/2) h_{j+1} + sqrt(j/2) h_{j-1} has
 one home: the tridiagonal bands of `_bands`, and of `_row_bands` for a whole
-block.  Generator actions on vectors (`dpi_apply`, `apply_X1`, `apply_X2`,
-the brackets of the rigidity step) apply those bands, one entry larger than
-the vector, to every row of a block at once.  Those bands are built once
+block.  Generator actions (`_act`, under `apply_X1`, `apply_X2` and the
+brackets of the rigidity step) apply those bands, one entry larger than the
+vector, to every row of a block at once.  Those bands are built once
 per row layout (the rows' frequencies, the width and the element) and cached
 read-only, and an element without a central part, such as X1, skips the
 zero main diagonal.  Sums and differences of functions align rows by label
@@ -134,22 +134,6 @@ def _act(ns, block, y, z):
     v = np.zeros((len(block), block.shape[1] + 1), dtype=complex)
     v[:, :-1] = block
     return _tridiag_apply(*_row_bands(tuple(ns.tolist()), v.shape[1], *y, z), v)
-
-
-def dpi_apply(gen, n, v):
-    """Apply a Lie algebra generator in the representation with central
-    frequency n to a Hermite coefficient vector.
-
-    Y1 acts as d/dx, Y2 as 2*pi*i*n*x, Z as the scalar 2*pi*i*n.  The ladder
-    generators return a vector one entry longer than the input.
-    """
-    if gen not in _GENERATORS:
-        raise ValueError(
-            "unknown generator %r; expected one of %s" % (gen, (tuple(_GENERATORS),))
-        )
-    if n == 0:
-        raise ValueError("central frequency must be nonzero")
-    return _act([n], np.asarray(v, dtype=complex)[None, :], *_GENERATORS[gen])[0]
 
 
 _NO_INTS = _readonly(np.zeros(0, dtype=int))

@@ -30,7 +30,6 @@ from .nilrep import (
     _apply_element,
     _parse_records,
     nil_sobolev_norm,
-    serialize_nil_function,
 )
 from .torus import TorusFunction, _readonly, _symmetrized, _zeros
 
@@ -251,18 +250,10 @@ def _named_slots(omega):
                 yield "%s.%s%d" % (gen, kind, idx), F
 
 
-def serialize_vf_cochain(omega):
-    """Flat text form: every record of a slot's coefficient function is
-    prefixed with the slot name, e.g. ``x1.y0 toral 1 2 0.5 0.0``."""
-    lines = []
-    for name, F in _named_slots(omega):
-        for rec in serialize_nil_function(F).splitlines():
-            lines.append(name + " " + rec)
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def parse_vf_cochain(text):
-    """Inverse of serialize_vf_cochain; slots absent from the text are zero.
+    """The vector-field cochain of a flat text form, in which every record of
+    a slot's coefficient function is prefixed with the slot name, e.g.
+    ``x1.y0 toral 1 2 0.5 0.0``; slots absent from the text are zero.
 
     Record syntax after the slot prefix matches parse_nil_function; ``#``
     starts a comment.  Errors carry the line number in the original text.

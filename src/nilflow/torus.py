@@ -132,9 +132,17 @@ class TorusFunction:
         else:
             block = self._block_from_map(coeffs or {})
         if self.real:
-            sym = _symmetrized(block)
-            scale = float(np.max(np.abs(block)))
-            if float(np.max(np.abs(sym - block))) > 1e-8 * max(1.0, scale):
+            with np.errstate(over="ignore", invalid="ignore"):
+                sym = _symmetrized(block)
+                scale = float(np.max(np.abs(block)))
+                defect = float(np.max(np.abs(sym - block)))
+            if not math.isfinite(defect):
+                k = np.unravel_index(np.argmin(np.isfinite(sym)), sym.shape)
+                raise ValueError(
+                    "the reality check overflows: c_k + conj(c_-k) at k = %r is not a finite float"
+                    % (tuple(int(i) - len(sym) // 2 for i in k),)
+                )
+            if defect > 1e-8 * max(1.0, scale):
                 raise ValueError("coefficients violate the reality constraint")
             block = sym
         self.block = _readonly(block)
@@ -691,23 +699,6 @@ def _pulled_back(u, X, G, shift=0.0):
     if n != 2:
         return np.einsum("pij,pj->pi", Minv, np.stack(V, axis=-1)), Minv
     return _matvec_rows(Minv, V).T, Minv
-
-
-def pullback_field(u, X, out_degree=None):
-    """Pull back the field X under the diffeomorphism id + u.
-
-    Pseudo-spectral: evaluates (I + Du)^-1 X(x + u(x)) on the equispaced grid
-    of `_grid_size`, at least _GRID_FACTOR points per input mode and
-    dimension, and re-expands, keeping twice the input degree unless
-    out_degree is given.
-    """
-    if u.n != X.n:
-        raise DimensionMismatch("u and X live on different tori")
-    K_in = max(u.degree, X.degree, 1)
-    if out_degree is None:
-        out_degree = 2 * K_in
-    G = _grid_size(K_in, out_degree)
-    return _field_from_grid(_pulled_back(u, X, G)[0].T, G, out_degree)
 
 
 def _compose_displacement(u_new, u_acc, out_degree):

@@ -21,8 +21,8 @@ from nilflow.cli import (
     ExperimentConfig,
     main,
     parse_config,
+    _format_value,
     run,
-    serialize_config,
 )
 from nilflow.corpus import member_rng, toral_function
 from nilflow.errors import ConfigTypeError, MissingKey, UnknownKey
@@ -44,6 +44,13 @@ def make_config(sub, out, **overrides):
     cfg = parse_config(text)
     cfg.out = str(out)
     return cfg
+
+
+def config_text(cfg):
+    """The key = value text of a complete config, as parse_config reads it."""
+    lines = ["subcommand = %s" % cfg.subcommand, "out = %s" % cfg.out]
+    lines += ["%s = %s" % (k, _format_value(v)) for k, v in sorted(cfg.params.items())]
+    return "\n".join(lines) + "\n"
 
 
 def read_summary(out):
@@ -174,7 +181,7 @@ def test_kam_config_roundtrips_through_serialize():
             "floor": float(10.0 ** rng.uniform(-14, -8)),
         }
         cfg = ExperimentConfig("kam", params, out="some/dir")
-        assert parse_config(serialize_config(cfg)) == cfg
+        assert parse_config(config_text(cfg)) == cfg
 
 
 def test_every_schema_roundtrips_its_defaults():
@@ -187,7 +194,7 @@ def test_every_schema_roundtrips_its_defaults():
             else:
                 params[key] = default
         cfg = ExperimentConfig(sub, params, out=".")
-        assert parse_config(serialize_config(cfg)) == cfg
+        assert parse_config(config_text(cfg)) == cfg
 
 
 # ---------------------------------------------------------------------------
@@ -1162,6 +1169,42 @@ def test_spectra_past_the_float_range_are_error_records(
     assert detail in rec["detail"]
     assert capsys.readouterr().err == ""
     assert os.listdir(tmp_path) == ["summary.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "overrides, detail",
+    [
+        (dict(alpha=(1.0, PHI), mu=1e150), "alpha = (1.0, %r), beta = 1.0, mu = 1e+150" % PHI),
+        (dict(alpha=(1.0, PHI), beta=1e-310), "alpha = (1.0, %r), beta = 1e-310, mu = 0.0" % PHI),
+        (dict(alpha=(1e300, PHI * 1e300)), "alpha = (1e+300, %r), beta = 1.0, mu = 0.0" % (PHI * 1e300)),
+    ],
+    ids=["mu1e150", "beta1e-310", "alpha1e300"],
+)
+def test_split_past_the_float_range_is_an_error_record(tmp_path, capsys, overrides, detail):
+    # the members' rows would read inf or nan; no CSV and no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = run(make_config("split", tmp_path, count=2, **overrides))
+    assert status == 1
+    rec = read_summary(tmp_path)[0]
+    assert (rec["verdict"], rec["reason"]) == ("error", "ValueError")
+    assert "overflows at " + detail in rec["detail"]
+    assert capsys.readouterr().err == ""
+    assert os.listdir(tmp_path) == ["summary.jsonl"]
+
+
+def test_real_input_past_the_float_range_names_the_overflow(tmp_path, capsys):
+    data = tmp_path / "f.txt"
+    data.write_text("toral 1 0 1e308 0\ntoral -1 0 1e308 0\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = run(make_config("solve-coboundary", out, alpha=(1.0, PHI), input=data))
+    assert status == 1
+    rec = read_summary(out)[0]
+    assert (rec["verdict"], rec["reason"]) == ("error", "FormatError")
+    assert "reality check overflows" in rec["detail"] and "k = (-1, 0)" in rec["detail"]
+    assert capsys.readouterr().err == ""
 
 
 # small shapes, at the scale of the perfbench smoke configs

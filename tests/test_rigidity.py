@@ -30,16 +30,17 @@ from nilflow.nilrep import (
     apply_X1,
     apply_X2,
     nil_sobolev_norm,
+    serialize_nil_function,
 )
 from nilflow.rigidity import (
     FamilyCoordinates,
+    _named_slots,
     delta_op,
     newton_step,
     nil_multiply,
     parse_vf_cochain,
     project_P,
     section_s,
-    serialize_vf_cochain,
     smoothing_truncate,
     vf_bracket,
 )
@@ -768,7 +769,12 @@ def test_vf_cochain_text_roundtrip():
         toral=x2.z[0].toral, reps={(1, 0): [1 + 2j, 0.5], (-2, 1): [0.0, -0.25j]}
     )
     omega = VfCochain(rand_field(rng), VfField(x2.y, (with_reps,)))
-    back = parse_vf_cochain(serialize_vf_cochain(omega))
+    text = "".join(
+        "%s %s\n" % (name, rec)
+        for name, F in _named_slots(omega)
+        for rec in serialize_nil_function(F).splitlines()
+    )
+    back = parse_vf_cochain(text)
     for got, want in zip(back.x1.slots + back.x2.slots, omega.x1.slots + omega.x2.slots):
         assert norm_diff(got, want) == 0.0
     assert back.x2.z[0].reps.keys() == with_reps.reps.keys()

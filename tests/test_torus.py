@@ -27,7 +27,6 @@ from nilflow.torus import (
     directional_derivative,
     kam_iterate,
     kam_step,
-    pullback_field,
     sobolev_norm,
     solve_small_divisor,
     verify_conjugacy,
@@ -212,18 +211,27 @@ def test_tame_ratio_plateau_on_random_corpus():
 # pullback
 
 
+def pullback(u, X, out_degree=None):
+    """X pulled back under id + u, re-expanded at out_degree (twice the input
+    degree by default) from the grid of `_grid_size`."""
+    K_in = max(u.degree, X.degree, 1)
+    out_degree = out_degree or 2 * K_in
+    G = torus._grid_size(K_in, out_degree)
+    return torus._field_from_grid(torus._pulled_back(u, X, G)[0].T, G, out_degree)
+
+
 def test_pullback_identity_change():
     u = TorusVectorField.zero(2)
     X = TorusVectorField(
         [sine_mode(2, (1, 0), 0.3), TorusFunction.constant(2, 1.0)]
     )
-    Y = pullback_field(u, X)
+    Y = pullback(u, X)
     for xc, yc in zip(X.components, Y.components):
         assert sobolev_norm(yc - xc, 0) < 1e-13
 
 
 def test_pullback_constant_field_identity_change():
-    Y = pullback_field(TorusVectorField.zero(2), TorusVectorField.constant((1.0, PHI)))
+    Y = pullback(TorusVectorField.zero(2), TorusVectorField.constant((1.0, PHI)))
     assert Y.average() == pytest.approx((1.0, PHI))
     assert Y.degree == 0
 
@@ -234,7 +242,7 @@ def test_pullback_single_mode_against_dense_grid():
     X = TorusVectorField.constant((1.0, PHI))
     # the exact pullback has harmonics at every multiple of (1,1); a wide
     # window keeps the geometric tail below the comparison tolerance
-    Y = pullback_field(u, X, out_degree=12)
+    Y = pullback(u, X, out_degree=12)
     # direct evaluation of (I + Du)^-1 X at off-grid points
     rng = np.random.default_rng(17)
     pts = rng.uniform(size=(60, 2))
@@ -251,11 +259,11 @@ def test_pullback_rejects_large_displacement():
         [TorusFunction.constant(2, 0.6), TorusFunction.constant(2, 0.0)]
     )
     with pytest.raises(NonInvertible):
-        pullback_field(u, TorusVectorField.constant((1.0, PHI)))
+        pullback(u, TorusVectorField.constant((1.0, PHI)))
     v = TorusVectorField([sine_mode(2, (1, 1), 0.2), TorusFunction.constant(2, 0.0)])
     with pytest.raises(NonInvertible):
         # Jacobian amplitude 2 pi * 0.2 > 1/2
-        pullback_field(v, TorusVectorField.constant((1.0, PHI)))
+        pullback(v, TorusVectorField.constant((1.0, PHI)))
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +513,7 @@ def test_oversized_block_is_refused():
     with pytest.raises(DimensionMismatch, match="too large"):
         TorusFunction(2, {(100000, 0): 1.0})
     with pytest.raises(DimensionMismatch, match="too large"):
-        pullback_field(TorusVectorField.zero(2), TorusVectorField.zero(2), out_degree=10**5)
+        pullback(TorusVectorField.zero(2), TorusVectorField.zero(2), out_degree=10**5)
     f = sine_mode(2, (1, 1), 1.0)
     tracemalloc.start()
     try:
@@ -591,7 +599,7 @@ def test_other_dimensions_invert_through_linalg(monkeypatch):
     assert len(calls) == 2
     # the three-dimensional pullback reaches linalg through the same helper
     u = TorusVectorField([sine_mode(3, (1, 0, 1), 0.01)] + [TorusFunction.constant(3, 0.0)] * 2)
-    pullback_field(u, TorusVectorField.constant((1.0, PHI, 2.0)))
+    pullback(u, TorusVectorField.constant((1.0, PHI, 2.0)))
     assert len(calls) == 3 and calls[-1][1:] == (3, 3)
 
 
@@ -763,6 +771,16 @@ def test_constants_match_the_checked_constructor(n, monkeypatch):
     assert TorusFunction.constant(n, 2.0, real=False).real is False
     with pytest.raises(DimensionMismatch):
         TorusFunction.constant(0, 1.0)
+
+
+def test_real_block_past_the_float_range_names_the_overflow():
+    """c_k + conj(c_-k) past the float range is refused as an overflow, not as
+    non-real, and without a RuntimeWarning (an error under the suite's
+    filter); a block just inside the range keeps its bits."""
+    with pytest.raises(ValueError, match=r"reality check overflows: .* k = \(-1, 0\)"):
+        TorusFunction(2, {(1, 0): 1e308, (-1, 0): 1e308}, real=True)
+    f = TorusFunction(2, {(1, 0): 8e307, (-1, 0): 8e307}, real=True)
+    assert coeff(f, (1, 0)) == coeff(f, (-1, 0)) == 8e307
 
 
 # ---------------------------------------------------------------------------
