@@ -7,27 +7,19 @@ The acting pair is X1 = sum_i alpha_i Y_i and X2 = mu X1 + sum_j beta_j Z_j;
 mu is the coordinate-change parameter, zero for the base action.  X2 - mu X1
 is central, so the pair commutes for every (alpha, beta, mu).
 
-Structure constants are exact rationals.  Rank computations run exactly over
-Fraction whenever every input is rational, and in floating point with a pivot
-tolerance otherwise.
+Structure constants are exact rationals, and the constant cohomology is
+computed exactly: the action parameters are read as rationals and every rank
+is an elimination over Fraction, with no tolerance.
 """
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, FormatError
 
-RANK_TOL = 1e-10
-
-
-def _is_exact(x):
-    return isinstance(x, (int, Fraction))
-
-
 def _as_number(x):
-    # Fraction survives untouched so exact paths stay exact
-    if _is_exact(x):
+    # Fraction survives untouched so exact inputs stay exact
+    if isinstance(x, (int, Fraction)):
         return x
     return float(x)
 
@@ -259,76 +251,51 @@ def const_delta1(A, params, omega):
 
 
 # ---------------------------------------------------------------------------
-# rank computations, exact over Fraction when possible
+# rank computations, exact over Fraction
 
 
-def _reduce_against(row, basis, tol, exact):
-    """Eliminate row against reduced basis rows [(pivot_col, row)]; return
-    (pivot_col, normalized_row) or None if row reduces to zero."""
+def _insert(basis, row):
+    """Reduce row against the echelon rows [(pivot_col, row)] of basis and,
+    unless it reduces to zero, append it normalized at its first nonzero
+    entry; returns True if it enlarged the span."""
     row = list(row)
     for pc, br in basis:
         x = row[pc]
         if x != 0:
             row = [a - x * b for a, b in zip(row, br)]
-    scale = max((abs(x) for x in row), default=0)
-    if scale == 0:
-        return None
-    if not exact and scale <= tol:
-        return None
-    # pick the largest entry as pivot for float stability; exact path takes first
-    if exact:
-        pc = next(i for i, x in enumerate(row) if x != 0)
-    else:
-        pc = max(range(len(row)), key=lambda i: abs(row[i]))
-        if abs(row[pc]) <= tol:
-            return None
+    pc = next((i for i, x in enumerate(row) if x != 0), None)
+    if pc is None:
+        return False
     piv = row[pc]
-    return pc, [x / piv for x in row]
+    basis.append((pc, [x / piv for x in row]))
+    return True
 
 
-class _RowSpace:
-    """Incremental row-echelon accumulator used for kernels and complements."""
-
-    def __init__(self, tol, exact):
-        self.basis = []
-        self.tol = tol
-        self.exact = exact
-
-    def insert(self, row):
-        """Insert a row; returns True if it enlarged the span."""
-        res = _reduce_against(row, self.basis, self.tol, self.exact)
-        if res is None:
-            return False
-        self.basis.append(res)
-        return True
+def _unit(n, j):
+    return [Fraction(int(i == j)) for i in range(n)]
 
 
-def _nullspace(rows, ncols, tol, exact):
+def _nullspace(rows, ncols):
     """Basis of the kernel of the linear map given by matrix rows (acting on
     column vectors): reduce the transpose-free way via rref on rows."""
-    rs = _RowSpace(tol, exact)
+    basis = []
     for r in rows:
-        rs.insert(r)
+        _insert(basis, r)
     # back-substitute to full rref
-    basis = list(rs.basis)
-    for idx in range(len(basis)):
-        pc, row = basis[idx]
+    for idx, (pc, row) in enumerate(basis):
         for pc2, row2 in basis:
             if pc2 != pc and row[pc2] != 0:
                 x = row[pc2]
                 row = [a - x * b for a, b in zip(row, row2)]
         basis[idx] = (pc, row)
     pivots = {pc for pc, _ in basis}
-    free = [j for j in range(ncols) if j not in pivots]
     out = []
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    for f in free:
-        v = [zero] * ncols
-        v[f] = one
-        for pc, row in basis:
-            v[pc] = -row[f]
-        out.append(v)
+    for f in range(ncols):
+        if f not in pivots:
+            v = _unit(ncols, f)
+            for pc, row in basis:
+                v[pc] = -row[f]
+            out.append(v)
     return out
 
 
@@ -336,9 +303,11 @@ def const_cohomology_basis(A, params):
     """Dimension of the constant cohomology and representatives of a complement
     of the constant coboundaries inside the constant cocycles.
 
-    Exact (zero-tolerance) whenever the structure constants and all action
-    parameters are rational; otherwise floating point with pivot tolerance
-    RANK_TOL.
+    Ranks are exact: alpha, beta and mu are read as rationals (a float is a
+    binary rational, so nothing is lost) and every elimination runs over
+    Fraction with the first nonzero entry as pivot.  The representatives are
+    Fractions, and no parameter, a zero component of alpha included, needs a
+    tolerance: the dimension returned is the true one.
     """
     q, p, d = A.q, A.p, A.dim
     if params.q != q or params.p != p:
@@ -346,38 +315,25 @@ def const_cohomology_basis(A, params):
             "alpha and beta need %d and %d components, got %d and %d"
             % (q, p, params.q, params.p)
         )
-    exact = all(_is_exact(x) for x in (*params.alpha, *params.beta, params.mu))
-    if any(x == 0 for x in params.x1_y):
-        warnings.warn(
-            "alpha has a zero component; constant-cohomology ranks may be degenerate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
+    params = ActionParams(
+        [Fraction(x) for x in params.alpha],
+        [Fraction(x) for x in params.beta],
+        Fraction(params.mu),
+    )
     n = 2 * d
     # delta1 matrix: rows indexed by target coordinates, columns by cochain basis
-    cols = []
-    for j in range(n):
-        e = [Fraction(0) if exact else 0.0] * n
-        e[j] = Fraction(1) if exact else 1.0
-        cols.append(const_delta1(A, params, ConstantCocycle.from_vector(e, q, p)))
-    delta1_rows = [[cols[j][i] for j in range(n)] for i in range(d)]
-    kernel = _nullspace(delta1_rows, n, RANK_TOL, exact)
+    cols = [
+        const_delta1(A, params, ConstantCocycle.from_vector(_unit(n, j), q, p))
+        for j in range(n)
+    ]
+    kernel = _nullspace([[c[i] for c in cols] for i in range(d)], n)
 
-    # image of delta0: columns are coboundaries of basis vectors of the algebra
-    image = []
-    for j in range(d):
-        e = [Fraction(0) if exact else 0.0] * d
-        e[j] = Fraction(1) if exact else 1.0
-        image.append(const_delta0(A, params, e).to_vector())
-
-    rs = _RowSpace(RANK_TOL, exact)
-    rank_im = 0
-    for v in image:
-        if rs.insert(v):
-            rank_im += 1
-    reps = []
-    for v in kernel:
-        if rs.insert(v):
-            reps.append(ConstantCocycle.from_vector(v, q, p))
+    # echelon rows of the image of delta0, spanned by the coboundaries of the
+    # basis vectors of the algebra; the kernel vectors that enlarge it are
+    # the representatives
+    span = []
+    rank_im = sum(
+        _insert(span, const_delta0(A, params, _unit(d, j)).to_vector()) for j in range(d)
+    )
+    reps = [ConstantCocycle.from_vector(v, q, p) for v in kernel if _insert(span, v)]
     return len(kernel) - rank_im, reps

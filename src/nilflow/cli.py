@@ -554,10 +554,10 @@ def _run_constant_cohomology(p, outdir):
     # const_cohomology_basis checks the lengths of alpha and beta against the
     # algebra's q and p
     dim, reps = const_cohomology_basis(A, params)
-    rows = []
-    for i, rep in enumerate(reps):
-        for j, x in enumerate(rep.to_vector()):
-            rows.append((i, j, str(x)))
+    # the exact Fraction representatives, written as floats
+    rows = [
+        (i, j, float(x)) for i, rep in enumerate(reps) for j, x in enumerate(rep.to_vector())
+    ]
     _write_csv(outdir, "basis.csv", ["representative", "slot", "value"], rows)
     expected = A.q + A.p + 1
     return {

@@ -67,11 +67,6 @@ class SplittingResult:
     constants: dict = field(default_factory=dict)
 
 
-def delta0(params, h):
-    """First coboundary: the pair of generator derivatives of h."""
-    return Cochain1(apply_X1(params, h), apply_X2(params, h))
-
-
 def delta1(params, omega):
     """Second coboundary X2 f - X1 g; zero exactly on cocycles."""
     return apply_X2(params, omega.f).sub(apply_X1(params, omega.g))

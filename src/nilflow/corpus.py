@@ -144,10 +144,3 @@ def vf_cocycle_member(rng, params, degree=3, decay=3.0, scale=1.0):
     cob = vf_delta0(params, H)
     sec = section_s(params, coords)
     return VfCochain(cob.x1.add(sec.x1), cob.x2.add(sec.x2))
-
-
-def restrict_frequencies(F, n_max):
-    """Drop representation components with |n| above n_max."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    return F._cut(F.toral, n_max)

@@ -25,6 +25,7 @@ each undone by one `_tridiag_solve`.  `_hermite_nodes` diagonalizes the same
 ladder once per truncation, for the closed-form spectra built on it.
 """
 
+import math
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
@@ -471,6 +472,15 @@ def parse_nil_function(text):
     return _parse_records(enumerate(text.splitlines(), start=1))
 
 
+def _record_value(parts, lineno):
+    """The complex value of a record's last two fields; nan and inf are
+    refused, so no non-finite coefficient reaches a solve."""
+    x, y = float(parts[0]), float(parts[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise FormatError("non-finite value %s %s" % (parts[0], parts[1]), line=lineno)
+    return complex(x, y)
+
+
 def _parse_records(records):
     """The function of (line number, record text) pairs in the text format;
     ``#`` starts a comment and blank records are skipped.  Errors carry the
@@ -488,13 +498,13 @@ def _parse_records(records):
                 if len(parts) != 5:
                     raise ValueError
                 k = (int(parts[1]), int(parts[2]))
-                toral[k] = toral.get(k, 0.0) + complex(float(parts[3]), float(parts[4]))
+                toral[k] = toral.get(k, 0.0) + _record_value(parts[3:], lineno)
                 toral_lines.setdefault(k, lineno)
             elif parts[0] == "rep":
                 if len(parts) != 6:
                     raise ValueError
                 n, m, j = int(parts[1]), int(parts[2]), int(parts[3])
-                c = complex(float(parts[4]), float(parts[5]))
+                c = _record_value(parts[4:], lineno)
                 if j < 0:
                     raise FormatError("negative Hermite index", line=lineno)
                 row = rep_entries.setdefault((n, m), {})

@@ -18,7 +18,6 @@ from nilflow.algebra import (
     heisenberg,
 )
 from nilflow.cohomology import (
-    delta0,
     delta0_star,
     delta1_star_split,
     gh_certificate,
@@ -27,14 +26,15 @@ from nilflow.cohomology import (
 from nilflow.corpus import (
     member_rng,
     nil_corpus,
-    restrict_frequencies,
     torus_corpus,
     vf_cocycle_member,
 )
 from nilflow.errors import NoConvergence
 from nilflow.nilrep import NilFunction, cg_decay_report, nil_sobolev_norm
 from nilflow.rigidity import FamilyCoordinates, newton_step, project_P, section_s
-from nilflow.torus import TorusFunction, TorusVectorField, birkhoff_average, kam_iterate
+from nilflow.torus import TorusFunction, TorusVectorField, kam_iterate
+
+from oracles import birkhoff_average, delta0, restrict_frequencies
 
 PHI = (1 + math.sqrt(5)) / 2
 GOLDEN = (1.0, PHI)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -336,10 +337,67 @@ def test_cocycle_parameter_count():
         assert dim + rank_im == A.q + 2 * A.p + 1
 
 
-def test_degenerate_alpha_warns():
-    A = heisenberg()
-    with pytest.warns(RuntimeWarning):
-        const_cohomology_basis(A, ActionParams(alpha=(0, 1), beta=(1,)))
+def test_zero_alpha_component_is_exact_without_warning():
+    oracle = sympy_constant_cohomology_dim(
+        2, 1, {(0, 1): {0: sympy.Integer(1)}}, [sympy.Integer(0), sympy.Integer(1)], sympy.Integer(0)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in ((0, 1), (0.0, 1.0)):
+            dim, reps = const_cohomology_basis(heisenberg(), ActionParams(alpha=alpha, beta=(1,)))
+            assert dim == len(reps) == oracle == 4
+
+
+def random_algebra(rng, q, p):
+    """A q x p algebra with sparse small-integer structure constants."""
+    entries = [
+        (l, i, j, int(rng.integers(-2, 3)))
+        for l in range(1, q + 1)
+        for i in range(l + 1, q + 1)
+        for j in range(1, p + 1)
+        if rng.random() < 0.4
+    ]
+    return algebra_from_brackets(q, p, entries)
+
+
+def float_rank_dim(A, alpha, mu):
+    """dim ker(delta1) - rank(delta0) from float matrices and
+    np.linalg.matrix_rank.  Only central components of a bracket are
+    nonzero, so delta1 is p x 2(q+p) and delta0 is 2(q+p) x (q+p); beta
+    brackets to zero and does not enter."""
+    q, p, d = A.q, A.p, A.dim
+    C = np.array([[[float(x) for x in row] for row in plane] for plane in A.c]).reshape(q, q, p)
+    x1 = np.array(alpha, dtype=float)
+    ad1 = np.einsum("l,lij->ji", x1, C)  # ad_X1 from Y into Z, shape (p, q)
+    ad2 = mu * ad1
+    d1 = np.zeros((p, 2 * d))
+    d1[:, :q] = -ad2
+    d1[:, d : d + q] = ad1
+    d0 = np.zeros((2 * d, d))
+    d0[q:d, :q] = ad1
+    d0[d + q :, :q] = ad2
+    rank = lambda m: np.linalg.matrix_rank(m) if m.size else 0
+    return 2 * d - rank(d1) - rank(d0)
+
+
+def test_exact_ranks_match_a_float_rank_oracle_on_random_algebras():
+    rng = np.random.default_rng(31)
+    choices = (0.0, 1.0, -0.5, math.sqrt(2), math.sqrt(3), PHI, 1e-3)
+    for _ in range(60):
+        q, p = int(rng.integers(1, 7)), int(rng.integers(0, 4))
+        A = random_algebra(rng, q, p)
+        alpha = tuple(float(rng.choice(choices)) for _ in range(q))
+        beta = tuple(float(rng.choice((1.0, 1e-6, 1e-12, 0.0))) for _ in range(p))
+        for mu in (0, 0.7, -2):
+            params = ActionParams(alpha=alpha, beta=beta, mu=mu)
+            dim, reps = const_cohomology_basis(A, params)
+            assert dim == len(reps) == float_rank_dim(A, alpha, mu), (q, p, alpha, mu)
+            exact = ActionParams(
+                [Fraction(x) for x in alpha], [Fraction(x) for x in beta], Fraction(mu)
+            )
+            for r in reps:
+                assert all(isinstance(x, Fraction) for x in r.to_vector())
+                assert all(x == 0 for x in const_delta1(A, exact, r))
 
 
 # ---------------------------------------------------------------------------

@@ -398,6 +398,21 @@ def test_rigidity_step_refuses_representation_rows(tmp_path, capsys, slot):
     assert run(cfg) == 0
 
 
+@pytest.mark.parametrize("sub", ["solve-coboundary", "rigidity-step"])
+def test_non_finite_input_values_are_refused_before_any_output(tmp_path, capsys, sub):
+    src = tmp_path / "f.txt"
+    prefix = "x1.y0 " if sub == "rigidity-step" else ""
+    src.write_text("%storal -1 0 1.0 0.0\n%storal 1 0 nan 0\n" % (prefix, prefix))
+    key = "perturbation_file" if sub == "rigidity-step" else "input"
+    out = tmp_path / "out"
+    assert run(make_config(sub, out, alpha=(1.0, PHI), **{key: str(src)})) == 1
+    rec = read_summary(out)[0]
+    assert (rec["verdict"], rec["reason"]) == ("error", "FormatError")
+    assert rec["detail"].startswith("line 2: non-finite value")
+    assert os.listdir(out) == ["summary.jsonl"]
+    assert capsys.readouterr().err == ""
+
+
 def test_solve_coboundary_nonzero_average_is_negative(tmp_path):
     src = tmp_path / "f.txt"
     src.write_text("toral 0 0 1.0 0.0\n")
@@ -644,6 +659,23 @@ def test_constant_cohomology_default_model(tmp_path):
     # each of the 4 representatives spans 2 * dim = 6 slots
     rows = read_csv(tmp_path, "basis.csv")
     assert len(rows) == 1 + 4 * 6
+
+
+def test_constant_cohomology_zero_alpha_component_is_silent(tmp_path):
+    # the ranks are exact, so a zero component of alpha needs no warning
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("alpha = 0 1\n")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nilflow.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nilflow", "constant-cohomology", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rec = read_summary(tmp_path / "out")[0]
+    assert (rec["verdict"], rec["dim"]) == ("ok", 4)
 
 
 _Q3_P2 = "q=3 p=2\nc 1 2 1 1\nc 1 3 2 1\nc 2 3 1 1\nc 2 3 2 2\n"

@@ -12,7 +12,6 @@ from nilflow.cohomology import (
     Cochain1,
     VfCochain,
     VfField,
-    delta0,
     delta0_star,
     delta1,
     delta1_star_split,
@@ -36,6 +35,7 @@ from nilflow.torus import TorusFunction
 
 from dense_ladder import dense_ladder
 from laplacian_route import split_via_laplacian
+from oracles import delta0
 from toral_coeffs import coeff
 
 PHI = (1 + math.sqrt(5)) / 2

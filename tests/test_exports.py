@@ -8,14 +8,6 @@ import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-# public names whose only callers are tests, with the reason they stay
-ALLOWED = {
-    "birkhoff_average": "acceptance-test oracle for the toral averages",
-    "restrict_frequencies": "acceptance-test oracle for the frequency cut",
-    "delta0": "acceptance-test oracle for the coboundary of a function",
-}
-
-
 def _public_definitions():
     """{name: module file} of the public top-level functions and classes."""
     out = {}
@@ -62,11 +54,6 @@ def test_every_public_name_has_a_caller():
         name
         for name, module in _public_definitions().items()
         if name not in bench
-        and name not in ALLOWED
         and not any(r == name and (m, owner) != (module, name) for r, m, owner in refs)
     )
     assert uncalled == [], "public names without a caller: %s" % ", ".join(uncalled)
-
-
-def test_allowed_names_still_exist():
-    assert set(ALLOWED) <= set(_public_definitions())

@@ -9,7 +9,6 @@ from nilflow.errors import DimensionMismatch, EmptyCorpus, FormatError
 from nilflow.algebra import ActionParams
 from nilflow.cohomology import (
     _rep_laplacian_solve,
-    delta0,
     delta0_star,
     laplacian_solve,
 )
@@ -30,9 +29,11 @@ from nilflow.nilrep import (
     pi_norm,
     serialize_nil_function,
 )
+from nilflow.rigidity import parse_vf_cochain
 from nilflow.torus import TorusFunction, sobolev_norm
 
 from dense_ladder import act, dense_generator, dense_ladder
+from oracles import delta0
 from toral_coeffs import coeff, coeffs
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -389,6 +390,19 @@ def test_toral_records_past_the_cap_are_refused_by_line():
     # records that cancel leave no mode, and no block to refuse
     F = parse_nil_function(text + "toral 100000 0 -1.0 0.0\n")
     assert F.toral.size == 1
+
+
+@pytest.mark.parametrize("value", ["nan 0", "0 inf", "-inf 1.0", "1e400 0"])
+@pytest.mark.parametrize("record", ["toral 1 0 %s", "rep 1 0 0 %s"])
+@pytest.mark.parametrize("loader", ["nil-function", "vf-cochain"])
+def test_non_finite_values_are_refused_by_line(loader, record, value):
+    text = "toral 1 0 0.5 0.0\n# then\n" + record % value + "\n"
+    if loader == "vf-cochain":
+        text = "".join("x2.z0 " + line + "\n" for line in text.splitlines())
+    parse = parse_nil_function if loader == "nil-function" else parse_vf_cochain
+    with pytest.raises(FormatError, match=r"^line 3: non-finite value") as exc:
+        parse(text)
+    assert exc.value.line == 3
 
 
 def test_load_from_file(tmp_path):

@@ -10,7 +10,6 @@ from nilflow.cohomology import (
     Cochain1,
     VfCochain,
     VfField,
-    delta0,
     delta1,
     delta1_star_split,
     vf_delta0,
@@ -46,6 +45,7 @@ from nilflow.rigidity import (
 )
 from nilflow.torus import TorusFunction, _zeros
 
+from oracles import delta0
 from toral_coeffs import coeff, coeffs
 
 PHI = (1 + math.sqrt(5)) / 2

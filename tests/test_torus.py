@@ -23,7 +23,6 @@ from nilflow.torus import (
     KamState,
     TorusFunction,
     TorusVectorField,
-    birkhoff_average,
     directional_derivative,
     kam_iterate,
     kam_step,
@@ -32,6 +31,7 @@ from nilflow.torus import (
     verify_conjugacy,
 )
 
+from oracles import birkhoff_average
 from toral_coeffs import coeff, coeffs
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -1131,7 +1131,9 @@ def test_row_pullback_matches_the_stacked_matrices_bit_for_bit(monkeypatch, n, z
 
     monkeypatch.setattr(torus, "_sampled", signed)
     vals, Minv = torus._pulled_back(u, X, G, shift)
-    rows, = sampled_rows
+    # u's rows, then its partials' rows
+    rows = np.vstack(sampled_rows)
+    assert [len(r) for r in sampled_rows] == [n, n * n]
     if n > 1 or zero:
         assert (np.signbit(rows[n:]) & (rows[n:] == 0)).any()
     want_vals, want_Minv = _stacked_pullback(rows, X, G, shift)
