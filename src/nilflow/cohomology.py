@@ -1,6 +1,7 @@
-"""Coboundary operators of the two-parameter action, their tame inverses, the
-leafwise Laplacian with its hypoellipticity certificate, and the triangular
-solver for cochains with vector-field coefficients.
+"""Coboundary operators of the two-parameter action, the tame split that
+inverts the first, the leafwise Laplacian with its hypoellipticity
+certificate, and the triangular solver for cochains with vector-field
+coefficients.
 
 Everything is computed mode by mode: toral Fourier modes divide by the small
 divisors of the frequency vector, representation blocks divide by the central
@@ -12,11 +13,13 @@ In block n the truncation of X1 is i rho times the Jacobi matrix of the
 Hermite nodes, up to a diagonal phase, and X2 = mu X1 + i c (`_block_scales`).
 So a cochain problem at mu is the mu = 0 problem for (f, g - mu f)
 (`_reduced`), truncated spectra are read off the nodes, and the leafwise
-Laplacian factors into two tridiagonal sweeps on X1's bands.  Both inverses
-of delta0 are that mu = 0 split (`_split_flat`), and beta enters it only in
-the central division, so beta = 0 is refused on representation rows alone.
-No inverse takes a Diophantine witness: the command line refuses a resonant
-frequency vector once per run, and gh_certificate fits its own witness.
+Laplacian factors into two tridiagonal sweeps on X1's bands.  The one
+inverse of delta0 is that mu = 0 split (`_split_flat`): its H, with no
+cocycle gate, since the error pair carries the defect.  beta enters it only
+in the central division, so beta = 0 is refused on representation rows
+alone.  The split takes no Diophantine witness: the command line refuses a
+resonant frequency vector once per run, and gh_certificate fits its own
+witness.
 """
 
 import math
@@ -26,7 +29,7 @@ import numpy as np
 
 from .algebra import ConstantCocycle
 from .diophantine import _SNAP, fit_witness, min_small_divisor
-from .errors import DimensionMismatch, NonzeroAverage, NotACocycle, Resonance
+from .errors import DimensionMismatch, NonzeroAverage, Resonance
 from .nilrep import (
     NilFunction,
     _bands,
@@ -117,44 +120,6 @@ def _strip_average(f):
     if avg == 0:
         return f, avg
     return f._rows_like(f.toral - TorusFunction.constant(2, avg), f.block), avg
-
-
-def delta0_star(params, omega, tol=1e-9):
-    """Tame inverse of delta0 on cocycles with vanishing averages: the H of
-    the mu = 0 split of (f, g - mu f) (`_reduced`, `_split_flat`), returned
-    once the split's cocycle defect and toral error, and omega's averages,
-    are below tolerance.
-    """
-    out, phi = _split_flat(*_reduced(params, omega))
-    scale = max(omega.norm(0.0), 1e-300)
-    defect = nil_sobolev_norm(phi, 0.0)
-    if defect > tol * scale:
-        raise NotACocycle(
-            "cochain is not a cocycle: |delta1| = %.3e exceeds %.3e"
-            % (defect, tol * scale)
-        )
-    f_avg = complex(omega.f.toral.average)
-    g_avg = complex(omega.g.toral.average)
-    if max(abs(f_avg), abs(g_avg)) > tol * scale:
-        raise NonzeroAverage(
-            "constant obstruction present", obstruction=(f_avg, g_avg)
-        )
-    # the reduced second generator is central and kills toral data, so on a
-    # cocycle the reduced g is constant on the torus and the toral error is 0
-    if float(np.max(np.abs(out.g_err.toral.block))) > tol * scale:
-        raise NotACocycle(
-            "toral part of the second component must vanish for a zero-average cocycle"
-        )
-    # a cocycle's f and g share their representation keys; f content beyond
-    # tolerance on a key absent from g is a cocycle violation
-    g_keys = set(omega.g.keys)
-    for (n, m), row in zip(omega.f.keys, omega.f.block):
-        if (n, m) not in g_keys and float(np.max(np.abs(row))) > tol * scale:
-            raise NotACocycle(
-                "first component carries representation (%d, %d) absent from the second"
-                % (n, m)
-            )
-    return out.H
 
 
 def delta1_star_split(params, omega, r=1.0, sigma=2.0):
@@ -496,11 +461,13 @@ def vf_delta0(params, H):
 
 
 def _solve_scalar_pair(params, f, g):
-    """Solve one scalar coboundary equation after removing the constants;
-    returns (solution, average of f, average of g)."""
+    """The H of the split of (f, g) without its averages, with no cocycle
+    gate: X1 H and X2 H are its coboundary part, and the split's error pair,
+    controlled by the cocycle defect, is left to the caller's residual.
+    Returns (H, average of f, average of g)."""
     f0, a1 = _strip_average(f)
     g0, a2 = _strip_average(g)
-    return delta0_star(params, Cochain1(f0, g0)), a1, a2
+    return _split(params, Cochain1(f0, g0))[0].H, a1, a2
 
 
 def _real_average(x, slot):

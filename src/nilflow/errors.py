@@ -36,10 +36,6 @@ class Resonance(NilflowError):
         self.mode = mode
 
 
-class NotACocycle(NilflowError):
-    pass
-
-
 class NonInvertible(NilflowError):
     """Coordinate change too large for the contraction check."""
 
@@ -67,7 +63,8 @@ class UnrepresentableProduct(NilflowError):
 
 class UnsupportedPerturbation(NilflowError):
     """Rigidity step given a perturbation whose slots carry representation
-    rows: its regularizer and bracket handle toral coefficients only."""
+    rows: the products in its bracket stay in the coefficient frame only for
+    toral coefficients."""
 
 
 class ConfigError(NilflowError):

@@ -1,6 +1,8 @@
 """Transversal local rigidity toolkit: the projection onto family directions,
-its section, the cochain regularizer, average-preserving smoothing, and a
-verified Newton step for perturbed actions on the Heisenberg model."""
+its section, average-preserving smoothing, and a verified Newton step for
+perturbed actions on the Heisenberg model.  The step splits each slot once:
+a coboundary, an error pair controlled by the cocycle defect, and the
+family directions."""
 
 import math
 import re
@@ -9,14 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cohomology import (
-    Cochain1,
-    VfCochain,
-    VfField,
-    _split,
-    vf_coboundary_solve,
-    vf_delta0,
-)
+from .cohomology import VfCochain, VfField, vf_coboundary_solve, vf_delta0
 from .errors import (
     DimensionMismatch,
     FormatError,
@@ -80,20 +75,6 @@ def section_s(params, coords):
     y1, y2, z = coords.lam
     x2 = VfField.constant([coords.mu1 * float(a) for a in params.alpha], (z,))
     return VfCochain(VfField.constant((y1, y2), (0.0,)), x2)
-
-
-def delta_op(params, omega):
-    """Regularized cochain: subtract the split's error pair, leaving a
-    coboundary plus a constant cochain.  Vector-field cochains are treated
-    coefficient slot by coefficient slot."""
-    if isinstance(omega, Cochain1):
-        s = _split(params, omega)[0]
-        return Cochain1(omega.f.sub(s.f_err), omega.g.sub(s.g_err))
-    # slot by slot, the two generator values form one scalar cochain
-    pairs = omega.x1.map(
-        lambda f, g: delta_op(params, Cochain1(f, g)), omega.x2
-    )
-    return VfCochain(pairs.map(lambda c: c.f), pairs.map(lambda c: c.g))
 
 
 def smoothing_truncate(F, cutoff):
@@ -190,9 +171,8 @@ def _field_norm(A):
 
 def require_toral_perturbation(omega):
     """Refuse a perturbation cochain with representation rows in any slot
-    (UnsupportedPerturbation).  `delta_op` regularizes each slot as a scalar
-    cochain, which is right for toral data only, and `vf_bracket` cannot
-    multiply representation rows."""
+    (UnsupportedPerturbation): the bracket's products `nil_multiply` cannot
+    multiply representation rows by nonconstant coefficients."""
     for name, F in _named_slots(omega):
         if F.keys:
             raise UnsupportedPerturbation(
@@ -204,12 +184,13 @@ def require_toral_perturbation(omega):
 def newton_step(params, omega, threshold=0.5):
     """One linearized rigidity step at the family point params.mu.
 
-    Regularize the perturbation cochain, project onto the family directions,
-    solve the coboundary equation for the remainder, then measure the
-    second-order residue: the linear leftover plus the first conjugacy bracket
-    [H, omega - D/2] per generator.  The residual must shrink quadratically in
-    the perturbation size.  A perturbation with representation rows is
-    refused first (`require_toral_perturbation`).
+    Project the perturbation cochain onto the family directions, split the
+    remainder slot by slot into a coboundary, an error pair controlled by the
+    cocycle defect, and constants (`vf_coboundary_solve`), then measure the
+    second-order residue: the linear leftover, the error pair included, plus
+    the first conjugacy bracket [H, omega - D/2] per generator.  The residual
+    must shrink quadratically in the perturbation size.  A perturbation with
+    representation rows is refused first (`require_toral_perturbation`).
     """
     require_toral_perturbation(omega)
     size = max(_field_norm(omega.x1), _field_norm(omega.x2))
@@ -218,18 +199,17 @@ def newton_step(params, omega, threshold=0.5):
             "perturbation norm %.3e exceeds the step threshold %.3e"
             % (size, threshold)
         )
-    reduced = delta_op(params, omega)
-    coords = project_P(params, reduced)
+    coords = project_P(params, omega)
     sec = section_s(params, coords)
-    lin = VfCochain(reduced.x1.sub(sec.x1), reduced.x2.sub(sec.x2))
+    lin = VfCochain(omega.x1.sub(sec.x1), omega.x2.sub(sec.x2))
     H, resid_const = vf_coboundary_solve(params, lin)
     D = vf_delta0(params, H)
     residual_fields = []
-    for om_i, s_i, d_i, yc, zc in (
-        (omega.x1, sec.x1, D.x1, resid_const.a1, resid_const.b1),
-        (omega.x2, sec.x2, D.x2, resid_const.a2, resid_const.b2),
+    for om_i, lin_i, d_i, yc, zc in (
+        (omega.x1, lin.x1, D.x1, resid_const.a1, resid_const.b1),
+        (omega.x2, lin.x2, D.x2, resid_const.a2, resid_const.b2),
     ):
-        lin_err = om_i.sub(s_i).sub(d_i).sub(VfField.constant(yc, zc))
+        lin_err = lin_i.sub(d_i).sub(VfField.constant(yc, zc))
         half_d = d_i.map(lambda h: h.scaled(0.5))
         residual_fields.append(lin_err.add(vf_bracket(H, om_i.sub(half_d))))
     residual_norm = max(_field_norm(f) for f in residual_fields)

@@ -831,8 +831,9 @@ def kam_step(state):
 
 
 def verify_conjugacy(state):
-    """Sup-norm distance, on a dense grid, between the pullback of the member
-    field (omega - lambda_bar) + beta0 under id + u_acc and the target omega.
+    """Largest distance, sampled on a dense grid, between the pullback of the
+    member field (omega - lambda_bar) + beta0 under id + u_acc and the target
+    omega.  A maximum over the grid points, not a bound between them.
     Raises NonInvertible when id + u_acc is outside the invertibility region."""
     # sized from the truncation degree, not from u_acc's degree, which
     # roundoff-level coefficients at the edge of its window decide
@@ -849,8 +850,10 @@ def kam_iterate(omega, beta, max_iter=10, floor=1e-12, trunc_degree=64):
 
     Raises NoConvergence when the residual stalls (less than a factor-2 drop),
     grows, the iteration budget runs out, or a step or the final verification
-    leaves the invertibility region; the partial state rides on the exception.  On success the final
-    conjugacy is re-verified on a dense grid within 10*floor.
+    leaves the invertibility region; the partial state rides on the exception.
+    On success the final conjugacy is re-verified on a dense grid within
+    10*floor; verified_sup_error is that grid's sampled maximum
+    (`verify_conjugacy`), not a bound off the grid.
     """
     state = KamState.initial(omega, beta, trunc_degree)
     w = fit_witness(state.omega, gamma=1.0, K=min(trunc_degree, 256))

@@ -1,13 +1,21 @@
 """Reference computations that the acceptance and unit tests compare the
 package against: the closed-form Birkhoff average on the torus, the first
-coboundary of a function, and the cut of a function's representation rows
-to a frequency window."""
+coboundary of a function, the cut of a function's representation rows to a
+frequency window, and the rigidity step that splits each slot twice."""
 
 import numpy as np
 
-from nilflow.cohomology import Cochain1
+from nilflow.cohomology import (
+    Cochain1,
+    VfCochain,
+    VfField,
+    delta1_star_split,
+    vf_coboundary_solve,
+    vf_delta0,
+)
 from nilflow.errors import DimensionMismatch
-from nilflow.nilrep import apply_X1, apply_X2
+from nilflow.nilrep import apply_X1, apply_X2, nil_sobolev_norm
+from nilflow.rigidity import project_P, section_s, vf_bracket
 from nilflow.torus import _divisors, _freqs
 
 
@@ -40,3 +48,40 @@ def restrict_frequencies(F, n_max):
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     return F._cut(F.toral, n_max)
+
+
+def delta_op(params, omega):
+    """Regularized cochain: subtract the split's error pair, leaving a
+    coboundary plus a constant cochain.  Vector-field cochains are treated
+    coefficient slot by coefficient slot."""
+    if isinstance(omega, Cochain1):
+        s = delta1_star_split(params, omega)
+        return Cochain1(omega.f.sub(s.f_err), omega.g.sub(s.g_err))
+    # slot by slot, the two generator values form one scalar cochain
+    pairs = omega.x1.map(
+        lambda f, g: delta_op(params, Cochain1(f, g)), omega.x2
+    )
+    return VfCochain(pairs.map(lambda c: c.f), pairs.map(lambda c: c.g))
+
+
+def newton_step_two_splits(params, omega):
+    """The rigidity step with each slot split twice: regularize first
+    (`delta_op`), then project, take the section and solve the regularized
+    remainder; the residual is measured on omega itself, as the package's
+    step measures it.  Returns (coordinates, H, residual norm)."""
+    reduced = delta_op(params, omega)
+    coords = project_P(params, reduced)
+    sec = section_s(params, coords)
+    lin = VfCochain(reduced.x1.sub(sec.x1), reduced.x2.sub(sec.x2))
+    H, resid_const = vf_coboundary_solve(params, lin)
+    D = vf_delta0(params, H)
+    residual = 0.0
+    for om_i, s_i, d_i, yc, zc in (
+        (omega.x1, sec.x1, D.x1, resid_const.a1, resid_const.b1),
+        (omega.x2, sec.x2, D.x2, resid_const.a2, resid_const.b2),
+    ):
+        lin_err = om_i.sub(s_i).sub(d_i).sub(VfField.constant(yc, zc))
+        half_d = d_i.map(lambda h: h.scaled(0.5))
+        field = lin_err.add(vf_bracket(H, om_i.sub(half_d)))
+        residual = max([residual] + [nil_sobolev_norm(h, 0.0) for h in field.slots])
+    return coords, H, residual

@@ -18,7 +18,6 @@ from nilflow.algebra import (
     heisenberg,
 )
 from nilflow.cohomology import (
-    delta0_star,
     delta1_star_split,
     gh_certificate,
     joint_kernel_dim,
@@ -126,17 +125,25 @@ def test_criterion_2_coboundary_roundtrip(capsys):
     t0 = time.monotonic()
     p = golden_params()
     worst = 0.0
+    worst_err = [0.0, 0.0, 0.0]  # f_err, g_err and the constants, relative
     for h in nil_corpus(170, 50, degree=32, n_max=10, length=64, decay=3.0):
-        back = delta0_star(p, delta0(p, h))
-        rel = nil_sobolev_norm(back.sub(h), 0) / nil_sobolev_norm(h, 0)
+        w = delta0(p, h)
+        s = delta1_star_split(p, w)
+        rel = nil_sobolev_norm(s.H.sub(h), 0) / nil_sobolev_norm(h, 0)
         worst = max(worst, rel)
+        scale = w.norm(0.0)
+        errs = (nil_sobolev_norm(s.f_err, 0), nil_sobolev_norm(s.g_err, 0),
+                max(abs(s.f_triv), abs(s.g_triv)))
+        worst_err = [max(a, e / scale) for a, e in zip(worst_err, errs)]
     elapsed = time.monotonic() - t0
     _verdict(
         capsys,
         2,
         "first-coboundary roundtrip",
         [("50 seeded roundtrips within 1e-10 relative (worst %.2e)" % worst,
-          worst <= 1e-10)],
+          worst <= 1e-10),
+         ("split errors and constants within 1e-10 relative (worst %.2e, "
+          "%.2e, %.2e)" % tuple(worst_err), max(worst_err) <= 1e-10)],
         elapsed,
         30,
     )

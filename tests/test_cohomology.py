@@ -12,7 +12,6 @@ from nilflow.cohomology import (
     Cochain1,
     VfCochain,
     VfField,
-    delta0_star,
     delta1,
     delta1_star_split,
     gh_certificate,
@@ -27,7 +26,6 @@ from nilflow.cohomology import (
 from nilflow.errors import (
     DimensionMismatch,
     NonzeroAverage,
-    NotACocycle,
     Resonance,
 )
 from nilflow.nilrep import NilFunction, _bands, apply_X1, apply_X2, nil_sobolev_norm
@@ -126,22 +124,12 @@ def test_delta1_matches_matrix_assembly():
 
 
 # ---------------------------------------------------------------------------
-# delta0_star
+# delta0_star: the tame inverse of delta0 is the H of the split
 
 
 def test_delta0_star_zero():
-    h = delta0_star(golden_params(), Cochain1(NilFunction(), NilFunction()))
+    h = delta1_star_split(golden_params(), Cochain1(NilFunction(), NilFunction())).H
     assert h.is_zero()
-
-
-@pytest.mark.parametrize("mu", [0.0, 0.5])
-def test_delta0_star_constant_obstruction(mu):
-    # the obstruction is the input's own averages, not those of the reduced
-    # pair (f, g - mu f)
-    w = Cochain1(NilFunction.constant(0.5), NilFunction.constant(-0.25))
-    with pytest.raises(NonzeroAverage) as exc:
-        delta0_star(golden_params(mu=mu), w)
-    assert exc.value.obstruction == (0.5, -0.25)
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.5, -2.0])
@@ -150,7 +138,7 @@ def test_delta0_star_roundtrip(mu):
     p = golden_params(beta=0.7, mu=mu)
     h0 = random_nil(rng)
     w = delta0(p, h0)
-    h = delta0_star(p, w)
+    h = delta1_star_split(p, w).H
     assert norm_diff(h, h0) < 1e-10 * nil_sobolev_norm(h0, 0.0)
 
 
@@ -158,36 +146,9 @@ def test_delta0_star_projects_out_constants():
     rng = np.random.default_rng(31)
     p = golden_params()
     h0 = random_nil(rng).add(NilFunction.constant(3.0))
-    h = delta0_star(p, delta0(p, h0))
+    h = delta1_star_split(p, delta0(p, h0)).H
     expected = h0.sub(NilFunction.constant(3.0))
     assert norm_diff(h, expected) < 1e-10 * nil_sobolev_norm(h0, 0.0)
-
-
-def test_delta0_star_rejects_non_cocycle():
-    rng = np.random.default_rng(37)
-    f = random_nil(rng)
-    g = random_nil(rng)
-    with pytest.raises(NotACocycle):
-        delta0_star(golden_params(), Cochain1(f, g))
-
-
-def test_delta0_star_rejects_toral_second_component():
-    # nearly resonant frequency: the cocycle defect is below tolerance but the
-    # toral part of the second component is not removable
-    p = golden_params(alpha=(1.0, 0.5 + 1e-12))
-    g = NilFunction(toral=TorusFunction(2, {(1, -2): 1.0}))
-    with pytest.raises(NotACocycle):
-        delta0_star(p, Cochain1(NilFunction(), g))
-
-
-def test_delta0_star_refuses_a_first_component_key_absent_from_the_second():
-    # the defect 2 pi beta |f| is under tol, so only the key check can refuse
-    p = golden_params(beta=1e-12)
-    f = NilFunction(reps={(1, 0): np.array([1.0, 0.5, 0.25])})
-    w = Cochain1(f, NilFunction())
-    assert nil_sobolev_norm(delta1(p, w), 0.0) < 1e-9 * w.norm(0.0)
-    with pytest.raises(NotACocycle, match="absent from the second"):
-        delta0_star(p, w)
 
 
 @pytest.mark.parametrize("h_length, odd_row", [(4, True), (3, False)])
@@ -199,27 +160,24 @@ def test_delta0_star_refuses_a_singular_x2_block(h_length, odd_row):
     h = NilFunction(reps={(2, 0): np.arange(1.0, h_length + 1)})
     omega = delta0(p, h)
     with pytest.raises(Resonance) as err:
-        delta0_star(p, omega)
+        delta1_star_split(p, omega)
     assert err.value.mode == (2,)
 
 
 @pytest.mark.parametrize("rep_len", [3, 4])
 @pytest.mark.parametrize("mu", [0.5, -2.0])
 def test_delta0_star_divides_by_the_central_scalar(monkeypatch, mu, rep_len):
-    # X2 - mu X1 is the scalar 2 pi i n beta on block n: no dense solve runs,
-    # and the answer is the split's H of the same cocycle
+    # X2 - mu X1 is the scalar 2 pi i n beta on block n: no dense solve runs
     def refuse(*args, **kwargs):
-        raise AssertionError("delta0_star must not solve a dense system")
+        raise AssertionError("the split must not solve a dense system")
 
     monkeypatch.setattr(np.linalg, "solve", refuse)
     rng = np.random.default_rng(59)
     p = golden_params(beta=0.7, mu=mu)
     h0 = random_nil(rng, rep_len=rep_len)
     w = delta0(p, h0)
-    h = delta0_star(p, w)
-    scale = nil_sobolev_norm(h0, 0.0)
-    assert norm_diff(h, h0) < 1e-10 * scale
-    assert norm_diff(h, delta1_star_split(p, w).H) <= 1e-14 * scale
+    h = delta1_star_split(p, w).H
+    assert norm_diff(h, h0) < 1e-10 * nil_sobolev_norm(h0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +205,9 @@ def test_split_meets_a_resonant_alpha_only_on_its_support():
     recon_f = apply_X1(p, s.H).add(s.f_err).add(NilFunction.constant(s.f_triv))
     assert norm_diff(recon_f, f) < 1e-14
     resonant = NilFunction(toral=TorusFunction(2, {(1, -2): 1.0, (-1, 2): 1.0}, real=True))
-    for solve in (delta1_star_split, delta0_star):
-        with pytest.raises(Resonance) as err:
-            solve(p, Cochain1(resonant, NilFunction()))
-        assert err.value.mode == (1, -2)
+    with pytest.raises(Resonance) as err:
+        delta1_star_split(p, Cochain1(resonant, NilFunction()))
+    assert err.value.mode == (1, -2)
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.7, -2.0])
@@ -270,8 +227,8 @@ def test_split_of_toral_data_does_not_read_beta(mu):
 @pytest.mark.parametrize("mu", [0.0, 0.7])
 @pytest.mark.parametrize("in_g", [True, False])
 def test_zero_beta_is_refused_on_a_representation_row(mu, in_g):
-    # one row, in g or only in f (then in the defect): both inverses refuse
-    # it through the central division and name its block
+    # one row, in g or only in f (then in the defect): the split refuses it
+    # through the central division and names its block
     p = golden_params(beta=0.0, mu=mu)
     row = {(3, 0): np.array([1.0, -0.5, 0.25])}
     toral = TorusFunction(2, {(1, -2): 0.5, (2, 1): 1j})
@@ -279,10 +236,9 @@ def test_zero_beta_is_refused_on_a_representation_row(mu, in_g):
         w = Cochain1(NilFunction(toral=toral), NilFunction(reps=row))
     else:
         w = Cochain1(NilFunction(toral=toral, reps=row), NilFunction())
-    for inverse in (delta1_star_split, delta0_star):
-        with pytest.raises(Resonance) as err:
-            inverse(p, w)
-        assert err.value.mode == (3,)
+    with pytest.raises(Resonance) as err:
+        delta1_star_split(p, w)
+    assert err.value.mode == (3,)
 
 
 def test_split_of_cocycle_has_no_error_part():

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -5,16 +6,17 @@ import numpy as np
 import pytest
 
 from nilflow.algebra import ActionParams, heisenberg
-from nilflow import cohomology, rigidity
+from nilflow import rigidity
 from nilflow.cohomology import (
     Cochain1,
     VfCochain,
     VfField,
     delta1,
-    delta1_star_split,
+    vf_coboundary_solve,
     vf_delta0,
 )
-from nilflow.corpus import member_rng, vf_cocycle_member
+from nilflow.cli import main
+from nilflow.corpus import member_rng, toral_function, vf_cocycle_member
 from nilflow.errors import (
     DimensionMismatch,
     FormatError,
@@ -34,7 +36,6 @@ from nilflow.nilrep import (
 from nilflow.rigidity import (
     FamilyCoordinates,
     _named_slots,
-    delta_op,
     newton_step,
     nil_multiply,
     parse_vf_cochain,
@@ -45,7 +46,7 @@ from nilflow.rigidity import (
 )
 from nilflow.torus import TorusFunction, _zeros
 
-from oracles import delta0
+from oracles import delta0, delta_op, newton_step_two_splits
 from toral_coeffs import coeff, coeffs
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -188,7 +189,7 @@ def test_projection_needs_leading_frequency():
 
 
 # ---------------------------------------------------------------------------
-# regularizer
+# the regularizer of the two-split oracle (`oracles.delta_op`)
 
 
 def test_delta_op_fixes_cocycles():
@@ -223,19 +224,6 @@ def test_delta_op_output_is_closed(mu):
     again = delta_op(p, out)
     assert norm_diff(again.f, out.f) < 1e-9 * scale
     assert norm_diff(again.g, out.g) < 1e-9 * scale
-
-
-@pytest.mark.parametrize("mu", [0.0, 0.7])
-def test_delta_op_subtracts_the_splits_errors_bit_for_bit(mu, monkeypatch):
-    # delta_op takes the split without its tame constants: no norm is taken
-    rng = np.random.default_rng(17)
-    p = golden_params(mu=mu)
-    w = Cochain1(_with_reps(rng, rand_toral(rng)), _with_reps(rng, rand_toral(rng)))
-    s = delta1_star_split(p, w)
-    monkeypatch.setattr(cohomology, "nil_sobolev_norm", None)
-    out = delta_op(p, w)
-    assert _same_bits(out.f, w.f.sub(s.f_err))
-    assert _same_bits(out.g, w.g.sub(s.g_err))
 
 
 def test_delta_op_vector_field_slots():
@@ -503,10 +491,105 @@ def test_newton_step_refuses_representation_rows_before_any_work(monkeypatch, sl
     def no_work(*args):
         raise AssertionError("the step ran")
 
-    monkeypatch.setattr(rigidity, "delta_op", no_work)
+    monkeypatch.setattr(rigidity, "project_P", no_work)
     monkeypatch.setattr(rigidity, "_field_norm", no_work)
     with pytest.raises(UnsupportedPerturbation, match=r"slot %s .*\(2, 1\)" % slot):
         newton_step(golden_params(), omega)
+
+
+def test_a_representation_row_in_a_y_slot_reaches_the_bracket(monkeypatch):
+    # the Z slot of a vector-field coboundary is a scalar cocycle only up to
+    # kappa X2(H_Y), which the triangular solve feeds in, so the linear step
+    # recovers H; only the bracket's products refuse the row
+    p = golden_params()
+    rng = np.random.default_rng(71)
+    H0 = _field_scale(_zero_avg_field(rng), 1e-3)
+    row = NilFunction(reps={(1, 0): 1e-3 * np.array([1.0, 0.5])})
+    H0 = VfField((H0.y[0].add(row), H0.y[1]), H0.z)
+    omega = vf_delta0(p, H0)
+    H, _resid = vf_coboundary_solve(p, omega)
+    for got, want in zip(H.slots, H0.slots):
+        assert norm_diff(got, want) <= 1e-15
+    monkeypatch.setattr(rigidity, "require_toral_perturbation", lambda omega: None)
+    with pytest.raises(UnrepresentableProduct):
+        newton_step(p, omega)
+
+
+def _toral_draw(rng, x1_scale, x2_scale):
+    """Six slots of one seeded toral draw in slot order, nonzero averages
+    and all: X1's scaled by x1_scale and X2's by x2_scale.  Not a cocycle."""
+    slots = [
+        NilFunction(toral=toral_function(rng, 2, 3, 3.0, real=True, zero_average=False))
+        for _ in range(6)
+    ]
+    x1 = [h.scaled(x1_scale) for h in slots[:3]]
+    x2 = [h.scaled(x2_scale) for h in slots[3:]]
+    return VfCochain(VfField(x1[:2], x1[2:]), VfField(x2[:2], x2[2:]))
+
+
+def _cochain_text(omega):
+    return "".join(
+        "%s %s\n" % (name, rec)
+        for name, F in _named_slots(omega)
+        for rec in serialize_nil_function(F).splitlines()
+    )
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.7])
+def test_newton_step_takes_a_tiny_first_generator_at_any_mu(mu):
+    # X1's slots at 1e-12, X2's at 1e-3: after the error pair is removed, a
+    # slot's norm is at roundoff next to its defect at mu = 0.7, so no gate
+    # may be scaled by it; X1's slots move the residual by their own size
+    p = golden_params(mu=mu)
+    _c, _H, residual = newton_step(p, _toral_draw(member_rng(3, 0), 1e-12, 1e-3))
+    _c, _H, without = newton_step(p, _toral_draw(member_rng(3, 0), 0.0, 1e-3))
+    assert residual == pytest.approx(without, rel=1e-9)
+
+
+def test_rigidity_step_reads_a_tiny_first_generator_as_no_progress(tmp_path):
+    # the same draw through the command line at mu = 0.7: X2's slots are not
+    # a cocycle, so the step leaves the residual at the input's size, a
+    # negative verdict, not an error record
+    pert = tmp_path / "pert.txt"
+    pert.write_text(_cochain_text(_toral_draw(member_rng(3, 0), 1e-12, 1e-3)))
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text("alpha = 1.0 %r\n" % PHI)
+    out = tmp_path / "out"
+    status = main([
+        "rigidity-step", "--config", str(cfg), "--out", str(out),
+        "--mu", "0.7", "--perturbation-file", str(pert),
+    ])
+    rec = json.loads((out / "summary.jsonl").read_text().splitlines()[0])
+    assert (status, rec["verdict"], rec["reason"]) == (2, "negative", "NoConvergence")
+    assert rec["residual_norm"] == pytest.approx(rec["input_norm"], rel=1e-9)
+
+
+def _two_split_sweep():
+    """The criterion-7 members 174/0-19 at its four scales, then 20 generic
+    toral draws at 1e-3."""
+    p = golden_params()
+    for i in range(20):
+        base = vf_cocycle_member(member_rng(174, i), p, degree=3, decay=3.0, scale=1.0)
+        norm0 = max(nil_sobolev_norm(h, 0) for h in base.x1.slots + base.x2.slots)
+        for eps in np.logspace(-4, -2, 4):
+            c = eps / norm0
+            yield VfCochain(_field_scale(base.x1, c), _field_scale(base.x2, c))
+    for i in range(20):
+        yield _toral_draw(member_rng(32, i), 1e-3, 1e-3)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.7, -2.0])
+def test_newton_step_matches_the_two_split_route_bit_for_bit(mu):
+    # on toral data the split's f_err is zero and its g_err has a +0 centre,
+    # so subtracting the error pair first changes no bit that the
+    # projection, H or the constant obstruction read
+    p = golden_params(mu=mu)
+    for omega in _two_split_sweep():
+        coords, H, residual = newton_step(p, omega, threshold=10.0)
+        want_coords, want_H, want_residual = newton_step_two_splits(p, omega)
+        assert coords.vector == want_coords.vector
+        assert all(_same_bits(g, w) for g, w in zip(H.slots, want_H.slots))
+        assert residual == want_residual
 
 
 def test_bracket_requires_heisenberg_shape():
@@ -769,12 +852,7 @@ def test_vf_cochain_text_roundtrip():
         toral=x2.z[0].toral, reps={(1, 0): [1 + 2j, 0.5], (-2, 1): [0.0, -0.25j]}
     )
     omega = VfCochain(rand_field(rng), VfField(x2.y, (with_reps,)))
-    text = "".join(
-        "%s %s\n" % (name, rec)
-        for name, F in _named_slots(omega)
-        for rec in serialize_nil_function(F).splitlines()
-    )
-    back = parse_vf_cochain(text)
+    back = parse_vf_cochain(_cochain_text(omega))
     for got, want in zip(back.x1.slots + back.x2.slots, omega.x1.slots + omega.x2.slots):
         assert norm_diff(got, want) == 0.0
     assert back.x2.z[0].reps.keys() == with_reps.reps.keys()

@@ -10,6 +10,7 @@ import pytest
 from nilflow import torus
 from nilflow.algebra import ActionParams
 from nilflow.cohomology import joint_kernel_dim
+from nilflow.corpus import member_rng, toral_function
 from nilflow.errors import (
     DimensionMismatch,
     NoConvergence,
@@ -308,6 +309,30 @@ def test_kam_golden_converges_quadratically():
     assert slopes, "need at least three pre-floor residuals"
     for s in slopes:
         assert 1.7 <= s <= 2.3
+
+
+def test_kam_defect_off_the_verification_grid():
+    # verified_sup_error is a maximum sampled on a grid; evaluate the defect
+    # |(I + Du)^-1 (omega - lambda + beta0(x + u(x))) - omega| directly at
+    # random points, for the field `kam` draws at degree 6, amplitude 3e-3,
+    # seed 0
+    floor = 1e-12
+    beta = TorusVectorField([toral_function(member_rng(0, i), 2, 6, 3.0) * 3e-3 for i in range(2)])
+    state = kam_iterate(GOLDEN, beta, floor=floor, trunc_degree=64)
+    pts = np.random.default_rng(1).uniform(0.0, 1.0, size=(20000, 2))
+    u = state.u_acc
+    shift = u.evaluate(pts)
+    jac = np.stack(
+        [np.stack([c.partial(j).evaluate(pts) for j in range(2)], -1) for c in u.components], -2
+    )
+    omega = np.asarray(GOLDEN)
+    field = omega - np.asarray(state.lambda_bar) + state.beta0.evaluate(pts + shift)
+    pulled = np.linalg.solve(np.eye(2) + jac, field[..., None])[..., 0]
+    off_grid = float(np.max(np.abs(pulled - omega)))
+    assert off_grid <= 10 * floor, (
+        "off-grid defect %.3e, %.2f times the grid's %.3e"
+        % (off_grid, off_grid / state.verified_sup_error, state.verified_sup_error)
+    )
 
 
 def test_kam_residuals_decrease():
