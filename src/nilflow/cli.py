@@ -403,22 +403,21 @@ def _run_solve_coboundary(p, outdir):
             decay=p["decay"],
         )
 
-    def one(f):
+    rows = []
+    for i, f in enumerate(fns):
         h = solve_small_divisor(alpha, f)
         fn = sobolev_norm(f, 0)
         defect = sobolev_norm(directional_derivative(alpha, h) - f, 0)
         denom = sobolev_norm(f, p["r"] + p["sigma"])
         h_norm = sobolev_norm(h, p["r"])
-        return h, (
+        rows.append((
+            i,
             f.degree,
             denom,
             h_norm,
             h_norm / denom if denom else 0.0,
             defect / fn if fn else 0.0,
-        )
-
-    solved = [one(f) for f in fns]
-    rows = [(i,) + row for i, (_h, row) in enumerate(solved)]
+        ))
     _write_csv(
         outdir,
         "coboundary.csv",
@@ -426,7 +425,7 @@ def _run_solve_coboundary(p, outdir):
         rows,
     )
     if p["input"]:
-        h = solved[0][0]
+        # h is the solution of the one loaded member
         with open(os.path.join(outdir, "solution.txt"), "w", encoding="utf-8") as fh:
             fh.write(serialize_nil_function(NilFunction(toral=h)))
     return {
@@ -452,7 +451,7 @@ def _run_split(p, outdir):
         g_back = apply_X2(params, s.H).add(s.g_err).add(
             NilFunction.constant(s.g_triv)
         )
-        scale = max(nil_sobolev_norm(om.f, 0), nil_sobolev_norm(om.g, 0), 1e-300)
+        scale = max(om.norm(0), 1e-300)
         recon = max(
             nil_sobolev_norm(f_back.sub(om.f), 0),
             nil_sobolev_norm(g_back.sub(om.g), 0),
@@ -643,6 +642,11 @@ def _run_kam(p, outdir):
     }
 
 
+# a residual within this relative margin of the input norm, far above
+# roundoff and far below a converging step's ratio, is no progress
+_NO_PROGRESS_REL = 1e-8
+
+
 def _run_rigidity_step(p, outdir):
     params = _heis_params(p)
     if p["perturbation_file"]:
@@ -677,13 +681,15 @@ def _run_rigidity_step(p, outdir):
         "h_norm": h_norm,
         "residual_norm": residual,
     }
-    if residual > 0 and residual >= input_norm:
-        # a step that leaves the residual where it was is no correction
+    if residual > 0 and residual >= (1 - _NO_PROGRESS_REL) * input_norm:
+        # a step that leaves the residual where it was is no correction,
+        # whichever side of the input its last bits fall on
         record.update(
             verdict="negative",
             reason="NoConvergence",
-            detail="step made no progress: residual_norm %.4e >= input_norm %.4e"
-            % (residual, input_norm),
+            detail="step made no progress: residual_norm %.4e is not below "
+            "input_norm %.4e by the relative margin %.0e"
+            % (residual, input_norm, _NO_PROGRESS_REL),
         )
     return record
 

@@ -175,9 +175,7 @@ def _split_flat(params, omega):
 
 def _splitting_constants(omega, result, phi, r, sigma):
     """Measured tame constants of a split of omega with cocycle defect phi."""
-    data = max(
-        nil_sobolev_norm(omega.f, r + sigma), nil_sobolev_norm(omega.g, r + sigma)
-    )
+    data = omega.norm(r + sigma)
     err = max(
         nil_sobolev_norm(result.f_err, r), nil_sobolev_norm(result.g_err, r)
     )

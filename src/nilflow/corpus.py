@@ -2,9 +2,14 @@
 
 Each member is drawn from a generator keyed by (seed, index), so the draw for
 member i never depends on how many members are requested or on evaluation
-order.
+order.  A corpus is a sized sequence that draws member i when it is read and
+keeps nothing, so a pass over it holds one member at a time and its memory
+does not depend on the count; reading a member twice draws it twice, with
+the same bits.
 """
 
+import operator
+from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -18,6 +23,27 @@ from .torus import TorusFunction, _freqs, _readonly, _zeros
 def member_rng(seed, index):
     """Generator for one corpus member."""
     return np.random.default_rng((int(seed), int(index)))
+
+
+class _Corpus(Sequence):
+    """count members, member i drawn by draw(member_rng(seed, i)) when read."""
+
+    def __init__(self, seed, count, draw):
+        self._seed = seed
+        self._count = len(range(count))  # a negative count is empty, as range's
+        self._draw = draw
+
+    def __len__(self):
+        return self._count
+
+    def __getitem__(self, i):
+        # range indexing normalizes a negative index and raises IndexError
+        return self._draw(member_rng(self._seed, range(self._count)[operator.index(i)]))
+
+    def __iter__(self):
+        # not Sequence's loop to the first IndexError, which would end the
+        # corpus early at an IndexError raised inside a draw
+        return (self._draw(member_rng(self._seed, i)) for i in range(self._count))
 
 
 @lru_cache(maxsize=16)
@@ -53,14 +79,16 @@ def _toral_block(rng, dim, degree, decay, real, zero_average):
 
 def toral_function(rng, dim=2, degree=8, decay=3.0, real=True, zero_average=True):
     """One band-limited function on the torus with Sobolev-decayed modes."""
-    return TorusFunction(
-        dim, _toral_block(rng, dim, degree, decay, real, zero_average), real=real
+    # a real block is conjugate-symmetric by construction, so the checked
+    # constructor's symmetrization would change no bit
+    return TorusFunction._exact(
+        dim, _toral_block(rng, dim, degree, decay, real, zero_average), real
     )
 
 
 def torus_corpus(seed, count, dim=2, degree=8, decay=3.0):
     """Corpus of real toral functions with zero average."""
-    return [toral_function(member_rng(seed, i), dim, degree, decay) for i in range(count)]
+    return _Corpus(seed, count, lambda rng: toral_function(rng, dim, degree, decay))
 
 
 @lru_cache(maxsize=16)
@@ -106,24 +134,26 @@ def nil_function(rng, degree=8, n_max=4, length=8, decay=3.0,
     toral = _toral_block(rng, 2, degree, decay, real=False,
                          zero_average=zero_average)
     return NilFunction._from_rows(
-        TorusFunction(2, toral), *_rep_rows(rng, n_max, length, decay)
+        TorusFunction._exact(2, toral, False), *_rep_rows(rng, n_max, length, decay)
     )
 
 
 def nil_corpus(seed, count, degree=8, n_max=4, length=8, decay=3.0):
     """Corpus of functions whose toral parts have zero average."""
-    return [nil_function(member_rng(seed, i), degree, n_max, length, decay) for i in range(count)]
+    return _Corpus(
+        seed, count, lambda rng: nil_function(rng, degree, n_max, length, decay)
+    )
 
 
 def cochain_corpus(seed, count, degree=6, n_max=3, length=8, decay=7.0):
     """Corpus of 1-cochains; components are independent decayed draws."""
-    out = []
-    for i in range(count):
-        rng = member_rng(seed, i)
+
+    def draw(rng):
         f = nil_function(rng, degree, n_max, length, decay, zero_average=False)
         g = nil_function(rng, degree, n_max, length, decay, zero_average=False)
-        out.append(Cochain1(f, g))
-    return out
+        return Cochain1(f, g)
+
+    return _Corpus(seed, count, draw)
 
 
 def vf_cocycle_member(rng, params, degree=3, decay=3.0, scale=1.0):

@@ -386,22 +386,25 @@ def cg_decay_report(corpus, s, k):
 
     Reports the worst ratio over the corpus, the worst ratio over the inner
     half of the frequency range (plateau check within 10%), and for k >= 2
-    the partial sums of |n|^(-k) over growing frequency windows.
+    the partial sums of |n|^(-k) over growing frequency windows.  The corpus
+    is read once, member by member: each member leaves only its frequencies
+    and ratios, and the inner half, which depends on the top frequency of the
+    whole corpus, is taken after the pass.
     """
     if not corpus:
         raise EmptyCorpus("corpus is empty")
-    n_max = max((F.support_n for F in corpus), default=0)
-    try:
-        pi_norm(max(n_max, 1)) ** k  # |n|^k is largest at the top frequency
-    except OverflowError:
-        raise ValueError("|n|^k overflows at s = %r, k = %r" % (s, k)) from None
-    ratios = []
-    vacuous = 0
+    n_max = vacuous = 0
+    members = []  # (frequencies, ratios) of each member, None if it has no rows
     for F in corpus:
         if not F.keys:
             vacuous += 1
-            ratios.append(None)
+            members.append(None)
             continue
+        n_max = max(n_max, F.support_n)
+        try:
+            pi_norm(F.support_n) ** k  # |n|^k is largest at the top frequency
+        except OverflowError:
+            raise ValueError("|n|^k overflows at s = %r, k = %r" % (s, k)) from None
         # the rows are sorted by (n, m), so each frequency is one run of rows
         starts = np.flatnonzero(np.diff(F.ns, prepend=0))
         freqs = F.ns[starts]
@@ -417,10 +420,14 @@ def cg_decay_report(corpus, s, k):
         # a zero member meets the bound trivially: its ratios come out 0
         denom = norm or np.inf
         ratio = per_n * np.array([pi_norm(n) ** k for n in freqs.tolist()]) / denom
-        inner = ratio[2 * np.abs(freqs) <= n_max]
-        ratios.append(
-            {"full": float(ratio.max()), "inner": float(np.max(inner, initial=0.0))}
-        )
+        members.append((freqs, ratio))
+    ratios = [
+        None if m is None else {
+            "full": float(m[1].max()),
+            "inner": float(np.max(m[1][2 * np.abs(m[0]) <= n_max], initial=0.0)),
+        }
+        for m in members
+    ]
     full = [r["full"] for r in ratios if r is not None]
     inner = [r["inner"] for r in ratios if r is not None]
     ratio_max = max(full, default=0.0)
@@ -429,7 +436,7 @@ def cg_decay_report(corpus, s, k):
     report = {
         "s": s,
         "k": k,
-        "count": len(corpus),
+        "count": len(ratios),
         "vacuous": vacuous,
         "n_max": n_max,
         "ratio_max": ratio_max,

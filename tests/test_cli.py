@@ -381,6 +381,31 @@ def test_a_toral_record_past_the_cap_is_refused_by_line(tmp_path, capsys):
     assert peak < 32 * 2**20
 
 
+_CORPUS_SHAPES = {
+    "solve-coboundary": {"alpha": (1.0, PHI), "degree": 24},
+    "split": {"alpha": (1.0, PHI), "degree": 4, "n_max": 16, "length": 64},
+    "cg-decay": {"n_max": 40, "length": 32},
+}
+
+
+@pytest.mark.parametrize("sub", sorted(_CORPUS_SHAPES))
+def test_corpus_runs_hold_one_member_at_a_time(tmp_path, sub):
+    # members are drawn as they are read and dropped once their row is
+    # written, so the peak does not grow with count (a held member at these
+    # shapes is 40-75 kB: 90 more would add 3.5-7 MB)
+    def peak(count):
+        cfg = make_config(sub, tmp_path / str(count), count=count, **_CORPUS_SHAPES[sub])
+        tracemalloc.start()
+        try:
+            assert run(cfg) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)  # fills the draw and weight caches
+    assert peak(100) <= peak(10) + 2**20
+
+
 @pytest.mark.parametrize("slot", ["x1.y0", "x2.z0"], ids=["Y-slot", "Z-slot"])
 def test_rigidity_step_refuses_representation_rows(tmp_path, capsys, slot):
     pert = tmp_path / "p.txt"

@@ -4,7 +4,17 @@ exactly, so seeded corpora and the acceptance data built on them are pinned."""
 import numpy as np
 import pytest
 
-from nilflow.corpus import member_rng, nil_function, toral_function
+from nilflow.cohomology import Cochain1
+from nilflow.corpus import (
+    _toral_block,
+    cochain_corpus,
+    member_rng,
+    nil_corpus,
+    nil_function,
+    toral_function,
+    torus_corpus,
+)
+from nilflow.torus import TorusFunction
 
 from toral_coeffs import coeffs
 
@@ -90,3 +100,67 @@ def test_rep_rows_draw_matches_per_row_reference_exactly(n_max, length):
             assert v.tobytes() == ref[key].tobytes()
         # the draw consumed the stream exactly as far as the reference
         assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+@pytest.mark.parametrize("dim,degree", [(1, 24), (2, 8), (3, 3)])
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("zero_average", [True, False])
+def test_draw_wraps_the_bits_the_checked_constructor_gives(dim, degree, real, zero_average):
+    # a draw skips the constructor's reality check and copy: a real block is
+    # conjugate-symmetric by construction, so the check would change no bit
+    for index in range(3):
+        block = _toral_block(member_rng(5, index), dim, degree, 3.0, real, zero_average)
+        checked = TorusFunction(dim, block, real=real)
+        f = toral_function(member_rng(5, index), dim, degree, 3.0, real, zero_average)
+        assert f.real == checked.real and f.n == checked.n
+        assert f.block.tobytes() == checked.block.tobytes()
+        assert not f.block.flags.writeable
+
+
+@pytest.mark.parametrize("zero_average", [True, False])
+def test_nil_function_wraps_the_toral_bits_the_checked_constructor_gives(zero_average):
+    for index in range(3):
+        block = _toral_block(member_rng(6, index), 2, 5, 3.0, False, zero_average)
+        F = nil_function(member_rng(6, index), degree=5, zero_average=zero_average)
+        assert F.toral.real is False
+        assert F.toral.block.tobytes() == TorusFunction(2, block).block.tobytes()
+
+
+def _bytes(member):
+    """Every array of a corpus member, by bytes."""
+    if isinstance(member, TorusFunction):
+        return [member.block.tobytes()]
+    if isinstance(member, Cochain1):
+        return _bytes(member.f) + _bytes(member.g)
+    return [member.toral.block.tobytes(), member.block.tobytes(), member.keys]
+
+
+_CORPORA = {
+    "torus": (lambda seed, count: torus_corpus(seed, count, degree=4),
+              lambda rng: toral_function(rng, 2, 4, 3.0)),
+    "nil": (lambda seed, count: nil_corpus(seed, count, degree=3, n_max=2, length=4),
+            lambda rng: nil_function(rng, 3, 2, 4, 3.0)),
+    "cochain": (lambda seed, count: cochain_corpus(seed, count, degree=2, n_max=2, length=3),
+                lambda rng: Cochain1(*[nil_function(rng, 2, 2, 3, 7.0, zero_average=False)
+                                       for _ in range(2)])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CORPORA))
+def test_corpus_is_a_sized_sequence_drawn_as_it_is_read(kind):
+    make, draw = _CORPORA[kind]
+    corpus = make(9, 5)
+    assert len(corpus) == 5 and len(make(9, 0)) == 0 and not make(9, 0)
+    want = [_bytes(draw(member_rng(9, i))) for i in range(5)]
+    # iteration draws member i from member_rng(seed, i)
+    assert [_bytes(member) for member in corpus] == want
+    # a read draws afresh, with the same bits; negative indices count from the end
+    assert _bytes(corpus[3]) == _bytes(corpus[3]) == want[3]
+    assert _bytes(corpus[-1]) == want[4] and _bytes(corpus[-5]) == want[0]
+    for i in (5, -6):
+        with pytest.raises(IndexError):
+            corpus[i]
+    with pytest.raises(TypeError):
+        corpus[1.0]
+    # member i does not depend on the count
+    assert _bytes(make(9, 2)[1]) == want[1]

@@ -203,5 +203,8 @@ def test_traced_child_runs_a_smoke_op(tmp_path, workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["statuses"] == [0]
     assert isinstance(result["layers"], dict) and result["layers"]
+    if workload in ("toral-corpus", "rep-split"):
+        # the tracer counts a corpus's members by len() of what it returns
+        assert result["layers"]["corpus.members"] == op.params["count"]
     attempted, failed = op.gate(0, str(tmp_path / op.tag))
     assert attempted >= 1 and failed == 0
