@@ -58,14 +58,6 @@ class TwoStepAlgebra:
     def dim(self):
         return self.q + self.p
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TwoStepAlgebra)
-            and self.q == other.q
-            and self.p == other.p
-            and self.c == other.c
-        )
-
 
 def heisenberg():
     """The q=2, p=1 algebra with [Y1, Y2] = Z1."""

@@ -51,9 +51,6 @@ class Cochain1:
     f: NilFunction
     g: NilFunction
 
-    def is_zero(self):
-        return self.f.is_zero() and self.g.is_zero()
-
     def norm(self, r=0.0):
         return max(nil_sobolev_norm(self.f, r), nil_sobolev_norm(self.g, r))
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cohomology import Cochain1, VfCochain, VfField, vf_delta0
-from .nilrep import NilFunction
+from .nilrep import NilFunction, _require_rows
 from .rigidity import FamilyCoordinates, section_s
 from .torus import TorusFunction, _freqs, _readonly, _zeros
 
@@ -116,7 +116,9 @@ def _rep_rows(rng, n_max, length, decay):
     """Row labels, frequencies, lengths and zero-padded block of one draw: the
     real then the imaginary part of each row in turn, from one
     standard_normal call.  The weighted parts are written straight into the
-    block's real and imaginary views."""
+    block's real and imaginary views.  A block past the representation cap
+    is refused before the plan, whose weights are as large, is built."""
+    _require_rows(2 * n_max, length, (-n_max, 0))
     keys, ns, lengths, rows, weights = _rep_draw_plan(n_max, length, float(decay))
     if not keys:
         return keys, ns, lengths, None

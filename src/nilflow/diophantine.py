@@ -9,10 +9,9 @@ j = argmax |a_j|, each k' off axis j keeps only the four k_j nearest the root
 -a'.k'/a_j.  Every other k has |a . k| >= (2 - roundoff)|a_j|, while the kept
 unit vectors e_i (i != j) score |a_i| <= |a_j|, so the reduced minimum is the
 minimum over the whole box, with the same argmin.  The whole box answers only
-where that argument fails: n = 1 or a_j = 0.  The norm in the product is
-Euclidean; the enumeration bound is the sup norm; both conventions are
-recorded on the witness.  These are desk-scale certificates up to K, not
-proofs of Diophantineness.
+where that argument fails: n = 1 or a_j = 0.  The norm in the product
+||k||^gamma is Euclidean, and the enumeration bound K is on the sup norm.
+These are desk-scale certificates up to K, not proofs of Diophantineness.
 
 _snap_floor is the one zero test for divisors: a computed value at or below
 _SNAP * sum |a_i k_i|, the rounding bound of the dot product, counts as an
@@ -43,8 +42,6 @@ class DiophantineWitness:
     kind: str  # "linear-form" | "simultaneous"
     argmin_k: tuple
     value: float  # divisor value at argmin of the product
-    product_norm: str = "euclidean"
-    enum_norm: str = "sup"
 
     @property
     def valid(self):

@@ -14,13 +14,14 @@ perturbed constant field back to its linear model.
 
 Conventions: enumeration degree is the sup norm of k; composition samples on
 an equispaced grid of at least 4K points per dimension and re-expands through
-the FFT.  Real functions are sampled and re-expanded through half-spectrum
-transforms that touch only the D+1 columns k_last = 0..D of a degree-D band,
-in irfftn's and rfftn's axis order and so to their bits, and are evaluated
-pointwise from the modes k > 0 in lexicographic order; complex functions and
-grids too coarse for the block (which alias) use the full complex transforms.
-Blocks with enough nonzero modes for their side are evaluated by separable
-contraction against exp(2 pi i x_j k) tables instead.  The Newton step
+the FFT.  The grid layer is real: a vector field's components are real
+functions, and only real functions are sampled, re-expanded or evaluated.
+They are sampled and re-expanded through half-spectrum transforms that touch
+only the D+1 columns k_last = 0..D of a degree-D band, in irfftn's and
+rfftn's axis order and so to their bits, on grids that fit the block, and are
+evaluated pointwise from the modes k > 0 in lexicographic order.  Blocks with
+enough nonzero modes for their side are evaluated by separable contraction
+against exp(2 pi i x_j k) tables instead.  The Newton step
 re-expands at its truncation degree K on the 4K grid, working on contiguous
 rows of grid values; the final verification samples a 5-smooth grid that is
 not a power of two, sized from K.
@@ -252,28 +253,23 @@ class TorusFunction:
         return TorusFunction._exact(self.n, out, self.real)
 
     def evaluate(self, points):
-        """Values at an (..., n) array of points.  A block with enough nonzero
-        modes for its side and dimension (`_SEPARABLE_MARGIN`) is contracted
-        one axis at a time against exp(2 pi i x_j k) tables
-        (`_separable_values`); a sparser one is summed mode by mode."""
+        """Values of a real function at an (..., n) array of points.  A block
+        with enough nonzero modes for its side and dimension
+        (`_SEPARABLE_MARGIN`) is contracted one axis at a time against
+        exp(2 pi i x_j k) tables (`_separable_values`); a sparser one is
+        summed mode by mode."""
+        _require_real(self, "evaluation")
         pts = _points(points, self.n)
         if self._takes_separable_path():
             return _separable_values([self], pts)[0]
+        # block order is lexicographic in k: the modes k > 0 follow the centre
         flat = np.flatnonzero(self.block)
-        if self.real:
-            # block order is lexicographic in k: the modes k > 0 follow the centre
-            flat = flat[flat > self.block.size // 2]
+        flat = flat[flat > self.block.size // 2]
         ks = np.column_stack(np.unravel_index(flat, self.block.shape)) - self.size
-        modes = zip(ks.astype(float), self.block.flat[flat].tolist())
-        if not self.real:
-            vals = np.zeros(pts.shape[:-1], dtype=complex)
-            for k, c in modes:
-                vals += c * np.exp(2j * np.pi * (pts @ k))
-            return vals
         # c_{-k} = conj(c_k): the modes k > 0 pair with their conjugates into
         # 2 (Re c cos - Im c sin), real throughout
         vals = np.full(pts.shape[:-1], self.average)
-        for k, c in modes:
+        for k, c in zip(ks.astype(float), self.block.flat[flat].tolist()):
             theta = 2 * np.pi * (pts @ k)
             # a pure cosine or sine mode needs one of the two
             if c.real:
@@ -289,59 +285,50 @@ class TorusFunction:
         return np.count_nonzero(self.block) >= _SEPARABLE_MARGIN * even
 
     def grid_values(self, G):
-        """Values on the equispaced G^n grid via the inverse FFT; modes beyond
-        the grid's Nyquist band alias onto it.  A real block that fits the
-        grid (2 size < G) goes through the inverse half-spectrum transform
-        of its k_last >= 0 half."""
-        if G < 1:
-            raise DimensionMismatch("grid side must be positive, got %r" % (G,))
-        _require_size(G, self.n, "evaluation grid")
+        """Values of a real function on the equispaced G^n grid, through the
+        inverse half-spectrum transform of its k_last >= 0 half.  The grid
+        must fit the block, 2 size < G; on a coarser one modes would alias."""
+        _require_real(self, "grid values")
         D = self.size
+        if G <= 2 * D:
+            raise DimensionMismatch("grid side %r aliases a block of size %d" % (G, D))
+        _require_size(G, self.n, "evaluation grid")
+        # irfftn's passes, in its order, over the D+1 columns that carry
+        # modes: each column is transformed on its own, and irfft pads the
+        # zero columns up to G//2+1 itself
         wrap = np.arange(-D, D + 1) % G
-        if self.real and 2 * D < G:
-            # irfftn's passes, in its order, over the D+1 columns that carry
-            # modes: each column is transformed on its own, and irfft pads
-            # the zero columns up to G//2+1 itself
-            half = np.zeros((G,) * (self.n - 1) + (D + 1,), dtype=complex)
-            half[np.ix_(*[wrap] * (self.n - 1), np.arange(D + 1))] = self.block[..., D:]
-            for ax in range(self.n - 1):
-                half = np.fft.ifft(half, axis=ax, norm="forward")
-            return np.fft.irfft(half, G, axis=-1, norm="forward")
-        arr = np.zeros((G,) * self.n, dtype=complex)
-        np.add.at(arr, np.ix_(*[wrap] * self.n), self.block)
-        vals = np.fft.ifftn(arr) * G**self.n
-        return vals.real if self.real else vals
+        half = np.zeros((G,) * (self.n - 1) + (D + 1,), dtype=complex)
+        half[np.ix_(*[wrap] * (self.n - 1), np.arange(D + 1))] = self.block[..., D:]
+        for ax in range(self.n - 1):
+            half = np.fft.ifft(half, axis=ax, norm="forward")
+        return np.fft.irfft(half, G, axis=-1, norm="forward")
 
     @classmethod
-    def from_grid(cls, values, degree, real=None, drop_below=0.0):
-        """Re-expand equispaced samples; keeps modes with sup norm <= degree,
-        discarding coefficients below drop_below relative to the largest one.
-        Alias-free for band-limited data when every axis has > 2*degree points.
-        With ``real`` the block is symmetrized, absorbing FFT roundoff.  Real
-        samples go through the half-spectrum transform: the k_last >= 0 half
-        of the window is computed and the other half is its conjugate
-        reflection."""
+    def from_grid(cls, values, degree, drop_below=0.0):
+        """Real function re-expanded from real equispaced samples; keeps modes
+        with sup norm <= degree, discarding coefficients below drop_below
+        relative to the largest one.  Alias-free for band-limited data when
+        every axis has > 2*degree points.  The half-spectrum transform
+        computes the k_last >= 0 half of the window, the other half is its
+        conjugate reflection, and the block is symmetrized, absorbing FFT
+        roundoff."""
         values = np.asarray(values)
-        if real is None:
-            real = not np.iscomplexobj(values)
+        if np.iscomplexobj(values):
+            raise DimensionMismatch("from_grid re-expands real samples only")
         if degree < 0:
             raise DimensionMismatch("degree must be >= 0, got %r" % (degree,))
         if min(values.shape) <= 2 * degree:
             raise DimensionMismatch("grid too coarse for the requested degree")
         window = np.arange(-degree, degree + 1)
-        if np.iscomplexobj(values):
-            C = np.fft.fftn(values) / values.size
-            block = C[np.ix_(*[window % s for s in values.shape])]
-        else:
-            # rfftn's passes, in its order, each keeping only the window
-            half = np.fft.rfft(values, axis=-1, norm="forward")[..., : degree + 1]
-            for ax in reversed(range(values.ndim - 1)):
-                half = np.fft.fft(half, axis=ax, norm="forward")
-                half = half.take(window % values.shape[ax], axis=ax)
-            block = np.concatenate([np.conj(np.flip(half[..., 1:])), half], axis=-1)
+        # rfftn's passes, in its order, each keeping only the window
+        half = np.fft.rfft(values, axis=-1, norm="forward")[..., : degree + 1]
+        for ax in reversed(range(values.ndim - 1)):
+            half = np.fft.fft(half, axis=ax, norm="forward")
+            half = half.take(window % values.shape[ax], axis=ax)
+        block = np.concatenate([np.conj(np.flip(half[..., 1:])), half], axis=-1)
         floor = drop_below * float(np.max(np.abs(block)))
         block = np.where(np.abs(block) > floor, block, 0)
-        return cls._exact(values.ndim, _symmetrized(block) if real else block, bool(real))
+        return cls._exact(values.ndim, _symmetrized(block), True)
 
     def __repr__(self):
         return "TorusFunction(n=%d, modes=%d, degree=%d%s)" % (
@@ -363,6 +350,11 @@ _SEPARABLE_MARGIN = 2
 # complex entries of the tables and partial sums of one block of points on
 # the separable path
 _SEPARABLE_CHUNK = 2**19
+
+
+def _require_real(f, what):
+    if not f.real:
+        raise DimensionMismatch("%s of a complex function: the grid layer is real" % what)
 
 
 def _points(points, n):
@@ -387,23 +379,20 @@ def _exp_tables(x, D):
 
 
 def _contract(f, tables):
-    """Values of f from the tables of its points (`_exp_tables`, of degree at
-    least f.size): the block is contracted against them from the last axis
-    to the first, one matrix product and then one sum per axis.  A real
-    block contracts its k_0 >= 0 half with the k_0 > 0 rows doubled; the
-    real part is the sum, since c_{-k} = conj(c_k)."""
+    """Values of the real function f from the tables of its points
+    (`_exp_tables`, of degree at least f.size): the block's k_0 >= 0 half,
+    with the k_0 > 0 rows doubled, is contracted against them from the last
+    axis to the first, one matrix product and then one sum per axis.  The
+    values are the real part of the sum, since c_{-k} = conj(c_k)."""
     d = f.size
     E = [t[len(t) // 2 - d : len(t) // 2 + d + 1] for t in tables]
-    block = f.block
-    if f.real:
-        block = block[d:].copy()
-        block[1:] *= 2
-        E[0] = E[0][d:]
+    block = f.block[d:].copy()
+    block[1:] *= 2
+    E[0] = E[0][d:]
     T = block.reshape(-1, len(E[-1])) @ E[-1]
     for e in reversed(E[:-1]):
         T = np.einsum("akp,kp->ap", T.reshape(-1, len(e), T.shape[-1]), e)
-    vals = T.reshape(-1)
-    return vals.real if f.real else vals
+    return T.reshape(-1).real
 
 
 def _separable_values(functions, pts):
@@ -416,7 +405,7 @@ def _separable_values(functions, pts):
     D = max(f.size for f in functions)
     side = 2 * D + 1
     step = max(1, _SEPARABLE_CHUNK // (n * side + side ** (n - 1)))
-    out = [np.empty(len(x), dtype=float if f.real else complex) for f in functions]
+    out = [np.empty(len(x)) for _ in functions]
     for start in range(0, len(x), step):
         part = x[start : start + step]
         tables = [_exp_tables(part[:, j], D) for j in range(n)]
@@ -426,7 +415,7 @@ def _separable_values(functions, pts):
 
 
 class TorusVectorField:
-    """Vector field on T^n with TorusFunction components."""
+    """Vector field on T^n with real TorusFunction components."""
 
     def __init__(self, components):
         comps = tuple(components)
@@ -435,6 +424,8 @@ class TorusVectorField:
         n = comps[0].n
         if any(c.n != n for c in comps):
             raise DimensionMismatch("components live on different tori")
+        if not all(c.real for c in comps):
+            raise DimensionMismatch("vector field components must be real")
         self.components = comps
         self.n = n
 
@@ -458,21 +449,6 @@ class TorusVectorField:
     def is_zero(self):
         return all(c.is_zero() for c in self.components)
 
-    def __add__(self, other):
-        return TorusVectorField(
-            [a + b for a, b in zip(self.components, other.components)]
-        )
-
-    def __sub__(self, other):
-        return TorusVectorField(
-            [a - b for a, b in zip(self.components, other.components)]
-        )
-
-    def __mul__(self, scalar):
-        return TorusVectorField([c * scalar for c in self.components])
-
-    __rmul__ = __mul__
-
     def shifted(self, values):
         """Add a constant vector."""
         return TorusVectorField(
@@ -484,13 +460,9 @@ class TorusVectorField:
             [c.truncated(degree, drop_below) for c in self.components]
         )
 
-    def evaluate(self, points):
-        """Real values at an (..., n) array of points, shape (..., n).  The
-        components on the separable path share one set of tables."""
-        return np.stack(self._component_values(points), axis=-1)
-
     def _component_values(self, points):
-        """Real values of each component at the (..., n) points, one array each."""
+        """Values of each component at the (..., n) points, one array each.
+        The components on the separable path share one set of tables."""
         pts = _points(points, self.n)
         separable = [c._takes_separable_path() for c in self.components]
         if any(separable):
@@ -498,7 +470,7 @@ class TorusVectorField:
                 [c for c, s in zip(self.components, separable) if s], pts
             ))
         return [
-            np.real(next(dense) if s else c.evaluate(pts))
+            next(dense) if s else c.evaluate(pts)
             for c, s in zip(self.components, separable)
         ]
 
@@ -565,7 +537,7 @@ def _sampled(functions, G):
         if f.is_zero():
             row[:] = 0.0
         else:
-            row[:] = np.real(f.grid_values(G)).reshape(-1)
+            row[:] = f.grid_values(G).reshape(-1)
     return rows
 
 
@@ -580,13 +552,13 @@ def _moved_points(U, G):
     return pts.reshape(-1, n)
 
 
-def _field_from_grid(rows, G, degree, drop_below=0.0):
-    """Real vector field re-expanded from grid rows, one of G^n samples per
-    component."""
+def _field_from_grid(rows, G, degree):
+    """Vector field re-expanded from grid rows, one of G^n samples per
+    component, dropping coefficients below _DROP relative to each one's
+    largest."""
     n = len(rows)
     return TorusVectorField([
-        TorusFunction.from_grid(row.reshape((G,) * n), degree, True, drop_below)
-        for row in rows
+        TorusFunction.from_grid(row.reshape((G,) * n), degree, _DROP) for row in rows
     ])
 
 
@@ -712,7 +684,7 @@ def _compose_displacement(u_new, u_acc, out_degree):
     vals = u_acc._component_values(_moved_points(U, G))
     for v, row in zip(vals, U):
         v += row
-    return _field_from_grid(vals, G, out_degree, _DROP)
+    return _field_from_grid(vals, G, out_degree)
 
 
 @dataclass
@@ -737,8 +709,6 @@ class KamState:
     @classmethod
     def initial(cls, omega, beta, trunc_degree=64):
         omega = tuple(float(w) for w in omega)
-        if isinstance(beta, (list, tuple)):
-            beta = TorusVectorField(beta)
         if beta.n != len(omega):
             raise DimensionMismatch("omega and beta dimensions disagree")
         return cls(
@@ -818,7 +788,7 @@ def kam_step(state):
         beta_rows -= omega[:, None]
     else:
         beta_rows = (P - Minv @ d_lambda - omega[None, :]).T
-    beta_next = _field_from_grid(beta_rows, G, K, _DROP)
+    beta_next = _field_from_grid(beta_rows, G, K)
 
     return replace(
         state,

@@ -27,7 +27,7 @@ from nilflow.cli import (
 from nilflow.corpus import member_rng, toral_function
 from nilflow.errors import ConfigTypeError, MissingKey, UnknownKey
 from nilflow.nilrep import load_nil_function
-from nilflow.torus import directional_derivative, sobolev_norm
+from nilflow.torus import TorusVectorField, directional_derivative, sobolev_norm
 
 from toral_coeffs import coeffs
 
@@ -406,6 +406,18 @@ def test_corpus_runs_hold_one_member_at_a_time(tmp_path, sub):
     assert peak(100) <= peak(10) + 2**20
 
 
+@pytest.mark.parametrize("sub", ["cg-decay", "split"])
+def test_a_corpus_draw_past_the_representation_cap_is_refused(tmp_path, monkeypatch, sub):
+    # a member's 2 n_max rows of length entries, 2 * 4 * 8 = 64, pass a cap
+    # of 50 and are refused before they are drawn
+    monkeypatch.setattr(nilrep, "_SIZE_CAP", 50)
+    shape = {"alpha": (1.0, PHI)} if sub == "split" else {}
+    assert run(make_config(sub, tmp_path, count=1, n_max=4, length=8, **shape)) == 1
+    rec = read_summary(tmp_path)[0]
+    assert (rec["verdict"], rec["reason"]) == ("error", "DimensionMismatch")
+    assert "representation block too large (8 rows, row (-4, 0) has 8 entries)" in rec["detail"]
+
+
 @pytest.mark.parametrize("slot", ["x1.y0", "x2.z0"], ids=["Y-slot", "Z-slot"])
 def test_rigidity_step_refuses_representation_rows(tmp_path, capsys, slot):
     pert = tmp_path / "p.txt"
@@ -742,7 +754,9 @@ def test_kam_unverifiable_conjugacy_is_negative(tmp_path, monkeypatch):
     real = torus.verify_conjugacy
     monkeypatch.setattr(
         torus, "verify_conjugacy",
-        lambda state: real(dataclasses.replace(state, u_acc=state.u_acc * 1e6)),
+        lambda state: real(dataclasses.replace(
+            state, u_acc=TorusVectorField([c * 1e6 for c in state.u_acc.components])
+        )),
     )
     cfg = make_config("kam", tmp_path, omega=(1.0, PHI))
     assert run(cfg) == 2

@@ -71,7 +71,7 @@ def random_nil(rng, toral_modes=4, rep_len=4, real=False):
 
 def test_delta0_on_constant():
     w = delta0(golden_params(), NilFunction.constant(2.0))
-    assert w.is_zero()
+    assert w.f.is_zero() and w.g.is_zero()
 
 
 def test_delta0_single_toral_mode():

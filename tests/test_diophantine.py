@@ -114,8 +114,8 @@ def test_gamma_validation():
 
 def test_norm_conventions_recorded():
     w = fit_witness((1, PHI), gamma=1.0, K=10)
-    assert w.product_norm == "euclidean"
-    assert w.enum_norm == "sup"
+    # the product norm is Euclidean, the enumeration bound a sup norm
+    assert w.lower_bound((3, 4)) == w.C * 5.0**-1.0
     assert w.K == 10
     assert w.gamma == 1.0
 

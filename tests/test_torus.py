@@ -247,7 +247,7 @@ def test_pullback_single_mode_against_dense_grid():
     # direct evaluation of (I + Du)^-1 X at off-grid points
     rng = np.random.default_rng(17)
     pts = rng.uniform(size=(60, 2))
-    got = Y.evaluate(pts)
+    got = np.stack(Y._component_values(pts), axis=-1)
     c = 2 * math.pi * eps * np.cos(2 * math.pi * (pts[:, 0] + pts[:, 1]))
     for i, p in enumerate(pts):
         A = np.array([[1 + c[i], c[i]], [0, 1]])
@@ -321,12 +321,13 @@ def test_kam_defect_off_the_verification_grid():
     state = kam_iterate(GOLDEN, beta, floor=floor, trunc_degree=64)
     pts = np.random.default_rng(1).uniform(0.0, 1.0, size=(20000, 2))
     u = state.u_acc
-    shift = u.evaluate(pts)
+    shift = np.stack(u._component_values(pts), axis=-1)
     jac = np.stack(
         [np.stack([c.partial(j).evaluate(pts) for j in range(2)], -1) for c in u.components], -2
     )
     omega = np.asarray(GOLDEN)
-    field = omega - np.asarray(state.lambda_bar) + state.beta0.evaluate(pts + shift)
+    beta0 = np.stack(state.beta0._component_values(pts + shift), axis=-1)
+    field = omega - np.asarray(state.lambda_bar) + beta0
     pulled = np.linalg.solve(np.eye(2) + jac, field[..., None])[..., 0]
     off_grid = float(np.max(np.abs(pulled - omega)))
     assert off_grid <= 10 * floor, (
@@ -353,7 +354,8 @@ def test_kam_step_maintains_conjugacy_identity():
 def test_verify_conjugacy_refuses_noninvertible_change():
     state = kam_step(KamState.initial(GOLDEN, golden_perturbation(1e-3), trunc_degree=16))
     with pytest.raises(NonInvertible):
-        verify_conjugacy(replace(state, u_acc=state.u_acc * 1e6))
+        u = TorusVectorField([c * 1e6 for c in state.u_acc.components])
+        verify_conjugacy(replace(state, u_acc=u))
 
 
 def test_kam_large_perturbation_fails_gracefully():
@@ -636,11 +638,15 @@ def test_window_K_is_the_slice_of_window_2K(n, real):
     rng = np.random.default_rng(40 + n)
     values = rng.normal(size=(G,) * n)
     if not real:
-        values = values + 1j * rng.normal(size=(G,) * n)
+        # complex samples are refused at either window
+        for degree in (K, 2 * K):
+            with pytest.raises(DimensionMismatch):
+                TorusFunction.from_grid(values + 1j * rng.normal(size=(G,) * n), degree)
+        return
     inner = (slice(K, 3 * K + 1),) * n
     narrow = TorusFunction.from_grid(values, K)
     wide = TorusFunction.from_grid(values, 2 * K)
-    assert narrow.real == wide.real == real
+    assert narrow.real and wide.real
     assert narrow.block.tobytes() == wide.block[inner].tobytes()
     # with a drop floor the windows agree while the largest coefficient lies
     # inside |k| <= K, as it does for the smooth fields of the Newton step
@@ -750,7 +756,6 @@ def test_real_results_are_conjugate_symmetric(n):
     alpha = (1.0, PHI, math.sqrt(3))[:n]
     G = 12
     samples = rng.normal(size=(G,) * n)
-    noisy = samples + 1j * rng.normal(size=(G,) * n)
     real = [f, g, f + g, g + f, f - g, g - f, g - g, f + 0.25, f - 1.5]
     real += [f * s for s in (2.5, -0.7, -0.0, 1e-300, complex(3.0, -0.0))] + [-2.0 * f]
     real += [f.partial(axis) for axis in range(n)]
@@ -758,8 +763,6 @@ def test_real_results_are_conjugate_symmetric(n):
     real += [directional_derivative(alpha, f), solve_small_divisor(alpha, f - f.average)]
     real += [TorusFunction.from_grid(samples, d, drop_below=drop)
              for d in (0, 2, 5) for drop in (0.0, 0.1)]
-    real += [TorusFunction.from_grid(noisy, 3, real=True),
-             TorusFunction.from_grid(samples.astype(complex), 5, real=True)]
     real += [TorusFunction.constant(n, v) for v in (2.5, -0.0, complex(-1.0, -0.0))]
     if n == 2:
         # both product kernels: bincount up to side 11, shifted adds past it
@@ -767,7 +770,7 @@ def test_real_results_are_conjugate_symmetric(n):
         real += [nil_multiply(NilFunction(toral=a), NilFunction(toral=b)).toral
                  for a, b in ((f, g), (g, f), (f, f), (g, wide), (wide, f))]
     assert all(r.real and _conjugate_symmetric(r) for r in real)
-    not_real = [f * 0.5j, f + 1j, TorusFunction.from_grid(noisy, 3), TorusFunction.constant(n, 1j)]
+    not_real = [f * 0.5j, f + 1j, TorusFunction.constant(n, 1j)]
     assert not any(r.real for r in not_real)
 
 
@@ -813,19 +816,17 @@ def test_real_block_past_the_float_range_names_the_overflow():
 
 
 def _complex_grid_values(f, G):
-    # the full complex transform, with aliasing through the scatter
+    # the real part of the full complex transform, with aliasing through the
+    # scatter
     arr = np.zeros((G,) * f.n, dtype=complex)
     wrap = np.arange(-f.size, f.size + 1) % G
     np.add.at(arr, np.ix_(*[wrap] * f.n), f.block)
-    vals = np.fft.ifftn(arr) * G**f.n
-    return vals.real if f.real else vals
+    return (np.fft.ifftn(arr) * G**f.n).real
 
 
-def _complex_from_grid(cls, values, degree, real=None, drop_below=0.0):
-    # the window of the full complex fftn
+def _complex_from_grid(cls, values, degree, drop_below=0.0):
+    # the window of the full complex fftn, symmetrized
     values = np.asarray(values)
-    if real is None:
-        real = not np.iscomplexobj(values)
     if min(values.shape) <= 2 * degree:
         raise DimensionMismatch("grid too coarse for the requested degree")
     C = np.fft.fftn(values) / values.size
@@ -833,16 +834,16 @@ def _complex_from_grid(cls, values, degree, real=None, drop_below=0.0):
     block = C[np.ix_(*[window % s for s in values.shape])]
     floor = drop_below * float(np.max(np.abs(block)))
     block = np.where(np.abs(block) > floor, block, 0)
-    return cls._exact(values.ndim, torus._symmetrized(block) if real else block, bool(real))
+    return cls._exact(values.ndim, torus._symmetrized(block), True)
 
 
 def _complex_evaluate(f, points):
-    # direct summation over every mode, k and -k alike
+    # the real part of the direct sum over every mode, k and -k alike
     pts = np.asarray(points, dtype=float)
     vals = np.zeros(pts.shape[:-1], dtype=complex)
     for k, c in coeffs(f).items():
         vals += c * np.exp(2j * np.pi * (pts @ np.asarray(k, dtype=float)))
-    return vals.real if f.real else vals
+    return vals.real
 
 
 def _close(got, want, rel=1e-13):
@@ -869,15 +870,6 @@ def test_real_grid_values_match_the_complex_transform(n, G):
         flat = TorusFunction(n, b, real=True)
         assert np.count_nonzero(flat.block) > 0
         assert _close(flat.grid_values(G), _complex_grid_values(flat, G))
-    # aliased blocks (2 size >= G) and complex functions keep the scatter and
-    # the complex transform, to the bit
-    for D in ((G + 1) // 2, G):
-        if (2 * D + 1) ** n > 10**6:
-            continue
-        f = TorusFunction(n, _real_block(rng, n, D), real=True)
-        assert np.array_equal(f.grid_values(G), _complex_grid_values(f, G))
-    g = _random_block_function(rng, n, min(widest, 5), real=False)
-    assert np.array_equal(g.grid_values(G), _complex_grid_values(g, G))
 
 
 @pytest.mark.parametrize("n, G", _SIDES)
@@ -894,34 +886,21 @@ def test_real_from_grid_matches_the_complex_transform(n, G):
             want = _complex_from_grid(TorusFunction, values, degree)
             assert got.real and got.block.shape == want.block.shape
             assert _close(got.block, want.block)
-        # complex samples keep the complex transform, to the bit
-        cvals = values + 1j * rng.normal(size=shape)
-        for real in (None, True):
-            got = TorusFunction.from_grid(cvals, 3, real)
-            want = _complex_from_grid(TorusFunction, cvals, 3, real)
-            assert got.real == want.real
-            assert got.block.tobytes() == want.block.tobytes()
 
 
 def _irfftn_grid_values(f, G):
     # the real path as full half-spectrum transforms: every G//2+1 column
     # goes through irfftn, the zero ones included
     D = f.size
-    if not (f.real and 2 * D < G):
-        return _complex_grid_values(f, G)
     wrap = np.arange(-D, D + 1) % G
     half = np.zeros((G,) * (f.n - 1) + (G // 2 + 1,), dtype=complex)
     half[np.ix_(*[wrap] * (f.n - 1), np.arange(D + 1))] = f.block[..., D:]
     return np.fft.irfftn(half, (G,) * f.n, range(f.n), norm="forward")
 
 
-def _rfftn_from_grid(cls, values, degree, real=None, drop_below=0.0):
+def _rfftn_from_grid(cls, values, degree, drop_below=0.0):
     # the real path read off the full rfftn of the samples
     values = np.asarray(values)
-    if np.iscomplexobj(values):
-        return _complex_from_grid(cls, values, degree, real, drop_below)
-    if real is None:
-        real = True
     if min(values.shape) <= 2 * degree:
         raise DimensionMismatch("grid too coarse for the requested degree")
     window = np.arange(-degree, degree + 1)
@@ -930,7 +909,7 @@ def _rfftn_from_grid(cls, values, degree, real=None, drop_below=0.0):
     block = np.concatenate([np.conj(np.flip(half[..., 1:])), half], axis=-1)
     floor = drop_below * float(np.max(np.abs(block)))
     block = np.where(np.abs(block) > floor, block, 0)
-    return cls._exact(values.ndim, torus._symmetrized(block) if real else block, bool(real))
+    return cls._exact(values.ndim, torus._symmetrized(block), True)
 
 
 def _same_bits(got, want):
@@ -1007,7 +986,7 @@ def test_real_evaluate_matches_the_complex_sum(n):
         assert got.dtype == float and got.shape == (7, 5)
         assert _close(got, _complex_evaluate(f, pts))
     # pure sine and cosine modes, and a constant
-    for f in (sine_mode(n, (1,) * n, 0.3), sine_mode(n, (2,) + (-1,) * (n - 1), 1.0) * 1j * 1j,
+    for f in (sine_mode(n, (1,) * n, 0.3), sine_mode(n, (2,) + (-1,) * (n - 1), -1.0),
               TorusFunction(n, {(1,) * n: 0.5, (-1,) * n: 0.5}, real=True),
               TorusFunction.constant(n, -2.5)):
         assert _close(f.evaluate(pts), _complex_evaluate(f, pts))
@@ -1021,8 +1000,18 @@ def test_real_evaluate_matches_the_complex_sum(n):
         lambda: TorusFunction(2, {(1, 1): 1.0}).grid_values(-4),
         lambda: TorusFunction.from_grid(np.ones((8, 8)), -1),
         lambda: TorusFunction.from_grid(np.ones((8, 8)) * 1j, -1),
+        # the grid layer is real
+        lambda: TorusFunction(2, {(1, 1): 1.0}).grid_values(8),
+        lambda: TorusFunction(2, {(1, 1): 1.0}).evaluate(np.zeros((3, 2))),
+        lambda: TorusFunction.from_grid(np.ones((8, 8)) * 1j, 2),
+        lambda: TorusVectorField([TorusFunction(2, {(1, 1): 1.0}), TorusFunction.constant(2, 0.0)]),
+        lambda: kam_iterate(GOLDEN, TorusVectorField.constant((1e-3j, 0.0))),
+        # 2 size >= G would alias
+        lambda: sine_mode(2, (3, 1), 1.0).grid_values(6),
     ],
-    ids=["real-zero", "real-negative", "complex-negative", "degree-negative", "complex-degree-negative"],
+    ids=["real-zero", "real-negative", "complex-negative", "degree-negative", "complex-degree-negative",
+         "complex-grid-values", "complex-evaluate", "complex-samples",
+         "complex-component", "complex-kam-field", "aliasing-grid"],
 )
 def test_bad_grid_sizes_are_typed_refusals(call):
     with pytest.raises(DimensionMismatch):
@@ -1116,7 +1105,7 @@ def _stacked_pullback(rows, X, G, shift):
         Minv /= (a * d - b * c)[:, None, None]
     else:
         Minv = np.linalg.inv(M)
-    return np.einsum("pij,pj->pi", Minv, shift + X.evaluate(pts + U)), Minv
+    return np.einsum("pij,pj->pi", Minv, shift + np.stack(X._component_values(pts + U), -1)), Minv
 
 
 def _same_signed_bits(got, want):
@@ -1240,22 +1229,33 @@ def test_separable_path_matches_direct_summation(monkeypatch, n, real):
     sparse = _sparse(rng, dense, count, real)
     below = _sparse(rng, dense, count - 1 - real, real)
     assert not TorusFunction(n, below, real=real)._takes_separable_path()
+    if not real:
+        # complex blocks on the separable path are refused, by evaluate and
+        # by a vector field
+        for block in (dense, sparse):
+            f = TorusFunction(n, block, real=False)
+            assert f._takes_separable_path()
+            with pytest.raises(DimensionMismatch):
+                f.evaluate(pts)
+            with pytest.raises(DimensionMismatch):
+                TorusVectorField([f] + [TorusFunction.constant(n, 0.0)] * (n - 1))
+        return
     for block in (dense, sparse):
         # the values are at most 1 in size
-        f = TorusFunction(n, block / np.abs(block).sum(), real=real)
+        f = TorusFunction(n, block / np.abs(block).sum(), real=True)
         assert f._takes_separable_path()
         got = torus._separable_values([f], pts)[0]
-        assert got.dtype == (float if real else complex) and got.shape == (50, 3)
+        assert got.dtype == float and got.shape == (50, 3)
         assert np.array_equal(f.evaluate(pts), got)
         with monkeypatch.context() as m:
             m.setattr(torus, "_SEPARABLE_MARGIN", math.inf)
             want = f.evaluate(pts)
         assert np.max(np.abs(got - want)) <= 1e-13
     # a field evaluates its separable components on shared tables
-    g = TorusFunction(n, sparse / np.abs(sparse).sum() * 0.5, real=real)
+    g = TorusFunction(n, sparse / np.abs(sparse).sum() * 0.5, real=True)
     field = TorusVectorField([f, sine_mode(n, (1,) * n, 0.25), g])
-    got = field.evaluate(pts)
-    want = np.stack([np.real(c.evaluate(pts)) for c in field.components], axis=-1)
+    got = np.stack(field._component_values(pts), axis=-1)
+    want = np.stack([c.evaluate(pts) for c in field.components], axis=-1)
     assert got.shape == (50, 3, 3)
     assert np.array_equal(got[..., 1], want[..., 1])
     assert np.max(np.abs(got - want)) <= 1e-13
