@@ -359,7 +359,7 @@ def _refuse_resonance(alpha, K):
     w = fit_witness(tuple(alpha), 1.0, K)
     if not w.valid:
         raise Resonance(
-            "frequency vector admits an exact resonance", mode=tuple(w.argmin_k)
+            "frequency vector admits an exact resonance at k = %r" % (w.argmin_k,)
         )
 
 
@@ -410,14 +410,22 @@ def _run_solve_coboundary(p, outdir):
         defect = sobolev_norm(directional_derivative(alpha, h) - f, 0)
         denom = sobolev_norm(f, p["r"] + p["sigma"])
         h_norm = sobolev_norm(h, p["r"])
-        rows.append((
+        row = (
             i,
             f.degree,
             denom,
             h_norm,
             h_norm / denom if denom else 0.0,
             defect / fn if fn else 0.0,
-        ))
+        )
+        # a norm past the float range leaves inf or nan in the row, and one
+        # below it reads 0 where h is not zero, which makes the ratio 0
+        if not all(map(math.isfinite, row)) or (0.0 in (denom, h_norm) and not h.is_zero()):
+            raise ValueError(
+                "the solve of member %d leaves the float range at alpha = %r, r = %r, "
+                "sigma = %r" % (i, alpha, p["r"], p["sigma"])
+            )
+        rows.append(row)
     _write_csv(
         outdir,
         "coboundary.csv",
@@ -594,9 +602,7 @@ def _kam_field(p):
         tuple(-x for x in k): -amplitude / 2j,
     }
     comps = [
-        TorusFunction(dim, coeffs, real=True)
-        if i == component
-        else TorusFunction.constant(dim, 0.0, real=True)
+        TorusFunction(dim, coeffs) if i == component else TorusFunction.constant(dim, 0.0)
         for i in range(dim)
     ]
     return TorusVectorField(comps)

@@ -104,10 +104,7 @@ def _divide_central(params, F, toral=None):
         return NilFunction(toral=toral)
     if params.beta[0] == 0:
         n = int(F.ns[0])
-        raise Resonance(
-            "central parameter vanishes; no inverse on representation n=%d" % n,
-            mode=(n,),
-        )
+        raise Resonance("central parameter vanishes; no inverse on representation n=%d" % n)
     c = _central_scale(params, F.ns[:, None])
     return F._rows_like(toral, F.block / (1j * c))
 
@@ -214,8 +211,7 @@ def _rep_laplacian_solve(params, n, v, tol):
     if c == 0:
         raise Resonance(
             "central parameter vanishes; the leafwise Laplacian has no bounded "
-            "inverse at n=%d" % n,
-            mode=(n,),
+            "inverse at n=%d" % n
         )
     denom = 1 + params.mu * params.mu
     shifts = [c * (sign - 1j * params.mu) / denom for sign in (1, -1)]
@@ -236,8 +232,7 @@ def _rep_laplacian_solve(params, n, v, tol):
         if size >= _LAP_SIZE_CAP:
             raise Resonance(
                 "leafwise solve did not stabilize by size %d at n=%d; the "
-                "central scalar is too close to resonance" % (size, n),
-                mode=(n,),
+                "central scalar is too close to resonance" % (size, n)
             )
         size *= 2
 
@@ -256,7 +251,7 @@ def laplacian_solve(params, source, witnesses=None, tol=1e-9):
     scale = max(nil_sobolev_norm(source, 0.0), 1e-300)
     avg = complex(source.toral.average)
     if abs(avg) > tol * scale:
-        raise NonzeroAverage("constant obstruction present", obstruction=(avg,))
+        raise NonzeroAverage("constant obstruction present: average %r" % (avg,))
     x1 = params.x1_y
     once = solve_small_divisor(x1, source.toral, tol_avg=math.inf)
     toral = solve_small_divisor(x1, once) * (1 / (1 + params.mu * params.mu))
@@ -371,8 +366,10 @@ def joint_kernel_dim(params, K, tol=1e-8):
         raise ValueError("tol must be positive")
     ka, floor = _divisors(tuple(float(a) for a in params.x1_y), K)
     # the floor is _SNAP, a power of two, times sum |k_i alpha_i|, so this is
-    # max(floor, tol sum |k_i alpha_i|) to the bit while the floor is normal
-    return int(np.count_nonzero(np.abs(ka) <= floor * max(1.0, tol / _SNAP)))
+    # max(floor, tol sum |k_i alpha_i|) to the bit while the floor is normal;
+    # since |k.alpha| <= sum |k_i alpha_i|, a tol above 1 counts what 1 does,
+    # and clamping it keeps 0 * inf out of the constant mode's test
+    return int(np.count_nonzero(np.abs(ka) <= floor * max(1.0, min(tol, 1.0) / _SNAP)))
 
 
 # --- cochains with vector-field coefficients --------------------------------

@@ -53,7 +53,8 @@ def _draw_plan(dim, degree, decay, real, zero_average):
     A real draw takes the modes with positive leading nonzero component (the
     upper half of the block in C order) and mirrors them.  The weights use
     scalar pow, which the seeded corpora are pinned to; numpy's vectorized
-    power differs from it in the last bit."""
+    power differs from it in the last bit.  A decay that underflows every
+    weight is refused."""
     side = 2 * degree + 1
     half = side**dim // 2
     idx = np.arange(side**dim).reshape((side,) * dim).ravel(order="F")
@@ -64,6 +65,9 @@ def _draw_plan(dim, degree, decay, real, zero_average):
     norm2 = sum(k * k for k in _freqs(dim, degree)).ravel()
     values, inverse = np.unique(norm2[idx], return_inverse=True)
     pows = np.array([(1.0 + int(s)) ** (-decay / 2.0) for s in values])
+    if idx.size and not pows.any():
+        # every member would be zero, and a run on zeros checks nothing
+        raise ValueError("decay = %r underflows the weight of every drawn mode" % decay)
     return _readonly(idx), _readonly(pows[inverse])
 
 
@@ -77,12 +81,11 @@ def _toral_block(rng, dim, degree, decay, real, zero_average):
     return block
 
 
-def toral_function(rng, dim=2, degree=8, decay=3.0, real=True, zero_average=True):
-    """One band-limited function on the torus with Sobolev-decayed modes."""
-    # a real block is conjugate-symmetric by construction, so the checked
-    # constructor's symmetrization would change no bit
+def toral_function(rng, dim=2, degree=8, decay=3.0, zero_average=True):
+    """One real band-limited function on the torus with Sobolev-decayed
+    modes.  Its block is conjugate-symmetric by construction."""
     return TorusFunction._exact(
-        dim, _toral_block(rng, dim, degree, decay, real, zero_average), real
+        dim, _toral_block(rng, dim, degree, decay, True, zero_average), True
     )
 
 
@@ -165,7 +168,7 @@ def vf_cocycle_member(rng, params, degree=3, decay=3.0, scale=1.0):
     from here."""
 
     def slot():
-        f = toral_function(rng, 2, degree, decay, real=True, zero_average=False)
+        f = toral_function(rng, 2, degree, decay, zero_average=False)
         return NilFunction(toral=f * scale)
 
     H = VfField((slot(), slot()), (slot(),))

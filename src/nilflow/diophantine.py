@@ -137,8 +137,14 @@ def min_small_divisor(a, K):
 def _finish_witness(grid, vals, gamma, K, kind):
     # the squares of integer entries sum exactly, in any order
     norms = np.sqrt(np.einsum("ij,ij->i", grid, grid))
-    product = vals * norms**gamma
+    # |k|^gamma past the float range is inf, and a resonant point's 0 * inf
+    # is nan, which argmin would pick: it scores 0, as at any finite gamma
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = vals * norms**gamma
     i = int(np.argmin(product))
+    if np.isnan(product[i]):
+        product[vals == 0] = 0.0
+        i = int(np.argmin(product))
     ties = np.flatnonzero(product == product[i])
     if ties.size > 1:
         # the shortest tied k, then the lexicographically first: the first

@@ -10,30 +10,23 @@ class DimensionMismatch(NilflowError, ValueError):
 
 
 class FormatError(NilflowError, ValueError):
-    """Malformed definition or serialization file; carries a line number when known."""
+    """Malformed definition or serialization file; the message starts with
+    the line number when it is known."""
 
     def __init__(self, message, line=None):
         if line is not None:
             message = "line %d: %s" % (line, message)
         super().__init__(message)
-        self.line = line
 
 
 class NonzeroAverage(NilflowError):
     """Raised when a solve requires zero average but the input carries a constant
-    obstruction; the obstruction is attached for reporting."""
-
-    def __init__(self, message, obstruction=None):
-        super().__init__(message)
-        self.obstruction = obstruction
+    obstruction; the message gives the obstruction."""
 
 
 class Resonance(NilflowError):
-    """An exactly vanishing divisor on the support of the input."""
-
-    def __init__(self, message, mode=None):
-        super().__init__(message)
-        self.mode = mode
+    """An exactly vanishing divisor on the support of the input; the message
+    names the mode."""
 
 
 class NonInvertible(NilflowError):

@@ -141,9 +141,9 @@ _NO_INTS = _readonly(np.zeros(0, dtype=int))
 _NO_ROWS = ((), _NO_INTS, _NO_INTS, _readonly(np.zeros((0, 0), dtype=complex)))
 
 # the zero toral part, real and complex: blocks are read-only, so every zero
-# NilFunction shares one instead of building and reality-checking its own
-_ZERO_REAL = TorusFunction(2, real=True)
-_ZERO_COMPLEX = TorusFunction(2)
+# NilFunction shares one instead of building its own
+_ZERO_REAL = TorusFunction(2)
+_ZERO_COMPLEX = TorusFunction._exact(2, _ZERO_REAL.block, False)
 
 
 def _require_rows(rows, width, key):
@@ -228,15 +228,13 @@ class NilFunction:
             block,
         )
 
-    def _cut(self, toral, n_max, length=None):
+    def _cut(self, toral, n_max, length):
         """The rows with |n| <= n_max, each cut to at most `length` entries,
         on the given toral part."""
         if not self.keys:
             return NilFunction(toral=toral)
         keep = np.abs(self.ns) <= n_max
-        lengths = self.lengths[keep]
-        if length is not None:
-            lengths = np.minimum(lengths, length)
+        lengths = np.minimum(self.lengths[keep], length)
         keys = tuple(k for k, kept in zip(self.keys, keep.tolist()) if kept)
         block = self.block[keep, : lengths.max(initial=0)]
         return NilFunction._from_rows(toral, keys, self.ns[keep], lengths, block)
@@ -543,13 +541,8 @@ def _parse_records(records):
         for j, c in entries.items():
             v[j] = c
         reps[key] = v
-    real = all(
-        toral.get((-k[0], -k[1])) == c.conjugate() for k, c in toral.items()
-    )
     try:
-        return NilFunction(
-            toral=TorusFunction(2, toral, real=real), reps=reps
-        )
+        return NilFunction(toral=TorusFunction(2, toral), reps=reps)
     except ValueError as exc:
         raise FormatError(str(exc))
 

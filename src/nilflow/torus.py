@@ -2,10 +2,11 @@
 
 Functions are finite sums f(x) = sum_k c_k exp(2 pi i k.x) stored as one
 centred coefficient block per function, their only representation, on which
-every operation is an array expression.  A real function's block obeys
-c_{-k} = conj(c_k) up to the sign of zero, which is unspecified; the rule is
-checked once, where data enter, and repaired only where rounding can break
-it, after from_grid's transforms and nil_multiply's sums.  The module
+every operation is an array expression.  A function is real when its block
+obeys c_{-k} = conj(c_k) as values, the sign of a zero being free; the
+constructor reads that off the coefficients exactly, and a real block is
+repaired only where rounding can break the rule, after from_grid's
+transforms and nil_multiply's sums.  The module
 provides the directional-derivative solver that divides by the small
 divisors 2 pi i k.alpha, Sobolev norms, time averages along linear flows,
 pseudo-spectral pullback of vector fields under near-identity
@@ -97,7 +98,8 @@ def _divisors(alpha, D):
 @lru_cache(maxsize=64)
 def _sobolev_weight(n, D, r):
     """(1 + |k|^2)^r on the degree-D block."""
-    return _readonly((1.0 + sum(k * k for k in _freqs(n, D))) ** r)
+    with np.errstate(over="ignore"):  # a weight past the float range is inf
+        return _readonly((1.0 + sum(k * k for k in _freqs(n, D))) ** r)
 
 
 def _quotient(block, d, where):
@@ -116,36 +118,21 @@ class TorusFunction:
     ``block`` is a read-only complex array of shape (2D+1,)*n holding c_k at
     index k + D, in lexicographic order of k; D is ``size``, and ``degree``
     is the sup norm of the nonzero support.  The constructor takes such a
-    block or a {k: c} map and checks it: when ``real`` is set the block must
-    be conjugate-symmetric to 1e-8 relative, and is symmetrized so that
-    c_{-k} is exactly the conjugate of c_k.
+    block or a {k: c} map, checks its shape and keeps its values as given;
+    ``real`` is set when c_{-k} == conj(c_k) holds for every k as values.
     """
 
-    def __init__(self, n, coeffs=None, real=False):
+    def __init__(self, n, coeffs=None):
         if n < 1:
             raise DimensionMismatch("need n >= 1")
         self.n = int(n)
-        self.real = bool(real)
         if isinstance(coeffs, np.ndarray):
             block = np.array(coeffs, dtype=complex, order="C")
             if block.ndim != self.n or block.shape != (len(block) | 1,) * self.n:
                 raise DimensionMismatch("coefficient block must have shape (2D+1,)*n")
         else:
             block = self._block_from_map(coeffs or {})
-        if self.real:
-            with np.errstate(over="ignore", invalid="ignore"):
-                sym = _symmetrized(block)
-                scale = float(np.max(np.abs(block)))
-                defect = float(np.max(np.abs(sym - block)))
-            if not math.isfinite(defect):
-                k = np.unravel_index(np.argmin(np.isfinite(sym)), sym.shape)
-                raise ValueError(
-                    "the reality check overflows: c_k + conj(c_-k) at k = %r is not a finite float"
-                    % (tuple(int(i) - len(sym) // 2 for i in k),)
-                )
-            if defect > 1e-8 * max(1.0, scale):
-                raise ValueError("coefficients violate the reality constraint")
-            block = sym
+        self.real = bool(np.array_equal(block, np.conj(np.flip(block))))
         self.block = _readonly(block)
 
     @classmethod
@@ -174,15 +161,12 @@ class TorusFunction:
         return block
 
     @classmethod
-    def constant(cls, n, value, real=None):
+    def constant(cls, n, value):
         """The constant function value, real unless value has an imaginary
-        part.  Only an explicit ``real`` is checked: one derived from the
-        value cannot fail the check."""
-        value = complex(value)
-        if real is not None:
-            return cls(n, np.full((1,) * n, value), real=real)
+        part."""
         if n < 1:
             raise DimensionMismatch("need n >= 1")
+        value = complex(value)
         return cls._exact(int(n), np.full((1,) * n, value), value.imag == 0)
 
     @property
@@ -304,10 +288,10 @@ class TorusFunction:
         return np.fft.irfft(half, G, axis=-1, norm="forward")
 
     @classmethod
-    def from_grid(cls, values, degree, drop_below=0.0):
+    def from_grid(cls, values, degree):
         """Real function re-expanded from real equispaced samples; keeps modes
-        with sup norm <= degree, discarding coefficients below drop_below
-        relative to the largest one.  Alias-free for band-limited data when
+        with sup norm <= degree, discarding coefficients below _DROP relative
+        to the largest one.  Alias-free for band-limited data when
         every axis has > 2*degree points.  The half-spectrum transform
         computes the k_last >= 0 half of the window, the other half is its
         conjugate reflection, and the block is symmetrized, absorbing FFT
@@ -326,7 +310,7 @@ class TorusFunction:
             half = np.fft.fft(half, axis=ax, norm="forward")
             half = half.take(window % values.shape[ax], axis=ax)
         block = np.concatenate([np.conj(np.flip(half[..., 1:])), half], axis=-1)
-        floor = drop_below * float(np.max(np.abs(block)))
+        floor = _DROP * float(np.max(np.abs(block)))
         block = np.where(np.abs(block) > floor, block, 0)
         return cls._exact(values.ndim, _symmetrized(block), True)
 
@@ -455,10 +439,10 @@ class TorusVectorField:
             [c + TorusFunction.constant(self.n, v) for c, v in zip(self.components, values)]
         )
 
-    def truncated(self, degree, drop_below=0.0):
-        return TorusVectorField(
-            [c.truncated(degree, drop_below) for c in self.components]
-        )
+    def truncated(self, degree):
+        """Each component truncated to degree, dropping coefficients below
+        _DROP relative to its largest."""
+        return TorusVectorField([c.truncated(degree, _DROP) for c in self.components])
 
     def _component_values(self, points):
         """Values of each component at the (..., n) points, one array each.
@@ -501,9 +485,7 @@ def solve_small_divisor(alpha, f, tol_avg=1e-12):
     zero = (f.size,) * f.n
     avg = complex(f.block[zero])
     if abs(avg) > tol_avg:
-        raise NonzeroAverage(
-            "average %r exceeds tolerance %g" % (avg, tol_avg), obstruction=avg
-        )
+        raise NonzeroAverage("average %r exceeds tolerance %g" % (avg, tol_avg))
     ka, floor = _divisors(alpha, f.size)
     support = f.block != 0
     support[zero] = False
@@ -511,7 +493,7 @@ def solve_small_divisor(alpha, f, tol_avg=1e-12):
     if resonant.any():
         # the last one in block order has a positive leading component
         k = tuple(int(i) - f.size for i in np.argwhere(resonant)[-1])
-        raise Resonance("resonant frequency %r for alpha %r" % (k, alpha), mode=k)
+        raise Resonance("resonant frequency %r for alpha %r" % (k, alpha))
     # c / (2 pi i k.alpha) = -i c / (2 pi k.alpha)
     out = _quotient(-1j * f.block, 2 * np.pi * ka, support)
     return TorusFunction._exact(f.n, out, f.real)
@@ -558,7 +540,7 @@ def _field_from_grid(rows, G, degree):
     largest."""
     n = len(rows)
     return TorusVectorField([
-        TorusFunction.from_grid(row.reshape((G,) * n), degree, _DROP) for row in rows
+        TorusFunction.from_grid(row.reshape((G,) * n), degree) for row in rows
     ])
 
 
@@ -767,7 +749,7 @@ def kam_step(state):
     # both re-expansions keep |k| <= K: those coefficients do not depend on
     # a wider window, and the step carries nothing beyond K
     if state.u_acc.is_zero():
-        u_tot = u_new.truncated(K, _DROP)
+        u_tot = u_new.truncated(K)
     else:
         u_tot = _compose_displacement(u_new, state.u_acc, K)
 
@@ -829,8 +811,8 @@ def kam_iterate(omega, beta, max_iter=10, floor=1e-12, trunc_degree=64):
     w = fit_witness(state.omega, gamma=1.0, K=min(trunc_degree, 256))
     if not w.valid:
         raise Resonance(
-            "omega %r is resonant up to degree %d" % (state.omega, w.K),
-            mode=w.argmin_k,
+            "omega %r is resonant up to degree %d, at k = %r"
+            % (state.omega, w.K, w.argmin_k)
         )
     for _ in range(max_iter):
         if state.residual < floor:

@@ -47,7 +47,7 @@ def restrict_frequencies(F, n_max):
     """Drop representation components with |n| above n_max."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    return F._cut(F.toral, n_max)
+    return F._cut(F.toral, n_max, F.lengths.max(initial=0))
 
 
 def delta_op(params, omega):

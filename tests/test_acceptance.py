@@ -274,8 +274,8 @@ def test_criterion_6_torus_kam(capsys):
     t0 = time.monotonic()
     amp = 1e-3
     beta = TorusVectorField([
-        TorusFunction(2, {(1, 1): amp / 2j, (-1, -1): -amp / 2j}, real=True),
-        TorusFunction.constant(2, 0.0, real=True),
+        TorusFunction(2, {(1, 1): amp / 2j, (-1, -1): -amp / 2j}),
+        TorusFunction.constant(2, 0.0),
     ])
     state = kam_iterate(GOLDEN, beta, max_iter=10, floor=1e-12, trunc_degree=64)
     hist = state.residual_history[:5]

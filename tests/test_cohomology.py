@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -62,7 +63,7 @@ def random_nil(rng, toral_modes=4, rep_len=4, real=False):
         (1, 0): rng.standard_normal(rep_len) + 1j * rng.standard_normal(rep_len),
         (-2, 0): rng.standard_normal(rep_len) + 1j * rng.standard_normal(rep_len),
     }
-    return NilFunction(toral=TorusFunction(2, coeffs, real=real), reps=reps)
+    return NilFunction(toral=TorusFunction(2, coeffs), reps=reps)
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +160,8 @@ def test_delta0_star_refuses_a_singular_x2_block(h_length, odd_row):
     p = golden_params(beta=0.0, mu=0.7)
     h = NilFunction(reps={(2, 0): np.arange(1.0, h_length + 1)})
     omega = delta0(p, h)
-    with pytest.raises(Resonance) as err:
+    with pytest.raises(Resonance, match=r"no inverse on representation n=2$"):
         delta1_star_split(p, omega)
-    assert err.value.mode == (2,)
 
 
 @pytest.mark.parametrize("rep_len", [3, 4])
@@ -200,14 +200,13 @@ def test_split_meets_a_resonant_alpha_only_on_its_support():
     # resonant modes splits, and the resonant mode (1, -2) on the support is
     # refused where the small-divisor solve meets it
     p = golden_params(alpha=(1.0, 0.5))
-    f = NilFunction(toral=TorusFunction(2, {(1, 0): 1.0, (-1, 0): 1.0}, real=True))
+    f = NilFunction(toral=TorusFunction(2, {(1, 0): 1.0, (-1, 0): 1.0}))
     s = delta1_star_split(p, Cochain1(f, NilFunction()))
     recon_f = apply_X1(p, s.H).add(s.f_err).add(NilFunction.constant(s.f_triv))
     assert norm_diff(recon_f, f) < 1e-14
-    resonant = NilFunction(toral=TorusFunction(2, {(1, -2): 1.0, (-1, 2): 1.0}, real=True))
-    with pytest.raises(Resonance) as err:
+    resonant = NilFunction(toral=TorusFunction(2, {(1, -2): 1.0, (-1, 2): 1.0}))
+    with pytest.raises(Resonance, match=re.escape("resonant frequency (1, -2) ")):
         delta1_star_split(p, Cochain1(resonant, NilFunction()))
-    assert err.value.mode == (1, -2)
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.7, -2.0])
@@ -236,9 +235,8 @@ def test_zero_beta_is_refused_on_a_representation_row(mu, in_g):
         w = Cochain1(NilFunction(toral=toral), NilFunction(reps=row))
     else:
         w = Cochain1(NilFunction(toral=toral, reps=row), NilFunction())
-    with pytest.raises(Resonance) as err:
+    with pytest.raises(Resonance, match=r"no inverse on representation n=3$"):
         delta1_star_split(p, w)
-    assert err.value.mode == (3,)
 
 
 def test_split_of_cocycle_has_no_error_part():
@@ -272,7 +270,7 @@ def test_split_single_rep_first_component():
 def test_split_reconstruction_random(mu):
     rng = np.random.default_rng(47)
     p = golden_params(beta=0.8, mu=mu)
-    w = Cochain1(random_nil(rng), random_nil(rng))
+    w = Cochain1(random_nil(rng, real=True), random_nil(rng, real=True))
     s = delta1_star_split(p, w)
     scale = max(w.norm(0.0), 1.0)
     recon_f = apply_X1(p, s.H).add(s.f_err).add(NilFunction.constant(s.f_triv))
@@ -284,7 +282,7 @@ def test_split_reconstruction_random(mu):
 def test_split_error_pair_reproduces_defect():
     rng = np.random.default_rng(53)
     p = golden_params(beta=0.8)
-    w = Cochain1(random_nil(rng), random_nil(rng))
+    w = Cochain1(random_nil(rng, real=True), random_nil(rng, real=True))
     s = delta1_star_split(p, w)
     phi = delta1(p, w)
     phi_err = delta1(p, Cochain1(s.f_err, s.g_err))
@@ -375,7 +373,8 @@ def test_laplacian_solve_trivial_cases():
     assert coeff(h.toral, (2, 1)) == pytest.approx(
         -3.0 / (2 * math.pi * (2 + PHI)) ** 2
     )
-    with pytest.raises(NonzeroAverage):
+    # the message names the obstruction
+    with pytest.raises(NonzeroAverage, match=re.escape("average (1+0j)")):
         laplacian_solve(p, NilFunction.constant(1.0))
 
 
@@ -420,9 +419,8 @@ def test_laplacian_solve_refuses_zero_beta_before_any_size(monkeypatch, mu):
 
     monkeypatch.setattr(cohomology, "_bands", refuse)
     p = golden_params(beta=0.0, mu=mu)
-    with pytest.raises(Resonance) as err:
+    with pytest.raises(Resonance, match=r"no bounded inverse at n=-3$"):
         laplacian_solve(p, NilFunction(reps={(-3, 2): np.ones(5)}))
-    assert err.value.mode == (-3,)
 
 
 def _toral_laplacian_reference(p, block, tol=1e-9):
@@ -454,7 +452,7 @@ def test_laplacian_solve_toral_block_matches_the_two_grid_quotient(mu, real):
     if real:
         block = block + np.conj(np.flip(block))
     block[D, D] = 0
-    source = NilFunction(toral=TorusFunction(2, block, real=real))
+    source = NilFunction(toral=TorusFunction(2, block))
     p = golden_params(beta=0.8, mu=mu)
     ref, mode = _toral_laplacian_reference(p, source.toral.block)
     assert mode is None
@@ -472,9 +470,8 @@ def test_laplacian_solve_toral_resonance_matches_the_two_grid_rule(mu):
     p = golden_params(mu=mu, alpha=(1.0, 0.5))
     _ref, mode = _toral_laplacian_reference(p, source.toral.block)
     assert mode == (2, -4)
-    with pytest.raises(Resonance) as err:
+    with pytest.raises(Resonance, match=re.escape("resonant frequency %r " % (mode,))):
         laplacian_solve(p, source)
-    assert err.value.mode == mode
 
 
 def test_dual_route_splittings_agree():

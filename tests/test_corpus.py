@@ -54,11 +54,27 @@ def test_dense_draw_matches_scalar_reference_exactly(dim, degree, real, zero_ave
         ref_rng = member_rng(7, index)
         ref = scalar_toral_coeffs(ref_rng, dim, degree, 3.0, real, zero_average)
         rng = member_rng(7, index)
-        f = toral_function(rng, dim, degree, 3.0, real, zero_average)
+        if real:
+            f = toral_function(rng, dim, degree, 3.0, zero_average)
+        else:
+            # the complex draw is nil_function's toral part
+            f = TorusFunction(dim, _toral_block(rng, dim, degree, 3.0, False, zero_average))
         # exact equality, entry by entry: no tolerance
         assert coeffs(f) == ref
         # the draw consumed the stream exactly as far as the reference
         assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+def test_a_decay_that_zeroes_every_drawn_mode_is_refused():
+    for draw in (lambda rng: toral_function(rng, 2, 3, 1e300),
+                 lambda rng: nil_function(rng, degree=3, decay=1e300)):
+        with pytest.raises(ValueError, match="decay = 1e[+]300 underflows"):
+            draw(member_rng(0, 0))
+    # the constant mode's weight is 1 at every decay
+    F = nil_function(member_rng(0, 0), degree=3, decay=1e300, zero_average=False)
+    assert F.toral.degree == 0 and not F.toral.is_zero()
+    # weights that underflow past some degree leave the lower modes drawn
+    assert toral_function(member_rng(0, 0), 1, 40, 400.0).degree > 0
 
 
 def test_nil_function_toral_part_matches_scalar_reference():
@@ -106,15 +122,18 @@ def test_rep_rows_draw_matches_per_row_reference_exactly(n_max, length):
 @pytest.mark.parametrize("real", [True, False])
 @pytest.mark.parametrize("zero_average", [True, False])
 def test_draw_wraps_the_bits_the_checked_constructor_gives(dim, degree, real, zero_average):
-    # a draw skips the constructor's reality check and copy: a real block is
-    # conjugate-symmetric by construction, so the check would change no bit
+    # a draw skips the constructor's copy and reality test: a real block is
+    # conjugate-symmetric by construction, and the constructor reads a
+    # complex draw as complex
     for index in range(3):
         block = _toral_block(member_rng(5, index), dim, degree, 3.0, real, zero_average)
-        checked = TorusFunction(dim, block, real=real)
-        f = toral_function(member_rng(5, index), dim, degree, 3.0, real, zero_average)
-        assert f.real == checked.real and f.n == checked.n
-        assert f.block.tobytes() == checked.block.tobytes()
-        assert not f.block.flags.writeable
+        checked = TorusFunction(dim, block)
+        assert checked.real == real
+        if real:
+            f = toral_function(member_rng(5, index), dim, degree, 3.0, zero_average)
+            assert f.real and f.n == checked.n
+            assert f.block.tobytes() == checked.block.tobytes()
+            assert not f.block.flags.writeable
 
 
 @pytest.mark.parametrize("zero_average", [True, False])
