@@ -13,7 +13,9 @@ whose last bits depend on their count; ``OPENBLAS_NUM_THREADS=1`` pins it.
 """
 
 import argparse
+import cmath
 import csv
+import io
 import json
 import math
 import os
@@ -309,15 +311,25 @@ def _format_value(v):
 # --- output helpers ---------------------------------------------------------
 
 
-def _write_csv(outdir, name, header, rows):
-    """Write header and rows to outdir/name.  Cells must be Python scalars:
-    csv writes str(cell), for a Python float or complex its repr, which reads
-    back to the same bits; a numpy scalar's str follows numpy's print options,
-    so runners convert with float() where a value could come from numpy."""
+def _write_csv(outdir, name, header, rows, at=""):
+    """Write header and rows, a list, to outdir/name.  Cells must be Python
+    scalars: csv writes str(cell), for a Python float or complex its repr,
+    which reads back to the same bits; a numpy scalar's str follows numpy's
+    print options, so runners convert with float() where it could be one.
+
+    A row with an inf or nan cell is refused before the file is opened; the
+    message names the row and `at`, the inputs the rows were computed at."""
+    body = io.StringIO()
+    csv.writer(body, lineterminator="\n").writerows(rows)
+    body = body.getvalue()
+    # such a cell is written inf or nan, so only text holding one is scanned
+    if "inf" in body or "nan" in body:
+        for i, row in enumerate(rows):
+            if any(isinstance(c, (float, complex)) and not cmath.isfinite(c) for c in row):
+                raise ValueError("%s row %d leaves the float range%s" % (name, i, at and " at " + at))
     with open(os.path.join(outdir, name), "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.write(body)
 
 
 def _write_summary(outdir, record):
@@ -410,27 +422,18 @@ def _run_solve_coboundary(p, outdir):
         defect = sobolev_norm(directional_derivative(alpha, h) - f, 0)
         denom = sobolev_norm(f, p["r"] + p["sigma"])
         h_norm = sobolev_norm(h, p["r"])
-        row = (
-            i,
-            f.degree,
-            denom,
-            h_norm,
-            h_norm / denom if denom else 0.0,
-            defect / fn if fn else 0.0,
-        )
-        # a norm past the float range leaves inf or nan in the row, and one
-        # below it reads 0 where h is not zero, which makes the ratio 0
-        if not all(map(math.isfinite, row)) or (0.0 in (denom, h_norm) and not h.is_zero()):
-            raise ValueError(
-                "the solve of member %d leaves the float range at alpha = %r, r = %r, "
-                "sigma = %r" % (i, alpha, p["r"], p["sigma"])
-            )
-        rows.append(row)
+        # a norm of a nonzero h or f that underflows to 0 leaves no ratio
+        ratio = 0.0 if h.is_zero() else h_norm / denom if denom and h_norm else math.nan
+        rows.append((i, f.degree, denom, h_norm, ratio, defect / fn if fn else 0.0))
+    at = "alpha = %r, r = %r, sigma = %r" % (alpha, p["r"], p["sigma"])
+    if p["input"]:
+        at = "max |c_k| = %r, %s" % (float(np.abs(fns[0].block).max()), at)
     _write_csv(
         outdir,
         "coboundary.csv",
         ["index", "degree", "norm_data", "norm_solution", "ratio", "defect_rel"],
         rows,
+        at,
     )
     if p["input"]:
         # h is the solution of the one loaded member
@@ -466,21 +469,16 @@ def _run_split(p, outdir):
         ) / scale
         return recon, s.constants["h_ratio"], s.constants["err_ratio"]
 
+    # an overflow anywhere in a member's split leaves inf or nan in its row,
+    # which _write_csv refuses
     with np.errstate(all="ignore"):
-        results = [one(om) for om in corpus]
-    # an overflow anywhere in a member's split leaves inf or nan in its row
-    bad = next((i for i, r in enumerate(results) if not all(map(math.isfinite, r))), None)
-    if bad is not None:
-        raise ValueError(
-            "the split of member %d overflows at alpha = %r, beta = %r, mu = %r"
-            % (bad, params.alpha, params.beta[0], params.mu)
-        )
-    rows = [(i,) + r for i, r in enumerate(results)]
+        rows = [(i,) + one(om) for i, om in enumerate(corpus)]
     _write_csv(
         outdir,
         "split.csv",
         ["index", "recon_rel", "h_ratio", "err_ratio"],
         rows,
+        "alpha = %r, beta = %r, mu = %r" % (params.alpha, params.beta[0], params.mu),
     )
     worst = max((r[1] for r in rows), default=0.0)
     ok = worst <= p["recon_tol"]
@@ -632,6 +630,7 @@ def _run_kam(p, outdir):
         _write_csv(
             outdir, "kam.csv", ["iteration", "residual", "residual_r2"],
             _kam_rows(state),
+            "omega = %r, amplitude = %r" % (tuple(p["omega"]), p["amplitude"]),
         )
     if failure is not None:
         return {

@@ -1043,11 +1043,17 @@ def test_csv_cells_are_the_reprs_of_python_scalars(tmp_path):
                 zeros += cell == "-0.0"
     assert zeros == 16
     # complex and signed-zero cells keep Python's repr; text is still quoted
-    row = (1 - 2j, complex(0.0, -0.0), -0.0, 0.1, 1e-300, math.inf, 3, "a,b")
+    row = (1 - 2j, complex(0.0, -0.0), -0.0, 0.1, 1e-300, 3, "a,b")
     cli._write_csv(str(tmp_path), "cells.csv", ["c"] * len(row), [row])
     assert read_csv(tmp_path, "cells.csv")[1] == [
         x if isinstance(x, str) else repr(x) for x in row
     ]
+    # a row with an inf or nan cell, real or complex, is refused before the
+    # file is opened
+    for bad in (math.inf, -math.inf, math.nan, complex(1.0, math.inf)):
+        with pytest.raises(ValueError, match=r"^bad\.csv row 1 leaves the float range at x = 1$"):
+            cli._write_csv(str(tmp_path), "bad.csv", ["c"], [(0.0,), (bad,)], "x = 1")
+    assert not (tmp_path / "bad.csv").exists()
 
 
 def _digest(path):
@@ -1291,7 +1297,7 @@ def test_split_past_the_float_range_is_an_error_record(tmp_path, capsys, overrid
     assert status == 1
     rec = read_summary(tmp_path)[0]
     assert (rec["verdict"], rec["reason"]) == ("error", "ValueError")
-    assert "overflows at " + detail in rec["detail"]
+    assert rec["detail"] == "split.csv row 0 leaves the float range at " + detail
     assert capsys.readouterr().err == ""
     assert os.listdir(tmp_path) == ["summary.jsonl"]
 
@@ -1318,14 +1324,15 @@ def test_solve_coboundary_past_the_float_range_is_an_error_record(
     assert status == 1
     rec = read_summary(tmp_path)[0]
     assert (rec["verdict"], rec["reason"]) == ("error", "ValueError")
-    assert rec["detail"] == "the solve of member 0 leaves the float range at " + detail
+    assert rec["detail"] == "coboundary.csv row 0 leaves the float range at " + detail
     assert capsys.readouterr().err == ""
     assert os.listdir(tmp_path) == ["summary.jsonl"]
 
 
 def test_real_input_past_the_float_range_names_the_overflow(tmp_path, capsys):
     # the mirrored input reads as real, at 1e308 as at 1e300; its norms
-    # overflow in the solve
+    # overflow in the solve, and the message names the input's largest
+    # coefficient
     for value in ("1e300", "1e308"):
         data = tmp_path / ("f%s.txt" % value)
         data.write_text("toral 1 0 %s 0\ntoral -1 0 %s 0\n" % (value, value))
@@ -1337,11 +1344,34 @@ def test_real_input_past_the_float_range_names_the_overflow(tmp_path, capsys):
         rec = read_summary(out)[0]
         assert (rec["verdict"], rec["reason"]) == ("error", "ValueError")
         assert rec["detail"] == (
-            "the solve of member 0 leaves the float range at alpha = (1.0, %r), r = 1.0, "
-            "sigma = 2.0" % PHI
+            "coboundary.csv row 0 leaves the float range at max |c_k| = %s, "
+            "alpha = (1.0, %r), r = 1.0, sigma = 2.0" % (float(value), PHI)
         )
         assert capsys.readouterr().err == ""
         assert os.listdir(out) == ["summary.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "overrides, row",
+    [(dict(amplitude=1e300), 0), (dict(omega=(1e300, PHI)), 1)],
+    ids=["amplitude1e300", "omega1e300"],
+)
+def test_kam_past_the_float_range_is_an_error_record(tmp_path, capsys, overrides, row):
+    # the residual history would read inf, in row 0 for the amplitude and in
+    # row 1 for omega; no kam.csv and no RuntimeWarning
+    cfg = dict(omega=(1.0, PHI), K=16, max_iter=3)
+    cfg.update(overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status = run(make_config("kam", tmp_path, **cfg))
+    assert status == 1
+    rec = read_summary(tmp_path)[0]
+    assert (rec["verdict"], rec["reason"]) == ("error", "ValueError")
+    assert rec["detail"] == "kam.csv row %d leaves the float range at omega = %r, amplitude = %r" % (
+        row, cfg["omega"], cfg.get("amplitude", 1e-3)
+    )
+    assert capsys.readouterr().err == ""
+    assert os.listdir(tmp_path) == ["summary.jsonl"]
 
 
 # small shapes, at the scale of the perfbench smoke configs
@@ -1445,11 +1475,6 @@ def _float_cases():
     """One case per component of every float and floats key, at each end of
     the float range: the component is set to the value and every other key
     keeps the fuzz base's value or its default."""
-    # kam writes inf into kam.csv before it ends in NoConvergence: in row 0
-    # when the amplitude is, in row 1 when an omega component is
-    kam = pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason="kam.csv holds inf; the run ends NoConvergence"
-    )
     cases = []
     for sub, schema in SCHEMAS.items():
         for key, (typ, default, *_bound) in schema.items():
@@ -1459,9 +1484,8 @@ def _float_cases():
             for i in range(len(parts)):
                 for value in ("1e+300", "-1e+300", "1e-300", "-1e-300"):
                     text = " ".join(parts[:i] + [value] + parts[i + 1:])
-                    marks = kam if key in ("amplitude", "omega") and "e+" in value else ()
                     name = "%s-%s%s=%s" % (sub, key, i if typ == "floats" else "", value)
-                    cases.append(pytest.param(sub, key, text, marks=marks, id=name))
+                    cases.append(pytest.param(sub, key, text, id=name))
     return cases
 
 

@@ -270,7 +270,7 @@ def test_split_single_rep_first_component():
 def test_split_reconstruction_random(mu):
     rng = np.random.default_rng(47)
     p = golden_params(beta=0.8, mu=mu)
-    w = Cochain1(random_nil(rng, real=True), random_nil(rng, real=True))
+    w = Cochain1(random_nil(rng), random_nil(rng))
     s = delta1_star_split(p, w)
     scale = max(w.norm(0.0), 1.0)
     recon_f = apply_X1(p, s.H).add(s.f_err).add(NilFunction.constant(s.f_triv))
@@ -282,7 +282,7 @@ def test_split_reconstruction_random(mu):
 def test_split_error_pair_reproduces_defect():
     rng = np.random.default_rng(53)
     p = golden_params(beta=0.8)
-    w = Cochain1(random_nil(rng, real=True), random_nil(rng, real=True))
+    w = Cochain1(random_nil(rng), random_nil(rng))
     s = delta1_star_split(p, w)
     phi = delta1(p, w)
     phi_err = delta1(p, Cochain1(s.f_err, s.g_err))
