@@ -7,9 +7,9 @@ refused certificate, failed convergence), 1 on errors.
 
 Numeric cells are written with repr so identical config and seed produce
 byte-identical output.  A run starts no threads of its own.  One exception
-to both: a multi-mode ``kam`` (``degree`` >= 1) evaluates its dense fields
-through a BLAS matrix product, which runs on the BLAS library's threads and
-whose last bits depend on their count; ``OPENBLAS_NUM_THREADS=1`` pins it.
+to both: from ``degree`` 64 on, ``kam``'s last bits depend on the count of
+the BLAS threads that evaluate its member (not below it, at ``K`` = 64);
+``OPENBLAS_NUM_THREADS=1`` pins them.
 """
 
 import argparse

@@ -6,26 +6,26 @@ every operation is an array expression.  A function is real when its block
 obeys c_{-k} = conj(c_k) as values, the sign of a zero being free; the
 constructor reads that off the coefficients exactly, and a real block is
 repaired only where rounding can break the rule, after from_grid's
-transforms and nil_multiply's sums.  The module
-provides the directional-derivative solver that divides by the small
-divisors 2 pi i k.alpha, Sobolev norms, time averages along linear flows,
-pseudo-spectral pullback of vector fields under near-identity
-diffeomorphisms id + u, and the Newton conjugacy iteration that flattens a
-perturbed constant field back to its linear model.
+transforms and nil_multiply's sums.  The module provides the
+directional-derivative solver that divides by the small divisors
+2 pi i k.alpha, Sobolev norms, pseudo-spectral pullback of vector fields
+under near-identity diffeomorphisms id + u, and the Newton conjugacy
+iteration that flattens a perturbed constant field back to its linear model.
 
-Conventions: enumeration degree is the sup norm of k; composition samples on
-an equispaced grid of at least 4K points per dimension and re-expands through
-the FFT.  The grid layer is real: a vector field's components are real
-functions, and only real functions are sampled, re-expanded or evaluated.
-They are sampled and re-expanded through half-spectrum transforms that touch
-only the D+1 columns k_last = 0..D of a degree-D band, in irfftn's and
-rfftn's axis order and so to their bits, on grids that fit the block, and are
-evaluated pointwise from the modes k > 0 in lexicographic order.  Blocks with
-enough nonzero modes for their side are evaluated by separable contraction
-against exp(2 pi i x_j k) tables instead.  The Newton step
-re-expands at its truncation degree K on the 4K grid, working on contiguous
-rows of grid values; the final verification samples a 5-smooth grid that is
-not a power of two, sized from K.
+Conventions: enumeration degree is the sup norm of k; grids are equispaced
+and re-expand through the FFT.  The grid layer is real: a vector field's
+components are real functions, and only real functions are sampled,
+re-expanded or evaluated.  They are sampled and re-expanded through
+half-spectrum transforms that touch only the D+1 columns k_last = 0..D of a
+degree-D band, in irfftn's and rfftn's axis order and so to their bits, on
+grids that fit the block, and are evaluated pointwise from the modes k > 0
+in lexicographic order.  Blocks with enough nonzero modes for their side are
+evaluated by separable contraction against exp(2 pi i x_j k) tables instead.
+The Newton step works on contiguous rows of values on the 4K grid: it adds
+its coordinate change to the accumulated one, as the parametrization method
+does, evaluates only the given member off the grid, and re-expands at its
+truncation degree K.  The final verification samples a 5-smooth grid that
+is not a power of two, sized from K.
 """
 
 import math
@@ -46,7 +46,7 @@ from .errors import (
 # coefficients below this relative size are discarded when re-expanding
 _DROP = 1e-16
 
-# largest coefficient block or composition grid, in entries
+# largest coefficient block or sampling grid, in entries
 _SIZE_CAP = 4e7
 
 
@@ -513,7 +513,7 @@ def _sampled(functions, G):
     One transform per nonzero function, into its row; a zero function's row
     is filled with +0, which is what its transform gives."""
     n = functions[0].n
-    _require_size(G, n, "composition grid")
+    _require_size(G, n, "sampling grid")
     rows = np.empty((len(functions), G**n))
     for row, f in zip(rows, functions):
         if f.is_zero():
@@ -565,15 +565,14 @@ def _check_invertible(U, J):
         raise NonInvertible("Jacobian sup-norm %.3g >= 1/2" % sup_j)
 
 
-# composition and verification grids sample at least this many points per
-# input mode and dimension
+# step and verification grids sample this many points per mode and dimension
 _GRID_FACTOR = 4
 
 
-def _grid_size(K_in, out_degree):
-    """Points per dimension of a composition grid: _GRID_FACTOR per input mode
-    and alias-free re-expansion up to out_degree."""
-    return max(_GRID_FACTOR * K_in, 2 * out_degree + 2, 8)
+def _grid_size(K):
+    """Points per dimension of a Newton step's grid: _GRID_FACTOR per mode up
+    to K, at least 8; products of degree-K fields re-expand there unaliased."""
+    return max(_GRID_FACTOR * K, 8)
 
 
 def _verification_size(K_in):
@@ -657,16 +656,17 @@ def _pulled_back(u, X, G, shift=0.0):
     return _matvec_rows(Minv, V).T, Minv
 
 
-def _compose_displacement(u_new, u_acc, out_degree):
-    """Displacement of (id + u_acc) o (id + u_new): u_new + u_acc(x + u_new),
-    formed on rows of grid values; u_new's zero components are not
-    transformed."""
-    G = _grid_size(max(u_new.degree, u_acc.degree, 1), out_degree)
+def _corrected(u_acc, u_new, G, degree):
+    """u_acc + (I + Du_acc) u_new, the parametrization method's update, on rows
+    of G^n grid values, re-expanded at degree: the composition (id + u_acc) o
+    (id + u_new) up to O(|u_new|^2 |D^2 u_acc|).  Its rows die on return."""
+    A = _sampled(u_acc.components, G)
     U = _sampled(u_new.components, G)
-    vals = u_acc._component_values(_moved_points(U, G))
-    for v, row in zip(vals, U):
-        v += row
-    return _field_from_grid(vals, G, out_degree)
+    J = _sampled([c.partial(j) for c in u_acc.components for j in range(len(U))], G)
+    A += U
+    for (i, j), row in zip(np.ndindex(len(U), len(U)), J):
+        A[i] += row * U[j]
+    return _field_from_grid(A, G, degree)
 
 
 @dataclass
@@ -711,10 +711,10 @@ class KamState:
 
 def kam_step(state):
     """One Newton step: shift the parameter by the current average, solve the
-    derivative equation for the coordinate change, compose, and recompute the
-    residual by pulling the original field back under the accumulated change.
-    The grid values stay in rows, one per component or Jacobian entry, from
-    the pullback to the re-expansion."""
+    derivative equation for the coordinate change, add it to the accumulated
+    one (`_corrected`), and recompute the residual by pulling the original
+    field back under the sum.  The grid values stay in rows, one per
+    component or Jacobian entry, from the samples to the re-expansion."""
     beta = state.beta_cur
     omega = np.asarray(state.omega)
     n = len(state.omega)
@@ -748,14 +748,14 @@ def kam_step(state):
 
     # both re-expansions keep |k| <= K: those coefficients do not depend on
     # a wider window, and the step carries nothing beyond K
+    G = _grid_size(K)
     if state.u_acc.is_zero():
         u_tot = u_new.truncated(K)
     else:
-        u_tot = _compose_displacement(u_new, state.u_acc, K)
+        u_tot = _corrected(state.u_acc, u_new, G, K)
 
     # pull the original member back under the accumulated change; the
     # parameter increment is solved exactly against the averaged Jacobian
-    G = _grid_size(K, K)
     P, Minv = _pulled_back(u_tot, state.beta0, G, omega - np.asarray(state.lambda_bar))
     # axis-0 reductions accumulate sequentially and drift ~N*eps; per-column
     # pairwise means keep the average kill at rounding level

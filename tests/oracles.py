@@ -1,5 +1,6 @@
 """Reference computations that the acceptance and unit tests compare the
-package against: the closed-form Birkhoff average on the torus, the first
+package against: the closed-form Birkhoff average on the torus, the
+composition of two near-identity changes of coordinates, the first
 coboundary of a function, the cut of a function's representation rows to a
 frequency window, and the rigidity step that splits each slot twice."""
 
@@ -16,7 +17,7 @@ from nilflow.cohomology import (
 from nilflow.errors import DimensionMismatch
 from nilflow.nilrep import apply_X1, apply_X2, nil_sobolev_norm
 from nilflow.rigidity import project_P, section_s, vf_bracket
-from nilflow.torus import _divisors, _freqs
+from nilflow.torus import _divisors, _field_from_grid, _freqs, _moved_points, _sampled
 
 
 def birkhoff_average(alpha, f, x0, T):
@@ -36,6 +37,21 @@ def birkhoff_average(alpha, f, x0, T):
     window = np.divide(np.expm1(z), z, out=np.ones_like(z), where=np.abs(ka) > floor)
     avg = np.sum(f.block * np.exp(2j * np.pi * kx) * window)
     return float(avg.real) if f.real else complex(avg)
+
+
+def composed_displacement(u_new, u_acc, out_degree):
+    """Displacement of (id + u_acc) o (id + u_new): u_new + u_acc(x + u_new),
+    with u_acc evaluated at the moved points of a grid of 4 points per input
+    mode that re-expands out_degree without aliasing.  The Newton step's
+    additive update `torus._corrected` agrees with it to second order in
+    u_new."""
+    K_in = max(u_new.degree, u_acc.degree, 1)
+    G = max(4 * K_in, 2 * out_degree + 2, 8)
+    U = _sampled(u_new.components, G)
+    vals = u_acc._component_values(_moved_points(U, G))
+    for v, row in zip(vals, U):
+        v += row
+    return _field_from_grid(vals, G, out_degree)
 
 
 def delta0(params, h):

@@ -59,3 +59,8 @@ def test_outputs_match_the_ledger():
     moved = _moved(got, LEDGER["runs"])
     assert not moved, "outputs moved from the ledger:\n" + "\n".join(moved)
 
+
+def test_multi_mode_kam_bytes_do_not_depend_on_blas_threads():
+    names = ["extra/kam-degree-6", "extra/kam-degree-16"]
+    moved = _moved(_rerun(2, *names), names)
+    assert not moved, "outputs moved under 2 BLAS threads:\n" + "\n".join(moved)

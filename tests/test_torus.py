@@ -33,7 +33,7 @@ from nilflow.torus import (
     verify_conjugacy,
 )
 
-from oracles import birkhoff_average
+from oracles import birkhoff_average, composed_displacement
 from toral_coeffs import coeff, coeffs
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -214,10 +214,11 @@ def test_tame_ratio_plateau_on_random_corpus():
 
 def pullback(u, X, out_degree=None):
     """X pulled back under id + u, re-expanded at out_degree (twice the input
-    degree by default) from the grid of `_grid_size`."""
+    degree by default) from a grid of 4 points per input mode that also
+    re-expands out_degree without aliasing."""
     K_in = max(u.degree, X.degree, 1)
     out_degree = out_degree or 2 * K_in
-    G = torus._grid_size(K_in, out_degree)
+    G = max(4 * K_in, 2 * out_degree + 2, 8)
     return torus._field_from_grid(torus._pulled_back(u, X, G)[0].T, G, out_degree)
 
 
@@ -564,7 +565,7 @@ def test_pullback_jacobians_are_capped_before_allocation():
     tracemalloc.start()
     try:
         with pytest.raises(DimensionMismatch, match="pullback Jacobians too large"):
-            torus._pulled_back(u, X, torus._grid_size(64, 64))
+            torus._pulled_back(u, X, torus._grid_size(64))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -572,7 +573,7 @@ def test_pullback_jacobians_are_capped_before_allocation():
     # the newton workload's n = 2 grids at K = 64 stay inside it
     u = TorusVectorField([sine_mode(2, (1, 1), 1e-3), TorusFunction.constant(2, 0.0)])
     X = TorusVectorField.constant(GOLDEN)
-    for G in (torus._grid_size(64, 64), torus._verification_size(64)):
+    for G in (torus._grid_size(64), torus._verification_size(64)):
         vals, Minv = torus._pulled_back(u, X, G)
         assert vals.shape == (G * G, 2) and Minv.shape == (G * G, 2, 2)
 
@@ -1177,11 +1178,34 @@ def test_zero_components_are_never_transformed(monkeypatch):
     # u_0 and its two partials; u_1 = 0 and its partials get zero rows
     assert len(transformed) == 3
     transformed.clear()
-    torus._compose_displacement(u, golden_perturbation(2e-3), 16)
-    assert len(transformed) == 1
+    # the update samples u_acc_0, its x_0 partial and u_0: u_acc_0 does not
+    # depend on x_1, and u_acc_1 = u_1 = 0
+    u_acc = TorusVectorField([sine_mode(2, (1, 0), 2e-3), TorusFunction.constant(2, 0.0)])
+    torus._corrected(u_acc, u, 64, 16)
+    assert len(transformed) == 3 and not any(f.is_zero() for f in transformed)
     transformed.clear()
     kam_iterate(GOLDEN, u, trunc_degree=64)
     assert transformed and not any(f.is_zero() for f in transformed)
+
+
+def test_additive_update_agrees_with_the_composition_to_second_order():
+    # u_acc + (I + Du_acc) u_new and u_new + u_acc(x + u_new) differ by
+    # O(|u_new|^2 |D^2 u_acc|): slope 2 in the size of u_new.  Without the
+    # Du_acc u_new term the difference is first order, slope 1
+    u_acc = TorusVectorField([toral_function(member_rng(5, i), 2, 3) * 1e-2 for i in range(2)])
+    w = TorusVectorField([toral_function(member_rng(6, i), 2, 3) for i in range(2)])
+    K = 16
+    epsilons = [1e-2, 1e-3, 1e-4]
+    gaps = []
+    for eps in epsilons:
+        u_new = TorusVectorField([c * eps for c in w.components])
+        added = torus._corrected(u_acc, u_new, torus._grid_size(K), K)
+        composed = composed_displacement(u_new, u_acc, K)
+        gaps.append(sobolev_norm(TorusVectorField(
+            [a - b for a, b in zip(added.components, composed.components)]
+        ), 0))
+    slope = np.polyfit(np.log(epsilons), np.log(gaps), 1)[0]
+    assert abs(slope - 2) < 0.1, (slope, gaps)
 
 
 def _sparse(rng, block, count, real):
