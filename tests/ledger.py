@@ -16,17 +16,13 @@ A change that moves output bytes on purpose regenerates the ledger, so its
 diff names every file that moved.
 """
 
+import hashlib
+import json
 import os
-
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import hashlib  # noqa: E402
-import json  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
+import sys
+import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-sys.path[:0] = [os.path.join(os.path.dirname(HERE), "src"), HERE]
 LEDGER = os.path.join(HERE, "outputs.json")
 SEEDS = (1, 2, 3)
 
@@ -96,7 +92,7 @@ def ledger(only=()):
             entries[name] = {"status": status, "files": _digests(outdir)}
     return {
         "numpy": np.__version__,
-        "OPENBLAS_NUM_THREADS": os.environ["OPENBLAS_NUM_THREADS"],
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "runs": entries,
     }
 
@@ -113,4 +109,7 @@ def main(argv):
 
 
 if __name__ == "__main__":
+    # before numpy loads, which the runs import
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    sys.path[:0] = [os.path.join(os.path.dirname(HERE), "src"), HERE]
     main(sys.argv[1:])
