@@ -7,7 +7,6 @@ family directions."""
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -19,14 +18,8 @@ from .errors import (
     UnrepresentableProduct,
     UnsupportedPerturbation,
 )
-from .nilrep import (
-    _GENERATORS,
-    NilFunction,
-    _apply_element,
-    _parse_records,
-    nil_sobolev_norm,
-)
-from .torus import TorusFunction, _readonly, _symmetrized, _zeros
+from .nilrep import NilFunction, _parse_records, nil_sobolev_norm
+from .torus import _SIZE_CAP, TorusFunction, _freqs, _smooth_size, _symmetrized
 
 
 @dataclass
@@ -86,83 +79,91 @@ def smoothing_truncate(F, cutoff):
     return F._cut(F.toral.truncated(cutoff), cutoff, int(math.floor(cutoff)) + 1)
 
 
-# largest side of the denser factor's block at which nil_multiply's bincount
-# kernel beats its shifted adds
-_SCATTER_SIDE = 11
-
-
-@lru_cache(maxsize=64)
-def _shift_offsets(m, S):
-    """Flat offsets k S + l of an m x m block's entries inside an S x S one."""
-    k, l = np.divmod(np.arange(m * m), m)
-    return _readonly(k * S + l)
-
-
-def _is_constant(f):
-    """Whether every nonzero coefficient of f sits at the centre."""
-    return np.count_nonzero(f.block) == (f.block[(f.size,) * f.n] != 0)
+def _grid_products(tori, sums, D):
+    """Sums of products of toral functions on T^2 and their partials, on one
+    grid.  sums[i] lists (op, (f, a), (g, b)) terms, op np.add or np.subtract,
+    each adding or subtracting tori[f]_a tori[g]_b; index 0 reads the values,
+    1 and 2 the partials along Y1 and Y2.  Every factor read is sampled once,
+    in one inverse FFT of the stacked zero-padded blocks on the smallest
+    5-smooth side G >= 2 D + 1, where degree-D products do not alias; the
+    sums are formed pointwise and re-expanded in one forward FFT, keeping
+    |k| <= D.  A sum is real when all factors it reads are, and is then
+    symmetrized, as from_grid does.  The rounding is absolute, of order
+    eps log G ||a||_1 ||b||_1 per product a b (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002, ch. 24), where a double sum's is relative
+    per coefficient."""
+    G = _smooth_size(2 * D + 1)
+    factors = sorted({x for terms in sums for _op, *pq in terms for x in pq})
+    if len(factors) * G * G > _SIZE_CAP:
+        raise DimensionMismatch("product grids too large (%d of %d^2 entries)" % (len(factors), G))
+    d = max(t.size for t in tori)
+    padded = np.zeros((len(tori), 2 * d + 1, 2 * d + 1), dtype=complex)
+    for block, t in zip(padded, tori):
+        block[d - t.size : d + t.size + 1, d - t.size : d + t.size + 1] = t.block
+    scale = np.ones((3, 2 * d + 1, 2 * d + 1), dtype=complex)
+    scale[1], scale[2] = (2j * np.pi * k for k in _freqs(2, d))
+    # ifft2's passes, last axis first, the first over the block's rows only;
+    # the forward transform takes fft2's, each keeping only the window
+    f, a = np.array(factors).T
+    w = np.arange(-d, d + 1) % G
+    rows = np.zeros((len(factors), 2 * d + 1, G), dtype=complex)
+    rows[..., w] = padded[f] * scale[a]
+    samples = np.zeros((len(factors), G, G), dtype=complex)
+    samples[:, w] = np.fft.ifft(rows, norm="forward")
+    samples = np.fft.ifft(samples, axis=1, norm="forward")
+    grid = np.zeros((len(sums), G, G), dtype=complex)
+    for out, terms in zip(grid, sums):
+        for op, p, q in terms:
+            op(out, samples[factors.index(p)] * samples[factors.index(q)], out=out)
+    w = np.arange(-D, D + 1) % G
+    blocks = np.fft.fft(np.fft.fft(grid, norm="forward")[..., w], axis=1, norm="forward")[:, w]
+    real = [all(tori[f].real for _op, *pq in terms for f, _a in pq) for terms in sums]
+    return [TorusFunction._exact(2, _symmetrized(b) if r else b, r) for b, r in zip(blocks, real)]
 
 
 def nil_multiply(F, G):
     """Pointwise product where it stays inside the coefficient frame: toral
     times toral is a convolution, constants scale anything.  Products involving
-    a representation part and a nonconstant factor leave the frame.
-
-    The convolution adds one shifted copy of the denser block per nonzero mode
-    of the sparser: the products of the double sum, no FFT roundoff.  Up to
-    side _SCATTER_SIDE two np.bincount calls over flat output indices, one
-    for the real and one for the imaginary parts, add them in the same order,
-    faster, with index arrays of nnz * side^2 <= side^4 entries; past it one
-    add per nonzero wins and needs no index arrays."""
+    a representation part and a nonconstant factor leave the frame.  A convolution
+    is `_grid_products` for one pair, its rounding absolute: eps log G ||a||_1 ||b||_1."""
     for A, B in ((F, G), (G, F)):
-        if not A.keys and _is_constant(A.toral):
+        # a constant: every nonzero coefficient sits at the centre
+        if not A.keys and np.count_nonzero(A.toral.block) == (A.toral.average != 0):
             return B.scaled(complex(A.toral.average))
     if F.keys or G.keys:
         raise UnrepresentableProduct(
             "product of representation data with a nonconstant factor is not "
             "representable in the coefficient frame"
         )
-    a, b = F.toral.block, G.toral.block
-    if np.count_nonzero(a) > np.count_nonzero(b):
-        a, b = b, a
-    m = b.shape[0]
-    out = _zeros(2, F.toral.size + G.toral.size)
-    if m <= _SCATTER_SIDE:
-        # bincount sums each output entry's terms in input order: the
-        # sparser factor's nonzeros in block order, as the shifted adds do
-        S = len(out)
-        i, j = np.nonzero(a)
-        idx = ((i * S + j)[:, None] + _shift_offsets(m, S)).reshape(-1)
-        terms = (a[i, j][:, None] * b.reshape(-1)).reshape(-1)
-        flat = out.reshape(-1)
-        flat.real = np.bincount(idx, terms.real, S * S)
-        flat.imag = np.bincount(idx, terms.imag, S * S)
-    else:
-        for i, j in np.argwhere(a):
-            out[i : i + m, j : j + m] += a[i, j] * b
-    # the sums' rounding breaks conjugate symmetry: a real product is repaired
-    real = F.toral.real and G.toral.real
-    return NilFunction(toral=TorusFunction._exact(2, _symmetrized(out) if real else out, real))
+    one = [[(np.add, (0, 0), (1, 0))]]
+    [toral] = _grid_products([F.toral, G.toral], one, F.toral.size + G.toral.size)
+    return NilFunction(toral=toral)
 
 
 def vf_bracket(U, V):
-    """Bracket of vector fields with function coefficients: derivative terms
-    move coefficients along the basis elements, and [Y1, Y2] = Z feeds
-    u1 v2 - u2 v1 into the center."""
-    basis = [_GENERATORS[gen] for gen in ("Y1", "Y2", "Z")]
-    u = U.slots
-    v = V.slots
-    out = [NilFunction() for _ in range(3)]
-    for a, (y, z) in enumerate(basis):
-        if u[a].is_zero() and v[a].is_zero():
-            continue
-        for b in range(3):
-            if not (u[a].is_zero() or v[b].is_zero()):
-                out[b] = out[b].add(nil_multiply(u[a], _apply_element(v[b], y, z)))
-            if not (v[a].is_zero() or u[b].is_zero()):
-                out[b] = out[b].sub(nil_multiply(v[a], _apply_element(u[b], y, z)))
-    center = out[2].add(nil_multiply(u[0], v[1])).sub(nil_multiply(u[1], v[0]))
-    return VfField(tuple(out[:2]), (center,))
+    """Bracket of vector fields with toral coefficient functions: the terms
+    u_a (Y_a v_b) - v_a (Y_a u_b) move coefficients along Y1 and Y2, Z acting
+    trivially on toral data, and [Y1, Y2] = Z feeds u1 v2 - u2 v1 into the
+    center.  Every product is formed on one grid at degree d_u + d_v, the
+    largest slot sizes of U and V (`_grid_products`); none with a zero factor
+    is formed, and a component none reaches is the zero NilFunction().  A
+    slot with representation rows is refused first (UnrepresentableProduct)."""
+    for name, F in zip(("U.y0", "U.y1", "U.z0", "V.y0", "V.y1", "V.z0"), U.slots + V.slots):
+        if F.keys:
+            raise UnrepresentableProduct("bracket slot %s carries representation rows, "
+                                         "first %r" % (name, F.keys[0]))
+    # U's slots are tori 0-2 and V's 3-5
+    tori = [F.toral for F in U.slots + V.slots]
+    live = [not t.is_zero() for t in tori]
+    sums = [[(op, (i, 0), (j, a + 1)) for a in (0, 1)
+             for op, i, j in ((np.add, a, 3 + b), (np.subtract, 3 + a, b))
+             if live[i] and live[j]] for b in range(3)]
+    sums[2] += [(op, (i, 0), (j, 0)) for op, i, j in ((np.add, 0, 4), (np.subtract, 1, 3))
+                if live[i] and live[j]]
+    D = max(t.size for t in tori[:3]) + max(t.size for t in tori[3:])
+    products = iter(_grid_products(tori, [t for t in sums if t], D) if any(sums) else ())
+    out = [NilFunction(toral=next(products)) if terms else NilFunction() for terms in sums]
+    return VfField(tuple(out[:2]), tuple(out[2:]))
 
 
 def _field_norm(A):
@@ -171,8 +172,8 @@ def _field_norm(A):
 
 def require_toral_perturbation(omega):
     """Refuse a perturbation cochain with representation rows in any slot
-    (UnsupportedPerturbation): the bracket's products `nil_multiply` cannot
-    multiply representation rows by nonconstant coefficients."""
+    (UnsupportedPerturbation): the bracket multiplies toral coefficients
+    only, and would refuse them itself (`vf_bracket`)."""
     for name, F in _named_slots(omega):
         if F.keys:
             raise UnsupportedPerturbation(

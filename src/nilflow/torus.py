@@ -5,8 +5,8 @@ centred coefficient block per function, their only representation, on which
 every operation is an array expression.  A function is real when its block
 obeys c_{-k} = conj(c_k) as values, the sign of a zero being free; the
 constructor reads that off the coefficients exactly, and a real block is
-repaired only where rounding can break the rule, after from_grid's
-transforms and nil_multiply's sums.  The module provides the
+repaired only where rounding can break the rule, after the transforms of
+from_grid and of the rigidity layer's grid products.  The module provides the
 directional-derivative solver that divides by the small divisors
 2 pi i k.alpha, Sobolev norms, pseudo-spectral pullback of vector fields
 under near-identity diffeomorphisms id + u, and the Newton conjugacy
@@ -25,8 +25,8 @@ The Newton step works on contiguous rows of values on the 4K grid: it adds
 its coordinate change to the accumulated one, as the parametrization method
 does, evaluates only the given member off the grid, and re-expands at its
 truncation degree K.  The final verification samples a 5-smooth grid that
-is not a power of two, sized from K.
-"""
+is not a power of two, sized from K; the rigidity layer's product grids are
+5-smooth too (`_smooth_size`)."""
 
 import math
 from dataclasses import dataclass, field, replace
@@ -575,20 +575,19 @@ def _grid_size(K):
     return max(_GRID_FACTOR * K, 8)
 
 
+def _smooth_size(G, power_of_two=True):
+    """The smallest 5-smooth side >= G, a power of two only if allowed; a
+    side is 5-smooth when it divides 30 to the power of its bit length."""
+    while 30 ** G.bit_length() % G or not (power_of_two or G & (G - 1)):
+        G += 1
+    return G
+
+
 def _verification_size(K_in):
     """Points per dimension of the verification grid: the smallest 5-smooth
-    size above max(_GRID_FACTOR K_in, 32) that is not a power of two.  It
-    suits the FFT and stays off the steps' 4K grid whenever that is a power
-    of two, as at the default K = 64."""
-    G = max(_GRID_FACTOR * K_in, 32) + 1
-    while True:
-        m = G
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        if m == 1 and G & (G - 1):
-            return G
-        G += 1
+    size above max(_GRID_FACTOR K_in, 32) that is not a power of two, off the
+    steps' 4K grid whenever that is one, as at the default K = 64."""
+    return _smooth_size(max(_GRID_FACTOR * K_in, 32) + 1, power_of_two=False)
 
 
 def _inverse(M):

@@ -29,8 +29,9 @@ SEEDS = (1, 2, 3)
 GOLDEN = (1.0, 1.618033988749895)
 
 # CLI runs beyond the benchmark's ops: the kam variants, including the
-# multi-mode one at degrees 6 and 16, the tilted and the degree-8 rigidity
-# step (the latter takes nil_multiply's loop), and a tilted split
+# multi-mode one at degrees 6 and 16, the tilted rigidity step and the ones
+# at perturbation degrees 8 and 24, whose brackets form larger grid
+# products than the benchmark's, and a tilted split
 EXTRA = {
     "kam-degree-6": ("kam", {"omega": GOLDEN, "degree": 6, "amplitude": 3e-3}),
     "kam-degree-16": ("kam", {"omega": GOLDEN, "degree": 16, "amplitude": 3e-3}),
@@ -40,6 +41,7 @@ EXTRA = {
                        "mode": (1, 1, 0)}),
     "rigidity-mu": ("rigidity-step", {"alpha": GOLDEN, "mu": 0.7}),
     "rigidity-degree-8": ("rigidity-step", {"alpha": GOLDEN, "degree": 8, "cutoff": 6.0}),
+    "rigidity-degree-24": ("rigidity-step", {"alpha": GOLDEN, "degree": 24}),
     "split-mu": ("split", {"alpha": GOLDEN, "mu": -2.0, "count": 5}),
 }
 

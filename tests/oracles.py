@@ -2,7 +2,8 @@
 package against: the closed-form Birkhoff average on the torus, the
 composition of two near-identity changes of coordinates, the first
 coboundary of a function, the cut of a function's representation rows to a
-frequency window, and the rigidity step that splits each slot twice."""
+frequency window, the rigidity step that splits each slot twice, and toral
+products and brackets by exact double sums."""
 
 import numpy as np
 
@@ -101,3 +102,43 @@ def newton_step_two_splits(params, omega):
         field = lin_err.add(vf_bracket(H, om_i.sub(half_d)))
         residual = max([residual] + [nil_sobolev_norm(h, 0.0) for h in field.slots])
     return coords, H, residual
+
+
+def shift_and_add(a, b):
+    """The product of two centred toral blocks on T^2 as the exact double
+    sum: one shifted copy of the block with more nonzeros per nonzero of the
+    other, added in their order.  Its rounding is relative per entry."""
+    if np.count_nonzero(a) > np.count_nonzero(b):
+        a, b = b, a
+    m = len(b)
+    out = np.zeros((len(a) + m - 1,) * 2, dtype=complex)
+    for i, j in np.argwhere(a):
+        out[i : i + m, j : j + m] += a[i, j] * b
+    return out
+
+
+def double_sum_bracket(U, V):
+    """vf_bracket's components for toral slots by double sums
+    (`shift_and_add`), each a pair (block, weight): the centred block at
+    degree d_u + d_v, the largest slot sizes of U and V, and the sum of
+    ||a||_1 ||b||_1 over its products a b, which scales the grid product's
+    rounding."""
+    u = [F.toral for F in U.slots]
+    v = [F.toral for F in V.slots]
+    D = max(f.size for f in u) + max(f.size for f in v)
+    terms = [[], [], []]
+    for b, ts in enumerate(terms):
+        for a in (0, 1):
+            ts += [(1.0, u[a], v[b].partial(a)), (-1.0, v[a], u[b].partial(a))]
+    terms[2] += [(1.0, u[0], v[1]), (-1.0, u[1], v[0])]
+    out = []
+    for ts in terms:
+        block = np.zeros((2 * D + 1,) * 2, dtype=complex)
+        weight = 0.0
+        for sign, f, g in ts:
+            prod = shift_and_add(f.block, g.block)
+            cut = slice(D - len(prod) // 2, D + len(prod) // 2 + 1)
+            block[cut, cut] += sign * prod
+            weight += np.abs(f.block).sum() * np.abs(g.block).sum()
+        out.append((block, weight))
+    return out

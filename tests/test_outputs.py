@@ -64,3 +64,10 @@ def test_multi_mode_kam_bytes_do_not_depend_on_blas_threads():
     names = ["extra/kam-degree-6", "extra/kam-degree-16"]
     moved = _moved(_rerun(2, *names), names)
     assert not moved, "outputs moved under 2 BLAS threads:\n" + "\n".join(moved)
+
+
+def test_grid_product_bytes_do_not_depend_on_blas_threads():
+    # the bracket's products go through the FFT, which uses no BLAS
+    names = ["extra/rigidity-degree-24"]
+    moved = _moved(_rerun(2, *names), names)
+    assert not moved, "outputs moved under 2 BLAS threads:\n" + "\n".join(moved)

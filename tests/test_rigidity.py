@@ -44,9 +44,15 @@ from nilflow.rigidity import (
     smoothing_truncate,
     vf_bracket,
 )
-from nilflow.torus import TorusFunction, _symmetrized, _zeros
+from nilflow.torus import TorusFunction, _smooth_size, _zeros
 
-from oracles import delta0, delta_op, newton_step_two_splits
+from oracles import (
+    delta0,
+    delta_op,
+    double_sum_bracket,
+    newton_step_two_splits,
+    shift_and_add,
+)
 from toral_coeffs import coeff, coeffs
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -364,8 +370,8 @@ def test_bracket_central_direction():
     U = VfField((NilFunction(), NilFunction()), (h,))
     V = VfField((g, NilFunction()), (NilFunction(),))
     out = vf_bracket(U, V)
-    assert out.y[0].is_zero()
-    assert out.y[1].is_zero()
+    # no product reaches the Y slots: they are the shared zero
+    assert out.y[0].toral is out.y[1].toral is NilFunction().toral
     # -(g * Y1 h) Z survives; Z applied to toral data vanishes
     assert coeff(out.z[0].toral, (1, 2)) == pytest.approx(-(2j * math.pi * 1))
 
@@ -607,6 +613,20 @@ def test_bracket_requires_heisenberg_shape():
             vf_bracket(field(*a), field(*b))
 
 
+def _grid_bound(weight, D):
+    """The grid product's stated rounding bound at degree D: 4 eps (1 + log2
+    G) times the sum of ||a||_1 ||b||_1 over the products, G the grid side."""
+    return 4 * np.finfo(float).eps * (1 + math.log2(_smooth_size(2 * D + 1))) * weight
+
+
+def _gap(f, block):
+    """Largest entry of f's block minus a centred block, both zero-padded to
+    the larger degree."""
+    D = max(f.size, len(block) // 2)
+    pad = [np.pad(b, D - len(b) // 2) for b in (f.block, block)]
+    return float(np.max(np.abs(pad[0] - pad[1])))
+
+
 def test_multiply_matches_double_loop_reference():
     rng = np.random.default_rng(31)
     F, G = rand_toral(rng, deg=3), rand_toral(rng, deg=2, real=False)
@@ -616,86 +636,78 @@ def test_multiply_matches_double_loop_reference():
             key = (k[0] + l[0], k[1] + l[1])
             ref[key] = ref.get(key, 0) + a * b
     out = nil_multiply(F, G).toral
-    assert set(coeffs(out)) == set(ref)
-    # the shift-and-add sums the same products in another order
+    want = _zeros(2, out.size)
+    for (k1, k2), c in ref.items():
+        want[k1 + out.size, k2 + out.size] = c
     l1 = [sum(abs(c) for c in coeffs(H.toral).values()) for H in (F, G)]
-    bound = 64 * np.finfo(float).eps * l1[0] * l1[1]
-    assert max(abs(coeff(out, k) - c) for k, c in ref.items()) <= bound
+    assert _gap(out, want) <= _grid_bound(l1[0] * l1[1], out.size)
 
 
-def _shift_and_add(F, G):
-    """nil_multiply's toral product as one shifted copy of the block with
-    more nonzeros per nonzero of the other, added in their order."""
-    a, b = F.toral.block, G.toral.block
-    if np.count_nonzero(a) > np.count_nonzero(b):
-        a, b = b, a
-    m = b.shape[0]
-    out = _zeros(2, F.toral.size + G.toral.size)
-    for i, j in np.argwhere(a):
-        out[i : i + m, j : j + m] += a[i, j] * b
-    return out
-
-
-def _seeded_block(rng, degree, real):
+def _seeded_block(rng, degree, real, density=0.7):
+    # the corner is kept, so the block is never a constant
     side = 2 * degree + 1
     block = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
-    block[rng.random((side, side)) < 0.3] = 0
+    keep = rng.random((side, side)) < density
+    keep[0, 0] = True
+    block[~keep] = 0
     if real:
         block = block + np.conj(block[::-1, ::-1])
     return NilFunction(toral=TorusFunction(2, block))
 
 
-def test_multiply_is_the_shift_and_add_bit_for_bit():
-    # degrees 1-8 put the larger block on both sides of the scatter's limit
-    rng = np.random.default_rng(59)
-    for trial in range(80):
-        F = _seeded_block(rng, int(rng.integers(1, 9)), trial % 2 == 0)
-        G = _seeded_block(rng, int(rng.integers(1, 9)), trial % 4 < 2)
+@pytest.mark.parametrize("degree", [1, 2, 3, 5, 8, 12, 16, 24])
+def test_products_match_the_double_sum_within_the_stated_bound(degree):
+    # dense and sparse blocks, real and complex, of degrees up to `degree`;
+    # one field pair has a zero slot, which no product reads
+    rng = np.random.default_rng(400 + degree)
+    for real, density in ((True, 0.7), (True, 0.1), (False, 0.7), (False, 0.1)):
+        def draw():
+            return _seeded_block(rng, int(rng.integers(1, degree + 1)), real, density)
+
+        F, G = draw(), draw()
         out = nil_multiply(F, G).toral
-        want = _shift_and_add(F, G)
-        real = F.toral.real and G.toral.real
-        assert out.real == real
-        assert out.block.shape == want.shape
-        # a real product's rounding is repaired
-        assert out.block.tobytes() == (_symmetrized(want) if real else want).tobytes()
+        weight = np.abs(F.toral.block).sum() * np.abs(G.toral.block).sum()
+        assert out.real == real and out.size == F.toral.size + G.toral.size
+        assert _gap(out, shift_and_add(F.toral.block, G.toral.block)) <= _grid_bound(
+            weight, out.size
+        )
+        U = VfField((draw(), draw()), (draw(),))
+        V = VfField((draw(), NilFunction() if density < 0.5 else draw()), (draw(),))
+        D = max(h.toral.size for h in U.slots) + max(h.toral.size for h in V.slots)
+        for got, (want, weight) in zip(vf_bracket(U, V).slots, double_sum_bracket(U, V)):
+            assert got.toral.real == real and got.toral.size == D
+            assert _gap(got.toral, want) <= _grid_bound(weight, D)
 
 
-def _signed_zero_block(rng, degree, real):
-    # explicit -0.0 and 0.0-0.0j entries and one all-zero row (mirrored for
-    # a real block, so it reads as real); the corners stay nonzero,
-    # so neither factor takes the constant path
-    side = 2 * degree + 1
-    block = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
-    pick = rng.random((side, side))
-    pick[0, 0] = pick[-1, -1] = 1.0
-    row = int(rng.integers(1, side - 1))
-    if real:
-        block = block + np.conj(block[::-1, ::-1])
-        pick = np.minimum(pick, pick[::-1, ::-1])
-        block[side - 1 - row] = 0
-    block[pick < 0.2] = complex(-0.0, 0.0)
-    block[(pick >= 0.2) & (pick < 0.4)] = complex(0.0, -0.0)
-    block[(pick >= 0.4) & (pick < 0.5)] = complex(-0.0, -0.0)
-    block[row] = 0
-    return NilFunction(toral=TorusFunction(2, block))
+def test_bracket_refuses_representation_rows_before_any_transform(monkeypatch):
+    rows = NilFunction(toral=toral_nil({(1, 0): 1.0}).toral, reps={(2, 1): np.array([1.0])})
+    toral = toral_nil({(0, 1): 2.0})
+    monkeypatch.setattr(np.fft, "ifft2", None)
+    for U, V, slot in (
+        (VfField((toral, toral), (rows,)), VfField((toral, toral), (toral,)), r"U\.z0"),
+        (VfField((toral, toral), (toral,)), VfField((toral, rows), (toral,)), r"V\.y1"),
+        # a constant partner does not make the row representable here
+        (VfField((rows,) * 2, (rows,)), VfField.constant((1.0, 0.0), (0.0,)), r"U\.y0"),
+    ):
+        with pytest.raises(UnrepresentableProduct, match=r"slot %s .*\(2, 1\)" % slot):
+            vf_bracket(U, V)
 
 
-def test_multiply_keeps_the_shift_and_adds_signed_zeros():
-    rng = np.random.default_rng(67)
-    for trial in range(40):
-        real = trial % 2 == 0
-        F = _signed_zero_block(rng, int(rng.integers(1, 8)), real)
-        G = _signed_zero_block(rng, int(rng.integers(1, 8)), real)
-        assert np.signbit(F.toral.block.real[F.toral.block.real == 0]).any()
-        out = nil_multiply(F, G).toral
-        want = _shift_and_add(F, G)
-        assert F.toral.real == G.toral.real == out.real == real
-        assert out.block.tobytes() == (_symmetrized(want) if real else want).tobytes()
+def test_product_grids_are_capped_before_allocation(monkeypatch):
+    # degree-3 slots sample on a grid of side 15: the four Y slots' values
+    # and both partials of all six slots are 16 grids
+    rng = np.random.default_rng(83)
+    U, V = rand_field(rng, deg=3), rand_field(rng, deg=3)
+    monkeypatch.setattr(rigidity, "_SIZE_CAP", 16 * 15**2 - 1)
+    with pytest.raises(DimensionMismatch, match=r"\(16 of 15\^2 entries\)"):
+        vf_bracket(U, V)
+    monkeypatch.setattr(rigidity, "_SIZE_CAP", 16 * 15**2)
+    vf_bracket(U, V)
 
 
 def test_multiply_of_dense_degree_24_blocks_stays_small():
     # a scatter over all nnz * m^2 products would hold 49^4 entries per index
-    # array, about 180 MB; the product needs its output block and one shift
+    # array, about 180 MB; the grid product holds a few 100 x 100 grids
     rng = np.random.default_rng(61)
     F, G = (_seeded_block(rng, 24, False) for _ in range(2))
     tracemalloc.start()
@@ -831,12 +843,16 @@ def test_frame_matches_the_generic_structure_constants(mu):
     rng = np.random.default_rng(61)
     for _trial in range(6):
         U, V = rand_field(rng), rand_field(rng)
-        # a zero and a constant slot take the short paths of nil_multiply
+        # a zero and a constant slot take the short paths of nil_multiply; the
+        # bracket's grid and the per-product ones each round within the bound
         W = VfField((NilFunction(), V.y[1]), (NilFunction.constant(0.25),))
         for a, b in ((U, V), (V, U), (U, W), (W, U)):
             got = vf_bracket(a, b)
             want = _generic_bracket(A, a, b)
-            assert all(_same_bits(g, w) for g, w in zip(got.slots, want.slots))
+            D = max(h.toral.size for h in a.slots) + max(h.toral.size for h in b.slots)
+            for g, w, (_exact, weight) in zip(got.slots, want.slots, double_sum_bracket(a, b)):
+                assert g.toral.real == w.toral.real and not g.keys and not w.keys
+                assert _gap(g.toral, w.toral.block) <= 2 * _grid_bound(weight, D)
         H = VfField(tuple(_with_reps(rng, h) for h in U.y), U.z)
         got = vf_delta0(p, H)
         want = _generic_delta0(A, p, H)

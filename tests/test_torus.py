@@ -772,7 +772,7 @@ def test_real_results_are_conjugate_symmetric(n):
     real += [TorusFunction.from_grid(samples, d) for d in (0, 2, 5)]
     real += [TorusFunction.constant(n, v) for v in (2.5, -0.0, complex(-1.0, -0.0))]
     if n == 2:
-        # both product kernels: bincount up to side 11, shifted adds past it
+        # the grid product, its factors of equal and of different sizes
         wide = TorusFunction(2, _real_block(rng, 2, 7))
         real += [nil_multiply(NilFunction(toral=a), NilFunction(toral=b)).toral
                  for a, b in ((f, g), (g, f), (f, f), (g, wide), (wide, f))]
