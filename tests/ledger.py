@@ -31,7 +31,8 @@ GOLDEN = (1.0, 1.618033988749895)
 # CLI runs beyond the benchmark's ops: the kam variants, including the
 # multi-mode one at degrees 6 and 16, the tilted rigidity step and the ones
 # at perturbation degrees 8 and 24, whose brackets form larger grid
-# products than the benchmark's, and a tilted split
+# products than the benchmark's, a tilted split, and gh-report tilted and
+# at a near-resonant alpha, whose continued fraction is [1; 1,1,1,1,1,40,...]
 EXTRA = {
     "kam-degree-6": ("kam", {"omega": GOLDEN, "degree": 6, "amplitude": 3e-3}),
     "kam-degree-16": ("kam", {"omega": GOLDEN, "degree": 16, "amplitude": 3e-3}),
@@ -43,6 +44,9 @@ EXTRA = {
     "rigidity-degree-8": ("rigidity-step", {"alpha": GOLDEN, "degree": 8, "cutoff": 6.0}),
     "rigidity-degree-24": ("rigidity-step", {"alpha": GOLDEN, "degree": 24}),
     "split-mu": ("split", {"alpha": GOLDEN, "mu": -2.0, "count": 5}),
+    "gh-report-mu": ("gh-report", {"alpha": GOLDEN, "mu": 0.7}),
+    "gh-report-near-resonant": ("gh-report", {"alpha": (1.0, 1.6246211481433281), "N": 6,
+                                              "M": 48}),
 }
 
 
