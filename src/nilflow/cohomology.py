@@ -14,7 +14,7 @@ Hermite nodes, up to a diagonal phase, and X2 = mu X1 + i c (`_block_scales`).
 So a cochain problem at mu is the mu = 0 problem for (f, g - mu f)
 (`_reduced`), truncated spectra are read off the nodes, and the leafwise
 Laplacian factors into two tridiagonal sweeps on X1's bands.  The one
-inverse of delta0 is that mu = 0 split (`_split_flat`): its H, with no
+inverse of delta0 is that mu = 0 split's H (`_primitive`), with no
 cocycle gate, since the error pair carries the defect.  beta enters it only
 in the central division, so beta = 0 is refused on representation rows
 alone.  The split takes no Diophantine witness: the command line refuses a
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import ConstantCocycle
-from .diophantine import _SNAP, fit_witness, min_small_divisor
+from .diophantine import _SNAP, _finish_witness, _linear_form_values
 from .errors import DimensionMismatch, NonzeroAverage, Resonance
 from .nilrep import (
     NilFunction,
@@ -128,43 +128,27 @@ def delta1_star_split(params, omega, r=1.0, sigma=2.0):
     mu goes through the mu = 0 split of (f, g - mu f), with mu times the first
     error added back to the second.
     """
-    out, phi = _split(params, omega)
+    flat, reduced = _reduced(params, omega)
+    phi = delta1(flat, reduced)
+    H = _primitive(flat, reduced)
+    f_err = _divide_central(flat, phi)
+    f_triv = complex(reduced.f.toral.average)
+    g_triv = complex(reduced.g.toral.average)
+    g_err = NilFunction(toral=reduced.g.toral - TorusFunction.constant(2, g_triv))
+    if params.mu != 0:
+        g_err = g_err.add(f_err.scaled(params.mu))
+        g_triv = g_triv + params.mu * f_triv
+    out = SplittingResult(H=H, f_err=f_err, g_err=g_err, f_triv=f_triv, g_triv=g_triv)
     out.constants = _splitting_constants(omega, out, phi, r, sigma)
     return out
 
 
-def _split(params, omega):
-    """delta1_star_split without its tame constants: the split and the
-    cocycle defect it was built from."""
-    out, phi = _split_flat(*_reduced(params, omega))
-    if params.mu != 0:
-        out = SplittingResult(
-            H=out.H,
-            f_err=out.f_err,
-            g_err=out.g_err.add(out.f_err.scaled(params.mu)),
-            f_triv=out.f_triv,
-            g_triv=out.g_triv + params.mu * out.f_triv,
-        )
-    return out, phi
-
-
-def _split_flat(params, omega):
-    """The split at mu = 0, without constants; returns it with the cocycle
-    defect it was built from."""
-    phi = delta1(params, omega)
-    f_triv = complex(omega.f.toral.average)
-    g_triv = complex(omega.g.toral.average)
+def _primitive(params, omega):
+    """The H of the mu = 0 split of omega, and the only place H is formed:
+    f's toral part integrated along the flow, with no average gate, and g's
+    representation rows divided by their central scalars."""
     h0 = solve_small_divisor(params.x1_y, omega.f.toral, tol_avg=math.inf)
-    g_err_toral = omega.g.toral - TorusFunction.constant(2, g_triv)
-
-    out = SplittingResult(
-        H=_divide_central(params, omega.g, h0),
-        f_err=_divide_central(params, phi),
-        g_err=NilFunction(toral=g_err_toral),
-        f_triv=f_triv,
-        g_triv=g_triv,
-    )
-    return out, phi
+    return _divide_central(params, omega.g, h0)
 
 
 def _splitting_constants(omega, result, phi, r, sigma):
@@ -299,19 +283,23 @@ def gh_certificate(params, N, M, K):
 
     Toral side: exhaustive minimum of (2 pi k.alpha)^2 over ||k||_inf <= K,
     with the bound of its own gamma = 1 witness up to K at the argmin when
-    that witness is valid.  Representation side: on block n, X2 - mu X1 is
-    the scalar i c with c = 2 pi n beta, so -L = A^2 + (mu A - c)^2 with
-    A = i X1 of spectrum R has exact bottom c^2 / (1 + mu^2).
+    that witness is valid; both score one enumeration of k.alpha.
+    Representation side: on block n, X2 - mu X1 is the scalar i c with
+    c = 2 pi n beta, so -L = A^2 + (mu A - c)^2 with A = i X1 of spectrum R
+    has exact bottom c^2 / (1 + mu^2).
     The verdict reads only these closed forms: the toral minimum is resonant
     when its divisor snaps to zero (`diophantine._snap_floor`), the
     representation side degenerate when its bottom is zero.  truncated_min,
-    the least trusted |eigenvalue| at truncation M, is a diagnostic.
+    the smallest |eigenvalue| of the M-term truncation, is a diagnostic; it
+    is the first entry of the sorted spectrum, so it lies in the trusted
+    third.
     """
     report = {"convention": CONVENTION, "N": N, "M": M, "K": K}
-    k_star, div = min_small_divisor(params.x1_y, K)
-    toral_min = (2 * math.pi * div) ** 2
-    toral = {"min": toral_min, "argmin": tuple(int(x) for x in k_star)}
-    wit = fit_witness(params.x1_y, 1.0, K)
+    grid, vals = _linear_form_values(params.x1_y, K)
+    closest = _finish_witness(grid, vals, 0.0, K, "linear-form")
+    k_star, div = closest.argmin_k, closest.value
+    toral = {"min": (2 * math.pi * div) ** 2, "argmin": k_star}
+    wit = _finish_witness(grid, vals, 1.0, K, "linear-form")
     if wit.valid:
         # k_star is nonzero: the minimum runs over 0 < ||k||_inf <= K
         toral["witness_bound"] = (2 * math.pi * wit.lower_bound(k_star)) ** 2
@@ -328,13 +316,8 @@ def gh_certificate(params, N, M, K):
         raise ValueError(
             "beta = %r underflows the spectral bottom at mu = %r" % (beta, params.mu)
         )
-    t = trusted_count(M)
     report["rep"] = [
-        {
-            "n": n,
-            "min_abs": c * n * n,
-            "truncated_min": min(abs(x) for x in rep_spectrum(params, n, M)[:t]),
-        }
+        {"n": n, "min_abs": c * n * n, "truncated_min": -rep_spectrum(params, n, M)[0]}
         for n in range(1, N + 1)
     ]
     report["fit"] = {"c": c, "d": 2.0}
@@ -459,7 +442,7 @@ def _solve_scalar_pair(params, f, g):
     Returns (H, average of f, average of g)."""
     f0, a1 = _strip_average(f)
     g0, a2 = _strip_average(g)
-    return _split(params, Cochain1(f0, g0))[0].H, a1, a2
+    return _primitive(*_reduced(params, Cochain1(f0, g0))), a1, a2
 
 
 def _real_average(x, slot):
@@ -484,7 +467,9 @@ def vf_coboundary_solve(params, Omega):
     lies in the family directions of section_s.  The part of y2 - mu y1
     across alpha is not a cocycle and stays in the caller's residual.  At
     alpha = 0 every constant coboundary vanishes: no shift, and the
-    obstruction is r.
+    obstruction is r.  H's representation rows are those of g - mu f, for
+    the X1 and X2 values f and g, divided by i c: beta = 0 refuses only
+    such rows, and what X1 H leaves of f's rows stays in the residual.
     """
     parts = [
         _solve_scalar_pair(params, f, g) for f, g in zip(Omega.x1.y, Omega.x2.y)

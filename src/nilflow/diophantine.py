@@ -127,6 +127,7 @@ def min_small_divisor(a, K):
     """Min of |a . k| over 0 < ||k||_inf <= K; returns (k*, value), the
     argmin and divisor of the gamma = 0 witness.  It reads the reduced
     enumeration of fit_witness, and the whole box only for n = 1 or a = 0.
+    gh_certificate scores that enumeration itself, at gamma = 0 and 1.
 
     A value at or below its _snap_floor is returned as exact zero.
     """
@@ -163,11 +164,10 @@ def _finish_witness(grid, vals, gamma, K, kind):
     )
 
 
-def fit_witness(a, gamma, K):
-    """Witness for the linear form |a . k| with exponent gamma up to frequency K."""
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    _require_finite(gamma, "gamma")
+def _linear_form_values(a, K):
+    """The grid a witness for |a . k| up to K scores, with its values snapped
+    to zero at the resonance floor: the reduced grid, or the whole box for
+    n = 1 or a = 0.  Validates a and K."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise DimensionMismatch("a must be a nonempty vector")
@@ -186,6 +186,15 @@ def fit_witness(a, gamma, K):
         grid = _integer_grid(a.size, K)
     vals = np.abs(grid @ a)
     vals[vals <= _snap_floor(np.abs(grid) @ np.abs(a))] = 0.0
+    return grid, vals
+
+
+def fit_witness(a, gamma, K):
+    """Witness for the linear form |a . k| with exponent gamma up to frequency K."""
+    if gamma < 0:
+        raise ValueError("gamma must be >= 0")
+    _require_finite(gamma, "gamma")
+    grid, vals = _linear_form_values(a, K)
     return _finish_witness(grid, vals, gamma, K, "linear-form")
 
 

@@ -548,8 +548,6 @@ def _check_invertible(U, J):
     """Refuse id + u when the rows U of u or the rows J of Du (row i n + j
     holding d_j u_i) reach sup norm 1/2; Du's is the largest row sum of
     |d_j u_i|, added in the order of j."""
-    if not U.size:
-        return
     n = len(U)
     sup_u = float(np.maximum(U.max(), -U.min()))
     sup_j = 0.0
@@ -737,7 +735,8 @@ def kam_step(state):
             ),
             **exact,
         )
-    scale = max(sobolev_norm(beta, 0), 1e-300)
+    # every state holds residual == sobolev_norm(beta_cur, 0)
+    scale = max(state.residual, 1e-300)
     u_new = TorusVectorField(
         [
             solve_small_divisor(state.omega, c, tol_avg=1e-10 * scale)

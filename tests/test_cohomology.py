@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nilflow.algebra import ActionParams, ConstantCocycle, const_cohomology_basis, const_delta0, heisenberg
-from nilflow import cohomology
+from nilflow import cohomology, diophantine
 from nilflow.cohomology import (
     Cochain1,
     VfCochain,
@@ -643,6 +643,28 @@ def test_gh_certificate_golden_certified():
         assert b >= a * 0.95
     assert report["fit"]["d"] >= 0.9
     assert report["toral"]["min"] >= report["toral"]["witness_bound"] * (1 - 1e-9)
+
+
+def test_gh_certificate_scans_its_frequency_box_once(monkeypatch):
+    p = golden_params()
+    # the separate witnesses, each with its own scan, before the count
+    k_star, div = diophantine.min_small_divisor(p.x1_y, 20)
+    wit = diophantine.fit_witness(p.x1_y, 1.0, 20)
+    calls = []
+    reduced = diophantine._reduced_grid
+    monkeypatch.setattr(
+        diophantine, "_reduced_grid", lambda *args: calls.append(args) or reduced(*args)
+    )
+    report = gh_certificate(p, 4, 32, 20)
+    assert len(calls) == 1
+    assert report["toral"] == {
+        "min": (2 * math.pi * div) ** 2,
+        "argmin": k_star,
+        "witness_bound": (2 * math.pi * wit.lower_bound(k_star)) ** 2,
+    }
+    for row in report["rep"]:
+        ev = rep_spectrum(p, row["n"], 32)[: trusted_count(32)]
+        assert row["truncated_min"] == min(abs(x) for x in ev)
 
 
 def test_gh_certificate_resonant_negative():

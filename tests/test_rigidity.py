@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nilflow.algebra import ActionParams, heisenberg
-from nilflow import rigidity
+from nilflow import cohomology, rigidity
 from nilflow.cohomology import (
     Cochain1,
     VfCochain,
@@ -598,6 +598,24 @@ def test_newton_step_matches_the_two_split_route_bit_for_bit(mu):
         assert coords.vector == want_coords.vector
         assert all(_same_bits(g, w) for g, w in zip(H.slots, want_H.slots))
         assert residual == want_residual
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.7])
+def test_newton_step_forms_no_cocycle_defect(monkeypatch, mu):
+    # the vector-field solve keeps only each slot's H, so it takes no defect;
+    # the two-split route, which does, runs before the patch
+    p = golden_params(mu=mu)
+    omega = vf_cocycle_member(member_rng(5, 0), p, scale=1e-3)
+    want_coords, want_H, want_residual = newton_step_two_splits(p, omega)
+
+    def refuse(*args):
+        raise AssertionError("the vector-field solve formed a cocycle defect")
+
+    monkeypatch.setattr(cohomology, "delta1", refuse)
+    coords, H, residual = newton_step(p, omega)
+    assert coords.vector == want_coords.vector
+    assert all(_same_bits(g, w) for g, w in zip(H.slots, want_H.slots))
+    assert residual == want_residual
 
 
 def test_bracket_requires_heisenberg_shape():
