@@ -6,11 +6,14 @@ Usage: python3 tests/ledger.py [--write] [RUN ...]
 Runs every perfbench op (each workload, full and smoke, at seeds 1-3) and the
 extra runs below through ``nilflow.cli.run``, in this process, one output
 directory each, and prints the ledger as JSON.  ``--write`` stores it in
-``tests/outputs.json`` instead; RUN names (as the ledger keys them, e.g.
-``extra/kam-degree-6``) restrict the runs.  The ops are read
-from ``perfbench/workloads.py``.  ``OPENBLAS_NUM_THREADS`` defaults to 1, as in
-perfbench's child, and is recorded with the numpy version: the last bits of
-the FFTs and matrix products can differ under another numpy.
+``tests/outputs.json`` instead.  RUN names (as the ledger keys them, e.g.
+``extra/kam-degree-6``) restrict the runs; an unknown name is refused, and
+with ``--write`` the named runs are merged into the stored ledger, which
+keeps every other entry.  The ops are read from ``perfbench/workloads.py``.
+``OPENBLAS_NUM_THREADS`` defaults to 1, as in perfbench's child, and is
+recorded with the numpy version: the last bits of the FFTs and matrix
+products can differ under another numpy, so a merge under another numpy
+version or thread count is refused.
 
 A change that moves output bytes on purpose regenerates the ledger, so its
 diff names every file that moved.
@@ -76,9 +79,16 @@ def _digests(outdir):
     return digests
 
 
-def ledger(only=()):
+def _environment():
     import numpy as np
 
+    return {
+        "numpy": np.__version__,
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
+
+
+def ledger(only=()):
     from nilflow.cli import parse_config, run
 
     entries = {}
@@ -96,17 +106,29 @@ def ledger(only=()):
             config.out = outdir
             status = run(config)
             entries[name] = {"status": status, "files": _digests(outdir)}
-    return {
-        "numpy": np.__version__,
-        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
-        "runs": entries,
-    }
+    return dict(_environment(), runs=entries)
 
 
 def main(argv):
     write = "--write" in argv
     only = [a for a in argv if a != "--write"]
-    text = json.dumps(ledger(only), indent=1, sort_keys=True) + "\n"
+    unknown = sorted(set(only) - {name for name, _ in runs()})
+    if unknown:
+        raise SystemExit("unknown runs: %s" % ", ".join(unknown))
+    stored = None
+    if write and only:
+        with open(LEDGER, encoding="utf-8") as fh:
+            stored = json.load(fh)
+        for key, value in _environment().items():
+            if stored[key] != value:
+                raise SystemExit(
+                    "the ledger was made under %s %s, this run has %s" % (key, stored[key], value)
+                )
+    result = ledger(only)
+    if stored is not None:
+        stored["runs"].update(result["runs"])
+        result = stored
+    text = json.dumps(result, indent=1, sort_keys=True) + "\n"
     if write:
         with open(LEDGER, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -71,3 +71,33 @@ def test_grid_product_bytes_do_not_depend_on_blas_threads():
     names = ["extra/rigidity-degree-24"]
     moved = _moved(_rerun(2, *names), names)
     assert not moved, "outputs moved under 2 BLAS threads:\n" + "\n".join(moved)
+
+
+def test_writing_named_runs_merges_them_into_the_stored_ledger(tmp_path, monkeypatch):
+    import ledger
+
+    # a stale entry for one run; the other 106 entries must come back as stored
+    stale = json.loads(json.dumps(LEDGER))
+    stale["runs"]["extra/kam-1d"] = {"status": 2, "files": {}}
+    path = tmp_path / "outputs.json"
+    path.write_text(json.dumps(stale), encoding="utf-8")
+    monkeypatch.setattr(ledger, "LEDGER", str(path))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", LEDGER["OPENBLAS_NUM_THREADS"])
+    ledger.main(["--write", "extra/kam-1d"])
+    written = json.loads(path.read_text(encoding="utf-8"))
+    assert len(written["runs"]) == len(LEDGER["runs"]) == 107
+    assert written == LEDGER
+    # refused before anything runs or is written
+    text = path.read_text(encoding="utf-8")
+    with pytest.raises(SystemExit, match="unknown runs: extra/no-such-run"):
+        ledger.main(["--write", "extra/kam-1d", "extra/no-such-run"])
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    with pytest.raises(SystemExit, match="OPENBLAS_NUM_THREADS 1, this run has 2"):
+        ledger.main(["--write", "extra/kam-1d"])
+    assert path.read_text(encoding="utf-8") == text
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    text = json.dumps(dict(LEDGER, numpy="1.0.0"))
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SystemExit, match="numpy 1.0.0, this run has " + np.__version__):
+        ledger.main(["--write", "extra/kam-1d"])
+    assert path.read_text(encoding="utf-8") == text
