@@ -21,12 +21,12 @@ degree-D band, in irfftn's and rfftn's axis order and so to their bits, on
 grids that fit the block, and are evaluated pointwise from the modes k > 0
 in lexicographic order.  Blocks with enough nonzero modes for their side are
 evaluated by separable contraction against exp(2 pi i x_j k) tables instead.
-The Newton step works on contiguous rows of values on the 4K grid: it adds
-its coordinate change to the accumulated one, as the parametrization method
-does, evaluates only the given member off the grid, and re-expands at its
-truncation degree K.  The final verification samples a 5-smooth grid that
-is not a power of two, sized from K; the rigidity layer's product grids are
-5-smooth too (`_smooth_size`)."""
+The Newton step works on contiguous rows of values on a grid of 3K + 1 or
+more points per axis: it adds its coordinate change to the accumulated one,
+as the parametrization method does, evaluates only the given member off the
+grid, and re-expands at its truncation degree K.  The final verification
+samples a denser grid that is not a power of two; every grid side, the
+rigidity layer's included, is 5-smooth (`_smooth_size`)."""
 
 import math
 from dataclasses import dataclass, field, replace
@@ -563,16 +563,6 @@ def _check_invertible(U, J):
         raise NonInvertible("Jacobian sup-norm %.3g >= 1/2" % sup_j)
 
 
-# step and verification grids sample this many points per mode and dimension
-_GRID_FACTOR = 4
-
-
-def _grid_size(K):
-    """Points per dimension of a Newton step's grid: _GRID_FACTOR per mode up
-    to K, at least 8; products of degree-K fields re-expand there unaliased."""
-    return max(_GRID_FACTOR * K, 8)
-
-
 def _smooth_size(G, power_of_two=True):
     """The smallest 5-smooth side >= G, a power of two only if allowed; a
     side is 5-smooth when it divides 30 to the power of its bit length."""
@@ -581,11 +571,31 @@ def _smooth_size(G, power_of_two=True):
     return G
 
 
+def _grid_size(K):
+    """Points per dimension of a Newton step's grid: the smallest 5-smooth
+    side >= max(3K + 1, 8), where products of degree-K fields cut back to
+    |k| <= K are alias-free (Orszag).  The pullback is not band-limited."""
+    return _smooth_size(max(3 * K + 1, 8))
+
+
+# the verification grid samples more than this many points per mode and axis
+_GRID_FACTOR = 4
+
+
 def _verification_size(K_in):
     """Points per dimension of the verification grid: the smallest 5-smooth
-    size above max(_GRID_FACTOR K_in, 32) that is not a power of two, off the
-    steps' 4K grid whenever that is one, as at the default K = 64."""
+    size above max(_GRID_FACTOR K_in, 32) that is not a power of two, denser
+    than the step grid (270 against 200 at K = 64), where the aliasing of
+    the steps' pullbacks shows."""
     return _smooth_size(max(_GRID_FACTOR * K_in, 32) + 1, power_of_two=False)
+
+
+def _require_jacobians(G, n):
+    # called before the (G^n, n, n) Jacobians and their inverses are allocated
+    if G**n * n * n > _SIZE_CAP:
+        raise DimensionMismatch(
+            "pullback Jacobians too large (%d^%d points x %d^2 entries)" % (G, n, n)
+        )
 
 
 def _inverse(M):
@@ -630,11 +640,7 @@ def _pulled_back(u, X, G, shift=0.0):
     transposed views of the rows, with the bits of the (G^n, n, n) arrays
     and einsum."""
     n = X.n
-    # the Jacobians and their inverses hold n^2 entries per grid point
-    if G**n * n * n > _SIZE_CAP:
-        raise DimensionMismatch(
-            "pullback Jacobians too large (%d^%d points x %d^2 entries)" % (G, n, n)
-        )
+    _require_jacobians(G, n)
     # two blocks, not one (n + n^2, G^n) block: freeing that one block raised
     # glibc's mmap threshold or not depending on the heap's layout, and so
     # moved the peak RSS of a run by about 3 MB with its working directory
@@ -780,18 +786,19 @@ def kam_step(state):
     )
 
 
+def _verification_grid(state):
+    # from the truncation degree: roundoff at u_acc's window edge sets its degree
+    return _verification_size(max(state.trunc_degree, state.beta0.degree, 1))
+
+
 def verify_conjugacy(state):
     """Largest distance, sampled on a dense grid, between the pullback of the
     member field (omega - lambda_bar) + beta0 under id + u_acc and the target
     omega.  A maximum over the grid points, not a bound between them.
     Raises NonInvertible when id + u_acc is outside the invertibility region."""
-    # sized from the truncation degree, not from u_acc's degree, which
-    # roundoff-level coefficients at the edge of its window decide
-    G = _verification_size(max(state.trunc_degree, state.beta0.degree, 1))
     omega = np.asarray(state.omega)
-    vals, _ = _pulled_back(
-        state.u_acc, state.beta0, G, omega - np.asarray(state.lambda_bar)
-    )
+    G = _verification_grid(state)
+    vals, _ = _pulled_back(state.u_acc, state.beta0, G, omega - np.asarray(state.lambda_bar))
     return float(np.max(np.abs(vals - omega[None, :])))
 
 
@@ -812,6 +819,8 @@ def kam_iterate(omega, beta, max_iter=10, floor=1e-12, trunc_degree=64):
             "omega %r is resonant up to degree %d, at k = %r"
             % (state.omega, w.K, w.argmin_k)
         )
+    # the verification grid's Jacobians are refused before the steps run
+    _require_jacobians(_verification_grid(state), len(state.omega))
     for _ in range(max_iter):
         if state.residual < floor:
             break

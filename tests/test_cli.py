@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -607,8 +608,8 @@ def test_nonfinite_floats_are_config_type_errors(tmp_path, capsys, sub, text):
         # a dense M x M Hermite node matrix at M = 100000 would take 74.5 GiB
         ("spectrum", {"alpha": (1.0, PHI), "n_max": 2, "M": 100000}),
         ("gh-report", {"alpha": (1.0, PHI), "N": 2, "M": 100000}),
-        # a 3-vector at K = 64 passes the 256^3 grid check, but its pullback
-        # Jacobians would hold 256^3 x 9 entries
+        # a 3-vector at K = 64 passes the 270^3 grid check, but its pullback
+        # Jacobians would hold 270^3 x 9 entries
         ("kam", {"omega": (1.0, math.sqrt(2), math.sqrt(3)), "mode": (1, 1, 1)}),
     ],
     ids=["kam", "solve-coboundary", "spectrum-M", "gh-report-M", "kam-3d-jacobians"],
@@ -628,6 +629,23 @@ def test_oversized_grid_or_block_is_refused_before_allocation(
     assert (rec["verdict"], rec["reason"]) == ("error", "DimensionMismatch")
     assert "Traceback" not in capsys.readouterr().err
     assert peak < 32 * 2**20
+
+
+def test_oversize_verification_grid_is_refused_before_the_steps(tmp_path, monkeypatch):
+    # at K = 45 the steps' 144^3 x 9 Jacobians pass the 4e7 cap, but the
+    # verification grid's 192^3 x 9 do not
+    steps = []
+    step = torus.kam_step
+    monkeypatch.setattr(torus, "kam_step", lambda state: steps.append(1) or step(state))
+    cfg = make_config(
+        "kam", tmp_path, omega=(1.0, math.sqrt(2), math.sqrt(3)), mode=(1, 1, 0), K=45
+    )
+    start = time.perf_counter()
+    assert run(cfg) == 1
+    assert time.perf_counter() - start < 1.0
+    rec = read_summary(tmp_path)[0]
+    assert (rec["verdict"], rec["reason"]) == ("error", "DimensionMismatch")
+    assert "(192^3 points x 3^2 entries)" in rec["detail"] and not steps
 
 
 def test_split_smoke(tmp_path):

@@ -558,8 +558,8 @@ def test_oversized_block_is_refused():
 
 
 def test_pullback_jacobians_are_capped_before_allocation():
-    # at K = 64 the step grid has 256 points per axis: for n = 3 the (G^n, n, n)
-    # Jacobians hold 256^3 x 9 entries, past the 4e7 cap
+    # at K = 64 the step grid has 200 points per axis: for n = 3 the (G^n, n, n)
+    # Jacobians hold 200^3 x 9 entries, past the 4e7 cap
     u = TorusVectorField([sine_mode(3, (1, 1, 1), 1e-3)] + [TorusFunction.constant(3, 0.0)] * 2)
     X = TorusVectorField.constant((1.0, PHI, 2.0))
     tracemalloc.start()
@@ -663,7 +663,7 @@ def test_window_K_is_the_slice_of_window_2K(n, real):
     assert 2 < kept < wide.block.size
 
 
-def test_kam_step_samples_the_dyadic_grid_and_verification_a_smooth_one(monkeypatch):
+def test_kam_step_samples_the_alias_free_grid_and_verification_a_denser_one(monkeypatch):
     sizes = []
     pulled_back = torus._pulled_back
 
@@ -673,22 +673,48 @@ def test_kam_step_samples_the_dyadic_grid_and_verification_a_smooth_one(monkeypa
 
     monkeypatch.setattr(torus, "_pulled_back", recorded)
     state = kam_iterate(GOLDEN, golden_perturbation(1e-3), trunc_degree=64)
-    assert sizes == [256] * (len(state.residual_history) - 1) + [270]
+    assert sizes == [200] * (len(state.residual_history) - 1) + [270]
     assert state.verified_sup_error <= 1e-13
 
 
-def test_verification_grid_is_five_smooth_and_off_the_dyadic_grids():
-    def smooth(G):
-        for p in (2, 3, 5):
-            while G % p == 0:
-                G //= p
-        return G == 1
+def _smooth(G):
+    for p in (2, 3, 5):
+        while G % p == 0:
+            G //= p
+    return G == 1
 
+
+def test_step_grid_is_the_smallest_five_smooth_side_past_3K():
+    # products of degree-K fields cut back to |k| <= K are alias-free from
+    # 3K + 1 points on; the verification grid stays denser
+    for K in range(1, 200):
+        G = torus._grid_size(K)
+        low = max(3 * K + 1, 8)
+        assert G >= low and _smooth(G)
+        assert not any(_smooth(g) for g in range(low, G))
+        assert G < torus._verification_size(K)
+    assert [torus._grid_size(K) for K in (16, 64, 128)] == [50, 200, 400]
+
+
+def test_kam_on_the_alias_free_grid_agrees_with_the_4K_grid(monkeypatch):
+    # the multi-mode run at degree 6, golden omega, amplitude 3e-3, seed 0
+    beta = TorusVectorField(
+        [toral_function(member_rng(0, i), 2, 6, 3.0) * 3e-3 for i in range(2)]
+    )
+    state = kam_iterate(GOLDEN, beta, trunc_degree=64)
+    monkeypatch.setattr(torus, "_grid_size", lambda K: 4 * K)
+    ref = kam_iterate(GOLDEN, beta, trunc_degree=64)
+    assert len(state.residual_history) == len(ref.residual_history)
+    assert np.max(np.abs(np.subtract(state.lambda_bar, ref.lambda_bar))) <= 1e-14
+    assert state.verified_sup_error <= 1e-13 and ref.verified_sup_error <= 1e-13
+
+
+def test_verification_grid_is_five_smooth_and_off_the_dyadic_grids():
     for K in range(1, 200):
         G = torus._verification_size(K)
         low = max(4 * K, 32)
-        assert G > low and smooth(G) and G & (G - 1)
-        assert not any(smooth(g) and g & (g - 1) for g in range(low + 1, G))
+        assert G > low and _smooth(G) and G & (G - 1)
+        assert not any(_smooth(g) and g & (g - 1) for g in range(low + 1, G))
     assert torus._verification_size(64) == 270
     assert torus._verification_size(8) == 36
 
