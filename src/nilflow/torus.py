@@ -21,12 +21,17 @@ degree-D band, in irfftn's and rfftn's axis order and so to their bits, on
 grids that fit the block, and are evaluated pointwise from the modes k > 0
 in lexicographic order.  Blocks with enough nonzero modes for their side are
 evaluated by separable contraction against exp(2 pi i x_j k) tables instead.
-The Newton step works on contiguous rows of values on a grid of 3K + 1 or
-more points per axis: it adds its coordinate change to the accumulated one,
-as the parametrization method does, evaluates only the given member off the
-grid, and re-expands at its truncation degree K.  The final verification
-samples a denser grid that is not a power of two; every grid side, the
-rigidity layer's included, is 5-smooth (`_smooth_size`)."""
+The Newton step works on rows of values on a grid of 3K + 1 or more points
+per axis: it adds its coordinate change to the accumulated one, as the
+parametrization method does, evaluates only the given member off the grid,
+and re-expands at its truncation degree K.  The grid work goes in blocks of
+grid points (`_blocks`) of whole chunks of the separable evaluation, whose
+matrix products so keep their shapes and bits.  Only the rows from_grid
+re-expands and the pullback's values and (I + Du)^-1, whose per-column
+means keep their bits, are held on the whole grid: at K = 64 a step peaks
+at 3.8 MB traced.  The final verification samples a denser grid that is not
+a power of two and keeps each block's maximum only (2.0 MB); every grid
+side, the rigidity layer's included, is 5-smooth (`_smooth_size`)."""
 
 import math
 from dataclasses import dataclass, field, replace
@@ -270,22 +275,24 @@ class TorusFunction:
 
     def grid_values(self, G):
         """Values of a real function on the equispaced G^n grid, through the
-        inverse half-spectrum transform of its k_last >= 0 half.  The grid
-        must fit the block, 2 size < G; on a coarser one modes would alias."""
+        inverse half-spectrum transform of its k_last >= 0 half."""
+        return np.fft.irfft(self._half_grid(G), G, axis=-1, norm="forward").reshape((G,) * self.n)
+
+    def _half_grid(self, G):
+        """irfftn's passes before the last axis, over the D+1 columns with modes:
+        a row per grid line, shape (G^(n-1), D+1), whose irfft is its values.
+        The grid must fit the block, 2 size < G, or modes would alias."""
         _require_real(self, "grid values")
         D = self.size
         if G <= 2 * D:
             raise DimensionMismatch("grid side %r aliases a block of size %d" % (G, D))
         _require_size(G, self.n, "evaluation grid")
-        # irfftn's passes, in its order, over the D+1 columns that carry
-        # modes: each column is transformed on its own, and irfft pads the
-        # zero columns up to G//2+1 itself
         wrap = np.arange(-D, D + 1) % G
         half = np.zeros((G,) * (self.n - 1) + (D + 1,), dtype=complex)
         half[np.ix_(*[wrap] * (self.n - 1), np.arange(D + 1))] = self.block[..., D:]
         for ax in range(self.n - 1):
             half = np.fft.ifft(half, axis=ax, norm="forward")
-        return np.fft.irfft(half, G, axis=-1, norm="forward")
+        return half.reshape(-1, D + 1)
 
     @classmethod
     def from_grid(cls, values, degree):
@@ -348,17 +355,17 @@ def _points(points, n):
     return pts
 
 
-def _exp_tables(x, D):
-    """exp(2 pi i k x) for k = -D..D at the points x, one row per k: shape
-    (2D+1, len(x)).  Row k+1 is row k times row 1, each product writing one
-    contiguous row, and row -k is the conjugate of row k."""
-    E = np.empty((2 * D + 1, len(x)), dtype=complex)
-    E[D] = 1.0
+def _exp_tables(x, D, work):
+    """exp(2 pi i k x_j), k = -D..D, at the rows x_j of x: a table of a row per
+    k for each, at the start of work, shape (len(x), 2D+1, P).  Row k+1 is
+    row k times row 1, and row -k is the conjugate of row k."""
+    E = work[: x.size * (2 * D + 1)].reshape(len(x), 2 * D + 1, x.shape[1])
+    E[:, D] = 1.0
     if D:
-        E[D + 1] = np.exp(2j * np.pi * x)
+        E[:, D + 1] = np.exp(2j * np.pi * x)
         for k in range(D + 2, 2 * D + 1):
-            np.multiply(E[k - 1], E[D + 1], out=E[k])
-        np.conj(E[:D:-1], out=E[:D])
+            np.multiply(E[:, k - 1], E[:, D + 1], out=E[:, k])
+        np.conj(E[:, :D:-1], out=E[:, :D])
     return E
 
 
@@ -379,20 +386,25 @@ def _contract(f, tables):
     return T.reshape(-1).real
 
 
-def _separable_values(functions, pts):
+def _separable_step(n, D):
+    # points per chunk whose tables and partial sums hold _SEPARABLE_CHUNK
+    return max(1, _SEPARABLE_CHUNK // (n * (2 * D + 1) + (2 * D + 1) ** (n - 1)))
+
+
+def _separable_values(functions, pts, work=None):
     """Values of the functions at the (..., n) points, one array each, by
-    separable contraction (`_contract`).  The points go in blocks that keep
-    the tables and partial sums near _SEPARABLE_CHUNK entries; each block's
-    tables serve every function."""
+    separable contraction (`_contract`).  The points go in chunks of
+    `_separable_step` points; each chunk's tables serve every function, in
+    work, which a caller of many chunks passes so that none maps new pages."""
     n = pts.shape[-1]
     x = pts.reshape(-1, n)
     D = max(f.size for f in functions)
-    side = 2 * D + 1
-    step = max(1, _SEPARABLE_CHUNK // (n * side + side ** (n - 1)))
+    step = _separable_step(n, D)
+    work = np.empty(n * (2 * D + 1) * min(step, len(x)), dtype=complex) if work is None else work
     out = [np.empty(len(x)) for _ in functions]
     for start in range(0, len(x), step):
         part = x[start : start + step]
-        tables = [_exp_tables(part[:, j], D) for j in range(n)]
+        tables = _exp_tables(part.T, D, work)
         for f, vals in zip(functions, out):
             vals[start : start + step] = _contract(f, tables)
     return [vals.reshape(pts.shape[:-1]) for vals in out]
@@ -444,14 +456,14 @@ class TorusVectorField:
         _DROP relative to its largest."""
         return TorusVectorField([c.truncated(degree, _DROP) for c in self.components])
 
-    def _component_values(self, points):
+    def _component_values(self, points, work=None):
         """Values of each component at the (..., n) points, one array each.
-        The components on the separable path share one set of tables."""
+        The components on the separable path share tables (in work if given)."""
         pts = _points(points, self.n)
         separable = [c._takes_separable_path() for c in self.components]
         if any(separable):
             dense = iter(_separable_values(
-                [c for c, s in zip(self.components, separable) if s], pts
+                [c for c, s in zip(self.components, separable) if s], pts, work
             ))
         return [
             next(dense) if s else c.evaluate(pts)
@@ -508,30 +520,55 @@ def sobolev_norm(f, r):
         return math.sqrt(float((np.abs(f.block) ** 2 * w).sum()))
 
 
+def _halves(functions, G):
+    # the passes before the last axis (`_half_grid`), None for a zero function
+    return [None if f.is_zero() else f._half_grid(G) for f in functions]
+
+
 def _sampled(functions, G):
-    """Real grid values of the functions, one row each: shape (len, G^n).
-    One transform per nonzero function, into its row; a zero function's row
-    is filled with +0, which is what its transform gives."""
-    n = functions[0].n
-    _require_size(G, n, "sampling grid")
-    rows = np.empty((len(functions), G**n))
-    for row, f in zip(rows, functions):
-        if f.is_zero():
+    """Real grid values of the functions, one row each (`_sampled_block`)."""
+    _require_size(G, functions[0].n, "sampling grid")
+    return _sampled_block(_halves(functions, G), G, 0, G ** functions[0].n)
+
+
+# points per block, [start, stop) in flat order, of the pointwise grid work:
+# as many whole units (grid lines, or separable chunks) as fit, or one
+_GRID_BLOCK = 2**13
+
+
+def _blocks(count, unit):
+    size = unit * max(1, _GRID_BLOCK // unit)
+    return [(start, min(start + size, count)) for start in range(0, count, size)]
+
+
+def _sampled_block(halves, G, start, stop, rows=None):
+    """Grid values at the flat indices start..stop-1, one row per half grid
+    (`_halves`; +0 for a zero function, as its transform gives), in the rows
+    given or new ones: irfft of their lines, into the row if they are whole."""
+    rows = np.empty((len(halves), stop - start)) if rows is None else rows
+    lines = slice(start // G, -(-stop // G))
+    for row, half in zip(rows, halves):
+        if half is None:
             row[:] = 0.0
+        elif start % G == stop % G == 0:
+            np.fft.irfft(half[lines], G, norm="forward", out=row.reshape(-1, G))
         else:
-            row[:] = f.grid_values(G).reshape(-1)
+            row[:] = np.fft.irfft(half[lines], G, norm="forward").ravel()[start % G :][: len(row)]
     return rows
 
 
-def _moved_points(U, G):
-    """The G^n grid points x moved to x + u(x), shape (G^n, n), from the rows
-    U of u's grid values."""
-    n = len(U)
-    pts = np.empty((G,) * n + (n,))
-    xs = np.arange(G) / G
+def _moved_points(U, G, start=0):
+    """The G^n grid points x from flat index start on moved to x + u(x),
+    shape (len, n), from the rows U of u's grid values there."""
+    n, count = U.shape
+    pts = np.empty((count, n))
+    lines = np.arange(start // G, -(-(start + count) // G))
     for i, row in enumerate(U):
-        np.add(xs.reshape((-1,) + (1,) * (n - 1 - i)), row.reshape((G,) * n), out=pts[..., i])
-    return pts.reshape(-1, n)
+        # x_i on the grid lines that hold the points, constant along each but the last axis's
+        x = np.arange(G) if i == n - 1 else (lines // G ** (n - 2 - i) % G)[:, None]
+        x = np.broadcast_to(x / G, (len(lines), G)).reshape(-1)[start % G :]
+        np.add(x[:count], row, out=pts[:, i])
+    return pts
 
 
 def _field_from_grid(rows, G, degree):
@@ -544,23 +581,10 @@ def _field_from_grid(rows, G, degree):
     ])
 
 
-def _check_invertible(U, J):
-    """Refuse id + u when the rows U of u or the rows J of Du (row i n + j
-    holding d_j u_i) reach sup norm 1/2; Du's is the largest row sum of
-    |d_j u_i|, added in the order of j."""
-    n = len(U)
-    sup_u = float(np.maximum(U.max(), -U.min()))
-    sup_j = 0.0
-    total, term = np.empty((2, U.shape[1]))
-    for i in range(n):
-        np.abs(J[i * n], out=total)
-        for row in J[i * n + 1 : (i + 1) * n]:
-            total += np.abs(row, out=term)
-        sup_j = float(np.maximum(sup_j, total.max()))
-    if sup_u >= 0.5:
-        raise NonInvertible("displacement sup-norm %.3g >= 1/2" % sup_u)
-    if sup_j >= 0.5:
-        raise NonInvertible("Jacobian sup-norm %.3g >= 1/2" % sup_j)
+def _sup_norms(U, J):
+    # of u's rows U and of Du's rows J (row i n + j holding d_j u_i): Du's is
+    # the largest row sum of |d_j u_i|, added in the order of j
+    return np.maximum(U.max(), -U.min()), np.abs(J).reshape(len(U), len(U), -1).sum(axis=1).max()
 
 
 def _smooth_size(G, power_of_two=True):
@@ -614,13 +638,13 @@ def _inverse(M):
     return M
 
 
-def _matvec_rows(Minv, v):
-    """Rows of Minv v for 2 x 2 matrices Minv, shape (P, 2, 2), and v two
-    rows or two scalars: one product per entry and one sum, as einsum's and
-    matmul's loops form them.  Those start from +0, which turns a -0 sum
+def _matvec_rows(Minv, v, out=None):
+    """Rows of Minv v (into out) for 2 x 2 matrices Minv, shape (P, 2, 2), and
+    v two rows or two scalars: one product per entry and one sum, as einsum's
+    and matmul's loops form them.  Those start from +0, which turns a -0 sum
     into +0, so the rows do too.  From three terms on their loops sum in
     another order (vectorized, or in BLAS), so other n keep them."""
-    out = np.empty((2, len(Minv)))
+    out = np.empty((2, len(Minv))) if out is None else out
     for i, row in enumerate(out):
         np.multiply(Minv[:, i, 0], v[0], out=row)
         row += Minv[:, i, 1] * v[1]
@@ -628,47 +652,70 @@ def _matvec_rows(Minv, v):
     return out
 
 
-def _pulled_back(u, X, G, shift=0.0):
-    """Grid values of (I + Du)^-1 (shift + X(x + u(x))) on the G^n grid, shape
-    (G^n, n), returned with the inverted Jacobians (I + Du)^-1, shape
-    (G^n, n, n).
-
-    u and its partials are sampled once into contiguous rows, one per
-    function (`_sampled`), and u's zero components are not transformed.
-    I + Du is formed and, for n = 2, inverted in those rows, and for n = 2
-    (I + Du)^-1 is applied row by row (`_matvec_rows`); the results are
-    transposed views of the rows, with the bits of the (G^n, n, n) arrays
-    and einsum."""
+def _pullback_blocks(u, X, G, shift=0.0, rows=None):
+    """Values of (I + Du)^-1 (shift + X(x + u(x))) on the G^n grid, a block
+    of points (`_blocks`, whole separable chunks, whose tables share one
+    buffer) at a time, shape (len, n), as transposed rows; with rows, they
+    and the entries of (I + Du)^-1 go into those whole-grid rows.  id + u is
+    refused after the last block, from the sup norms of the whole grid; from
+    the first block that reaches 1/2 on, blocks are only sampled."""
     n = X.n
     _require_jacobians(G, n)
-    # two blocks, not one (n + n^2, G^n) block: freeing that one block raised
-    # glibc's mmap threshold or not depending on the heap's layout, and so
-    # moved the peak RSS of a run by about 3 MB with its working directory
-    U = _sampled(u.components, G)
-    J = _sampled([c.partial(j) for c in u.components for j in range(n)], G)
-    _check_invertible(U, J)
-    pts = _moved_points(U, G)
-    # adding 0.0 off the diagonal turns -0 into +0, as np.eye(n) + Du does
-    J += np.eye(n).reshape(-1, 1)
-    Minv = _inverse(J.reshape(n, n, -1).transpose(2, 0, 1))
-    V = X._component_values(pts)
-    for v, s in zip(V, np.broadcast_to(shift, (n,))):
-        v += s
-    if n != 2:
-        return np.einsum("pij,pj->pi", Minv, np.stack(V, axis=-1)), Minv
-    return _matvec_rows(Minv, V).T, Minv
+    halves = _halves(u.components, G)
+    partials = _halves((c.partial(j) for c in u.components for j in range(n)), G)
+    separable = [c.size for c in X.components if c._takes_separable_path()]
+    unit = _separable_step(n, max(separable)) if separable else G
+    work = np.empty(n * (2 * max(separable) + 1) * unit, dtype=complex) if separable else None
+    sup_u = sup_j = 0.0
+    for start, stop in _blocks(G**n, unit):
+        P, J = (None, None) if rows is None else (r[:, start:stop] for r in rows)
+        U = _sampled_block(halves, G, start, stop)
+        J = _sampled_block(partials, G, start, stop, J)
+        sup_u, sup_j = np.maximum((sup_u, sup_j), _sup_norms(U, J))
+        if sup_u >= 0.5 or sup_j >= 0.5:
+            continue
+        # adding 0.0 off the diagonal turns -0 into +0, as np.eye(n) + Du does
+        J += np.eye(n).reshape(-1, 1)
+        # the inverses go into J's rows, where for n = 2 they are formed
+        Minv = _inverse(J.reshape(n, n, -1).transpose(2, 0, 1))
+        J.reshape(n, n, -1).transpose(2, 0, 1)[...] = Minv
+        V = X._component_values(_moved_points(U, G, start), work)
+        for v, s in zip(V, np.broadcast_to(shift, (n,))):
+            v += s
+        if n == 2:
+            P = _matvec_rows(Minv, V, P)
+        else:
+            P = np.einsum("pij,pj->ip", Minv, np.stack(V, axis=-1), out=P)
+        yield P.T
+    for what, sup in (("displacement", sup_u), ("Jacobian", sup_j)):
+        if sup >= 0.5:
+            raise NonInvertible("%s sup-norm %.3g >= 1/2" % (what, sup))
+
+
+def _pulled_back(u, X, G, shift=0.0):
+    """The pullback's values on the whole grid (`_pullback_blocks`), shape
+    (G^n, n), and (I + Du)^-1, shape (G^n, n, n), as transposed rows."""
+    n = X.n
+    _require_jacobians(G, n)
+    rows = np.empty((n, G**n)), np.empty((n * n, G**n))
+    for _ in _pullback_blocks(u, X, G, shift, rows):
+        pass
+    return rows[0].T, rows[1].reshape(n, n, -1).transpose(2, 0, 1)
 
 
 def _corrected(u_acc, u_new, G, degree):
     """u_acc + (I + Du_acc) u_new, the parametrization method's update, on rows
     of G^n grid values, re-expanded at degree: the composition (id + u_acc) o
-    (id + u_new) up to O(|u_new|^2 |D^2 u_acc|).  Its rows die on return."""
+    (id + u_new) up to O(|u_new|^2 |D^2 u_acc|), u_new and Du_acc in blocks."""
+    n = len(u_new.components)
     A = _sampled(u_acc.components, G)
-    U = _sampled(u_new.components, G)
-    J = _sampled([c.partial(j) for c in u_acc.components for j in range(len(U))], G)
-    A += U
-    for (i, j), row in zip(np.ndindex(len(U), len(U)), J):
-        A[i] += row * U[j]
+    new = _halves(u_new.components, G)
+    partials = _halves((c.partial(j) for c in u_acc.components for j in range(n)), G)
+    for start, stop in _blocks(G**n, G):
+        U = _sampled_block(new, G, start, stop)
+        A[:, start:stop] += U
+        for (i, j), row in zip(np.ndindex(n, n), _sampled_block(partials, G, start, stop)):
+            A[i, start:stop] += row * U[j]
     return _field_from_grid(A, G, degree)
 
 
@@ -736,27 +783,20 @@ def kam_step(state):
         return replace(
             state,
             beta_cur=TorusVectorField.zero(n),
-            lambda_bar=tuple(
-                float(l + a) for l, a in zip(state.lambda_bar, avg)
-            ),
+            lambda_bar=tuple(float(l + a) for l, a in zip(state.lambda_bar, avg)),
             **exact,
         )
     # every state holds residual == sobolev_norm(beta_cur, 0)
     scale = max(state.residual, 1e-300)
-    u_new = TorusVectorField(
-        [
-            solve_small_divisor(state.omega, c, tol_avg=1e-10 * scale)
-            for c in beta_p.components
-        ]
-    )
+    u_new = TorusVectorField([
+        solve_small_divisor(state.omega, c, tol_avg=1e-10 * scale) for c in beta_p.components
+    ])
 
     # both re-expansions keep |k| <= K: those coefficients do not depend on
     # a wider window, and the step carries nothing beyond K
     G = _grid_size(K)
-    if state.u_acc.is_zero():
-        u_tot = u_new.truncated(K)
-    else:
-        u_tot = _corrected(state.u_acc, u_new, G, K)
+    u_tot = u_new.truncated(K) if state.u_acc.is_zero() else _corrected(state.u_acc, u_new, G, K)
+    del beta_p, u_new  # their blocks are not held through the grid work
 
     # pull the original member back under the accumulated change; the
     # parameter increment is solved exactly against the averaged Jacobian
@@ -767,10 +807,10 @@ def kam_step(state):
     P_avg = np.array([P[:, i].mean() for i in range(n)])
     d_lambda = np.linalg.solve(avg_M, P_avg - omega)
     lam = tuple(float(x) for x in np.asarray(state.lambda_bar) + d_lambda)
-    # P - Minv d_lambda - omega, as rows
+    # P - Minv d_lambda - omega, as rows, for n = 2 in P's
     if n == 2:
-        beta_rows = _matvec_rows(Minv, d_lambda)
-        np.subtract(P.T, beta_rows, out=beta_rows)
+        beta_rows = P.T
+        beta_rows -= _matvec_rows(Minv, d_lambda)
         beta_rows -= omega[:, None]
     else:
         beta_rows = (P - Minv @ d_lambda - omega[None, :]).T
@@ -792,14 +832,14 @@ def _verification_grid(state):
 
 
 def verify_conjugacy(state):
-    """Largest distance, sampled on a dense grid, between the pullback of the
-    member field (omega - lambda_bar) + beta0 under id + u_acc and the target
-    omega.  A maximum over the grid points, not a bound between them.
-    Raises NonInvertible when id + u_acc is outside the invertibility region."""
+    """Largest distance, sampled block by block on a dense grid, between the
+    pullback of the member field (omega - lambda_bar) + beta0 under id + u_acc
+    and the target omega: a maximum over the grid points, not a bound between
+    them.  Raises NonInvertible when id + u_acc is outside the invertibility region."""
     omega = np.asarray(state.omega)
     G = _verification_grid(state)
-    vals, _ = _pulled_back(state.u_acc, state.beta0, G, omega - np.asarray(state.lambda_bar))
-    return float(np.max(np.abs(vals - omega[None, :])))
+    blocks = _pullback_blocks(state.u_acc, state.beta0, G, omega - np.asarray(state.lambda_bar))
+    return float(np.max([np.abs(vals - omega).max() for vals in blocks]))
 
 
 def kam_iterate(omega, beta, max_iter=10, floor=1e-12, trunc_degree=64):

@@ -592,7 +592,7 @@ def _jacobians(rng, n, count, edge):
 
 def test_closed_form_inverse_matches_linalg():
     rng = np.random.default_rng(31)
-    edge = 0.5 * (1 - 1e-12)  # just inside _check_invertible's bound
+    edge = 0.5 * (1 - 1e-12)  # just inside the pullback's invertibility bound
     J = _jacobians(rng, 2, 20000, edge)
     assert np.max(np.sum(np.abs(J), axis=2)) < 0.5
     M = np.eye(2) + J
@@ -665,13 +665,13 @@ def test_window_K_is_the_slice_of_window_2K(n, real):
 
 def test_kam_step_samples_the_alias_free_grid_and_verification_a_denser_one(monkeypatch):
     sizes = []
-    pulled_back = torus._pulled_back
+    blocks = torus._pullback_blocks
 
-    def recorded(u, X, G, shift=0.0):
+    def recorded(u, X, G, shift=0.0, rows=None):
         sizes.append(G)
-        return pulled_back(u, X, G, shift)
+        return blocks(u, X, G, shift, rows)
 
-    monkeypatch.setattr(torus, "_pulled_back", recorded)
+    monkeypatch.setattr(torus, "_pullback_blocks", recorded)
     state = kam_iterate(GOLDEN, golden_perturbation(1e-3), trunc_degree=64)
     assert sizes == [200] * (len(state.residual_history) - 1) + [270]
     assert state.verified_sup_error <= 1e-13
@@ -1075,13 +1075,13 @@ def test_verification_grid_follows_the_truncation_degree(monkeypatch):
     state = kam_step(KamState.initial(GOLDEN, golden_perturbation(1e-3), trunc_degree=16))
     assert state.u_acc.degree < 16
     sizes = []
-    pulled_back = torus._pulled_back
+    blocks = torus._pullback_blocks
 
-    def recorded(u, X, G, shift=0.0):
+    def recorded(u, X, G, shift=0.0, rows=None):
         sizes.append(G)
-        return pulled_back(u, X, G, shift)
+        return blocks(u, X, G, shift, rows)
 
-    monkeypatch.setattr(torus, "_pulled_back", recorded)
+    monkeypatch.setattr(torus, "_pullback_blocks", recorded)
     assert verify_conjugacy(state) <= 10 * state.residual + 1e-13
     assert sizes == [torus._verification_size(16)] != [torus._verification_size(1)]
 
@@ -1167,17 +1167,17 @@ def test_row_pullback_matches_the_stacked_matrices_bit_for_bit(monkeypatch, n, z
         X = TorusVectorField([TorusFunction.constant(n, -0.0)] * n)
         shift = np.full(n, -0.0)
     sampled_rows = []
-    sampled = torus._sampled
+    sampled = torus._sampled_block
 
-    def signed(functions, G):
-        rows = sampled(functions, G)
+    def signed(halves, G, start, stop, rows=None):
+        rows = sampled(halves, G, start, stop, rows)
         rows[rows == 0] = -0.0
         sampled_rows.append(rows.copy())
         return rows
 
-    monkeypatch.setattr(torus, "_sampled", signed)
+    monkeypatch.setattr(torus, "_sampled_block", signed)
     vals, Minv = torus._pulled_back(u, X, G, shift)
-    # u's rows, then its partials' rows
+    # one block: u's rows, then its partials' rows
     rows = np.vstack(sampled_rows)
     assert [len(r) for r in sampled_rows] == [n, n * n]
     if n > 1 or zero:
@@ -1192,13 +1192,13 @@ def test_row_pullback_matches_the_stacked_matrices_bit_for_bit(monkeypatch, n, z
 
 def test_zero_components_are_never_transformed(monkeypatch):
     transformed = []
-    grid_values = TorusFunction.grid_values
+    half_grid = TorusFunction._half_grid
 
     def counted(f, G):
         transformed.append(f)
-        return grid_values(f, G)
+        return half_grid(f, G)
 
-    monkeypatch.setattr(TorusFunction, "grid_values", counted)
+    monkeypatch.setattr(TorusFunction, "_half_grid", counted)
     u = golden_perturbation(1e-3)
     torus._pulled_back(u, TorusVectorField.constant(GOLDEN), 64)
     # u_0 and its two partials; u_1 = 0 and its partials get zero rows
@@ -1212,6 +1212,93 @@ def test_zero_components_are_never_transformed(monkeypatch):
     transformed.clear()
     kam_iterate(GOLDEN, u, trunc_degree=64)
     assert transformed and not any(f.is_zero() for f in transformed)
+
+
+def test_streamed_refusal_quotes_the_whole_grid(monkeypatch):
+    # u_0 = 0.2 - 0.6 sin(2 pi x_0) passes 1/2 only for x_0 in (7/12, 11/12),
+    # inside the last of two blocks, while Du passes it in the first: the
+    # displacement is refused first, with its sup norm over the whole grid
+    u = TorusVectorField([sine_mode(2, (1, 0), -0.6) + 0.2, TorusFunction.constant(2, 0.0)])
+    state = replace(KamState.initial(GOLDEN, TorusVectorField.zero(2), trunc_degree=8), u_acc=u)
+    G = torus._verification_grid(state)
+    U = torus._sampled(u.components, G)
+    want = "displacement sup-norm %.3g >= 1/2" % max(U.max(), -U.min())
+    assert want == "displacement sup-norm 0.8 >= 1/2"
+    for block in (1, G**2 // 2, 10**9):
+        monkeypatch.setattr(torus, "_GRID_BLOCK", block)
+        for refused in (lambda: torus._pulled_back(u, state.beta0, G), lambda: verify_conjugacy(state)):
+            with pytest.raises(NonInvertible) as exc:
+                refused()
+            assert str(exc.value) == want
+
+
+ONE_MODE = {
+    1: ((PHI,), 64, TorusVectorField([sine_mode(1, (1,), 1e-3)])),
+    2: (GOLDEN, 64, golden_perturbation(1e-3)),
+    3: ((1.0, math.sqrt(2), math.sqrt(3)), 8,
+        TorusVectorField([sine_mode(3, (1, 1, 0), 1e-3)] + [TorusFunction.constant(3, 0.0)] * 2)),
+}
+
+
+def _kam_bits(omega, beta, K):
+    # the bits of lambda_bar, both residual histories and the verified error;
+    # the degree-6 member at n = 3 outruns K = 8, and its verification fails
+    try:
+        state, verified = kam_iterate(omega, beta, trunc_degree=K), None
+    except NoConvergence as exc:
+        state, verified = exc.state, verify_conjugacy(exc.state)
+    return [np.array(x, dtype=float).tobytes() for x in (
+        state.lambda_bar, state.residual_history, state.residual_history_r2,
+        [state.verified_sup_error if verified is None else verified],
+    )]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("member", ["one-mode", "degree-6"])
+def test_kam_bits_do_not_depend_on_the_block_size(monkeypatch, n, member):
+    omega, K, beta = ONE_MODE[n]
+    if member == "degree-6":
+        beta = TorusVectorField([toral_function(member_rng(0, i), n, 6, 3.0) * 3e-3 for i in range(n)])
+        assert all(c._takes_separable_path() for c in beta.components)
+    want = _kam_bits(omega, beta, K)
+    sizes = []
+    blocks = torus._blocks
+
+    def recorded(count, unit):
+        out = blocks(count, unit)
+        sizes.append([b - a for a, b in out])
+        return out
+
+    monkeypatch.setattr(torus, "_blocks", recorded)
+    # one unit (a grid line, or a chunk of the separable evaluation), a size
+    # that leaves a short last block, and the whole grid
+    for block in (1, 3 * 10**4, 10**9):
+        monkeypatch.setattr(torus, "_GRID_BLOCK", block)
+        assert _kam_bits(omega, beta, K) == want
+        if block == 3 * 10**4 and n > 1:
+            assert any(s[-1] < s[0] for s in sizes)
+        sizes.clear()
+
+
+def test_kam_grid_work_stays_within_its_memory_budget(monkeypatch):
+    # the default kam at K = 64: the verification holds nothing at
+    # whole-grid size, and a step only the pullback's P and (I + Du)^-1 rows
+    # and the rows it re-expands
+    peaks = {"kam_step": [], "verify_conjugacy": []}
+    for name, record in peaks.items():
+        def traced(state, call=getattr(torus, name), record=record):
+            tracemalloc.start()
+            try:
+                return call(state)
+            finally:
+                record.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(torus, name, traced)
+    kam_iterate(GOLDEN, golden_perturbation(1e-3), trunc_degree=64)
+    assert len(peaks["kam_step"]) == 2 and len(peaks["verify_conjugacy"]) == 1
+    assert max(peaks["kam_step"]) < 4.5 * 2**20
+    assert peaks["verify_conjugacy"][0] < 3.5 * 2**20
 
 
 def test_additive_update_agrees_with_the_composition_to_second_order():
