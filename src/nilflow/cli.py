@@ -657,8 +657,8 @@ def _run_rigidity_step(p, outdir):
     if p["perturbation_file"]:
         om = load_vf_cochain(p["perturbation_file"])
     else:
-        # generated perturbations are tangent to the commuting deformations,
-        # so the reported residual reflects the quadratic remainder
+        # generated perturbations are tangent to the commuting deformations
+        # at mu = 0 only, where the residual reflects the quadratic remainder
         om = vf_cocycle_member(
             member_rng(p["seed"], 0), params,
             degree=p["degree"], decay=p["decay"], scale=p["scale"],

@@ -162,10 +162,10 @@ def cochain_corpus(seed, count, degree=6, n_max=3, length=8, decay=7.0):
 
 
 def vf_cocycle_member(rng, params, degree=3, decay=3.0, scale=1.0):
-    """Perturbation tangent to the commuting deformations at params: the
-    coboundary of a random coefficient change plus a random family direction.
-    Generic cochains are not closed, so quadratic-convergence experiments draw
-    from here."""
+    """Perturbation at params: the coboundary of a random coefficient change
+    plus a random family direction, tangent to the commuting deformations at
+    mu = 0 only (at mu != 0 section_s's Y offsets are not cocycles).  Generic
+    cochains are not closed, so quadratic-convergence experiments draw here."""
 
     def slot():
         f = toral_function(rng, 2, degree, decay, zero_average=False)

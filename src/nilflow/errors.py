@@ -50,14 +50,15 @@ class ThresholdExceeded(NilflowError):
 
 
 class UnrepresentableProduct(NilflowError):
-    """Pointwise product would need synthesis of representation components,
-    which the coefficient model deliberately does not provide."""
+    """Pointwise product outside the real coefficient frame: representation
+    components would need synthesis, which the model deliberately does not
+    provide, and the grid layer multiplies real toral factors only."""
 
 
 class UnsupportedPerturbation(NilflowError):
     """Rigidity step given a perturbation whose slots carry representation
-    rows: the products in its bracket stay in the coefficient frame only for
-    toral coefficients."""
+    rows or complex toral coefficients: the products in its bracket stay in
+    the coefficient frame only for real toral coefficients."""
 
 
 class ConfigError(NilflowError):

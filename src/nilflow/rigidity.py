@@ -19,7 +19,7 @@ from .errors import (
     UnsupportedPerturbation,
 )
 from .nilrep import NilFunction, _parse_records, nil_sobolev_norm
-from .torus import _SIZE_CAP, TorusFunction, _freqs, _smooth_size, _symmetrized
+from .torus import _SIZE_CAP, TorusFunction, _re_expanded, _real_samples, _smooth_size
 
 
 @dataclass
@@ -80,18 +80,15 @@ def smoothing_truncate(F, cutoff):
 
 
 def _grid_products(tori, sums, D):
-    """Sums of products of toral functions on T^2 and their partials, on one
-    grid.  sums[i] lists (op, (f, a), (g, b)) terms, op np.add or np.subtract,
-    each adding or subtracting tori[f]_a tori[g]_b; index 0 reads the values,
-    1 and 2 the partials along Y1 and Y2.  Every factor read is sampled once,
-    in one inverse FFT of the stacked zero-padded blocks on the smallest
-    5-smooth side G >= 2 D + 1, where degree-D products do not alias; the
-    sums are formed pointwise and re-expanded in one forward FFT, keeping
-    |k| <= D.  A sum is real when all factors it reads are, and is then
-    symmetrized, as from_grid does.  The rounding is absolute, of order
-    eps log G ||a||_1 ||b||_1 per product a b (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2002, ch. 24), where a double sum's is relative
-    per coefficient."""
+    """Sums of products of real toral functions on T^2 and their partials, on
+    one grid.  sums[i] lists (op, (f, a), (g, b)) terms, op np.add or
+    np.subtract, each adding or subtracting tori[f]_a tori[g]_b; index 0 reads
+    the values, 1 and 2 the partials along Y1 and Y2.  The factors read are
+    sampled, and the sums re-expanded at |k| <= D, in one stacked pass each of
+    torus's real layer on the smallest 5-smooth side G >= 2 D + 1, where no
+    product aliases.  The rounding is absolute, eps log G ||a||_1 ||b||_1 per
+    product a b (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, ch. 24), where a double sum's is relative per entry."""
     G = _smooth_size(2 * D + 1)
     factors = sorted({x for terms in sums for _op, *pq in terms for x in pq})
     if len(factors) * G * G > _SIZE_CAP:
@@ -101,40 +98,31 @@ def _grid_products(tori, sums, D):
     for block, t in zip(padded, tori):
         block[d - t.size : d + t.size + 1, d - t.size : d + t.size + 1] = t.block
     scale = np.ones((3, 2 * d + 1, 2 * d + 1), dtype=complex)
-    scale[1], scale[2] = (2j * np.pi * k for k in _freqs(2, d))
-    # ifft2's passes, last axis first, the first over the block's rows only;
-    # the forward transform takes fft2's, each keeping only the window
+    k = 2j * np.pi * np.arange(-d, d + 1)
+    scale[1], scale[2] = k[:, None], k[None, :]
     f, a = np.array(factors).T
-    w = np.arange(-d, d + 1) % G
-    rows = np.zeros((len(factors), 2 * d + 1, G), dtype=complex)
-    rows[..., w] = padded[f] * scale[a]
-    samples = np.zeros((len(factors), G, G), dtype=complex)
-    samples[:, w] = np.fft.ifft(rows, norm="forward")
-    samples = np.fft.ifft(samples, axis=1, norm="forward")
-    grid = np.zeros((len(sums), G, G), dtype=complex)
+    samples = _real_samples(padded[f] * scale[a], G)
+    grid = np.zeros((len(sums), G * G))
     for out, terms in zip(grid, sums):
         for op, p, q in terms:
             op(out, samples[factors.index(p)] * samples[factors.index(q)], out=out)
-    w = np.arange(-D, D + 1) % G
-    blocks = np.fft.fft(np.fft.fft(grid, norm="forward")[..., w], axis=1, norm="forward")[:, w]
-    real = [all(tori[f].real for _op, *pq in terms for f, _a in pq) for terms in sums]
-    return [TorusFunction._exact(2, _symmetrized(b) if r else b, r) for b, r in zip(blocks, real)]
+    return [TorusFunction._exact(2, b, True) for b in _re_expanded(grid.reshape(-1, G, G), D)]
 
 
 def nil_multiply(F, G):
-    """Pointwise product where it stays inside the coefficient frame: toral
-    times toral is a convolution, constants scale anything.  Products involving
-    a representation part and a nonconstant factor leave the frame.  A convolution
-    is `_grid_products` for one pair, its rounding absolute: eps log G ||a||_1 ||b||_1."""
+    """Pointwise product where it stays inside the real coefficient frame: toral
+    times toral is a convolution (`_grid_products` for one pair), constants
+    scale anything, and complex toral factors are refused, as are products of
+    representation parts with nonconstant factors, which leave the frame."""
+    if not (F.toral.real and G.toral.real):
+        raise UnrepresentableProduct("complex toral factor: the grid products are real")
     for A, B in ((F, G), (G, F)):
         # a constant: every nonzero coefficient sits at the centre
         if not A.keys and np.count_nonzero(A.toral.block) == (A.toral.average != 0):
             return B.scaled(complex(A.toral.average))
     if F.keys or G.keys:
-        raise UnrepresentableProduct(
-            "product of representation data with a nonconstant factor is not "
-            "representable in the coefficient frame"
-        )
+        raise UnrepresentableProduct("product of representation data with a nonconstant "
+                                     "factor is not representable in the coefficient frame")
     one = [[(np.add, (0, 0), (1, 0))]]
     [toral] = _grid_products([F.toral, G.toral], one, F.toral.size + G.toral.size)
     return NilFunction(toral=toral)
@@ -147,11 +135,14 @@ def vf_bracket(U, V):
     center.  Every product is formed on one grid at degree d_u + d_v, the
     largest slot sizes of U and V (`_grid_products`); none with a zero factor
     is formed, and a component none reaches is the zero NilFunction().  A
-    slot with representation rows is refused first (UnrepresentableProduct)."""
+    slot with representation rows or complex toral coefficients is refused
+    first (UnrepresentableProduct)."""
     for name, F in zip(("U.y0", "U.y1", "U.z0", "V.y0", "V.y1", "V.z0"), U.slots + V.slots):
         if F.keys:
             raise UnrepresentableProduct("bracket slot %s carries representation rows, "
                                          "first %r" % (name, F.keys[0]))
+        if not F.toral.real:
+            raise UnrepresentableProduct("bracket slot %s has complex toral coefficients" % name)
     # U's slots are tori 0-2 and V's 3-5
     tori = [F.toral for F in U.slots + V.slots]
     live = [not t.is_zero() for t in tori]
@@ -171,15 +162,16 @@ def _field_norm(A):
 
 
 def require_toral_perturbation(omega):
-    """Refuse a perturbation cochain with representation rows in any slot
-    (UnsupportedPerturbation): the bracket multiplies toral coefficients
-    only, and would refuse them itself (`vf_bracket`)."""
+    """Refuse a perturbation cochain with representation rows or complex
+    toral coefficients, c_{-k} != conj(c_k), in any slot
+    (UnsupportedPerturbation): the bracket multiplies real toral
+    coefficients only, and would refuse the rest itself (`vf_bracket`)."""
     for name, F in _named_slots(omega):
-        if F.keys:
-            raise UnsupportedPerturbation(
-                "perturbation slot %s carries representation rows, first %r; "
-                "the rigidity step takes toral coefficients only" % (name, F.keys[0])
-            )
+        what = ("carries representation rows, first %r" % (F.keys[0],) if F.keys
+                else None if F.toral.real else "has complex toral coefficients")
+        if what:
+            raise UnsupportedPerturbation("perturbation slot %s %s; the rigidity step takes "
+                                          "real toral coefficients only" % (name, what))
 
 
 def newton_step(params, omega, threshold=0.5):
@@ -190,8 +182,8 @@ def newton_step(params, omega, threshold=0.5):
     cocycle defect, and constants (`vf_coboundary_solve`), then measure the
     second-order residue: the linear leftover, the error pair included, plus
     the first conjugacy bracket [H, omega - D/2] per generator.  The residual
-    must shrink quadratically in the perturbation size.  A perturbation with
-    representation rows is refused first (`require_toral_perturbation`).
+    must shrink quadratically in the perturbation size.  Representation rows
+    and complex toral data are refused first (`require_toral_perturbation`).
     """
     require_toral_perturbation(omega)
     size = max(_field_norm(omega.x1), _field_norm(omega.x2))

@@ -5,33 +5,32 @@ centred coefficient block per function, their only representation, on which
 every operation is an array expression.  A function is real when its block
 obeys c_{-k} = conj(c_k) as values, the sign of a zero being free; the
 constructor reads that off the coefficients exactly, and a real block is
-repaired only where rounding can break the rule, after the transforms of
-from_grid and of the rigidity layer's grid products.  The module provides the
-directional-derivative solver that divides by the small divisors
-2 pi i k.alpha, Sobolev norms, pseudo-spectral pullback of vector fields
-under near-identity diffeomorphisms id + u, and the Newton conjugacy
-iteration that flattens a perturbed constant field back to its linear model.
+repaired only where rounding can break the rule, after the re-expansions of
+the grid layer.  The module provides the directional-derivative solver that
+divides by the small divisors 2 pi i k.alpha, Sobolev norms, pseudo-spectral
+pullback of vector fields under near-identity diffeomorphisms id + u, and
+the Newton conjugacy iteration that flattens a perturbed constant field back
+to its linear model.
 
 Conventions: enumeration degree is the sup norm of k; grids are equispaced
-and re-expand through the FFT.  The grid layer is real: a vector field's
-components are real functions, and only real functions are sampled,
-re-expanded or evaluated.  They are sampled and re-expanded through
-half-spectrum transforms that touch only the D+1 columns k_last = 0..D of a
-degree-D band, in irfftn's and rfftn's axis order and so to their bits, on
-grids that fit the block, and are evaluated pointwise from the modes k > 0
-in lexicographic order.  Blocks with enough nonzero modes for their side are
-evaluated by separable contraction against exp(2 pi i x_j k) tables instead.
-The Newton step works on rows of values on a grid of 3K + 1 or more points
-per axis: it adds its coordinate change to the accumulated one, as the
-parametrization method does, evaluates only the given member off the grid,
-and re-expands at its truncation degree K.  The grid work goes in blocks of
-grid points (`_blocks`) of whole chunks of the separable evaluation, whose
-matrix products so keep their shapes and bits.  Only the rows from_grid
-re-expands and the pullback's values and (I + Du)^-1, whose per-column
-means keep their bits, are held on the whole grid: at K = 64 a step peaks
-at 3.8 MB traced.  The final verification samples a denser grid that is not
-a power of two and keeps each block's maximum only (2.0 MB); every grid
-side, the rigidity layer's included, is 5-smooth (`_smooth_size`)."""
+and re-expand through the FFT.  The grid layer, the package's one (the
+rigidity products use it too), is real: only real functions are sampled,
+re-expanded or evaluated, a stack at a time (`_real_samples`, `_re_expanded`)
+through half-spectrum transforms that touch only the D+1 columns k_last =
+0..D of a degree-D band, in irfftn's and rfftn's axis order and so to their
+bits, on grids that fit the block.  They are evaluated from the modes k > 0
+in lexicographic order or, with enough nonzero modes for their side, by
+separable contraction against exp(2 pi i x_j k) tables.  The Newton step
+works on rows of values on a grid of 3K + 1 or more points per axis: it adds
+its coordinate change to the accumulated one, as the parametrization method
+does, evaluates only the given member off the grid, and re-expands at its
+truncation degree K.  The grid work goes in blocks of grid points (`_blocks`)
+of whole chunks of the separable evaluation, whose matrix products so keep
+their shapes and bits.  Only the rows it re-expands and the pullback's values
+and (I + Du)^-1, whose per-column means keep their bits, are held on the
+whole grid: at K = 64 a step peaks at 3.8 MB traced.  The final verification
+samples a denser grid that is not a power of two and keeps each block's
+maximum only (2.0 MB); every grid side is 5-smooth (`_smooth_size`)."""
 
 import math
 from dataclasses import dataclass, field, replace
@@ -274,52 +273,20 @@ class TorusFunction:
         return np.count_nonzero(self.block) >= _SEPARABLE_MARGIN * even
 
     def grid_values(self, G):
-        """Values of a real function on the equispaced G^n grid, through the
-        inverse half-spectrum transform of its k_last >= 0 half."""
-        return np.fft.irfft(self._half_grid(G), G, axis=-1, norm="forward").reshape((G,) * self.n)
+        """Values of a real function on the equispaced G^n grid (`_real_samples`)."""
+        _require_real(self, "grid values")
+        return _real_samples(self.block[None], G).reshape((G,) * self.n)
 
     def _half_grid(self, G):
-        """irfftn's passes before the last axis, over the D+1 columns with modes:
-        a row per grid line, shape (G^(n-1), D+1), whose irfft is its values.
-        The grid must fit the block, 2 size < G, or modes would alias."""
+        """A row per grid line, shape (G^(n-1), D+1), whose irfft is its values."""
         _require_real(self, "grid values")
-        D = self.size
-        if G <= 2 * D:
-            raise DimensionMismatch("grid side %r aliases a block of size %d" % (G, D))
-        _require_size(G, self.n, "evaluation grid")
-        wrap = np.arange(-D, D + 1) % G
-        half = np.zeros((G,) * (self.n - 1) + (D + 1,), dtype=complex)
-        half[np.ix_(*[wrap] * (self.n - 1), np.arange(D + 1))] = self.block[..., D:]
-        for ax in range(self.n - 1):
-            half = np.fft.ifft(half, axis=ax, norm="forward")
-        return half.reshape(-1, D + 1)
+        return _half_grids(self.block[None], G)[0]
 
     @classmethod
     def from_grid(cls, values, degree):
-        """Real function re-expanded from real equispaced samples; keeps modes
-        with sup norm <= degree, discarding coefficients below _DROP relative
-        to the largest one.  Alias-free for band-limited data when
-        every axis has > 2*degree points.  The half-spectrum transform
-        computes the k_last >= 0 half of the window, the other half is its
-        conjugate reflection, and the block is symmetrized, absorbing FFT
-        roundoff."""
+        """Real function re-expanded at degree from real equispaced samples."""
         values = np.asarray(values)
-        if np.iscomplexobj(values):
-            raise DimensionMismatch("from_grid re-expands real samples only")
-        if degree < 0:
-            raise DimensionMismatch("degree must be >= 0, got %r" % (degree,))
-        if min(values.shape) <= 2 * degree:
-            raise DimensionMismatch("grid too coarse for the requested degree")
-        window = np.arange(-degree, degree + 1)
-        # rfftn's passes, in its order, each keeping only the window
-        half = np.fft.rfft(values, axis=-1, norm="forward")[..., : degree + 1]
-        for ax in reversed(range(values.ndim - 1)):
-            half = np.fft.fft(half, axis=ax, norm="forward")
-            half = half.take(window % values.shape[ax], axis=ax)
-        block = np.concatenate([np.conj(np.flip(half[..., 1:])), half], axis=-1)
-        floor = _DROP * float(np.max(np.abs(block)))
-        block = np.where(np.abs(block) > floor, block, 0)
-        return cls._exact(values.ndim, _symmetrized(block), True)
+        return cls._exact(values.ndim, _re_expanded(values[None], degree)[0], True)
 
     def __repr__(self):
         return "TorusFunction(n=%d, modes=%d, degree=%d%s)" % (
@@ -353,6 +320,48 @@ def _points(points, n):
     if pts.shape[-1] != n:
         raise DimensionMismatch("points must have trailing dimension n")
     return pts
+
+
+def _half_grids(blocks, G):
+    """irfftn's passes but the last, on the columns k_last = 0..D, for a stack
+    of real centred blocks of size D < G / 2: shape (S, G^(n-1), D+1)."""
+    S, n, D = len(blocks), blocks.ndim - 1, blocks.shape[-1] // 2
+    if G <= 2 * D:
+        raise DimensionMismatch("grid side %r aliases a block of size %d" % (G, D))
+    _require_size(G, n, "evaluation grid")
+    wrap = np.arange(-D, D + 1) % G
+    half = np.zeros((S,) + (G,) * (n - 1) + (D + 1,), dtype=complex)
+    half[(slice(None),) + np.ix_(*[wrap] * (n - 1)) + (slice(None),)] = blocks[..., D:]
+    for ax in range(1, n):
+        half = np.fft.ifft(half, axis=ax, norm="forward")
+    return half.reshape(S, -1, D + 1)
+
+
+def _real_samples(blocks, G):
+    """G^n grid values of a stack of real centred blocks (`_half_grids`), a row each."""
+    return np.fft.irfft(_half_grids(blocks, G), G, norm="forward").reshape(len(blocks), -1)
+
+
+def _re_expanded(values, degree):
+    """Centred degree blocks of a stack of real grids (S, N_0, ...), alias-free
+    when every N_j > 2 degree: rfftn's passes, each keeping only the window,
+    the conjugate reflection, a _DROP floor per block, and symmetrization."""
+    if np.iscomplexobj(values):
+        raise DimensionMismatch("from_grid re-expands real samples only")
+    if degree < 0:
+        raise DimensionMismatch("degree must be >= 0, got %r" % (degree,))
+    if min(values.shape[1:]) <= 2 * degree:
+        raise DimensionMismatch("grid too coarse for the requested degree")
+    grid = tuple(range(1, values.ndim))
+    window = np.arange(-degree, degree + 1)
+    half = np.fft.rfft(values, axis=-1, norm="forward")[..., : degree + 1]
+    for ax in reversed(grid[:-1]):
+        half = np.fft.fft(half, axis=ax, norm="forward")
+        half = half.take(window % values.shape[ax], axis=ax)
+    block = np.concatenate([np.conj(np.flip(half[..., 1:], axis=grid)), half], axis=-1)
+    magnitude = np.abs(block)
+    block = np.where(magnitude > _DROP * magnitude.max(axis=grid, keepdims=True), block, 0)
+    return [_symmetrized(b) for b in block]
 
 
 def _exp_tables(x, D, work):
@@ -572,13 +581,9 @@ def _moved_points(U, G, start=0):
 
 
 def _field_from_grid(rows, G, degree):
-    """Vector field re-expanded from grid rows, one of G^n samples per
-    component, dropping coefficients below _DROP relative to each one's
-    largest."""
-    n = len(rows)
-    return TorusVectorField([
-        TorusFunction.from_grid(row.reshape((G,) * n), degree) for row in rows
-    ])
+    """Vector field re-expanded from rows of G^n samples, one per component."""
+    blocks = _re_expanded(np.reshape(rows, (len(rows),) + (G,) * len(rows)), degree)
+    return TorusVectorField([TorusFunction._exact(len(rows), b, True) for b in blocks])
 
 
 def _sup_norms(U, J):
@@ -660,7 +665,6 @@ def _pullback_blocks(u, X, G, shift=0.0, rows=None):
     refused after the last block, from the sup norms of the whole grid; from
     the first block that reaches 1/2 on, blocks are only sampled."""
     n = X.n
-    _require_jacobians(G, n)
     halves = _halves(u.components, G)
     partials = _halves((c.partial(j) for c in u.components for j in range(n)), G)
     separable = [c.size for c in X.components if c._takes_separable_path()]
@@ -716,6 +720,7 @@ def _corrected(u_acc, u_new, G, degree):
         A[:, start:stop] += U
         for (i, j), row in zip(np.ndindex(n, n), _sampled_block(partials, G, start, stop)):
             A[i, start:stop] += row * U[j]
+    del new, partials  # their half grids are not held through the re-expansion
     return _field_from_grid(A, G, degree)
 
 
@@ -814,6 +819,7 @@ def kam_step(state):
         beta_rows -= omega[:, None]
     else:
         beta_rows = (P - Minv @ d_lambda - omega[None, :]).T
+    del P, Minv  # (I + Du)^-1's rows are not held through the re-expansion
     beta_next = _field_from_grid(beta_rows, G, K)
 
     return replace(

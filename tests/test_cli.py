@@ -452,7 +452,8 @@ def test_a_corpus_draw_past_the_representation_cap_is_refused(tmp_path, monkeypa
 @pytest.mark.parametrize("slot", ["x1.y0", "x2.z0"], ids=["Y-slot", "Z-slot"])
 def test_rigidity_step_refuses_representation_rows(tmp_path, capsys, slot):
     pert = tmp_path / "p.txt"
-    pert.write_text("x1.y0 toral 1 0 0.001 0.0\n%s rep 1 0 0 0.001 0.0\n" % slot)
+    pert.write_text("x1.y0 toral 1 0 0.001 0.0\nx1.y0 toral -1 0 0.001 0.0\n"
+                    "%s rep 1 0 0 0.001 0.0\n" % slot)
     out = tmp_path / "out"
     assert run(make_config("rigidity-step", out, alpha=(1.0, PHI), perturbation_file=str(pert))) == 1
     rec = read_summary(out)[0]
@@ -1188,8 +1189,8 @@ def test_main_rigidity_flags_override_config(tmp_path):
     ids=["x1.y0", "x1.z0"],
 )
 def test_rigidity_step_refuses_a_complex_average(tmp_path, capsys, record):
-    # project_P reads only real parts (and never x1.z0); the reduction of the
-    # constant obstruction refuses the imaginary part by slot
+    # project_P reads only real parts (and never x1.z0); the boundary refuses
+    # the imaginary part by slot before the step runs
     pert = tmp_path / "pert.txt"
     pert.write_text(record + "\n")
     out = tmp_path / "out"
@@ -1198,10 +1199,35 @@ def test_rigidity_step_refuses_a_complex_average(tmp_path, capsys, record):
     )
     assert run(cfg) == 1
     rec = read_summary(out)[0]
-    assert (rec["verdict"], rec["reason"]) == ("error", "ValueError")
-    assert record.split()[0] in rec["detail"]
+    assert (rec["verdict"], rec["reason"]) == ("error", "UnsupportedPerturbation")
+    assert "slot %s has complex" % record.split()[0] in rec["detail"]
     assert capsys.readouterr().err == ""
     assert not (out / "coordinates.csv").exists()
+
+
+# one-sided modes, with no conjugate at -k: not a real vector field
+ONE_SIDED = ("x1.y0 toral 1 0 0.001 0.0005\n", "x2.y1 toral 0 1 0.0007 0.0\n",
+             "x2.z0 toral 1 1 0.0003 0.0002\n")
+CONJUGATES = ("x1.y0 toral -1 0 0.001 -0.0005\n", "x2.y1 toral 0 -1 0.0007 0.0\n",
+              "x2.z0 toral -1 -1 0.0003 -0.0002\n")
+
+
+def test_rigidity_step_refuses_one_sided_modes(tmp_path, capsys):
+    pert = tmp_path / "pert.txt"
+    pert.write_text("".join(ONE_SIDED))
+    out = tmp_path / "out"
+    cfg = make_config("rigidity-step", out, alpha=(1.0, PHI), perturbation_file=str(pert))
+    assert run(cfg) == 1
+    rec = read_summary(out)[0]
+    assert (rec["verdict"], rec["reason"]) == ("error", "UnsupportedPerturbation")
+    assert "slot x1.y0 has complex" in rec["detail"]
+    assert os.listdir(out) == ["summary.jsonl"]
+    assert capsys.readouterr().err == ""
+    # each mode with its conjugate at -k is the real field, and the step runs
+    pert.write_text("".join(ONE_SIDED + CONJUGATES))
+    cfg.out = str(tmp_path / "mirrored")
+    assert run(cfg) == 0
+    assert read_summary(tmp_path / "mirrored")[0]["verdict"] == "ok"
 
 
 def test_rigidity_step_h_norm_is_continuous_in_mu(tmp_path):

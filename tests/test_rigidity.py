@@ -320,10 +320,17 @@ def test_truncate_rejects_negative_cutoff():
 
 
 def test_multiply_single_modes():
-    F = toral_nil({(1, 2): 2.0})
-    G = toral_nil({(-1, 3): 0.5})
-    out = nil_multiply(F, G)
-    assert coeff(out.toral, (0, 5)) == pytest.approx(1.0)
+    # 4 cos 2 pi (x + 2y) times sin 2 pi (3y - x): each pair of modes meets once
+    F = toral_nil({(1, 2): 2.0, (-1, -2): 2.0})
+    G = toral_nil({(-1, 3): -0.5j, (1, -3): 0.5j})
+    out = nil_multiply(F, G).toral
+    assert out.real
+    for k, c in (((0, 5), -1j), ((0, -5), 1j), ((2, -1), 1j), ((-2, 1), -1j)):
+        assert coeff(out, k) == pytest.approx(c, abs=1e-15)
+    assert coeff(out, (1, 1)) == pytest.approx(0.0, abs=1e-15)
+    # a one-sided mode is not a real function: the grid products refuse it
+    with pytest.raises(UnrepresentableProduct, match="complex toral factor"):
+        nil_multiply(F, toral_nil({(-1, 3): 0.5}))
 
 
 def test_multiply_constant_scales_reps():
@@ -343,37 +350,42 @@ def test_multiply_rejects_unrepresentable():
 
 
 def test_bracket_hand_example():
-    u = toral_nil({(1, 0): 2.0})
-    v = toral_nil({(0, 1): 3.0})
+    u = toral_nil({(1, 0): 2.0, (-1, 0): 2.0})
+    v = toral_nil({(0, 1): 3.0, (0, -1): 3.0})
     U = VfField((u, NilFunction()), (NilFunction(),))
     V = VfField((NilFunction(), v), (NilFunction(),))
     out = vf_bracket(U, V)
     # -v * (Y2 u) on the first slot, u * (Y1 v) on the second, u*v into Z
     assert out.y[0].is_zero()
     assert coeff(out.y[1].toral, (1, 1)) == pytest.approx(0.0)
-    assert coeff(out.z[0].toral, (1, 1)) == pytest.approx(6.0)
+    for k in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        assert coeff(out.z[0].toral, k) == pytest.approx(6.0)
 
 
 def test_bracket_derivative_terms():
-    u = toral_nil({(1, 1): 2.0})
-    v = toral_nil({(2, -1): 3.0})
+    # -v * (Y2 u) on the first slot and u * (Y1 v) on the second: the modes
+    # (1, 1) and (2, -1) meet at (3, 0), (1, 1) and (-2, 1) at (-1, 2)
+    u = toral_nil({(1, 1): 2.0, (-1, -1): 2.0})
+    v = toral_nil({(2, -1): 3.0, (-2, 1): 3.0})
     U = VfField((u, NilFunction()), (NilFunction(),))
     V = VfField((NilFunction(), v), (NilFunction(),))
     out = vf_bracket(U, V)
-    assert coeff(out.y[0].toral, (3, 0)) == pytest.approx(-(2j * math.pi * 1) * 6.0)
-    assert coeff(out.y[1].toral, (3, 0)) == pytest.approx((2j * math.pi * 2) * 6.0)
+    for k, y0, y1 in (((3, 0), -1, 2), ((-1, 2), -1, -2), ((1, -2), 1, 2), ((-3, 0), 1, -2)):
+        assert coeff(out.y[0].toral, k) == pytest.approx(y0 * (2j * math.pi) * 6.0)
+        assert coeff(out.y[1].toral, k) == pytest.approx(y1 * (2j * math.pi) * 6.0)
 
 
 def test_bracket_central_direction():
-    h = toral_nil({(1, 0): 1.0})
-    g = toral_nil({(0, 2): 1.0})
+    h = toral_nil({(1, 0): 1.0, (-1, 0): 1.0})
+    g = toral_nil({(0, 2): 1.0, (0, -2): 1.0})
     U = VfField((NilFunction(), NilFunction()), (h,))
     V = VfField((g, NilFunction()), (NilFunction(),))
     out = vf_bracket(U, V)
     # no product reaches the Y slots: they are the shared zero
     assert out.y[0].toral is out.y[1].toral is NilFunction().toral
     # -(g * Y1 h) Z survives; Z applied to toral data vanishes
-    assert coeff(out.z[0].toral, (1, 2)) == pytest.approx(-(2j * math.pi * 1))
+    for k, sign in (((1, 2), -1), ((1, -2), -1), ((-1, 2), 1), ((-1, -2), 1)):
+        assert coeff(out.z[0].toral, k) == pytest.approx(sign * (2j * math.pi))
 
 
 def test_bracket_antisymmetry():
@@ -491,7 +503,8 @@ def test_newton_threshold():
 
 @pytest.mark.parametrize("slot", ["x1.y1", "x2.z0"])
 def test_newton_step_refuses_representation_rows_before_any_work(monkeypatch, slot):
-    text = "x1.y0 toral 1 0 0.001 0.0\n%s rep 2 1 0 0.001 0.0005\n" % slot
+    text = ("x1.y0 toral 1 0 0.001 0.0\nx1.y0 toral -1 0 0.001 0.0\n"
+            "%s rep 2 1 0 0.001 0.0005\n" % slot)
     omega = parse_vf_cochain(text)
 
     def no_work(*args):
@@ -500,6 +513,21 @@ def test_newton_step_refuses_representation_rows_before_any_work(monkeypatch, sl
     monkeypatch.setattr(rigidity, "project_P", no_work)
     monkeypatch.setattr(rigidity, "_field_norm", no_work)
     with pytest.raises(UnsupportedPerturbation, match=r"slot %s .*\(2, 1\)" % slot):
+        newton_step(golden_params(), omega)
+
+
+@pytest.mark.parametrize("slot", ["x1.y0", "x2.z0"])
+def test_newton_step_refuses_complex_toral_slots_before_any_work(monkeypatch, slot):
+    # a one-sided mode: c_k without conj(c_k) at -k
+    text = "x1.y1 toral 0 1 0.001 0.0\nx1.y1 toral 0 -1 0.001 0.0\n%s toral 1 0 0.001 0.0\n" % slot
+    omega = parse_vf_cochain(text)
+
+    def no_work(*args):
+        raise AssertionError("the step ran")
+
+    monkeypatch.setattr(rigidity, "project_P", no_work)
+    monkeypatch.setattr(rigidity, "_field_norm", no_work)
+    with pytest.raises(UnsupportedPerturbation, match=r"slot %s has complex" % slot):
         newton_step(golden_params(), omega)
 
 
@@ -647,7 +675,7 @@ def _gap(f, block):
 
 def test_multiply_matches_double_loop_reference():
     rng = np.random.default_rng(31)
-    F, G = rand_toral(rng, deg=3), rand_toral(rng, deg=2, real=False)
+    F, G = rand_toral(rng, deg=3), rand_toral(rng, deg=2)
     ref = {}
     for k, a in coeffs(F.toral).items():
         for l, b in coeffs(G.toral).items():
@@ -659,6 +687,8 @@ def test_multiply_matches_double_loop_reference():
         want[k1 + out.size, k2 + out.size] = c
     l1 = [sum(abs(c) for c in coeffs(H.toral).values()) for H in (F, G)]
     assert _gap(out, want) <= _grid_bound(l1[0] * l1[1], out.size)
+    with pytest.raises(UnrepresentableProduct, match="complex toral factor"):
+        nil_multiply(F, rand_toral(rng, deg=2, real=False))
 
 
 def _seeded_block(rng, degree, real, density=0.7):
@@ -675,14 +705,22 @@ def _seeded_block(rng, degree, real, density=0.7):
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 5, 8, 12, 16, 24])
 def test_products_match_the_double_sum_within_the_stated_bound(degree):
-    # dense and sparse blocks, real and complex, of degrees up to `degree`;
-    # one field pair has a zero slot, which no product reads
+    # dense and sparse blocks of degrees up to `degree`, real ones against the
+    # double sums and complex ones refused; one field pair has a zero slot,
+    # which no product reads
     rng = np.random.default_rng(400 + degree)
     for real, density in ((True, 0.7), (True, 0.1), (False, 0.7), (False, 0.1)):
         def draw():
             return _seeded_block(rng, int(rng.integers(1, degree + 1)), real, density)
 
         F, G = draw(), draw()
+        if not real:
+            U = VfField((draw(), draw()), (draw(),))
+            with pytest.raises(UnrepresentableProduct, match="complex toral factor"):
+                nil_multiply(F, G)
+            with pytest.raises(UnrepresentableProduct, match=r"slot U\.y0 has complex"):
+                vf_bracket(U, VfField.constant((1.0, 0.0), (0.0,)))
+            continue
         out = nil_multiply(F, G).toral
         weight = np.abs(F.toral.block).sum() * np.abs(G.toral.block).sum()
         assert out.real == real and out.size == F.toral.size + G.toral.size
@@ -698,16 +736,25 @@ def test_products_match_the_double_sum_within_the_stated_bound(degree):
 
 
 def test_bracket_refuses_representation_rows_before_any_transform(monkeypatch):
-    rows = NilFunction(toral=toral_nil({(1, 0): 1.0}).toral, reps={(2, 1): np.array([1.0])})
-    toral = toral_nil({(0, 1): 2.0})
-    monkeypatch.setattr(np.fft, "ifft2", None)
+    rows = NilFunction(toral=toral_nil({(1, 0): 1.0, (-1, 0): 1.0}).toral,
+                       reps={(2, 1): np.array([1.0])})
+    toral = toral_nil({(0, 1): 2.0, (0, -1): 2.0})
+    one_sided = toral_nil({(0, 1): 2.0})
+
+    def no_transform(*args):
+        raise AssertionError("a grid transform ran before the refusal")
+
+    monkeypatch.setattr(rigidity, "_real_samples", no_transform)
     for U, V, slot in (
-        (VfField((toral, toral), (rows,)), VfField((toral, toral), (toral,)), r"U\.z0"),
-        (VfField((toral, toral), (toral,)), VfField((toral, rows), (toral,)), r"V\.y1"),
+        (VfField((toral, toral), (rows,)), VfField((toral, toral), (toral,)), r"U\.z0 .*\(2, 1\)"),
+        (VfField((toral, toral), (toral,)), VfField((toral, rows), (toral,)), r"V\.y1 .*\(2, 1\)"),
         # a constant partner does not make the row representable here
-        (VfField((rows,) * 2, (rows,)), VfField.constant((1.0, 0.0), (0.0,)), r"U\.y0"),
+        (VfField((rows,) * 2, (rows,)), VfField.constant((1.0, 0.0), (0.0,)), r"U\.y0 .*\(2, 1\)"),
+        # nor a complex toral part, the grid layer being real
+        (VfField((toral, toral), (toral,)), VfField((toral, toral), (one_sided,)),
+         r"V\.z0 has complex"),
     ):
-        with pytest.raises(UnrepresentableProduct, match=r"slot %s .*\(2, 1\)" % slot):
+        with pytest.raises(UnrepresentableProduct, match=r"slot %s" % slot):
             vf_bracket(U, V)
 
 
@@ -727,7 +774,7 @@ def test_multiply_of_dense_degree_24_blocks_stays_small():
     # a scatter over all nnz * m^2 products would hold 49^4 entries per index
     # array, about 180 MB; the grid product holds a few 100 x 100 grids
     rng = np.random.default_rng(61)
-    F, G = (_seeded_block(rng, 24, False) for _ in range(2))
+    F, G = (_seeded_block(rng, 24, True) for _ in range(2))
     tracemalloc.start()
     try:
         nil_multiply(F, G)
